@@ -51,9 +51,6 @@ class GaussianRational:
             (self.im * other.re - self.re * other.im) / d,
         )
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     def abs2(self) -> Fraction:
         return self.re * self.re + self.im * self.im
 
@@ -114,9 +111,6 @@ class Root2:
 
     def is_zero(self) -> bool:
         return self.a.is_zero() and self.b.is_zero()
-
-    def rational_part(self) -> GaussianRational:
-        return self.a
 
     def to_complex(self) -> complex:
         return self.a.to_complex() + self.b.to_complex() * (2.0**0.5)

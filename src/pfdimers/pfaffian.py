@@ -1,8 +1,22 @@
 """Skew-symmetric matrices, their Pfaffians, and the adjacency construction.
 
-Two backends share one elimination scheme.  The exact backend works over
-Gaussian rationals and pivots on the first nonzero entry for determinism;
-the float backend works over complex floats with partial pivoting and warns
+The exact backend is multimodular.  The Gaussian-rational matrix A is scaled
+to Gaussian integers by the least common denominator L of its real and
+imaginary parts, so Pf(L*A) = L^(n/2) Pf(A) = X + iY with integers X, Y.
+The Pfaffian is an integer polynomial in the entries, and for a prime
+p = 1 (mod 4) with s^2 = -1 (mod p), i -> s is a ring map Z[i] -> Z/p.  So
+skew elimination mod p, with any nonzero pivot, gives X + sY mod p, and the
+other root -s gives X - sY; together they recover X and Y mod p.  A real
+matrix needs one evaluation per prime.  Since L*A is integral, every prime
+gives a correct residue, including primes that divide L.  The residues are
+combined by the Chinese remainder theorem until the modulus M exceeds
+2B + 1, where B is the Hadamard bound, B^4 <= prod_i sum_j |(L*A)_ij|^2,
+on |X + iY|.  Then X and Y are the
+residues in (-M/2, M/2), exactly, and Pf(A) = (X + iY) / L^(n/2).  No step
+is probabilistic: a prime on which a pivot vanishes still yields a correct
+residue.
+
+The float backend works over complex floats with partial pivoting and warns
 when a pivot falls below the conditioning threshold.
 """
 
@@ -11,7 +25,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from math import isqrt, lcm, prod
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     IllConditionedWarning,
@@ -113,27 +128,132 @@ def pfaffian(matrix: SkewMatrix) -> Scalar:
 
 def _pf_exact(matrix: SkewMatrix) -> GaussianRational:
     n = matrix.dimension
-    a = [list(row) for row in matrix.entries]
-    sign = 1
-    result = GaussianRational.of(1)
-    for col in range(0, n, 2):
-        piv = next((r for r in range(col + 1, n) if not a[col][r].is_zero()), -1)
+    lcd, re, im = _scaled_upper(matrix)
+    is_complex = any(any(row) for row in im)
+    # Hadamard: |Pf|^4 = |det|^2 <= prod_i sum_j |a_ij|^2 (row i of the
+    # skew matrix holds the upper row i and the upper column i)
+    sq = [[r * r + m * m for r, m in zip(rr, mr)] for rr, mr in zip(re, im)]
+    bound = isqrt(isqrt(prod(sum(row) + sum(col) for row, col in zip(sq, zip(*sq)))))
+    x = y = 0
+    modulus = 1
+    index = 0
+    while modulus <= 2 * bound + 1:
+        p, s = _modulus(index)
+        index += 1
+        if is_complex:
+            u = _pf_mod([[(r + s * m) % p for r, m in zip(rr, mr)]
+                         for rr, mr in zip(re, im)], p)
+            v = _pf_mod([[(r - s * m) % p for r, m in zip(rr, mr)]
+                         for rr, mr in zip(re, im)], p)
+            half = (p + 1) // 2
+            xp, yp = (u + v) * half % p, (v - u) * s * half % p
+        else:
+            xp, yp = _pf_mod([[r % p for r in rr] for rr in re], p), 0
+        c = pow(modulus, -1, p)
+        x += modulus * ((xp - x) * c % p)
+        y += modulus * ((yp - y) * c % p)
+        modulus *= p
+    if x > modulus // 2:
+        x -= modulus
+    if y > modulus // 2:
+        y -= modulus
+    scale = lcd ** (n // 2)
+    return GaussianRational(Fraction(x, scale), Fraction(y, scale))
+
+
+def _scaled_upper(matrix: SkewMatrix) -> Tuple[int, List[List[int]], List[List[int]]]:
+    """LCD of the parts, and the real and imaginary parts of LCD * a_ij for i < j.
+
+    Entries with i >= j are 0.  Each distinct entry object is converted once,
+    since matrices typically share one zero object across most entries.
+    """
+    upper = [row[i + 1:] for i, row in enumerate(matrix.entries)]
+    distinct = {id(x): x for row in upper for x in row}
+    lcd = lcm(*{f.denominator for x in distinct.values() for f in (x.re, x.im)})
+    scaled = {key: (x.re.numerator * (lcd // x.re.denominator),
+                    x.im.numerator * (lcd // x.im.denominator))
+              for key, x in distinct.items()}
+    pairs = [[scaled[id(x)] for x in row] for row in upper]
+    re = [[0] * (i + 1) + [r for r, _ in row] for i, row in enumerate(pairs)]
+    im = [[0] * (i + 1) + [m for _, m in row] for i, row in enumerate(pairs)]
+    return lcd, re, im
+
+
+_MODULUS_START = 2**80 - 3  # below 3.3e24, where _is_prime is deterministic
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MODULI: Dict[int, Tuple[int, int]] = {}
+
+
+def _modulus(index: int) -> Tuple[int, int]:
+    """(p, s): the index-th prime p = 1 (mod 4) below 2**80, counting down,
+    and a root s of s^2 = -1 (mod p).  Memoised in _MODULI."""
+    if index not in _MODULI:
+        p = _modulus(index - 1)[0] - 4 if index else _MODULUS_START
+        while not _is_prime(p):
+            p -= 4
+        c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+        _MODULI[index] = p, pow(c, (p - 1) // 4, p)
+    return _MODULI[index]
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first 13 prime bases: exact for n < 3.3e24."""
+    if n < 2:
+        return False
+    for q in _PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _PRIME_BASES:
+        t = pow(a, d, n)
+        if t in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            t = t * t % n
+            if t == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _pf_mod(a: List[List[int]], p: int) -> int:
+    """Pf(a) mod p by skew elimination; reads and updates only a[i][j], i < j."""
+    n = len(a)
+    result = 1
+    for k in range(0, n, 2):
+        rk = a[k]
+        q = k + 1
+        piv = next((r for r in range(q, n) if rk[r]), -1)
         if piv < 0:
-            return GR_ZERO
-        if piv != col + 1:
-            _swap(a, piv, col + 1)
-            sign = -sign
-        p = a[col][col + 1]
-        result = result * p
-        inv_rows = range(col + 2, n)
-        for r in inv_rows:
-            if not a[col][r].is_zero():
-                f = a[col][r] / p
-                for c in range(col, n):
-                    a[r][c] = a[r][c] - f * a[col + 1][c]
-                for c in range(col, n):
-                    a[c][r] = a[c][r] - f * a[c][col + 1]
-    return result.scale(sign)
+            return 0
+        rq = a[q]
+        if piv != q:
+            # add index piv to index q (row and column): Pf is unchanged
+            rr = a[piv]
+            for j in range(q + 1, n):
+                if j < piv:
+                    rq[j] = (rq[j] - a[j][piv]) % p
+                elif j > piv:
+                    rq[j] = (rq[j] + rr[j]) % p
+            rk[q] = rk[piv]
+        pivot = rk[q]
+        result = result * pivot % p
+        inv = pow(pivot, -1, p)
+        # Schur complement: a_ij += (a_qi * a_kj - a_ki * a_qj) / pivot
+        for i in range(q + 1, n):
+            f, g = rq[i], rk[i]
+            if f or g:
+                f = f * inv % p
+                g = g * inv % p
+                ri = a[i]
+                t = i + 1
+                ri[t:] = [(c + f * b - g * d) % p
+                          for c, b, d in zip(ri[t:], rk[t:], rq[t:])]
+    return result
 
 
 def _pf_float(matrix: SkewMatrix) -> complex:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -14,12 +15,22 @@ from pfdimers import (
     bipartite_pfaffian,
     build_map,
     canonical_orientation,
+    construct_kasteleyn,
+    enumerate_classes,
     lattice,
     pfaffian,
     pfaffian_expansion,
 )
 from pfdimers.exactnum import GaussianRational
-from pfdimers.pfaffian import SkewMatrix, build_adjacency, determinant, skew_matrix
+from pfdimers.pfaffian import (
+    EXPANSION_DIM_BOUND,
+    SkewMatrix,
+    _is_prime,
+    _modulus,
+    build_adjacency,
+    determinant,
+    skew_matrix,
+)
 
 
 def _exact(rows):
@@ -28,14 +39,26 @@ def _exact(rows):
     return skew_matrix(g, exact=True)
 
 
-def _random_skew(rng, n, complex_entries=False):
+def _random_skew(rng, n, complex_entries=False, max_den=1, size=4):
+    """Entries with parts in [-size, size], divided by denominators in [1, max_den]."""
     rows = [[GaussianRational.of(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            re = rng.randint(-4, 4)
-            im = rng.randint(-4, 4) if complex_entries else 0
+            re = rng.randint(-size, size)
+            im = rng.randint(-size, size) if complex_entries else 0
+            if max_den > 1:
+                re = Fraction(re, rng.randint(1, max_den))
+                im = Fraction(im, rng.randint(1, max_den))
             rows[i][j] = GaussianRational.of(re, im)
             rows[j][i] = -rows[i][j]
+    return SkewMatrix(tuple(tuple(r) for r in rows), exact=True)
+
+
+def _with_entries(a, changes):
+    """Copy of ``a`` with a[i][j] = x and a[j][i] = -x for each (i, j, x)."""
+    rows = [list(r) for r in a.entries]
+    for i, j, x in changes:
+        rows[i][j], rows[j][i] = x, -x
     return SkewMatrix(tuple(tuple(r) for r in rows), exact=True)
 
 
@@ -59,7 +82,8 @@ def test_odd_dimension_rejected():
 def test_elimination_matches_expansion(seed):
     rng = random.Random(seed)
     n = rng.choice([2, 4, 6])
-    a = _random_skew(rng, n, complex_entries=rng.random() < 0.5)
+    a = _random_skew(rng, n, complex_entries=rng.random() < 0.5,
+                     max_den=rng.choice([1, 6]))
     lhs = pfaffian(a)
     rhs = pfaffian_expansion(a)
     assert (lhs - rhs).is_zero()
@@ -70,10 +94,96 @@ def test_elimination_matches_expansion(seed):
 def test_pf_squared_is_det(seed):
     rng = random.Random(seed)
     n = rng.choice([2, 4, 6, 8])
-    a = _random_skew(rng, n, complex_entries=True)
+    a = _random_skew(rng, n, complex_entries=True, max_den=rng.choice([1, 6]))
     pf = pfaffian(a)
     det = determinant(a)
     assert (pf * pf - det).is_zero()
+
+
+@pytest.mark.parametrize("max_den", [1, 6])
+@pytest.mark.parametrize("n", [10, 12, 20, 40])
+def test_exact_matches_fraction_references(n, max_den):
+    a = _random_skew(random.Random(n), n, complex_entries=True, max_den=max_den)
+    pf = pfaffian(a)
+    assert pf * pf == determinant(a)
+    if n <= EXPANSION_DIM_BOUND:
+        assert pf == pfaffian_expansion(a)
+
+
+@pytest.mark.parametrize("changes", [
+    # denominator equal to the first modulus, which then divides the LCD
+    lambda p: [(0, 3, GaussianRational.of(Fraction(1, p), 2))],
+    # first pivot is 0 mod the first modulus but not over Q
+    lambda p: [(0, 1, GaussianRational.of(p, 0))],
+    lambda p: [(0, 1, GaussianRational.of(0, p)), (2, 3, GaussianRational.of(p))],
+    # an all-zero row
+    lambda p: [(2, j, GaussianRational.of(0)) for j in range(8) if j != 2],
+], ids=["denominator-is-modulus", "pivot-zero-mod-p", "pivots-zero-mod-p", "zero-row"])
+def test_exact_modular_edge_cases(changes):
+    a = _with_entries(_random_skew(random.Random(5), 8, complex_entries=True),
+                      changes(_modulus(0)[0]))
+    pf = pfaffian(a)
+    assert pf == pfaffian_expansion(a)
+    assert pf * pf == determinant(a)
+
+
+def test_large_entries_negative_parts():
+    a = _random_skew(random.Random(3), 30, complex_entries=True, size=10**12)
+    # the Hadamard bound needs at least three moduli
+    norms = [sum(x.abs2() for x in row) for row in a.entries]
+    bound = math.isqrt(math.isqrt(math.prod(int(v) for v in norms)))
+    assert 2 * bound + 1 >= _modulus(0)[0] * _modulus(1)[0]
+    pf = pfaffian(a)
+    assert pf.re < 0 and pf.im < 0
+    assert pf * pf == determinant(a)
+    approx = pfaffian(a.to_float())
+    assert abs(pf.to_complex() - approx) <= 1e-9 * abs(approx)
+
+
+def test_even_torus_has_one_vanishing_class():
+    inst = lattice(6, 6, "torus")
+    m = inst.map
+    K = construct_kasteleyn(m)
+    mats = [build_adjacency(m, Kc)
+            for Kc in enumerate_classes(m, K, [cv.cross for cv in inst.curves])]
+    pfs = [pfaffian(a) for a in mats]
+    assert [pf.is_zero() for pf in pfs].count(True) == 1
+    for a, pf in zip(mats, pfs):
+        assert pf * pf == determinant(a)
+
+
+# Smallest strong pseudoprimes to the first k prime bases (k = 1, 2, 3, 4, 5,
+# 6, 8, 11, 12), as their factorisations.
+_STRONG_PSEUDOPRIMES = [
+    [23, 89], [829, 1657], [2251, 11251], [151, 751, 28351],
+    [6763, 10627, 29947], [1303, 16927, 157543], [10670053, 32010157],
+    [149491, 747451, 34233211], [399165290221, 798330580441],
+]
+
+
+def test_is_prime_against_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+    # includes the Carmichael numbers 561, 1105, 1729, 2465, 2821, 6601, 8911
+    assert all(_is_prime(n) == trial(n) for n in range(10_000))
+    for factors in _STRONG_PSEUDOPRIMES:
+        assert not _is_prime(math.prod(factors)), factors
+
+
+def test_moduli_are_primes_one_mod_four():
+    # 16 covers every modulus the tests in this file use
+    moduli = [_modulus(k) for k in range(16)]
+    assert len({p for p, _ in moduli}) == len(moduli)
+    for p, s in moduli:
+        assert _is_prime(p)
+        assert p % 4 == 1
+        assert s * s % p == p - 1
+
+
+def test_moduli_are_primes_sympy():
+    isprime = pytest.importorskip("sympy").isprime
+    assert all(isprime(_modulus(k)[0]) for k in range(16))
 
 
 def test_row_column_negation_negates_pf():
@@ -119,7 +229,7 @@ def test_bipartite_identity_two():
     # vertex order (0,2,1,3) brings the same matrix to generic position
     keep = [0, 2, 1, 3]
     b = a.principal_minor(keep)
-    assert (pfaffian(b) - GaussianRational.of(1)).is_zero() or True
+    assert (pfaffian(b) - GaussianRational.of(1)).is_zero()
     # direct comparison: the bipartite route equals the general pfaffian
     assert (pfaffian(a) - val).is_zero()
 
