@@ -21,7 +21,7 @@ from . import graphfile
 from .errors import MalformedFile, PfdimersError
 from .generators import lattice
 from .homology import cycle_basis
-from .kasteleyn import construct_kasteleyn, curvature_report, enumerate_classes
+from .kasteleyn import construct_kasteleyn, curvature_report
 from .oracle import count_matchings, find_matching, homology_buckets, partition_bruteforce
 from .partition import partition
 from .spin_quadratic import arf, basis_enhancement, brown, normalize_qB
@@ -93,19 +93,22 @@ def cmd_invariants(args) -> int:
         print("no perfect matching; invariants undefined", file=sys.stderr)
         return 2
     K = construct_kasteleyn(m)
-    pairs = [("b1", basis.rank), ("surface", classify(m).name.replace(" ", "_"))]
-    plain = [f"surface: {classify(m).name}, b1 = {basis.rank}"]
-    for idx, Kc in enumerate(enumerate_classes(m, K, basis.dual_cochains)):
-        q = normalize_qB(m, basis_enhancement(m, Kc, D0, basis), D0, basis)
+    surface = classify(m)
+    pairs = [("b1", basis.rank), ("surface", surface.name.replace(" ", "_"))]
+    plain = [f"surface: {surface.name}, b1 = {basis.rank}"]
+    qB = normalize_qB(m, basis_enhancement(m, K, D0, basis), D0, basis)
+    for idx in range(1 << basis.rank):
+        q = qB.shifted([(idx >> i) & 1 for i in range(basis.rank)])
         label = "".join(str((idx >> i) & 1) for i in range(basis.rank)) or "0"
         vals = ",".join(str(v) for v in q.basis_values)
         b = brown(q)
         pairs.append((f"q.{label}", vals))
         pairs.append((f"brown.{label}", b))
         plain.append(f"class {label}: q = ({vals}), brown = {b}")
-        if classify(m).orientable:
-            pairs.append((f"arf.{label}", arf(q)))
-            plain.append(f"class {label}: arf = {arf(q)}")
+        if surface.orientable:
+            a = arf(q)
+            pairs.append((f"arf.{label}", a))
+            plain.append(f"class {label}: arf = {a}")
     _emit(args, pairs, plain)
     return 0
 

@@ -117,7 +117,6 @@ class Root2:
 
 
 R2_ZERO = Root2.of(GR_ZERO)
-R2_ONE = Root2.of(GR_ONE)
 
 
 def zeta8_power(k: int) -> Root2:

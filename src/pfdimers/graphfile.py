@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, TextIO, Tuple
 
-from .errors import MalformedFile
+from .errors import MalformedFile, NotAClosedWalk, NotSimple
 from .generators import LatticeInstance, TransverseCurve
 from .homology import basis_from_cycles, chain_from_edges, edges_of
 from .surface_graph import build_map, classify
@@ -129,7 +129,7 @@ def load(stream: TextIO) -> LatticeInstance:
     if curves and all(c.companion for c in curves):
         try:
             basis = basis_from_cycles(graph, [c.companion for c in curves])
-        except Exception:
+        except (NotAClosedWalk, NotSimple):
             basis = None
     return LatticeInstance(graph, classify(graph).name, tuple(curves), basis)
 

@@ -170,11 +170,6 @@ def check_simple_walk(m: CombinatorialMap, walk: Walk) -> None:
         raise NotSimple("walk reuses an edge")
 
 
-def omega_of_walk(m: CombinatorialMap, walk: Walk, omega: Optional[int] = None) -> int:
-    omega = m.twist_bits() if omega is None else omega
-    return sum((omega >> (h // 2)) & 1 for h in walk)
-
-
 def reverse_walk(walk: Walk) -> Walk:
     return tuple(h ^ 1 for h in reversed(walk))
 
@@ -189,13 +184,6 @@ def vertex_coboundary(m: CombinatorialMap, v: int) -> int:
     for e, edge in enumerate(m.edges):
         if (edge.u == v) ^ (edge.v == v):
             bits |= 1 << e
-    return bits
-
-
-def set_coboundary(m: CombinatorialMap, vertices: Sequence[int]) -> int:
-    bits = 0
-    for v in vertices:
-        bits ^= vertex_coboundary(m, v)
     return bits
 
 

@@ -116,10 +116,6 @@ class CurvatureReport:
     def total_parity(self) -> int:
         return sum(self.per_face) & 1
 
-    @property
-    def curved_faces(self) -> Tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.per_face) if c)
-
     def consistent(self) -> bool:
         return self.total_parity == self.vertex_count % 2
 
@@ -153,13 +149,8 @@ def construct_kasteleyn(m: CombinatorialMap,
     assert sum(curv) % 2 == 0
 
     # dual adjacency through edges with two distinct incident faces
-    edge_faces: List[List[int]] = [[] for _ in range(m.edge_count)]
-    for fi, face in enumerate(faces.faces):
-        for h, _ in face.steps:
-            edge_faces[h // 2].append(fi)
     dual_adj: List[List[Tuple[int, int]]] = [[] for _ in range(len(faces))]
-    for e, fs in enumerate(edge_faces):
-        f1, f2 = fs
+    for e, (f1, f2) in enumerate(faces.edge_face_incidence(m.edge_count)):
         if f1 != f2:
             dual_adj[f1].append((f2, e))
             dual_adj[f2].append((f1, e))

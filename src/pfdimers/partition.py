@@ -18,9 +18,11 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 from .errors import (
     CurveNotRealizable,
     NonRealResult,
+    NotAClosedWalk,
+    NotSimple,
     WrongSurfaceType,
 )
-from .exactnum import GaussianRational, Root2, i_power, power_of_two_inverse_sqrt, zeta8_power
+from .exactnum import GR_ZERO, R2_ZERO, Root2, i_power, power_of_two_inverse_sqrt, zeta8_power
 from .generators import TransverseCurve
 from .homology import (
     HomologyBasis,
@@ -66,6 +68,12 @@ def _map_parallel(fn: Callable, items: Sequence, threads: Optional[int]) -> List
 
 def _eps_label(idx: int, width: int) -> str:
     return "".join(str((idx >> i) & 1) for i in range(width)) or "0"
+
+
+def _class_bits(idx: int, width: int) -> List[int]:
+    """Class ``idx`` flips K by the dual cocycles phi_i, i in idx; as
+    phi_i(C_j) = delta_ij, its enhancement is the base one shifted by these."""
+    return [(idx >> j) & 1 for j in range(width)]
 
 
 # ---------------------------------------------------------------------------
@@ -129,10 +137,7 @@ def _build_companion(m: CombinatorialMap, curve: TransverseCurve,
     if len(crossings) < 2:
         raise CurveNotRealizable("need at least two crossings to follow the curve")
 
-    edge_to_faces: List[List[int]] = [[] for _ in range(m.edge_count)]
-    for fi, face in enumerate(faces.faces):
-        for h, _ in face.steps:
-            edge_to_faces[h // 2].append(fi)
+    edge_to_faces = faces.edge_face_incidence(m.edge_count)
 
     def passage_face(e1: int, e2: int) -> int:
         common = set(edge_to_faces[e1]) & set(edge_to_faces[e2])
@@ -175,7 +180,7 @@ def _build_companion(m: CombinatorialMap, curve: TransverseCurve,
             return None
         try:
             check_simple_walk(m, walk)
-        except Exception:
+        except (NotAClosedWalk, NotSimple):
             return None
         return walk
 
@@ -333,15 +338,16 @@ def partition_orientable_spin(m: CombinatorialMap, *,
     g = surface.genus
     K = construct_kasteleyn(m, faces=faces)
     classes = enumerate_classes(m, K, basis.dual_cochains)
+    q0 = basis_enhancement(m, K, D0, basis)
 
-    def one(Kc: Orientation):
-        q = basis_enhancement(m, Kc, D0, basis)
-        a = arf(q)
+    def one(idx: int):
+        Kc = classes[idx]
+        a = arf(q0.shifted(_class_bits(idx, basis.rank)))
         eps = matching_sign(m, Kc, D0)
         pf = pfaffian(build_adjacency(m, Kc, backend=backend))
         return a, eps, pf
 
-    rows = _map_parallel(one, classes, threads)
+    rows = _map_parallel(one, range(len(classes)), threads)
     total: Number = Fraction(0) if exact else 0.0
     terms = []
     for idx, (a, eps, pf) in enumerate(rows):
@@ -389,22 +395,24 @@ def partition_general_pin(m: CombinatorialMap, *,
     b1 = basis.rank
     K = construct_kasteleyn(m, omega=om, faces=faces)
     classes = enumerate_classes(m, K, basis.dual_cochains)
+    q0 = basis_enhancement(m, K, D0, basis, om)
     omega_d0 = dotcount(om, D0)
 
-    def one(Kc: Orientation):
-        q = basis_enhancement(m, Kc, D0, basis, om)
-        beta = brown(q)
+    def one(idx: int):
+        Kc = classes[idx]
+        beta = brown(q0.shifted(_class_bits(idx, b1)))
         eps = matching_sign(m, Kc, D0)
         pf = pfaffian(build_adjacency(m, Kc, omega=om, backend=backend))
         return beta, eps, pf
 
-    rows = _map_parallel(one, classes, threads)
+    rows = _map_parallel(one, range(len(classes)), threads)
     terms = [(_eps_label(i, b1), str(pf)) for i, (_, _, pf) in enumerate(rows)]
     if exact:
-        total = Root2.of(GaussianRational.of(0))
+        buckets = [GR_ZERO] * 8
         for beta, eps, pf in rows:
-            term = Root2.of(pf if eps > 0 else -pf) * zeta8_power(beta)
-            total = total + term
+            buckets[beta] = buckets[beta] + (pf if eps > 0 else -pf)
+        total = sum((Root2.of(pf_sum) * zeta8_power(beta)
+                     for beta, pf_sum in enumerate(buckets)), R2_ZERO)
         total = total * power_of_two_inverse_sqrt(b1)
         total = total * Root2.of(i_power(-omega_d0))
         if not total.b.is_zero() or total.a.im != 0:

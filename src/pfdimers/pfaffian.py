@@ -35,7 +35,7 @@ from .errors import (
     OddDimension,
     TooLarge,
 )
-from .exactnum import GR_ZERO, GaussianRational, i_power
+from .exactnum import GR_ZERO, GaussianRational
 from .kasteleyn import Orientation
 from .surface_graph import CombinatorialMap
 
@@ -104,7 +104,8 @@ def build_adjacency(m: CombinatorialMap, K: Orientation,
             raise LoopEdge(f"edge {e} is a loop; remove loops before building")
         a, b = K.arrow(m, e)
         if exact:
-            w = GaussianRational.of(Fraction(edge.weight)) * i_power((om >> e) & 1)
+            f = Fraction(edge.weight)
+            w = GaussianRational(0, f) if (om >> e) & 1 else GaussianRational(f, 0)
         else:
             w = complex(edge.weight) * (1j if (om >> e) & 1 else 1.0)
         rows[a][b] = rows[a][b] + w

@@ -17,7 +17,10 @@ by a regression test.
 
 Enhancements are stored through their values on a homology basis together
 with the mod-2 intersection matrix; values on arbitrary classes follow from
-the enhancement law q(x+y) = q(x) + q(y) + 2*(x.y).
+the enhancement law q(x+y) = q(x) + q(y) + 2*(x.y).  The Brown invariant is
+additive over orthogonal sums, so ``brown`` and ``arf`` split the form into
+rank-1 and hyperbolic summands in O(b1^3) steps instead of summing over the
+2^b1 classes; ``gauss_sum`` is kept as the reference they are tested against.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from .errors import DegenerateForm, NotAMatching, NotOrientableForm
-from .exactnum import GaussianRational, Root2, i_power, zeta8_power
+from .exactnum import GaussianRational, i_power
 from .homology import (
     HomologyBasis,
     Walk,
@@ -226,24 +229,48 @@ def gauss_sum(q: QuadraticEnhancement) -> GaussianRational:
     return total
 
 
+def _split_brown(q: QuadraticEnhancement, degenerate: type) -> int:
+    """Brown invariant by orthogonal splitting; raises ``degenerate`` when
+    the form has a radical.
+
+    A class is a bitmask over the basis and carries its image under the
+    form, so x.y is the parity of ``x.vec & y.img``; the diagonal is read
+    from the values, x.x = q(x) (mod 2), as in ``evaluate``.
+    """
+    left = []  # (class, image under the form, q value)
+    for i, (v, row) in enumerate(zip(q.basis_values, q.gram)):
+        img = sum(1 << j for j, g in enumerate(row) if g and j != i) | (v & 1) << i
+        left.append((1 << i, img, v % 4))
+
+    def dot(x, y) -> int:
+        return (x[0] & y[1]).bit_count() & 1
+
+    def add(x, y):
+        return (x[0] ^ y[0], x[1] ^ y[1], (x[2] + y[2] + 2 * dot(x, y)) % 4)
+
+    beta = 0
+    while left:
+        w = next((x for x in left if x[2] & 1), None)
+        if w is not None:
+            beta += 1 if w[2] == 1 else -1
+            block = [(w, w)]  # (summand class, its dual within the summand)
+        else:
+            pair = next(((w, x) for w in left for x in left if dot(w, x)), None)
+            if pair is None:
+                raise degenerate(f"intersection form of rank {q.rank} is degenerate")
+            w, x = pair
+            beta += 4 if w[2] == x[2] == 2 else 0
+            block = [(w, x), (x, w)]
+        for v, _ in block:
+            left.remove(v)
+        for v, dual in block:
+            left = [add(u, dual) if dot(u, v) else u for u in left]
+    return beta % 8
+
+
 def brown(q: QuadraticEnhancement) -> int:
     """Brown invariant beta with gauss_sum = 2**(b1/2) * exp(i*pi/4)**beta."""
-    s = gauss_sum(q)
-    if s.abs2() != 2 ** q.rank:
-        raise DegenerateForm(f"Gauss sum modulus^2 {s.abs2()} != 2^{q.rank}")
-    target = Root2.of(s)
-    scale = _power_of_two_sqrt(q.rank)
-    for beta in range(8):
-        if (scale * zeta8_power(beta) - target).is_zero():
-            return beta
-    raise DegenerateForm("Gauss sum is not a multiple of an eighth root of unity")
-
-
-def _power_of_two_sqrt(b1: int) -> Root2:
-    """2**(b1/2) as a Root2 value."""
-    if b1 % 2 == 0:
-        return Root2.of(GaussianRational.of(2 ** (b1 // 2)))
-    return Root2.of(GaussianRational.of(0), GaussianRational.of(2 ** ((b1 - 1) // 2)))
+    return _split_brown(q, DegenerateForm)
 
 
 def arf(q: QuadraticEnhancement) -> int:
@@ -252,13 +279,4 @@ def arf(q: QuadraticEnhancement) -> int:
         raise NotOrientableForm("enhancement takes odd values")
     if any(q.gram[i][i] for i in range(q.rank)):
         raise NotOrientableForm("intersection form has odd diagonal")
-    total = 0
-    for mask in range(1 << q.rank):
-        coords = [(mask >> i) & 1 for i in range(q.rank)]
-        total += 1 if q.evaluate(coords) == 0 else -1
-    g = q.rank // 2
-    if total == 2 ** g:
-        return 0
-    if total == -(2 ** g):
-        return 1
-    raise NotOrientableForm(f"Gauss sum {total} is not +-2^{g}")
+    return _split_brown(q, NotOrientableForm) // 4

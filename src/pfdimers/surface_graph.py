@@ -76,9 +76,6 @@ class CombinatorialMap:
     def is_loop(self, e: int) -> bool:
         return self.edges[e].u == self.edges[e].v
 
-    def incident_halves(self, v: int) -> Tuple[int, ...]:
-        return self.rotations[v]
-
     def rotation_next(self, h: int) -> int:
         return self._next[h]
 
@@ -92,12 +89,6 @@ class Face:
 
     def __len__(self) -> int:
         return len(self.steps)
-
-    def edge_multiplicities(self) -> dict:
-        mult: dict = {}
-        for h, _ in self.steps:
-            mult[h // 2] = mult.get(h // 2, 0) + 1
-        return mult
 
     def odd_edge_mask(self) -> int:
         mask = 0

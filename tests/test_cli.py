@@ -33,6 +33,21 @@ def test_roundtrip_identity():
                 (c2.kind, c2.cross, c2.companion, c2.crossing_edge)
 
 
+def test_dependent_companions_load_without_basis():
+    # two curves sharing one companion cannot give a homology basis; the
+    # file still loads, with its curves and no basis
+    buf = io.StringIO()
+    graphfile.dump(lattice(3, 4, "torus"), buf)
+    lines = buf.getvalue().splitlines()
+    first = next(ln for ln in lines if ln.startswith("companion 0 "))
+    lines = [first.replace("companion 0 ", "companion 1 ")
+             if ln.startswith("companion 1 ") else ln for ln in lines]
+    inst = graphfile.load(io.StringIO("\n".join(lines) + "\n"))
+    assert inst.basis is None
+    assert len(inst.curves) == 2
+    assert inst.curves[0].companion == inst.curves[1].companion
+
+
 def test_malformed_file_messages():
     with pytest.raises(MalformedFile):
         graphfile.load(io.StringIO("vertices 2\nbogus 1\n"))

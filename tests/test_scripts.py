@@ -1,0 +1,25 @@
+"""Smoke tests for the command-line scripts under ``scripts/``."""
+
+from __future__ import annotations
+
+import importlib.util
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_random_agreement_sweep(monkeypatch, capsys):
+    # every route against the oracle on 20 random lattices and maps
+    script = _load_script("random_agreement")
+    monkeypatch.setattr(sys, "argv",
+                        ["random_agreement.py", "--trials", "20", "--seed", "1"])
+    assert script.main() == 0
+    assert "20 trials agree exactly" in capsys.readouterr().out

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pfdimers import (
     DegenerateForm,
@@ -14,8 +16,10 @@ from pfdimers import (
     brown,
     build_map,
     canonical_orientation,
+    classify,
     construct_kasteleyn,
     cycle_basis,
+    enumerate_classes,
     enumerate_matchings,
     extend_enhancement,
     find_matching,
@@ -25,10 +29,11 @@ from pfdimers import (
     normalize_qB,
     quad_enhancement,
 )
+from pfdimers.exactnum import GaussianRational, Root2, zeta8_power
 from pfdimers.generators import random_map
 from pfdimers.homology import dot, reverse_walk, vertex_coboundary
 from pfdimers.kasteleyn import Orientation, omega_change
-from pfdimers.spin_quadratic import ell_omega
+from pfdimers.spin_quadratic import ell_omega, gauss_sum
 
 
 def _single_edge():
@@ -259,18 +264,38 @@ def test_normalize_qB_torus_independent():
     assert len(tables) == 1
 
 
+def _random_map_b1(seed, orientable):
+    """A random map with an even number (>= 4) of vertices, a perfect
+    matching and first Betti number >= 4."""
+    rng = random.Random(seed)
+    while True:
+        m = random_map(rng, max_vertices=6, extra_edges=7, twisted=not orientable)
+        surface = classify(m)
+        if (m.vertex_count >= 4 and m.vertex_count % 2 == 0
+                and surface.b1 >= 4 and surface.orientable == orientable
+                and find_matching(m) is not None):
+            return m
+
+
 def test_qB_equivariance_under_class_flips():
-    inst = lattice(2, 4, "klein_hexagon")
-    m, basis = inst.map, inst.basis
-    D = find_matching(m)
-    K = construct_kasteleyn(m)
-    qK = normalize_qB(m, basis_enhancement(m, K, D, basis), D, basis)
-    for i, phi in enumerate(basis.dual_cochains):
-        K2 = K.flipped(phi)
-        q2 = normalize_qB(m, basis_enhancement(m, K2, D, basis), D, basis)
-        expected = tuple((v + 2 * (1 if j == i else 0)) % 4
-                         for j, v in enumerate(qK.basis_values))
-        assert q2.basis_values == expected
+    # class idx flips K by the dual cocycles in idx: its enhancement is the
+    # base one shifted by the bits of idx
+    maps = [lattice(2, 4, "klein_hexagon").map,
+            _random_map_b1(0, orientable=True),
+            _random_map_b1(0, orientable=False)]
+    for m in maps:
+        basis = cycle_basis(m)
+        D = find_matching(m)
+        om = m.twist_bits()
+        K = construct_kasteleyn(m)
+        q0 = basis_enhancement(m, K, D, basis, om)
+        classes = enumerate_classes(m, K, basis.dual_cochains)
+        assert len(classes) == 1 << basis.rank
+        for idx, Kc in enumerate(classes):
+            bits = [(idx >> j) & 1 for j in range(basis.rank)]
+            assert basis_enhancement(m, Kc, D, basis, om) == q0.shifted(bits)
+            qB = normalize_qB(m, basis_enhancement(m, Kc, D, basis), D, basis)
+            assert qB == normalize_qB(m, q0, D, basis).shifted(bits)
 
 
 def test_q_invariant_under_equivalence_moves():
@@ -330,3 +355,139 @@ def test_gauss_modulus_always_exact():
         basis = cycle_basis(m)
         q = basis_enhancement(m, K, D, basis)
         brown(q)  # raises DegenerateForm on modulus mismatch
+
+
+# ---------------------------------------------------------------------------
+# Brown and Arf invariants against the 2^rank-term Gauss sum
+# ---------------------------------------------------------------------------
+
+def _gauss_brown(q):
+    """Reference Brown invariant from the Gauss sum, or None when the form
+    is degenerate (|sum|^2 != 2^rank)."""
+    s = gauss_sum(q)
+    if s.abs2() != 2 ** q.rank:
+        return None
+    half, odd = divmod(q.rank, 2)
+    scale = GaussianRational.of(2 ** half)
+    root = Root2.of(GaussianRational.of(0), scale) if odd else Root2.of(scale)
+    betas = [b for b in range(8) if (root * zeta8_power(b) - Root2.of(s)).is_zero()]
+    assert len(betas) == 1
+    return betas[0]
+
+
+def _check_against_gauss_sum(q):
+    beta = _gauss_brown(q)
+    if beta is None:
+        with pytest.raises(DegenerateForm):
+            brown(q)
+    else:
+        assert brown(q) == beta
+    even = not any(v % 2 for v in q.basis_values) and \
+        not any(q.gram[i][i] for i in range(q.rank))
+    if even and beta is not None:
+        assert arf(q) == {0: 0, 4: 1}[beta]
+    else:
+        with pytest.raises(NotOrientableForm):
+            arf(q)
+
+
+def _symmetric(rank, bits):
+    """Symmetric 0/1 matrix whose upper triangle, row by row, is ``bits``."""
+    gram = [[0] * rank for _ in range(rank)]
+    upper = [(i, j) for i in range(rank) for j in range(i, rank)]
+    for k, (i, j) in enumerate(upper):
+        gram[i][j] = gram[j][i] = (bits >> k) & 1
+    return gram
+
+
+@pytest.mark.parametrize("rank", range(4))
+def test_brown_arf_exhaustive_small_ranks(rank):
+    # every gram matrix and every value table, consistent or not with the
+    # gram diagonal
+    for bits in range(1 << (rank * (rank + 1) // 2)):
+        gram = _symmetric(rank, bits)
+        for vals in product(range(4), repeat=rank):
+            _check_against_gauss_sum(extend_enhancement(vals, gram))
+
+
+@given(st.integers(0, 8).flatmap(lambda r: st.tuples(
+    st.lists(st.integers(0, 3), min_size=r, max_size=r),
+    st.integers(0, 2 ** (r * (r - 1) // 2) - 1),
+    st.booleans())))
+@settings(max_examples=150, deadline=None)
+def test_brown_arf_match_gauss_sum_property(form):
+    # enhancements of random, often degenerate, forms: the diagonal is the
+    # parity of the values, which are all even for half the draws
+    vals, off_diagonal, even = form
+    rank = len(vals)
+    if even:
+        vals = [v & 2 for v in vals]
+    gram = [[v & 1 if i == j else 0 for j in range(rank)] for i, v in enumerate(vals)]
+    for k, (i, j) in enumerate(combinations(range(rank), 2)):
+        gram[i][j] = gram[j][i] = (off_diagonal >> k) & 1
+    _check_against_gauss_sum(extend_enhancement(vals, gram))
+
+
+def _direct_sum(q1, q2):
+    r1, r2 = q1.rank, q2.rank
+    gram = [list(row) + [0] * r2 for row in q1.gram] + \
+        [[0] * r1 + list(row) for row in q2.gram]
+    return extend_enhancement(q1.basis_values + q2.basis_values, gram)
+
+
+def _change_basis(q, rng):
+    """The same enhancement on a random basis: row k of an invertible
+    matrix P gives the coordinates of new basis class k."""
+    r = q.rank
+    P = [[int(i == j) for j in range(r)] for i in range(r)]
+    for _ in range(4 * r * r):
+        i, j = rng.sample(range(r), 2)
+        P[i] = [a ^ b for a, b in zip(P[i], P[j])]
+    rng.shuffle(P)
+
+    def pairing(x, y):  # x.y from the enhancement law
+        s = [a ^ b for a, b in zip(x, y)]
+        return (q.evaluate(s) - q.evaluate(x) - q.evaluate(y)) % 4 // 2
+
+    return extend_enhancement([q.evaluate(x) for x in P],
+                              [[pairing(x, y) for y in P] for x in P])
+
+
+def _scrambled_sum(rng, rank):
+    """An orthogonal sum of nondegenerate forms of rank <= 3 on a random
+    basis, with its Brown invariant from the blocks' Gauss sums."""
+    q, beta = extend_enhancement([], []), 0
+    while q.rank < rank:
+        r = rng.randint(1, min(3, rank - q.rank))
+        block = extend_enhancement([rng.randrange(4) for _ in range(r)],
+                                   _symmetric(r, rng.getrandbits(r * (r + 1) // 2)))
+        b = _gauss_brown(block)
+        if b is not None and all(v % 2 == block.gram[i][i]
+                                 for i, v in enumerate(block.basis_values)):
+            q, beta = _direct_sum(q, block), beta + b
+    return _change_basis(q, rng), beta % 8
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_brown_arf_large_rank_sums_and_base_change(seed):
+    # ranks 12-24, where the Gauss sum is out of reach
+    rng = random.Random(seed)
+    q1, b1 = _scrambled_sum(rng, rng.randint(6, 12))
+    q2, b2 = _scrambled_sum(rng, rng.randint(6, 12))
+    assert (brown(q1), brown(q2)) == (b1, b2)
+    q = _direct_sum(q1, q2)
+    assert 12 <= q.rank <= 24
+    assert brown(q) == (b1 + b2) % 8
+    assert brown(_change_basis(q, rng)) == (b1 + b2) % 8
+    radical = extend_enhancement([rng.choice((0, 2))], [[0]])
+    with pytest.raises(DegenerateForm):
+        brown(_change_basis(_direct_sum(q, radical), rng))
+
+    planes = [(rng.choice((0, 2)), rng.choice((0, 2))) for _ in range(rng.randint(6, 12))]
+    qe = extend_enhancement([], [])
+    for a, b in planes:
+        qe = _direct_sum(qe, extend_enhancement([a, b], [[0, 1], [1, 0]]))
+    qe = _change_basis(qe, rng)
+    assert arf(qe) == sum(a == b == 2 for a, b in planes) % 2
+    with pytest.raises(NotOrientableForm):
+        arf(_change_basis(_direct_sum(qe, radical), rng))
