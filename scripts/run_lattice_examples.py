@@ -6,6 +6,7 @@ Usage:  python3 scripts/run_lattice_examples.py [--size 5x6]
 Prints, for each surface, the partition function through every applicable
 route (practical Pfaffian combination, Arf/Brown invariant sums, bipartite
 determinant shortcut where the graph is bipartite, brute force when small).
+Exits with status 1 when two routes, or a route and the brute force, disagree.
 """
 
 from __future__ import annotations
@@ -61,23 +62,29 @@ def main() -> int:
     args = ap.parse_args()
     mm, nn = (int(t) for t in args.size.lower().split("x"))
 
+    status = 0
     for surface in ("planar", "torus", "klein_hexagon"):
         inst = lattice(mm, nn, surface)
         m = inst.map
         print(f"== {surface} {mm}x{nn}  ({classify(m).name}, "
               f"V={m.vertex_count}, E={m.edge_count})")
+        values = {}
         if classify(m).orientable:
             z, dt = timed(partition_orientable_practical, m,
                           curves=inst.curves or None, basis=inst.basis)
             print(f"  practical : Z = {z.value}   [{dt:.3f}s]")
+            values["practical"] = z.value
             z, dt = timed(partition_orientable_spin, m, basis=inst.basis)
             print(f"  spin      : Z = {z.value}   [{dt:.3f}s]")
+            values["spin"] = z.value
         else:
             z, dt = timed(partition_nonorientable_practical, m, inst.curves,
                           basis=inst.basis)
             print(f"  practical : Z = {z.value}   [{dt:.3f}s]")
+            values["practical"] = z.value
         z, dt = timed(partition_general_pin, m, basis=inst.basis)
         print(f"  pin       : Z = {z.value}   [{dt:.3f}s]")
+        values["pin"] = z.value
 
         colour = bipartite_check(m)
         if colour is not None and m.vertex_count % 2 == 0:
@@ -98,7 +105,11 @@ def main() -> int:
         if m.vertex_count <= 36:
             z, dt = timed(partition_bruteforce, m)
             print(f"  oracle    : Z = {z}   [{dt:.3f}s]")
-    return 0
+            values["oracle"] = z
+        if len(set(values.values())) > 1:
+            print(f"  DISAGREEMENT: {values}")
+            status = 1
+    return status
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ work out of the box.  ``--format kv`` emits stable machine-readable
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from fractions import Fraction
 
@@ -26,13 +25,6 @@ from .oracle import count_matchings, find_matching, homology_buckets, partition_
 from .partition import partition
 from .spin_quadratic import arf, basis_enhancement, brown, normalize_qB
 from .surface_graph import classify
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("PFDIMERS_THREADS")
-    return int(env) if env else 1
 
 
 def _load(args):
@@ -117,7 +109,7 @@ def cmd_partition(args) -> int:
     inst = _load(args)
     res = partition(inst.map, method=args.method,
                     curves=inst.curves or None, basis=inst.basis,
-                    backend=args.backend, threads=_threads(args))
+                    backend=args.backend)
     surface = classify(inst.map)
     pairs = [("Z", res.value), ("method", res.method),
              ("b1", surface.b1), ("surface", surface.name.replace(" ", "_"))]
@@ -148,8 +140,7 @@ def cmd_verify(args) -> int:
     m = inst.map
     surface = classify(m)
     results = {}
-    results["pin"] = partition(m, "pin", basis=inst.basis, backend=args.backend,
-                               threads=_threads(args))
+    results["pin"] = partition(m, "pin", basis=inst.basis, backend=args.backend)
     if surface.orientable:
         results["practical"] = partition(m, "practical", curves=inst.curves or None,
                                          basis=inst.basis, backend=args.backend)
@@ -186,7 +177,6 @@ def main(argv=None) -> int:
         p.add_argument("--format", choices=("plain", "kv"), default="plain")
         if with_backend:
             p.add_argument("--backend", choices=("exact", "float"), default="exact")
-        p.add_argument("--threads", type=int, default=None)
 
     p = sub.add_parser("gen", help="generate a lattice instance")
     p.add_argument("--surface", required=True,

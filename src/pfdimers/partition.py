@@ -1,16 +1,22 @@
 """Partition-function assembly: the four Pfaffian routes.
 
+All four routes share one skeleton: prepare the map once (faces, homology
+basis, an admissible orientation K), take the Pfaffians of the orientation
+classes that flip K by subset sums of a list of cocycles, weight them, sum
+and normalise.  The pin route weights class xi by exp(i*pi*beta/4) * eps_xi
+with beta the Brown invariant of its enhancement; the spin route is the same
+sum on an untwisted orientable map at omega = 0 with beta = 4 * Arf.  The
+practical routes weight by signs of the intersection form.
+
 Exact mode keeps every intermediate value in the Gaussian rationals (plus
 sqrt(2) where eighth roots of unity appear) and asserts that the final value
 is a nonnegative rational; float mode mirrors the computation in complex
-floats.  The 2^(b1) Pfaffians of a run can be evaluated concurrently; the
-final sum always uses a fixed class order, so results are reproducible.
+floats.  Classes are always summed in a fixed order, so results are
+reproducible.
 """
 
 from __future__ import annotations
 
-import cmath
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple, Union
@@ -22,11 +28,12 @@ from .errors import (
     NotSimple,
     WrongSurfaceType,
 )
-from .exactnum import GR_ZERO, R2_ZERO, Root2, i_power, power_of_two_inverse_sqrt, zeta8_power
+from .exactnum import R2_ZERO, Root2, i_power, power_of_two_inverse_sqrt, zeta8_power
 from .generators import TransverseCurve
 from .homology import (
     HomologyBasis,
     Walk,
+    basis_from_cycles,
     check_simple_walk,
     cycle_basis,
     dot,
@@ -36,6 +43,7 @@ from .kasteleyn import Orientation, construct_kasteleyn, enumerate_classes
 from .oracle import find_matching
 from .pfaffian import build_adjacency, pfaffian
 from .spin_quadratic import (
+    QuadraticEnhancement,
     arf,
     basis_enhancement,
     brown,
@@ -59,13 +67,6 @@ class PartitionResult:
         return float(self.value)
 
 
-def _map_parallel(fn: Callable, items: Sequence, threads: Optional[int]) -> List:
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
 def _eps_label(idx: int, width: int) -> str:
     return "".join(str((idx >> i) & 1) for i in range(width)) or "0"
 
@@ -81,7 +82,7 @@ def _class_bits(idx: int, width: int) -> List[int]:
 # ---------------------------------------------------------------------------
 
 def companion_cycle(m: CombinatorialMap, curve: TransverseCurve,
-                    faces: Optional[FaceSet] = None, side: str = "left") -> Walk:
+                    faces: Optional[FaceSet] = None) -> Walk:
     """A cycle running alongside the curve, with the curve to one side.
 
     An explicitly supplied companion is validated and returned.  Otherwise
@@ -103,7 +104,7 @@ def companion_cycle(m: CombinatorialMap, curve: TransverseCurve,
         return walk
     if curve.ordered_crossings is None:
         raise CurveNotRealizable("curve carries neither companion nor crossings")
-    return _build_companion(m, curve, faces or trace_faces(m), side)
+    return _build_companion(m, curve, faces or trace_faces(m))
 
 
 def _segments(face_steps: Sequence[Tuple[int, int]], e_in: int, e_out: int):
@@ -126,7 +127,7 @@ def _segments(face_steps: Sequence[Tuple[int, int]], e_in: int, e_out: int):
 
 
 def _build_companion(m: CombinatorialMap, curve: TransverseCurve,
-                     faces: FaceSet, side: str) -> Walk:
+                     faces: FaceSet) -> Walk:
     crossings = list(curve.ordered_crossings)
     if curve.kind == "beta":
         e = curve.crossing_edge
@@ -191,7 +192,7 @@ def _build_companion(m: CombinatorialMap, curve: TransverseCurve,
             if walk is not None:
                 return walk
     else:
-        for pick in ((0, 1) if side == "left" else (1, 0)):
+        for pick in (0, 1):
             walk = assemble(None, pick)
             if walk is not None:
                 return walk
@@ -212,24 +213,45 @@ def normalize_orientation(m: CombinatorialMap, K: Orientation,
 
 
 def _normalize_by_reference(m: CombinatorialMap, K: Orientation,
-                            basis: HomologyBasis, D0: int,
-                            targets: Sequence[int],
-                            omega: Optional[int] = None) -> Orientation:
+                            basis: HomologyBasis, D0: int) -> Orientation:
     """Flip K by dual cocycles until the matching-independent enhancement
-    takes the prescribed basis values."""
-    q = normalize_qB(m, basis_enhancement(m, K, D0, basis, omega), D0, basis)
+    vanishes on the basis."""
+    q = normalize_qB(m, basis_enhancement(m, K, D0, basis), D0, basis)
     flip = 0
-    for i, (have, want) in enumerate(zip(q.basis_values, targets)):
-        if (want - have) % 4 == 2:
-            flip ^= basis.dual_cochains[i]
-        elif (want - have) % 4 != 0:
+    for have, phi in zip(q.basis_values, basis.dual_cochains):
+        if have % 4 == 2:
+            flip ^= phi
+        elif have % 4 != 0:
             raise NonRealResult("enhancement target unreachable by class flips")
     return K.flipped(flip)
 
 
 # ---------------------------------------------------------------------------
-# Exact/float scalar plumbing
+# The shared skeleton: class Pfaffians, weights, sum and normalisation
 # ---------------------------------------------------------------------------
+
+def _zero(method: str, exact: bool) -> PartitionResult:
+    return PartitionResult(Fraction(0) if exact else 0.0, method, exact)
+
+
+def _class_pfaffians(m: CombinatorialMap, K: Orientation, flips: Sequence[int],
+                     backend: str, omega: Optional[int] = None) -> list:
+    """Pfaffians of the classes of K flipped by subset sums of ``flips``, in
+    ``enumerate_classes`` order."""
+    return [pfaffian(build_adjacency(m, Kc, omega=omega, backend=backend))
+            for Kc in enumerate_classes(m, K, flips)]
+
+
+def _labelled(pfs: Sequence, width: int) -> List[Tuple[str, str]]:
+    return [(_eps_label(idx, width), str(pf)) for idx, pf in enumerate(pfs)]
+
+
+def _pair_sign(idx: int, gram: Sequence[Sequence[int]]) -> int:
+    """(-1) to the number of pairs i < j in ``idx`` with gram[i][j] = 1."""
+    bits = [i for i in range(len(gram)) if (idx >> i) & 1]
+    pairs = sum(gram[i][j] for k, i in enumerate(bits) for j in bits[k + 1:])
+    return -1 if pairs % 2 else 1
+
 
 def _re_im(pf, exact: bool) -> Tuple[Number, Number]:
     if exact:
@@ -246,6 +268,57 @@ def _finish_abs(total: Number, genus: int, exact: bool, method: str,
     return PartitionResult(value, method, exact, tuple(terms))
 
 
+def _enhanced_sum(m: CombinatorialMap, method: str, omega: int,
+                  D0: Optional[int], basis: Optional[HomologyBasis], backend: str,
+                  invariant: Callable[[QuadraticEnhancement], int]) -> PartitionResult:
+    """2^(-b1/2) * i^(-omega(D0)) * sum over classes xi of
+    exp(i*pi*invariant(q_xi)/4) * eps_xi * Pf(A^{K_xi})."""
+    exact = backend == "exact"
+    if m.vertex_count % 2:
+        return _zero(method, exact)
+    if D0 is None:
+        D0 = find_matching(m)
+    if D0 is None:
+        return _zero(method, exact)
+    faces = trace_faces(m)
+    if basis is None:
+        basis = cycle_basis(m, faces)
+    b1 = basis.rank
+    K = construct_kasteleyn(m, omega=omega, faces=faces)
+    q0 = basis_enhancement(m, K, D0, basis, omega)
+    pfs = _class_pfaffians(m, K, basis.dual_cochains, backend, omega)
+    # Flipping the orientation of one dimer swaps one pair of the matching
+    # permutation, so class idx has eps_0 * (-1)^(sum of |phi_i & D0|, i in idx).
+    eps0 = matching_sign(m, K, D0)
+    odd = sum(((phi & D0).bit_count() & 1) << i
+              for i, phi in enumerate(basis.dual_cochains))
+    buckets = {}  # beta -> signed Pfaffian sum, for the betas that occur
+    for idx, pf in enumerate(pfs):
+        beta = invariant(q0.shifted(_class_bits(idx, b1)))
+        eps = eps0 * (-1) ** (idx & odd).bit_count()
+        signed = pf if eps > 0 else -pf
+        buckets[beta] = buckets[beta] + signed if beta in buckets else signed
+    scale = power_of_two_inverse_sqrt(b1) * Root2.of(i_power(-dotcount(omega, D0)))
+    if exact:
+        total = sum((Root2.of(s) * zeta8_power(beta) for beta, s in buckets.items()),
+                    R2_ZERO) * scale
+        if not total.b.is_zero() or total.a.im != 0:
+            raise NonRealResult(f"{method} sum is not real: {total}")
+        value = total.a.re
+        if value < 0:
+            raise NonRealResult(f"negative {method} sum {value}")
+    else:
+        total = sum(zeta8_power(beta).to_complex() * s
+                    for beta, s in buckets.items()) * scale.to_complex()
+        tol = 1e-9 * (1 + abs(total))
+        if abs(total.imag) > tol:
+            raise NonRealResult(f"{method} sum is not real: {total}")
+        if total.real < -tol:
+            raise NonRealResult(f"negative {method} sum {total}")
+        value = abs(total.real)
+    return PartitionResult(value, method, exact, tuple(_labelled(pfs, b1)))
+
+
 # ---------------------------------------------------------------------------
 # The four formulas
 # ---------------------------------------------------------------------------
@@ -253,187 +326,73 @@ def _finish_abs(total: Number, genus: int, exact: bool, method: str,
 def partition_orientable_practical(m: CombinatorialMap, *,
                                    curves: Optional[Sequence[TransverseCurve]] = None,
                                    basis: Optional[HomologyBasis] = None,
-                                   backend: str = "exact",
-                                   threads: Optional[int] = None) -> PartitionResult:
+                                   backend: str = "exact") -> PartitionResult:
     """Single |sum of signed Pfaffians| over the 2^(2g) seed flips."""
     surface = classify(m)
     if not surface.orientable:
         raise WrongSurfaceType("map is not orientable")
+    exact = backend == "exact"
     if m.vertex_count % 2:
-        return PartitionResult(Fraction(0) if backend == "exact" else 0.0,
-                               "practical", backend == "exact")
+        return _zero("practical", exact)
     if m.twist_bits():
-        return partition_orientable_practical(
-            untwist(m), curves=None, basis=None, backend=backend, threads=threads)
+        m, curves, basis = untwist(m), None, None
     faces = trace_faces(m)
+    companions = None
     if curves is not None and basis is None:
-        basis = _basis_for_curves(m, curves, faces)
+        companions = [companion_cycle(m, cv, faces) for cv in curves]
+        basis = basis_from_cycles(m, companions, faces)
     if basis is None:
         basis = cycle_basis(m, faces)
-    g = surface.genus
-    assert basis.rank == 2 * g
+    assert basis.rank == 2 * surface.genus
     K = construct_kasteleyn(m, faces=faces)
     if curves is not None and len(curves) == basis.rank:
-        companions = [companion_cycle(m, cv, faces) for cv in curves]
-        flip_cochains = [cv.cross for cv in curves]
+        if companions is None:
+            companions = [companion_cycle(m, cv, faces) for cv in curves]
+        flips = [cv.cross for cv in curves]
         K = normalize_orientation(m, K, basis, companions)
     else:
         D0 = find_matching(m)
         if D0 is None:
-            return PartitionResult(Fraction(0) if backend == "exact" else 0.0,
-                                   "practical", backend == "exact")
-        flip_cochains = list(basis.pd_cochains)
-        K = _normalize_by_reference(m, K, basis, D0, [0] * basis.rank)
+            return _zero("practical", exact)
+        flips = list(basis.pd_cochains)
+        K = _normalize_by_reference(m, K, basis, D0)
 
-    exact = backend == "exact"
-    n_eps = 1 << basis.rank
-
-    def one(idx: int):
-        mask = 0
-        for i in range(basis.rank):
-            if (idx >> i) & 1:
-                mask ^= flip_cochains[i]
-        return pfaffian(build_adjacency(m, K.flipped(mask), backend=backend))
-
-    pfs = _map_parallel(one, range(n_eps), threads)
+    pfs = _class_pfaffians(m, K, flips, backend)
     total: Number = Fraction(0) if exact else 0.0
-    terms = []
     for idx, pf in enumerate(pfs):
-        sign = 1
-        for i in range(basis.rank):
-            for j in range(i + 1, basis.rank):
-                if (idx >> i) & 1 and (idx >> j) & 1 and basis.gram[i][j]:
-                    sign = -sign
         re, im = _re_im(pf, exact)
         if exact and im != 0:
             raise NonRealResult("orientable Pfaffian has an imaginary part")
-        total = total + (re if sign > 0 else -re)
-        terms.append((_eps_label(idx, basis.rank), str(pf)))
-    return _finish_abs(total, g, exact, "practical", terms)
+        total += _pair_sign(idx, basis.gram) * re
+    return _finish_abs(total, surface.genus, exact, "practical",
+                       _labelled(pfs, basis.rank))
 
 
 def partition_orientable_spin(m: CombinatorialMap, *,
                               D0: Optional[int] = None,
                               basis: Optional[HomologyBasis] = None,
-                              backend: str = "exact",
-                              threads: Optional[int] = None) -> PartitionResult:
-    """Arf-invariant-signed sum over orientation classes."""
-    surface = classify(m)
-    if not surface.orientable:
+                              backend: str = "exact") -> PartitionResult:
+    """Arf-invariant-signed sum over orientation classes: the pin sum of the
+    untwisted map at omega = 0, with beta = 4 * Arf."""
+    if not classify(m).orientable:
         raise WrongSurfaceType("map is not orientable")
-    exact = backend == "exact"
-    zero = PartitionResult(Fraction(0) if exact else 0.0, "spin", exact)
-    if m.vertex_count % 2:
-        return zero
     if m.twist_bits():
-        return partition_orientable_spin(untwist(m), D0=D0, basis=None,
-                                         backend=backend, threads=threads)
-    if D0 is None:
-        D0 = find_matching(m)
-    if D0 is None:
-        return zero
-    faces = trace_faces(m)
-    if basis is None:
-        basis = cycle_basis(m, faces)
-    g = surface.genus
-    K = construct_kasteleyn(m, faces=faces)
-    classes = enumerate_classes(m, K, basis.dual_cochains)
-    q0 = basis_enhancement(m, K, D0, basis)
-
-    def one(idx: int):
-        Kc = classes[idx]
-        a = arf(q0.shifted(_class_bits(idx, basis.rank)))
-        eps = matching_sign(m, Kc, D0)
-        pf = pfaffian(build_adjacency(m, Kc, backend=backend))
-        return a, eps, pf
-
-    rows = _map_parallel(one, range(len(classes)), threads)
-    total: Number = Fraction(0) if exact else 0.0
-    terms = []
-    for idx, (a, eps, pf) in enumerate(rows):
-        re, im = _re_im(pf, exact)
-        if exact and im != 0:
-            raise NonRealResult("orientable Pfaffian has an imaginary part")
-        s = eps * (-1 if a else 1)
-        total = total + (re if s > 0 else -re)
-        terms.append((_eps_label(idx, basis.rank), str(pf)))
-    if exact:
-        value = Fraction(total, 2**g)
-        if value < 0:
-            raise NonRealResult(f"negative spin sum {value}")
-    else:
-        value = total / 2**g
-        if value < -1e-9 * (1 + abs(value)):
-            raise NonRealResult(f"negative spin sum {value}")
-        value = abs(value)
-    return PartitionResult(value, "spin", exact, tuple(terms))
+        m, basis = untwist(m), None
+    return _enhanced_sum(m, "spin", 0, D0, basis, backend, lambda q: 4 * arf(q))
 
 
 def partition_general_pin(m: CombinatorialMap, *,
                           omega: Optional[int] = None,
                           D0: Optional[int] = None,
                           basis: Optional[HomologyBasis] = None,
-                          backend: str = "exact",
-                          threads: Optional[int] = None) -> PartitionResult:
+                          backend: str = "exact") -> PartitionResult:
     """Brown-invariant-weighted sum over orientation classes.
 
     Works on every closed surface; the orientable case reduces to the spin
     formula.
     """
-    exact = backend == "exact"
-    zero = PartitionResult(Fraction(0) if exact else 0.0, "pin", exact)
-    if m.vertex_count % 2:
-        return zero
-    if D0 is None:
-        D0 = find_matching(m)
-    if D0 is None:
-        return zero
     om = m.twist_bits() if omega is None else omega
-    faces = trace_faces(m)
-    if basis is None:
-        basis = cycle_basis(m, faces)
-    b1 = basis.rank
-    K = construct_kasteleyn(m, omega=om, faces=faces)
-    classes = enumerate_classes(m, K, basis.dual_cochains)
-    q0 = basis_enhancement(m, K, D0, basis, om)
-    omega_d0 = dotcount(om, D0)
-
-    def one(idx: int):
-        Kc = classes[idx]
-        beta = brown(q0.shifted(_class_bits(idx, b1)))
-        eps = matching_sign(m, Kc, D0)
-        pf = pfaffian(build_adjacency(m, Kc, omega=om, backend=backend))
-        return beta, eps, pf
-
-    rows = _map_parallel(one, range(len(classes)), threads)
-    terms = [(_eps_label(i, b1), str(pf)) for i, (_, _, pf) in enumerate(rows)]
-    if exact:
-        buckets = [GR_ZERO] * 8
-        for beta, eps, pf in rows:
-            buckets[beta] = buckets[beta] + (pf if eps > 0 else -pf)
-        total = sum((Root2.of(pf_sum) * zeta8_power(beta)
-                     for beta, pf_sum in enumerate(buckets)), R2_ZERO)
-        total = total * power_of_two_inverse_sqrt(b1)
-        total = total * Root2.of(i_power(-omega_d0))
-        if not total.b.is_zero() or total.a.im != 0:
-            raise NonRealResult(f"pin sum is not real: {total}")
-        value = total.a.re
-        if value < 0:
-            raise NonRealResult(f"negative pin sum {value}")
-        return PartitionResult(value, "pin", True, tuple(terms))
-
-    zeta = cmath.exp(1j * cmath.pi / 4)
-    tot = 0j
-    for beta, eps, pf in rows:
-        tot += (zeta**beta) * eps * pf
-    tot *= 2 ** (-b1 / 2)
-    tot *= (-1j) ** (omega_d0 % 4)
-    scale = max(1.0, abs(tot))
-    if abs(tot.imag) > 1e-8 * scale:
-        raise NonRealResult(f"pin sum is not real: {tot}")
-    if tot.real < -1e-8 * scale:
-        raise NonRealResult(f"negative pin sum {tot}")
-    return PartitionResult(abs(tot.real), "pin", False, tuple(terms))
+    return _enhanced_sum(m, "pin", om, D0, basis, backend, brown)
 
 
 def dotcount(mask: int, chain: int) -> int:
@@ -444,16 +403,14 @@ def dotcount(mask: int, chain: int) -> int:
 def partition_nonorientable_practical(m: CombinatorialMap,
                                       curves: Sequence[TransverseCurve], *,
                                       basis: Optional[HomologyBasis] = None,
-                                      backend: str = "exact",
-                                      threads: Optional[int] = None) -> PartitionResult:
+                                      backend: str = "exact") -> PartitionResult:
     """Real/imaginary-part combination over the 2^(2g) seed flips."""
     surface = classify(m)
     if surface.orientable:
         raise WrongSurfaceType("map is orientable; use the orientable routes")
     exact = backend == "exact"
     if m.vertex_count % 2:
-        return PartitionResult(Fraction(0) if exact else 0.0,
-                               "practical", exact)
+        return _zero("practical", exact)
     alphas = [c for c in curves if c.kind == "alpha"]
     betas = [c for c in curves if c.kind == "beta"]
     odd_chi = surface.kind == "nonorientable_odd_chi"
@@ -468,57 +425,33 @@ def partition_nonorientable_practical(m: CombinatorialMap,
         raise CurveNotRealizable(
             "beta crossings must reproduce the twist cochain exactly")
     faces = trace_faces(m)
-    ordered = list(alphas) + list(betas)
+    ordered = alphas + betas
+    companions = None
     if basis is None:
-        basis = _basis_for_curves(m, ordered, faces)
-    g = surface.genus
-    assert len(alphas) == 2 * g
-
-    companions = [companion_cycle(m, cv, faces) for cv in ordered]
+        companions = [companion_cycle(m, cv, faces) for cv in ordered]
+        basis = basis_from_cycles(m, companions, faces)
+    r = len(alphas)
+    assert r == 2 * surface.genus
+    if companions is None:
+        companions = [companion_cycle(m, cv, faces) for cv in ordered]
     K = construct_kasteleyn(m, faces=faces)
     K = normalize_orientation(m, K, basis, companions)
 
-    n_eps = 1 << len(alphas)
-
-    def one(idx: int):
-        mask = 0
-        for i in range(len(alphas)):
-            if (idx >> i) & 1:
-                mask ^= alphas[i].cross
-        Ke = K.flipped(mask)
-        pf = pfaffian(build_adjacency(m, Ke, backend=backend))
-        if odd_chi:
-            return pf, None
-        Kp = Ke.flipped(betas[0].cross)
-        return pf, pfaffian(build_adjacency(m, Kp, backend=backend))
-
-    rows = _map_parallel(one, range(n_eps), threads)
+    # With even chi, class idx + 2^r is the primed class of idx: also flipped
+    # along the first beta curve.
+    flips = [cv.cross for cv in alphas] + ([] if odd_chi else [betas[0].cross])
+    pfs = _class_pfaffians(m, K, flips, backend)
+    n = 1 << r
     total: Number = Fraction(0) if exact else 0.0
-    terms = []
-    for idx, (pf, pfp) in enumerate(rows):
-        sign = 1
-        for i in range(len(alphas)):
-            for j in range(i + 1, len(alphas)):
-                if (idx >> i) & 1 and (idx >> j) & 1 and basis.gram[i][j]:
-                    sign = -sign
-        re, im = _re_im(pf, exact)
-        if odd_chi:
-            contrib = re + im
-        else:
-            re2, _ = _re_im(pfp, exact)
-            contrib = im + re2
-            terms.append((_eps_label(idx, len(alphas)) + "'", str(pfp)))
-        total = total + (contrib if sign > 0 else -contrib)
-        terms.append((_eps_label(idx, len(alphas)), str(pf)))
-    return _finish_abs(total, g, exact, "practical", terms)
-
-
-def _basis_for_curves(m: CombinatorialMap, curves: Sequence[TransverseCurve],
-                      faces: FaceSet) -> HomologyBasis:
-    from .homology import basis_from_cycles
-
-    comps = [companion_cycle(m, cv, faces) for cv in curves]
-    return basis_from_cycles(m, comps, faces)
+    for idx in range(n):
+        re, im = _re_im(pfs[idx], exact)
+        contrib = re + im if odd_chi else im + _re_im(pfs[idx + n], exact)[0]
+        total += _pair_sign(idx, basis.gram) * contrib
+    terms = _labelled(pfs[:n], r)
+    if not odd_chi:
+        primed = [(label + "'", pf) for label, pf in _labelled(pfs[n:], r)]
+        terms = [t for pair in zip(primed, terms) for t in pair]
+    return _finish_abs(total, surface.genus, exact, "practical", terms)
 
 
 # ---------------------------------------------------------------------------
@@ -528,8 +461,7 @@ def _basis_for_curves(m: CombinatorialMap, curves: Sequence[TransverseCurve],
 def partition(m: CombinatorialMap, method: str = "auto", *,
               curves: Optional[Sequence[TransverseCurve]] = None,
               basis: Optional[HomologyBasis] = None,
-              backend: str = "exact",
-              threads: Optional[int] = None) -> PartitionResult:
+              backend: str = "exact") -> PartitionResult:
     """Compute Z by the requested route; ``auto`` prefers the practical
     formulas and falls back to the pin route when curve data is missing."""
     surface = classify(m)
@@ -540,29 +472,26 @@ def partition(m: CombinatorialMap, method: str = "auto", *,
         return PartitionResult(value if backend == "exact" else float(value),
                                "oracle", backend == "exact")
     if method == "spin":
-        return partition_orientable_spin(m, basis=basis, backend=backend,
-                                         threads=threads)
+        return partition_orientable_spin(m, basis=basis, backend=backend)
     if method == "pin":
-        return partition_general_pin(m, basis=basis, backend=backend,
-                                     threads=threads)
+        return partition_general_pin(m, basis=basis, backend=backend)
     if method == "practical":
         if surface.orientable:
             return partition_orientable_practical(m, curves=curves, basis=basis,
-                                                  backend=backend, threads=threads)
+                                                  backend=backend)
         if curves is None:
             raise CurveNotRealizable("practical route needs curve data")
         return partition_nonorientable_practical(m, curves, basis=basis,
-                                                 backend=backend, threads=threads)
+                                                 backend=backend)
     if method == "auto":
         try:
             if surface.orientable:
                 return partition_orientable_practical(
-                    m, curves=curves, basis=basis, backend=backend, threads=threads)
+                    m, curves=curves, basis=basis, backend=backend)
             if curves:
                 return partition_nonorientable_practical(
-                    m, curves, basis=basis, backend=backend, threads=threads)
+                    m, curves, basis=basis, backend=backend)
         except CurveNotRealizable:
             pass
-        return partition_general_pin(m, basis=basis, backend=backend,
-                                     threads=threads)
+        return partition_general_pin(m, basis=basis, backend=backend)
     raise ValueError(f"unknown method {method!r}")

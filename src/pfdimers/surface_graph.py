@@ -272,6 +272,24 @@ def euler_characteristic(m: CombinatorialMap, faces: Optional[FaceSet] = None) -
     return m.vertex_count - m.edge_count + len(faces)
 
 
+def _bfs(m: CombinatorialMap) -> Tuple[list, list]:
+    """BFS from vertex 0: (vertices in visiting order, parent arcs), where
+    ``parent_arc[v]`` points from the tree parent of ``v`` to ``v`` and the
+    root gets -1."""
+    parent_arc = [-1] * m.vertex_count
+    seen = [False] * m.vertex_count
+    seen[0] = True
+    order = [0]
+    for v in order:
+        for h in m.rotations[v]:
+            w = m.arc_target(h)
+            if not seen[w]:
+                seen[w] = True
+                parent_arc[w] = h
+                order.append(w)
+    return order, parent_arc
+
+
 def spanning_tree(m: CombinatorialMap) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """BFS spanning tree.
 
@@ -279,44 +297,13 @@ def spanning_tree(m: CombinatorialMap) -> Tuple[Tuple[int, ...], Tuple[int, ...]
     (half-edge) pointing from the tree parent of ``v`` to ``v``; the root 0
     gets -1.
     """
-    parent_arc = [-1] * m.vertex_count
-    seen = [False] * m.vertex_count
-    seen[0] = True
-    order = [0]
-    tree = []
-    qi = 0
-    while qi < len(order):
-        v = order[qi]
-        qi += 1
-        for h in m.rotations[v]:
-            w = m.arc_target(h)
-            if not seen[w]:
-                seen[w] = True
-                parent_arc[w] = h
-                tree.append(h // 2)
-                order.append(w)
-    return tuple(tree), tuple(parent_arc)
+    order, parent_arc = _bfs(m)
+    return tuple(parent_arc[w] // 2 for w in order[1:]), tuple(parent_arc)
 
 
 def tree_twist_parity(m: CombinatorialMap) -> Tuple[int, ...]:
     """Twist parity of the tree path from the root to each vertex."""
-    _, parent_arc = spanning_tree(m)
-    parity = [0] * m.vertex_count
-    # parent_arc is produced in BFS order; recompute order to fill parities
-    order = [0]
-    seen = [False] * m.vertex_count
-    seen[0] = True
-    qi = 0
-    while qi < len(order):
-        v = order[qi]
-        qi += 1
-        for h in m.rotations[v]:
-            w = m.arc_target(h)
-            if not seen[w] and parent_arc[w] == h:
-                seen[w] = True
-                parity[w] = parity[v] ^ m.edges[h // 2].twist
-                order.append(w)
-    return tuple(parity)
+    return tuple(int(label < 0) for label in vertex_labels(m))
 
 
 def is_orientable(m: CombinatorialMap) -> bool:
@@ -351,22 +338,12 @@ def vertex_labels(m: CombinatorialMap, omega: Optional[int] = None) -> Tuple[int
     ``omega(e) = 1``.  Well defined up to a global swap.
     """
     omega = m.twist_bits() if omega is None else omega
-    _, parent_arc = spanning_tree(m)
+    order, parent_arc = _bfs(m)
     labels = [1] * m.vertex_count
-    order = [0]
-    seen = [False] * m.vertex_count
-    seen[0] = True
-    qi = 0
-    while qi < len(order):
-        v = order[qi]
-        qi += 1
-        for h in m.rotations[v]:
-            w = m.arc_target(h)
-            if not seen[w] and parent_arc[w] == h:
-                seen[w] = True
-                flip = (omega >> (h // 2)) & 1
-                labels[w] = -labels[v] if flip else labels[v]
-                order.append(w)
+    for w in order[1:]:
+        h = parent_arc[w]
+        label = labels[m.half_vertex(h)]
+        labels[w] = -label if (omega >> (h // 2)) & 1 else label
     return tuple(labels)
 
 

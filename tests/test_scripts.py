@@ -23,3 +23,10 @@ def test_random_agreement_sweep(monkeypatch, capsys):
                         ["random_agreement.py", "--trials", "20", "--seed", "1"])
     assert script.main() == 0
     assert "20 trials agree exactly" in capsys.readouterr().out
+
+
+def test_run_lattice_examples_agree(monkeypatch):
+    # every route and the oracle on the three 4x4 reference surfaces
+    script = _load_script("run_lattice_examples")
+    monkeypatch.setattr(sys, "argv", ["run_lattice_examples.py", "--size", "4x4"])
+    assert script.main() == 0

@@ -279,7 +279,8 @@ def _random_map_b1(seed, orientable):
 
 def test_qB_equivariance_under_class_flips():
     # class idx flips K by the dual cocycles in idx: its enhancement is the
-    # base one shifted by the bits of idx
+    # base one shifted by the bits of idx, and its matching sign changes by
+    # (-1)^|phi_i & D| per cocycle (each flipped dimer swaps one pair)
     maps = [lattice(2, 4, "klein_hexagon").map,
             _random_map_b1(0, orientable=True),
             _random_map_b1(0, orientable=False)]
@@ -291,8 +292,12 @@ def test_qB_equivariance_under_class_flips():
         q0 = basis_enhancement(m, K, D, basis, om)
         classes = enumerate_classes(m, K, basis.dual_cochains)
         assert len(classes) == 1 << basis.rank
+        eps0 = matching_sign(m, K, D)
         for idx, Kc in enumerate(classes):
             bits = [(idx >> j) & 1 for j in range(basis.rank)]
+            flipped = sum((phi & D).bit_count()
+                          for phi, b in zip(basis.dual_cochains, bits) if b)
+            assert matching_sign(m, Kc, D) == eps0 * (-1) ** flipped
             assert basis_enhancement(m, Kc, D, basis, om) == q0.shifted(bits)
             qB = normalize_qB(m, basis_enhancement(m, Kc, D, basis), D, basis)
             assert qB == normalize_qB(m, q0, D, basis).shifted(bits)
