@@ -5,8 +5,10 @@ Usage:  python3 scripts/run_lattice_examples.py [--size 5x6]
 
 Prints, for each surface, the partition function through every applicable
 route (practical Pfaffian combination, Arf/Brown invariant sums, bipartite
-determinant shortcut where the graph is bipartite, brute force when small).
-Exits with status 1 when two routes, or a route and the brute force, disagree.
+determinant shortcut where the graph is bipartite, brute force when small),
+and the float ``auto`` route.  Exits with status 1 when two routes, or a
+route and the brute force, disagree, or when the float value is more than
+1e-9 relative away from the exact practical value.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from pfdimers import (  # noqa: E402
     classify,
     construct_kasteleyn,
     lattice,
+    partition,
     partition_bruteforce,
     partition_general_pin,
     partition_nonorientable_practical,
@@ -32,6 +35,8 @@ from pfdimers import (  # noqa: E402
     pfaffian,
     relabel,
 )
+
+FLOAT_REL_TOL = 1e-9
 
 
 def timed(fn, *args, **kw):
@@ -85,6 +90,12 @@ def main() -> int:
         z, dt = timed(partition_general_pin, m, basis=inst.basis)
         print(f"  pin       : Z = {z.value}   [{dt:.3f}s]")
         values["pin"] = z.value
+        z, dt = timed(partition, m, curves=inst.curves or None, basis=inst.basis,
+                      backend="float")
+        print(f"  float auto: Z = {z.value!r}   [{dt:.3f}s]")
+        if abs(z.value - values["practical"]) > FLOAT_REL_TOL * values["practical"]:
+            print(f"  FLOAT DISAGREEMENT: {z.value!r} vs {values['practical']}")
+            status = 1
 
         colour = bipartite_check(m)
         if colour is not None and m.vertex_count % 2 == 0:

@@ -51,7 +51,14 @@ from .spin_quadratic import (
     n_mismatch,
     normalize_qB,
 )
-from .surface_graph import CombinatorialMap, FaceSet, classify, trace_faces, untwist
+from .surface_graph import (
+    CombinatorialMap,
+    FaceSet,
+    classify,
+    is_orientable,
+    trace_faces,
+    untwist,
+)
 
 Number = Union[Fraction, float]
 
@@ -328,8 +335,7 @@ def partition_orientable_practical(m: CombinatorialMap, *,
                                    basis: Optional[HomologyBasis] = None,
                                    backend: str = "exact") -> PartitionResult:
     """Single |sum of signed Pfaffians| over the 2^(2g) seed flips."""
-    surface = classify(m)
-    if not surface.orientable:
+    if not is_orientable(m):
         raise WrongSurfaceType("map is not orientable")
     exact = backend == "exact"
     if m.vertex_count % 2:
@@ -337,6 +343,7 @@ def partition_orientable_practical(m: CombinatorialMap, *,
     if m.twist_bits():
         m, curves, basis = untwist(m), None, None
     faces = trace_faces(m)
+    surface = classify(m, faces)
     companions = None
     if curves is not None and basis is None:
         companions = [companion_cycle(m, cv, faces) for cv in curves]
@@ -374,7 +381,7 @@ def partition_orientable_spin(m: CombinatorialMap, *,
                               backend: str = "exact") -> PartitionResult:
     """Arf-invariant-signed sum over orientation classes: the pin sum of the
     untwisted map at omega = 0, with beta = 4 * Arf."""
-    if not classify(m).orientable:
+    if not is_orientable(m):
         raise WrongSurfaceType("map is not orientable")
     if m.twist_bits():
         m, basis = untwist(m), None
@@ -405,7 +412,8 @@ def partition_nonorientable_practical(m: CombinatorialMap,
                                       basis: Optional[HomologyBasis] = None,
                                       backend: str = "exact") -> PartitionResult:
     """Real/imaginary-part combination over the 2^(2g) seed flips."""
-    surface = classify(m)
+    faces = trace_faces(m)
+    surface = classify(m, faces)
     if surface.orientable:
         raise WrongSurfaceType("map is orientable; use the orientable routes")
     exact = backend == "exact"
@@ -424,7 +432,6 @@ def partition_nonorientable_practical(m: CombinatorialMap,
     if cross_sum != m.twist_bits():
         raise CurveNotRealizable(
             "beta crossings must reproduce the twist cochain exactly")
-    faces = trace_faces(m)
     ordered = alphas + betas
     companions = None
     if basis is None:
@@ -464,7 +471,6 @@ def partition(m: CombinatorialMap, method: str = "auto", *,
               backend: str = "exact") -> PartitionResult:
     """Compute Z by the requested route; ``auto`` prefers the practical
     formulas and falls back to the pin route when curve data is missing."""
-    surface = classify(m)
     if method == "oracle":
         from .oracle import partition_bruteforce
 
@@ -476,7 +482,7 @@ def partition(m: CombinatorialMap, method: str = "auto", *,
     if method == "pin":
         return partition_general_pin(m, basis=basis, backend=backend)
     if method == "practical":
-        if surface.orientable:
+        if is_orientable(m):
             return partition_orientable_practical(m, curves=curves, basis=basis,
                                                   backend=backend)
         if curves is None:
@@ -485,7 +491,7 @@ def partition(m: CombinatorialMap, method: str = "auto", *,
                                                  backend=backend)
     if method == "auto":
         try:
-            if surface.orientable:
+            if is_orientable(m):
                 return partition_orientable_practical(
                     m, curves=curves, basis=basis, backend=backend)
             if curves:

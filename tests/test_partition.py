@@ -272,3 +272,46 @@ def test_oracle_method_dispatch():
     inst = lattice(2, 3, "planar")
     r = partition(inst.map, "oracle")
     assert r.value == partition_bruteforce(inst.map)
+
+
+def test_faces_traced_once_per_route_call_and_load(monkeypatch):
+    import io
+    import sys
+
+    from pfdimers import graphfile
+    from pfdimers.surface_graph import flip_charts, trace_faces
+
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return trace_faces(m)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("pfdimers") and getattr(module, "trace_faces", None) is trace_faces:
+            monkeypatch.setattr(module, "trace_faces", counting)
+
+    torus, klein, rp2 = (lattice(4, 4, s) for s in ("torus", "klein_hexagon", "rp2"))
+    twisted = flip_charts(torus.map, [0, 5, 6])
+    assert twisted.twist_bits()
+    runs = [
+        lambda: partition(torus.map, curves=torus.curves, basis=torus.basis),
+        lambda: partition(torus.map, "practical", curves=torus.curves),
+        lambda: partition(torus.map, "spin"),
+        lambda: partition(torus.map, "pin"),
+        lambda: partition(klein.map, curves=klein.curves),
+        lambda: partition(klein.map, "practical", curves=klein.curves, basis=klein.basis),
+        lambda: partition(klein.map, "pin"),
+        lambda: partition(rp2.map, curves=rp2.curves, basis=rp2.basis),
+        lambda: partition(twisted),
+        lambda: partition_orientable_practical(twisted, curves=torus.curves),
+        lambda: partition_orientable_spin(twisted),
+    ]
+    for inst in (torus, klein, lattice(3, 4, "planar")):
+        buf = io.StringIO()
+        graphfile.dump(inst, buf)
+        runs.append(lambda text=buf.getvalue(): graphfile.load(io.StringIO(text)))
+    for run in runs:
+        calls.clear()
+        run()
+        assert len(calls) == 1

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pfdimers import (
+    IllConditionedWarning,
     LoopEdge,
     NotBlockForm,
     OddDimension,
@@ -22,6 +24,7 @@ from pfdimers import (
     pfaffian_expansion,
 )
 from pfdimers.exactnum import GaussianRational
+from pfdimers.generators import random_map, random_weights
 from pfdimers.pfaffian import (
     EXPANSION_DIM_BOUND,
     SkewMatrix,
@@ -215,6 +218,122 @@ def test_float_exact_agreement_up_to_30():
         exact = pfaffian(a).to_complex()
         approx = pfaffian(a.to_float())
         assert abs(exact - approx) <= 1e-9 * max(1.0, abs(exact))
+
+
+def _float_pf(a):
+    """Float Pfaffian of ``a`` and the number of IllConditionedWarnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        pf = pfaffian(a.to_float())
+    return pf, sum(issubclass(w.category, IllConditionedWarning) for w in caught)
+
+
+def _shuffled(a, perm):
+    """P A P^T: entry (i, j) is a[perm[i]][perm[j]]."""
+    rows = tuple(tuple(a.entries[p][q] for q in perm) for p in perm)
+    return SkewMatrix(rows, exact=a.exact)
+
+
+def _inversion_sign(perm):
+    inversions = sum(x > y for i, x in enumerate(perm) for y in perm[i + 1:])
+    return -1 if inversions % 2 else 1
+
+
+@pytest.mark.parametrize("size", [8, 12])
+@pytest.mark.parametrize("surface", ["torus", "klein_hexagon", "rp2"])
+def test_float_matches_exact_on_lattice_classes(surface, size):
+    inst = lattice(size, size, surface)
+    m = inst.map
+    K = construct_kasteleyn(m)
+    mats = [build_adjacency(m, Kc)
+            for Kc in enumerate_classes(m, K, inst.basis.dual_cochains)]
+    exact = [pfaffian(a).to_complex() for a in mats]
+    top = max(map(abs, exact))
+    for a, want in zip(mats, exact):
+        got, warned = _float_pf(a)
+        if want:
+            assert abs(got - want) <= 1e-9 * abs(want)
+            # the warning stays silent on the nonzero classes
+            assert warned == 0
+        else:
+            # the (+,+) class of an even torus vanishes by design
+            assert abs(got) <= 1e-9 * top
+    assert any(exact)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_float_matches_exact_on_random_twisted_maps(seed):
+    # redraw until V is even and the Pfaffian is nonzero
+    rng = random.Random(seed)
+    want = 0
+    while not want:
+        m = random_map(rng, max_vertices=40, extra_edges=40)
+        if m.vertex_count % 2:
+            continue
+        m = build_map(m.vertex_count, m.rotations, [(e.u, e.v) for e in m.edges],
+                      [e.twist for e in m.edges],
+                      random_weights(rng, m.edge_count, max_num=9))
+        a = build_adjacency(m, canonical_orientation(m))
+        want = pfaffian(a).to_complex()
+    got, _ = _float_pf(a)
+    assert abs(got - want) <= 1e-9 * abs(want)
+
+
+def test_float_matches_exact_on_shuffled_block_diagonal():
+    # three components of sizes 6, 8 and 10, indices interleaved at random
+    rng = random.Random(11)
+    n = 24
+    rows = [[GaussianRational.of(0)] * n for _ in range(n)]
+    for lo, hi in ((0, 6), (6, 14), (14, 24)):
+        for i in range(lo, hi):
+            for j in range(i + 1, hi):
+                if j == i + 1 or rng.random() < 0.5:
+                    x = GaussianRational.of(rng.randint(-5, 5), rng.randint(-5, 5))
+                    rows[i][j], rows[j][i] = x, -x
+    a = SkewMatrix(tuple(tuple(r) for r in rows), exact=True)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    b = _shuffled(a, perm)
+    want = pfaffian(b).to_complex()
+    assert want and want == _inversion_sign(perm) * pfaffian(a).to_complex()
+    got, _ = _float_pf(b)
+    assert abs(got - want) <= 1e-9 * abs(want)
+
+
+def test_float_zero_row_gives_zero():
+    rng = random.Random(12)
+    a = _with_entries(_random_skew(rng, 10, complex_entries=True),
+                      [(4, j, GaussianRational.of(0)) for j in range(10) if j != 4])
+    assert pfaffian(a.to_float()) == 0j
+
+
+def test_float_permutation_multiplies_by_sign():
+    # sparse n = 40: Pf(P A P^T) = sgn(P) Pf(A) in float
+    rng = random.Random(13)
+    n = 40
+    rows = [[0j] * n for _ in range(n)]
+    for i in range(n):
+        for j in rng.sample(range(n), 3):
+            if i != j:
+                x = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                rows[i][j], rows[j][i] = x, -x
+    a = SkewMatrix(tuple(tuple(r) for r in rows), exact=False)
+    base = pfaffian(a)
+    assert abs(base) > 1e-6
+    for _ in range(5):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        got = pfaffian(_shuffled(a, perm))
+        assert abs(got - _inversion_sign(perm) * base) <= 1e-9 * abs(base)
+
+
+def test_float_warns_on_forced_tiny_pivot():
+    # each index has one partner, so the 1e-13 pivot cannot be avoided
+    a = skew_matrix([[0, 1e-13, 0, 0], [-1e-13, 0, 0, 0],
+                     [0, 0, 0, 1.0], [0, 0, -1.0, 0]], exact=False)
+    with pytest.warns(IllConditionedWarning):
+        pf = pfaffian(a)
+    assert abs(pf - 1e-13) <= 1e-25
 
 
 def test_bipartite_one_by_one():
