@@ -5,8 +5,9 @@ Usage:  python3 scripts/random_agreement.py [--trials 200] [--seed 0]
 
 Draws random weighted lattices on the four supported surfaces plus random
 rotation-system maps of arbitrary genus, computes the partition function by
-every applicable route, and compares against brute-force enumeration.
-Exits nonzero on the first disagreement.
+every applicable route on both backends, and compares against brute-force
+enumeration: exactly, and within 1e-9 relative for the float backend.
+Exits nonzero on the first disagreement, naming the route and the backend.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from pfdimers import (  # noqa: E402
 )
 from pfdimers.generators import random_lattice, random_map  # noqa: E402
 
+FLOAT_REL_TOL = 1e-9
+
 
 def main() -> int:
     ap = argparse.ArgumentParser()
@@ -45,20 +48,24 @@ def main() -> int:
         else:
             m, basis, curves = random_map(rng, max_vertices=6), None, ()
         z_ref = partition_bruteforce(m)
-        vals = {"pin": partition_general_pin(m, basis=basis).value}
+        routes = {"pin": lambda b: partition_general_pin(m, basis=basis, backend=b)}
         if classify(m).orientable:
-            vals["practical"] = partition_orientable_practical(
-                m, curves=curves or None, basis=basis).value
-            vals["spin"] = partition_orientable_spin(m, basis=basis).value
+            routes["practical"] = lambda b: partition_orientable_practical(
+                m, curves=curves or None, basis=basis, backend=b)
+            routes["spin"] = lambda b: partition_orientable_spin(m, basis=basis, backend=b)
         elif curves:
-            vals["practical"] = partition_nonorientable_practical(
-                m, curves, basis=basis).value
-        for name, val in vals.items():
-            if val != z_ref:
-                print(f"DISAGREEMENT at trial {trial}: {name} = {val}, "
-                      f"oracle = {z_ref}")
-                return 1
-    print(f"{args.trials} trials agree exactly  [{time.perf_counter() - t0:.1f}s]")
+            routes["practical"] = lambda b: partition_nonorientable_practical(
+                m, curves, basis=basis, backend=b)
+        for name, route in routes.items():
+            for backend in ("exact", "float"):
+                val = route(backend).value
+                tol = 0 if backend == "exact" else FLOAT_REL_TOL * z_ref
+                if abs(val - z_ref) > tol:
+                    print(f"DISAGREEMENT at trial {trial}: {name} ({backend}) = "
+                          f"{val}, oracle = {z_ref}")
+                    return 1
+    print(f"{args.trials} trials agree exactly (float backend within "
+          f"{FLOAT_REL_TOL:g} relative)  [{time.perf_counter() - t0:.1f}s]")
     return 0
 
 

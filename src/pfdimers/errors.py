@@ -83,5 +83,9 @@ class BadDimensions(PfdimersError):
     """Lattice dimensions outside the generator's supported range."""
 
 
+class FloatOutOfRange(PfdimersError):
+    """A float Pfaffian or partition function left the double range."""
+
+
 class IllConditionedWarning(UserWarning):
     """Float Pfaffian met a pivot below the conditioning threshold."""

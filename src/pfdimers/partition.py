@@ -17,12 +17,14 @@ reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     CurveNotRealizable,
+    FloatOutOfRange,
     NonRealResult,
     NotAClosedWalk,
     NotSimple,
@@ -39,9 +41,9 @@ from .homology import (
     dot,
     walk_chain,
 )
-from .kasteleyn import Orientation, construct_kasteleyn, enumerate_classes
+from .kasteleyn import Orientation, construct_kasteleyn
 from .oracle import find_matching
-from .pfaffian import build_adjacency, pfaffian
+from .pfaffian import _class_matrices, pfaffian
 from .spin_quadratic import (
     QuadraticEnhancement,
     arf,
@@ -69,6 +71,11 @@ class PartitionResult:
     method: str
     exact: bool
     terms: Tuple[Tuple[str, str], ...] = ()  # (class label, pfaffian repr)
+
+    def __post_init__(self) -> None:
+        if not self.exact and not math.isfinite(self.value):
+            raise FloatOutOfRange(f"float {self.method} value {self.value} "
+                                  "left the double range")
 
     def __float__(self) -> float:
         return float(self.value)
@@ -244,9 +251,8 @@ def _zero(method: str, exact: bool) -> PartitionResult:
 def _class_pfaffians(m: CombinatorialMap, K: Orientation, flips: Sequence[int],
                      backend: str, omega: Optional[int] = None) -> list:
     """Pfaffians of the classes of K flipped by subset sums of ``flips``, in
-    ``enumerate_classes`` order."""
-    return [pfaffian(build_adjacency(m, Kc, omega=omega, backend=backend))
-            for Kc in enumerate_classes(m, K, flips)]
+    ``enumerate_classes`` order, from one preparation of K's edges."""
+    return [pfaffian(c) for c in _class_matrices(m, K, flips, backend, omega)]
 
 
 def _labelled(pfs: Sequence, width: int) -> List[Tuple[str, str]]:
@@ -475,8 +481,15 @@ def partition(m: CombinatorialMap, method: str = "auto", *,
         from .oracle import partition_bruteforce
 
         value = partition_bruteforce(m)
-        return PartitionResult(value if backend == "exact" else float(value),
-                               "oracle", backend == "exact")
+        if backend == "exact":
+            return PartitionResult(value, "oracle", True)
+        try:
+            approx = float(value)
+        except OverflowError:
+            approx = math.inf
+        if value and not approx:
+            raise FloatOutOfRange("float oracle value underflowed to 0")
+        return PartitionResult(approx, "oracle", False)
     if method == "spin":
         return partition_orientable_spin(m, basis=basis, backend=backend)
     if method == "pin":

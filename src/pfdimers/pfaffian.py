@@ -1,47 +1,54 @@
 """Skew-symmetric matrices, their Pfaffians, and the adjacency construction.
 
-The exact backend is multimodular.  The Gaussian-rational matrix A is scaled
-to Gaussian integers by the least common denominator L of its real and
-imaginary parts, so Pf(L*A) = L^(n/2) Pf(A) = X + iY with integers X, Y.
-The Pfaffian is an integer polynomial in the entries, and for a prime
-p = 1 (mod 4) with s^2 = -1 (mod p), i -> s is a ring map Z[i] -> Z/p.  So
-skew elimination mod p, with any nonzero pivot, gives X + sY mod p, and the
-other root -s gives X - sY; together they recover X and Y mod p.  A real
-matrix needs one evaluation per prime.  Since L*A is integral, every prime
-gives a correct residue, including primes that divide L.  The residues are
-combined by the Chinese remainder theorem until the modulus M exceeds
-2B + 1, where B is the Hadamard bound, B^4 <= prod_i sum_j |(L*A)_ij|^2,
-on |X + iY|.  Then X and Y are the
-residues in (-M/2, M/2), exactly, and Pf(A) = (X + iY) / L^(n/2).  No step
-is probabilistic: a prime on which a pivot vanishes still yields a correct
-residue.
+Every Pfaffian takes one path.  ``_EdgeMatrix`` reads a skew matrix as
+weighted edges (a, b, w), entry (a, b) summing +w and (b, a) summing -w,
+and prepares them once: the reverse Cuthill-McKee order of the pattern
+(breadth-first from a least-degree index of every component), the sign of
+that permutation, since Pf(P A P^T) = det(P) Pf(A), the envelope of every
+reordered row (one past its last nonzero column), and the cell of every
+edge in the reordered upper triangle.  The class matrices of a route differ
+only in the signs of the flipped edges, so ``_class_matrices`` prepares a
+route once and hands out each class as a ``_ClassMatrix``, the preparation
+with the bits of its flipped edges.  ``pfaffian`` evaluates a
+``_ClassMatrix``, and a ``SkewMatrix`` as one class whose edges are its
+nonzero upper entries.
 
-The float backend works over complex floats.  It first reorders the
-indices by reverse Cuthill-McKee on the nonzero pattern (breadth-first from
-a least-degree index of every component, isolated indices included) and
-multiplies by the sign of that permutation, since Pf(P A P^T) = det(P) Pf(A).
-It then eliminates in the upper triangle like the modular kernel, with
-partial pivoting by magnitude within the pivot row (a swap of two indices
-flips the sign), and stops every row update at the envelope: one past the
-last nonzero column of the two pivot rows, tracked per row as fill-in grows.
-Within a band of width w this costs O(n w^2) instead of O(n^3); in this
-order, lattice class matrices have w at most about twice the side.  It
-warns when a pivot falls below the conditioning threshold.  The modular
-kernel keeps the natural order: the reordering did not speed it up on
-lattice class matrices.
+One kernel, ``_eliminate``, does the skew elimination in both arithmetics.
+It keeps the upper triangle, swaps two indices to bring the pivot next to
+the pivot row (flipping the sign), and stops each row update at the
+envelope of the two pivot rows, which grows with fill-in.  In a band of
+width w this costs O(n w^2); lattices have w at most about twice the side.
+Mod p the pivot is the first nonzero entry of the row; in complex floats it
+is the largest, with a warning below the conditioning threshold, and
+``FloatOutOfRange`` when the product of the pivots leaves the double range.
+
+The exact backend is multimodular.  With L the least common denominator of
+the weights' parts, Pf(L*A) = L^(n/2) Pf(A) = X + iY with integers X, Y.
+The Pfaffian is an integer polynomial in the entries, and for a prime
+p = 1 (mod 4) with s^2 = -1 (mod p), i -> s is a ring map Z[i] -> Z/p, so
+elimination mod p with any nonzero pivot gives X + sY, and the root -s
+gives X - sY (a real matrix needs only the first).  Since L*A is integral,
+every prime gives a correct residue, including primes that divide L.  The
+residues are combined by the Chinese remainder theorem until the modulus M
+exceeds 2B + 1, B the Hadamard bound on |X + iY|:
+B^4 <= prod_i sum_j |(L*A)_ij|^2, each |(L*A)_ij|^2 taken as the number of
+edges in its cell times the sum of their squared moduli, so that one B
+holds for every sign pattern.  X and Y are then the residues in
+(-M/2, M/2), and Pf(A) = (X + iY) / L^(n/2).  No step is probabilistic.
 """
 
 from __future__ import annotations
 
+import cmath
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from math import isqrt, lcm, prod
-from operator import itemgetter
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import (
+    FloatOutOfRange,
     IllConditionedWarning,
     LoopEdge,
     NotBlockForm,
@@ -49,13 +56,14 @@ from .errors import (
     TooLarge,
 )
 from .exactnum import GR_ZERO, GaussianRational
-from .kasteleyn import Orientation
+from .kasteleyn import Orientation, enumerate_classes
 from .surface_graph import CombinatorialMap
 
 EXPANSION_DIM_BOUND = 12
 PIVOT_THRESHOLD = 1e-12
 
 Scalar = Union[GaussianRational, complex]
+Edge = Tuple[int, int, Scalar]
 
 
 @dataclass(frozen=True)
@@ -86,17 +94,31 @@ def _check_skew(rows: Sequence[Sequence[Scalar]], exact: bool) -> None:
     for i in range(n):
         for j in range(n):
             a, b = rows[i][j], rows[j][i]
-            if exact:
-                if not (a + b).is_zero():
-                    raise ValueError("matrix is not skew-symmetric")
-            else:
-                if abs(a + b) > 1e-9 * (1.0 + abs(a)):
-                    raise ValueError("matrix is not skew-symmetric")
+            if not (a + b).is_zero() if exact else abs(a + b) > 1e-9 * (1.0 + abs(a)):
+                raise ValueError("matrix is not skew-symmetric")
 
 
 def skew_matrix(rows: Sequence[Sequence[Scalar]], exact: bool) -> SkewMatrix:
     _check_skew(rows, exact)
     return SkewMatrix(tuple(tuple(r) for r in rows), exact)
+
+
+def _map_edges(m: CombinatorialMap, K: Orientation, omega: Optional[int],
+               exact: bool) -> List[Edge]:
+    """(tail, head, weight) of every edge under K; omega = 1 weights times i."""
+    om = m.twist_bits() if omega is None else omega
+    edges = []
+    for e, edge in enumerate(m.edges):
+        if edge.u == edge.v:
+            raise LoopEdge(f"edge {e} is a loop; remove loops before building")
+        a, b = K.arrow(m, e)
+        if exact:
+            f = Fraction(edge.weight)
+            w = GaussianRational(0, f) if (om >> e) & 1 else GaussianRational(f, 0)
+        else:
+            w = complex(edge.weight) * (1j if (om >> e) & 1 else 1.0)
+        edges.append((a, b, w))
+    return edges
 
 
 def build_adjacency(m: CombinatorialMap, K: Orientation,
@@ -107,20 +129,11 @@ def build_adjacency(m: CombinatorialMap, K: Orientation,
     Entry (j, k) sums, over the edges between j and k, the weight signed by
     the orientation and multiplied by i for omega = 1 edges.
     """
-    om = m.twist_bits() if omega is None else omega
     n = m.vertex_count
     exact = backend == "exact"
     zero: Scalar = GR_ZERO if exact else 0j
     rows: List[List[Scalar]] = [[zero] * n for _ in range(n)]
-    for e, edge in enumerate(m.edges):
-        if edge.u == edge.v:
-            raise LoopEdge(f"edge {e} is a loop; remove loops before building")
-        a, b = K.arrow(m, e)
-        if exact:
-            f = Fraction(edge.weight)
-            w = GaussianRational(0, f) if (om >> e) & 1 else GaussianRational(f, 0)
-        else:
-            w = complex(edge.weight) * (1j if (om >> e) & 1 else 1.0)
+    for a, b, w in _map_edges(m, K, omega, exact):
         rows[a][b] = rows[a][b] + w
         rows[b][a] = rows[b][a] - w
     return SkewMatrix(tuple(tuple(r) for r in rows), exact)
@@ -130,67 +143,237 @@ def build_adjacency(m: CombinatorialMap, K: Orientation,
 # Pfaffian evaluation
 # ---------------------------------------------------------------------------
 
-def pfaffian(matrix: SkewMatrix) -> Scalar:
-    """Pfaffian by skew Gaussian elimination, O(n^3)."""
-    n = matrix.dimension
-    if n % 2:
-        raise OddDimension(f"dimension {n} is odd")
-    if n == 0:
-        return GaussianRational.of(1) if matrix.exact else 1.0 + 0j
-    return _pf_exact(matrix) if matrix.exact else _pf_float(matrix)
+def pfaffian(matrix: Union[SkewMatrix, "_ClassMatrix"]) -> Scalar:
+    """Pfaffian by skew Gaussian elimination, O(n^3), of a ``SkewMatrix`` or
+    of one class of a prepared route."""
+    if isinstance(matrix, SkewMatrix):
+        zero = GR_ZERO if matrix.exact else 0
+        edges = [(i, j, x) for i, row in enumerate(matrix.entries)
+                 for j, x in enumerate(row[i + 1:], i + 1) if x != zero]
+        return _EdgeMatrix(matrix.dimension, edges, matrix.exact).pfaffian(0)
+    return matrix.route.pfaffian(matrix.flips)
 
 
-def _pf_exact(matrix: SkewMatrix) -> GaussianRational:
-    n = matrix.dimension
-    lcd, re, im = _scaled_upper(matrix)
-    is_complex = any(any(row) for row in im)
-    # Hadamard: |Pf|^4 = |det|^2 <= prod_i sum_j |a_ij|^2 (row i of the
-    # skew matrix holds the upper row i and the upper column i)
-    sq = [[r * r + m * m for r, m in zip(rr, mr)] for rr, mr in zip(re, im)]
-    bound = isqrt(isqrt(prod(sum(row) + sum(col) for row, col in zip(sq, zip(*sq)))))
-    x = y = 0
-    modulus = 1
-    index = 0
-    while modulus <= 2 * bound + 1:
-        p, s = _modulus(index)
-        index += 1
-        if is_complex:
-            u = _pf_mod([[(r + s * m) % p for r, m in zip(rr, mr)]
-                         for rr, mr in zip(re, im)], p)
-            v = _pf_mod([[(r - s * m) % p for r, m in zip(rr, mr)]
-                         for rr, mr in zip(re, im)], p)
-            half = (p + 1) // 2
-            xp, yp = (u + v) * half % p, (v - u) * s * half % p
-        else:
-            xp, yp = _pf_mod([[r % p for r in rr] for rr in re], p), 0
-        c = pow(modulus, -1, p)
-        x += modulus * ((xp - x) * c % p)
-        y += modulus * ((yp - y) * c % p)
-        modulus *= p
-    if x > modulus // 2:
-        x -= modulus
-    if y > modulus // 2:
-        y -= modulus
-    scale = lcd ** (n // 2)
-    return GaussianRational(Fraction(x, scale), Fraction(y, scale))
+def _class_matrices(m: CombinatorialMap, K: Orientation, flips: Sequence[int],
+                    backend: str, omega: Optional[int] = None) -> List["_ClassMatrix"]:
+    """The classes of K flipped by subset sums of ``flips``, in
+    ``enumerate_classes`` order, from one preparation of K's edges."""
+    exact = backend == "exact"
+    route = _EdgeMatrix(m.vertex_count, _map_edges(m, K, omega, exact), exact)
+    return [_ClassMatrix(route, Kc.bits ^ K.bits, m.vertex_count, exact)
+            for Kc in enumerate_classes(m, K, flips)]
 
 
-def _scaled_upper(matrix: SkewMatrix) -> Tuple[int, List[List[int]], List[List[int]]]:
-    """LCD of the parts, and the real and imaginary parts of LCD * a_ij for i < j.
+class _EdgeMatrix:
+    """The skew matrix of an edge list, prepared for the Pfaffians of its
+    sign patterns: ``pfaffian(flips)`` negates the weight of edge e for every
+    bit e of ``flips``."""
 
-    Entries with i >= j are 0.  Each distinct entry object is converted once,
-    since matrices typically share one zero object across most entries.
+    def __init__(self, n: int, edges: Sequence[Edge], exact: bool) -> None:
+        if n % 2:
+            raise OddDimension(f"dimension {n} is odd")
+        position, self.end = _rcm_order(n, [(a, b) for a, b, _ in edges])
+        self.sign = _perm_sign(position)
+        self.exact = exact
+        cells: Dict[Tuple[int, int], int] = {}
+        slots = []  # (cell, weight signed for the reordered upper triangle)
+        for a, b, w in edges:
+            i, j = position[a], position[b]
+            if i > j:
+                i, j, w = j, i, -w
+            slots.append((cells.setdefault((i, j), len(cells)), w))
+        self.cells = list(cells)
+        self.slots = slots
+        if exact:
+            self.lcd = lcm(*{f.denominator for _, w in slots for f in (w.re, w.im)})
+            self.slots = [(c, w.re.numerator * (self.lcd // w.re.denominator),
+                           w.im.numerator * (self.lcd // w.im.denominator))
+                          for c, w in slots]
+            count = Counter(c for c, _ in slots)
+            norms = [0] * n
+            for c, r, i in self.slots:
+                for v in self.cells[c]:
+                    norms[v] += count[c] * (r * r + i * i)
+            self.bound = isqrt(isqrt(prod(norms)))
+
+    def pfaffian(self, flips: int) -> Scalar:
+        if not self.exact:
+            values = [0j] * len(self.cells)
+            for e, (c, w) in enumerate(self.slots):
+                values[c] = values[c] - w if (flips >> e) & 1 else values[c] + w
+            scale = max(map(abs, values), default=0.0)
+            return _eliminate(self._upper(values, 0j), list(self.end), self.sign,
+                              0, scale)
+        re, im = [0] * len(self.cells), [0] * len(self.cells)
+        for e, (c, r, i) in enumerate(self.slots):
+            sign = -1 if (flips >> e) & 1 else 1
+            re[c] += sign * r
+            im[c] += sign * i
+        is_complex = any(im)
+        x = y = index = 0
+        modulus = 1
+        while modulus <= 2 * self.bound + 1:
+            p, s = _modulus(index)
+            index += 1
+            if is_complex:
+                u, v = self._residue(re, im, p, s), self._residue(re, im, p, -s)
+                half = (p + 1) // 2
+                xp, yp = (u + v) * half % p, (v - u) * s * half % p
+            else:
+                xp, yp = self._residue(re, im, p, 0), 0
+            c = pow(modulus, -1, p)
+            x += modulus * ((xp - x) * c % p)
+            y += modulus * ((yp - y) * c % p)
+            modulus *= p
+        x, y = (v - modulus if v > modulus // 2 else v for v in (x, y))
+        scale = self.lcd ** (len(self.end) // 2)
+        return GaussianRational(Fraction(x, scale), Fraction(y, scale))
+
+    def _residue(self, re: List[int], im: List[int], p: int, s: int) -> int:
+        """Pf mod p with i -> s."""
+        values = [(r + s * i) % p for r, i in zip(re, im)]
+        return _eliminate(self._upper(values, 0), list(self.end), self.sign, p)
+
+    def _upper(self, values: list, zero) -> list:
+        n = len(self.end)
+        a = [[zero] * n for _ in range(n)]
+        for (i, j), x in zip(self.cells, values):
+            a[i][j] = x
+        return a
+
+
+class _ClassMatrix(NamedTuple):
+    """The sign pattern of ``route`` negating edge e for every bit e of ``flips``."""
+    route: _EdgeMatrix
+    flips: int
+    dimension: int
+    exact: bool
+
+
+def _eliminate(a: list, end: List[int], sign: int, p: int = 0,
+               scale: float = 0.0):
+    """sign * Pf by skew elimination mod p, or over complex floats if p is 0.
+
+    Row i of ``a`` holds the upper-triangle entries a[i][j], j > i, and is
+    zero from column end[i] on; both are overwritten.  ``scale`` is the
+    largest entry modulus, for the float conditioning warning.
     """
-    upper = [row[i + 1:] for i, row in enumerate(matrix.entries)]
-    distinct = {id(x): x for row in upper for x in row}
-    lcd = lcm(*{f.denominator for x in distinct.values() for f in (x.re, x.im)})
-    scaled = {key: (x.re.numerator * (lcd // x.re.denominator),
-                    x.im.numerator * (lcd // x.im.denominator))
-              for key, x in distinct.items()}
-    pairs = [[scaled[id(x)] for x in row] for row in upper]
-    re = [[0] * (i + 1) + [r for r, _ in row] for i, row in enumerate(pairs)]
-    im = [[0] * (i + 1) + [m for _, m in row] for i, row in enumerate(pairs)]
-    return lcd, re, im
+    n = len(a)
+    result = 1 if p else 1.0 + 0j
+    for k in range(0, n, 2):
+        rk = a[k]
+        q = k + 1
+        if p:
+            piv = next((j for j in range(q, end[k]) if rk[j]), 0)
+            if not piv:
+                return 0
+        else:
+            mags = list(map(abs, rk[q:end[k]]))
+            best = max(mags, default=0.0)
+            if best == 0.0:
+                return 0j
+            if best < PIVOT_THRESHOLD * scale:
+                warnings.warn("pivot below conditioning threshold",
+                              IllConditionedWarning)
+            piv = q + mags.index(best)
+        rq = a[q]
+        if piv != q:
+            # swap indices q and piv in the upper storage: Pf changes sign
+            sign = -sign
+            rk[q], rk[piv] = rk[piv], rk[q]
+            for j in range(q + 1, piv):
+                rj = a[j]
+                rq[j], rj[piv] = -rj[piv], -rq[j]
+                if rj[piv]:
+                    end[j] = max(end[j], piv + 1)
+            rq[piv] = -rq[piv]
+            rp = a[piv]
+            t = piv + 1
+            rq[t:], rp[t:] = rp[t:], rq[t:]
+            end[q], end[piv] = max(end[piv], t), max(end[q], t)
+        pivot = rk[q]
+        result *= pivot
+        if p:
+            result %= p
+            inv = pow(pivot, -1, p)
+        # envelope: rows k and q vanish from column h on
+        h = max(end[k], end[q])
+        # Schur complement: a_ij += (a_qi * a_kj - a_ki * a_qj) / pivot
+        for i in range(q + 1, h):
+            f, g = rq[i], rk[i]
+            if f or g:
+                ri = a[i]
+                t = i + 1
+                if p:
+                    f = f * inv % p
+                    g = g * inv % p
+                    ri[t:h] = [(c + f * b - g * d) % p
+                               for c, b, d in zip(ri[t:h], rk[t:h], rq[t:h])]
+                else:
+                    f /= pivot
+                    g /= pivot
+                    ri[t:h] = [c + f * b - g * d
+                               for c, b, d in zip(ri[t:h], rk[t:h], rq[t:h])]
+                if end[i] < h:
+                    end[i] = h
+    if p:
+        return sign * result % p
+    if not (cmath.isfinite(result) and result):
+        raise FloatOutOfRange(f"float Pfaffian {result} left the double range")
+    return sign * result
+
+
+def _rcm_order(n: int, pairs: Sequence[Tuple[int, int]]) -> Tuple[List[int], List[int]]:
+    """Position of every index in the reverse Cuthill-McKee order of the
+    pattern of n indices joined by ``pairs``, and the envelope: one past the
+    last joined column of each reordered row (at least i + 1).
+
+    Every component is searched breadth-first from an index of least degree,
+    neighbours by increasing degree; isolated indices are components too.
+    """
+    adj: List[set] = [set() for _ in range(n)]
+    # sorted, so that ties in degree break the same way for any edge order
+    for a, b in sorted({(min(a, b), max(a, b)) for a, b in pairs}):
+        adj[a].add(b)
+        adj[b].add(a)
+    degree = [len(s) for s in adj]
+    seen = [False] * n
+    order: List[int] = []
+    for start in sorted(range(n), key=degree.__getitem__):
+        if seen[start]:
+            continue
+        seen[start] = True
+        head = len(order)
+        order.append(start)
+        while head < len(order):
+            for w in sorted(adj[order[head]], key=degree.__getitem__):
+                if not seen[w]:
+                    seen[w] = True
+                    order.append(w)
+            head += 1
+    position = [0] * n
+    for i, o in enumerate(reversed(order)):
+        position[o] = i
+    end = [0] * n
+    for o, i in enumerate(position):
+        end[i] = max([i + 1] + [position[w] + 1 for w in adj[o]])
+    return position, end
+
+
+def _perm_sign(order: Sequence[int]) -> int:
+    """Sign of the permutation i -> order[i]: -1 per cycle of even length."""
+    seen = [False] * len(order)
+    sign = 1
+    for start in range(len(order)):
+        length = 0
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = order[j]
+            length += 1
+        if length and length % 2 == 0:
+            sign = -sign
+    return sign
 
 
 _MODULUS_START = 2**80 - 3  # below 3.3e24, where _is_prime is deterministic
@@ -234,152 +417,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _pf_mod(a: List[List[int]], p: int) -> int:
-    """Pf(a) mod p by skew elimination; reads and updates only a[i][j], i < j."""
-    n = len(a)
-    result = 1
-    for k in range(0, n, 2):
-        rk = a[k]
-        q = k + 1
-        piv = next((r for r in range(q, n) if rk[r]), -1)
-        if piv < 0:
-            return 0
-        rq = a[q]
-        if piv != q:
-            # add index piv to index q (row and column): Pf is unchanged
-            rr = a[piv]
-            for j in range(q + 1, n):
-                if j < piv:
-                    rq[j] = (rq[j] - a[j][piv]) % p
-                elif j > piv:
-                    rq[j] = (rq[j] + rr[j]) % p
-            rk[q] = rk[piv]
-        pivot = rk[q]
-        result = result * pivot % p
-        inv = pow(pivot, -1, p)
-        # Schur complement: a_ij += (a_qi * a_kj - a_ki * a_qj) / pivot
-        for i in range(q + 1, n):
-            f, g = rq[i], rk[i]
-            if f or g:
-                f = f * inv % p
-                g = g * inv % p
-                ri = a[i]
-                t = i + 1
-                ri[t:] = [(c + f * b - g * d) % p
-                          for c, b, d in zip(ri[t:], rk[t:], rq[t:])]
-    return result
-
-
-def _pf_float(matrix: SkewMatrix) -> complex:
-    """Pf by skew elimination over complex floats in reverse Cuthill-McKee
-    order; reads and updates only a[i][j], i < j, left of the envelope."""
-    n = matrix.dimension
-    entries = matrix.entries
-    scale = max(max(map(abs, row)) for row in entries)
-    if scale == 0.0:
-        return 0j
-    order, end = _rcm_order(entries)
-    take = itemgetter(*order)
-    a = [[0j] * (i + 1) + list(take(entries[o])[i + 1:]) for i, o in enumerate(order)]
-    sign = _perm_sign(order)
-    result = 1.0 + 0j
-    for k in range(0, n, 2):
-        rk = a[k]
-        q = k + 1
-        mags = list(map(abs, rk[q:end[k]]))
-        best = max(mags, default=0.0)
-        if best == 0.0:
-            return 0j
-        if best < PIVOT_THRESHOLD * scale:
-            warnings.warn("pivot below conditioning threshold",
-                          IllConditionedWarning)
-        rq = a[q]
-        piv = q + mags.index(best)
-        if piv != q:
-            # swap indices q and piv in the upper storage: Pf changes sign
-            sign = -sign
-            rk[q], rk[piv] = rk[piv], rk[q]
-            for j in range(q + 1, piv):
-                rj = a[j]
-                rq[j], rj[piv] = -rj[piv], -rq[j]
-                if rj[piv]:
-                    end[j] = max(end[j], piv + 1)
-            rq[piv] = -rq[piv]
-            rp = a[piv]
-            t = piv + 1
-            rq[t:], rp[t:] = rp[t:], rq[t:]
-            end[q], end[piv] = max(end[piv], t), max(end[q], t)
-        pivot = rk[q]
-        result *= pivot
-        # envelope: rows k and q vanish from column h on
-        h = max(end[k], end[q])
-        # Schur complement: a_ij += (a_qi * a_kj - a_ki * a_qj) / pivot
-        for i in range(q + 1, h):
-            f, g = rq[i], rk[i]
-            if f or g:
-                f /= pivot
-                g /= pivot
-                ri = a[i]
-                t = i + 1
-                ri[t:h] = [c + f * b - g * d
-                           for c, b, d in zip(ri[t:h], rk[t:h], rq[t:h])]
-                if end[i] < h:
-                    end[i] = h
-    return sign * result
-
-
-def _rcm_order(entries: Sequence[Sequence[Scalar]]) -> Tuple[List[int], List[int]]:
-    """Reverse Cuthill-McKee order of the nonzero pattern, and the envelope:
-    one past the last nonzero column of each reordered row (at least i + 1).
-
-    Every component is searched breadth-first from an index of least degree,
-    neighbours by increasing degree; isolated indices are components too.
-    """
-    n = len(entries)
-    adj: List[set] = [set() for _ in range(n)]
-    for i, row in enumerate(entries):
-        for j in compress(range(n), row):
-            adj[i].add(j)
-            adj[j].add(i)
-    degree = [len(s) for s in adj]
-    seen = [False] * n
-    order: List[int] = []
-    for start in sorted(range(n), key=degree.__getitem__):
-        if seen[start]:
-            continue
-        seen[start] = True
-        head = len(order)
-        order.append(start)
-        while head < len(order):
-            for w in sorted(adj[order[head]], key=degree.__getitem__):
-                if not seen[w]:
-                    seen[w] = True
-                    order.append(w)
-            head += 1
-    order.reverse()
-    position = [0] * n
-    for i, o in enumerate(order):
-        position[o] = i
-    end = [max([i + 1] + [position[w] + 1 for w in adj[o]]) for i, o in enumerate(order)]
-    return order, end
-
-
-def _perm_sign(order: Sequence[int]) -> int:
-    """Sign of a permutation: -1 per cycle of even length."""
-    seen = [False] * len(order)
-    sign = 1
-    for start in range(len(order)):
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = order[j]
-            length += 1
-        if length and length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def pfaffian_expansion(matrix: SkewMatrix) -> Scalar:
     """Defining sum over matchings of the index set; cross-check oracle."""
     n = matrix.dimension
@@ -406,47 +443,29 @@ def pfaffian_expansion(matrix: SkewMatrix) -> Scalar:
 
 
 def determinant(matrix: SkewMatrix) -> Scalar:
-    """Determinant via LU elimination (same backends as the Pfaffian)."""
+    """Determinant via LU elimination (same backends as the Pfaffian); the
+    pivot is the first nonzero entry of the column, in floats the largest."""
     n = matrix.dimension
     a = [list(row) for row in matrix.entries]
-    if n == 0:
-        return GaussianRational.of(1) if matrix.exact else 1.0 + 0j
-    sign = 1
-    if matrix.exact:
-        det = GaussianRational.of(1)
-        for col in range(n):
-            piv = next((r for r in range(col, n) if not a[r][col].is_zero()), -1)
-            if piv < 0:
-                return GR_ZERO
-            if piv != col:
-                a[piv], a[col] = a[col], a[piv]
-                sign = -sign
-            det = det * a[col][col]
-            for r in range(col + 1, n):
-                if not a[r][col].is_zero():
-                    f = a[r][col] / a[col][col]
-                    for c in range(col, n):
-                        a[r][c] = a[r][c] - f * a[col][c]
-        return det.scale(sign)
-    det_f = 1.0 + 0j
+    zero = GR_ZERO if matrix.exact else 0j
+    det = GaussianRational.of(1) if matrix.exact else 1.0 + 0j
     for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if abs(a[piv][col]) == 0.0:
-            return 0j
+        if matrix.exact:
+            piv = next((r for r in range(col, n) if a[r][col] != zero), col)
+        else:
+            piv = max(range(col, n), key=lambda r: abs(a[r][col]))
+        if a[piv][col] == zero:
+            return zero
         if piv != col:
             a[piv], a[col] = a[col], a[piv]
-            sign = -sign
-        det_f *= a[col][col]
+            det = -det
+        det = det * a[col][col]
         for r in range(col + 1, n):
-            if a[r][col] != 0:
+            if a[r][col] != zero:
                 f = a[r][col] / a[col][col]
                 for c in range(col, n):
-                    a[r][c] -= f * a[col][c]
-    return sign * det_f
-
-
-def _general_det(rows: Sequence[Sequence[Scalar]], exact: bool) -> Scalar:
-    return determinant(SkewMatrix(tuple(tuple(r) for r in rows), exact))
+                    a[r][c] = a[r][c] - f * a[col][c]
+    return det
 
 
 def bipartite_pfaffian(matrix: SkewMatrix, k: Optional[int] = None) -> Scalar:
@@ -464,16 +483,11 @@ def bipartite_pfaffian(matrix: SkewMatrix, k: Optional[int] = None) -> Scalar:
     def iszero(x: Scalar) -> bool:
         return x.is_zero() if matrix.exact else abs(x) == 0.0
 
-    for i in range(k):
-        for j in range(k):
-            if not iszero(matrix[i, j]):
-                raise NotBlockForm("nonzero entry inside the first colour block")
-    for i in range(k, n):
-        for j in range(k, n):
-            if not iszero(matrix[i, j]):
-                raise NotBlockForm("nonzero entry inside the second colour block")
-    mrows = [[matrix[i, k + j] for j in range(k)] for i in range(k)]
-    det = _general_det(mrows, matrix.exact)
+    for lo, name in ((0, "first"), (k, "second")):
+        if not all(iszero(matrix[i, j]) for i in range(lo, lo + k) for j in range(lo, lo + k)):
+            raise NotBlockForm(f"nonzero entry inside the {name} colour block")
+    mrows = tuple(tuple(matrix[i, k + j] for j in range(k)) for i in range(k))
+    det = determinant(SkewMatrix(mrows, matrix.exact))
     if (k * (k - 1) // 2) % 2:
         det = -det
     return det

@@ -38,6 +38,7 @@ from .homology import (
     edges_of,
 )
 from .kasteleyn import Orientation, _omega_flip_set
+from .pfaffian import _perm_sign
 from .surface_graph import CombinatorialMap
 
 # Chirality of the "positive side" test inside ell_omega.  True counts a
@@ -62,43 +63,14 @@ def check_matching(m: CombinatorialMap, D: int) -> None:
         raise NotAMatching("edge set does not cover every vertex exactly once")
 
 
-def _permutation_sign(seq: Sequence[int]) -> int:
-    """Sign of the permutation taking 0..n-1 to ``seq``."""
-    n = len(seq)
-    seen = [False] * n
-    sign = 1
-    for i in range(n):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = seq[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def matching_sign(m: CombinatorialMap, K: Orientation, D: int,
-                  vertex_order: Optional[Sequence[int]] = None) -> int:
+def matching_sign(m: CombinatorialMap, K: Orientation, D: int) -> int:
     """Sign of the matching's contribution to the Pfaffian expansion.
 
     Lists the dimers with endpoints ordered along K and takes the sign of
     the permutation (1..2n) -> (tail_1, head_1, ..., tail_n, head_n).
     """
     check_matching(m, D)
-    order = list(range(m.vertex_count)) if vertex_order is None else list(vertex_order)
-    pos = [0] * m.vertex_count
-    for i, v in enumerate(order):
-        pos[v] = i
-    image = []
-    for e in sorted(edges_of(D)):
-        a, b = K.arrow(m, e)
-        image.append(pos[a])
-        image.append(pos[b])
-    return _permutation_sign(image)
+    return _perm_sign([v for e in sorted(edges_of(D)) for v in K.arrow(m, e)])
 
 
 def n_mismatch(K: Orientation, walk: Walk) -> int:

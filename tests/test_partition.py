@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import random
+import sys
+from fractions import Fraction
 
 import pytest
 
 from pfdimers import (
     CurveNotRealizable,
+    FloatOutOfRange,
+    PartitionResult,
     TransverseCurve,
     WrongSurfaceType,
     build_map,
@@ -315,3 +319,65 @@ def test_faces_traced_once_per_route_call_and_load(monkeypatch):
         calls.clear()
         run()
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_one_ordering_per_route_call_and_pfaffian_per_class(monkeypatch, backend):
+    # routes order a route's edges once and evaluate every class through the
+    # ``pfaffian`` name of ``partition``, where the benchmark tracer sees it
+    from pfdimers.surface_graph import flip_charts
+
+    module = sys.modules["pfdimers.pfaffian"]
+    route_module = sys.modules["pfdimers.partition"]
+    rcm, pf, classes = module._rcm_order, route_module.pfaffian, module.enumerate_classes
+    calls, pf_dims, class_counts = [], [], []
+
+    def counting(*args):
+        calls.append(args)
+        return rcm(*args)
+
+    def counting_pf(matrix):
+        pf_dims.append(matrix.dimension)
+        return pf(matrix)
+
+    def counting_classes(*args):
+        out = classes(*args)
+        class_counts.append(len(out))
+        return out
+
+    monkeypatch.setattr(module, "_rcm_order", counting)
+    monkeypatch.setattr(route_module, "pfaffian", counting_pf)
+    monkeypatch.setattr(module, "enumerate_classes", counting_classes)
+    torus, klein, rp2 = (lattice(4, 4, s) for s in ("torus", "klein_hexagon", "rp2"))
+    twisted = flip_charts(torus.map, [0, 5, 6])
+    runs = [(inst.map, method, inst.curves or None, inst.basis)
+            for inst in (torus, klein, rp2) for method in ("auto", "pin")]
+    runs += [(torus.map, "spin", None, None), (twisted, "auto", None, None),
+             (twisted, "spin", None, None)]
+    for m, method, curves, basis in runs:
+        calls.clear(), pf_dims.clear(), class_counts.clear()
+        partition(m, method, curves=curves, basis=basis, backend=backend)
+        assert len(calls) == 1, (method, len(calls))
+        assert pf_dims == [m.vertex_count] * sum(class_counts) != [], method
+
+
+@pytest.mark.parametrize("weight", [10**160, Fraction(1, 10**160)], ids=["1e160", "1e-160"])
+@pytest.mark.parametrize("surface", ["torus", "klein_hexagon", "rp2"])
+def test_float_out_of_range_raises(surface, weight):
+    unit = lattice(4, 4, surface)
+    inst = lattice(4, 4, surface, weights=[weight] * unit.map.edge_count)
+    scale = Fraction(weight) ** (inst.map.vertex_count // 2)
+    for method in ("auto", "pin", "oracle"):
+        kw = dict(curves=inst.curves or None, basis=inst.basis)
+        z = partition(unit.map, method, **kw).value
+        assert partition(inst.map, method, **kw).value == z * scale
+        with pytest.raises(FloatOutOfRange):
+            partition(inst.map, method, backend="float", **kw)
+
+
+def test_float_value_out_of_range_raises():
+    with pytest.raises(FloatOutOfRange):
+        PartitionResult(float("inf"), "pin", False)
+    with pytest.raises(FloatOutOfRange):
+        PartitionResult(float("nan"), "practical", False)
+    assert PartitionResult(Fraction(10**400), "pin", True).value == 10**400

@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pfdimers import (
+    FloatOutOfRange,
     IllConditionedWarning,
+    cycle_basis,
     LoopEdge,
     NotBlockForm,
     OddDimension,
@@ -23,8 +25,10 @@ from pfdimers import (
     pfaffian,
     pfaffian_expansion,
 )
-from pfdimers.exactnum import GaussianRational
+from pfdimers.exactnum import GR_ZERO, GaussianRational
 from pfdimers.generators import random_map, random_weights
+from pfdimers.homology import vertex_coboundary
+from pfdimers.partition import _class_pfaffians
 from pfdimers.pfaffian import (
     EXPANSION_DIM_BOUND,
     SkewMatrix,
@@ -334,6 +338,81 @@ def test_float_warns_on_forced_tiny_pivot():
     with pytest.warns(IllConditionedWarning):
         pf = pfaffian(a)
     assert abs(pf - 1e-13) <= 1e-25
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_exact_matches_expansion_on_shuffled_block_diagonal(seed):
+    # several bipartite components, n <= 12, each with a perfect matching on
+    # odd seeds; odd components and isolated indices on even seeds, where Pf
+    # vanishes.  Bipartite components put two indices of one side next to
+    # each other in the elimination order, so pivots need swaps.
+    rng = random.Random(seed)
+    sizes = [rng.choice([2, 4, 6]), rng.choice([2, 4]), 2] if seed % 2 else [1, 3, 2, 5, 1]
+    n = sum(sizes)
+    rows = [[GaussianRational.of(0)] * n for _ in range(n)]
+    lo = 0
+    for size in sizes:
+        half = (size + 1) // 2
+        for i in range(lo, lo + half):
+            for j in range(lo + half, lo + size):
+                if j - i == half or rng.random() < 0.7:
+                    x = GaussianRational.of(Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
+                                            rng.randint(-5, 5))
+                    rows[i][j], rows[j][i] = x, -x
+        lo += size
+    perm = list(range(n))
+    rng.shuffle(perm)
+    a = _shuffled(SkewMatrix(tuple(tuple(r) for r in rows), exact=True), perm)
+    pf = pfaffian(a)
+    assert pf == pfaffian_expansion(a)
+    assert pf.is_zero() == (seed % 2 == 0)
+
+
+def _route_cases():
+    """(map, omega): klein_hexagon and rp2 4x4, and random twisted maps with
+    unit weights and omega moved off the twist cochain by a vertex
+    coboundary, whose parallel edges cancel in some classes."""
+    rng = random.Random(21)
+    cases = [(lattice(4, 4, s).map, None) for s in ("klein_hexagon", "rp2")]
+    while len(cases) < 14:
+        m = random_map(rng, max_vertices=8, extra_edges=8, twisted=True)
+        if m.vertex_count % 2 == 0 and m.twist_bits():
+            v = rng.randrange(m.vertex_count)
+            cases.append((m, m.twist_bits() ^ vertex_coboundary(m, v)))
+    return cases
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_route_pfaffians_match_reference_builder(backend):
+    shrunk = 0
+    for m, omega in _route_cases():
+        K = construct_kasteleyn(m, omega=omega)
+        flips = cycle_basis(m).dual_cochains
+        got = _class_pfaffians(m, K, flips, backend, omega)
+        mats = [build_adjacency(m, Kc, omega, backend)
+                for Kc in enumerate_classes(m, K, flips)]
+        want = [pfaffian(a) for a in mats]
+        if backend == "exact":
+            assert got == want
+        else:
+            top = max(map(abs, want))
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-9 * max(abs(w), top, 1.0)
+        # classes whose nonzero pattern is smaller than the route's
+        pairs = {frozenset((e.u, e.v)) for e in m.edges}
+        zero = GR_ZERO if backend == "exact" else 0
+        shrunk += sum(sum(a[i, j] != zero for i in range(a.dimension)
+                          for j in range(i + 1, a.dimension)) < len(pairs) for a in mats)
+    assert shrunk
+
+
+@pytest.mark.parametrize("x", [1e200, 1e-200])
+def test_float_pfaffian_out_of_range_raises(x):
+    # Pf = x^2 leaves the double range although every entry is inside it
+    a = skew_matrix([[0, x, 0, 0], [-x, 0, 0, 0], [0, 0, 0, x], [0, 0, -x, 0]],
+                    exact=False)
+    with pytest.raises(FloatOutOfRange):
+        pfaffian(a)
 
 
 def test_bipartite_one_by_one():
