@@ -265,13 +265,14 @@ def random_lattice(rng, max_vertices: int = 16,
 
 def random_map(rng, max_vertices: int = 7, extra_edges: int = 4,
                twisted: bool = True) -> CombinatorialMap:
-    """Random connected map: random tree plus chords, random rotations and
-    twists.  Exercises arbitrary genus, multiple edges included."""
+    """Random connected map: random tree plus 1..``extra_edges`` chords (none
+    when it is 0), random rotations and twists.  Exercises arbitrary genus,
+    multiple edges included."""
     nv = rng.randint(2, max_vertices)
     endpoints = []
     for v in range(1, nv):
         endpoints.append((rng.randint(0, v - 1), v))
-    for _ in range(rng.randint(1, extra_edges)):
+    for _ in range(rng.randint(1, extra_edges) if extra_edges else 0):
         u = rng.randint(0, nv - 1)
         v = rng.randint(0, nv - 1)
         if u == v:

@@ -10,6 +10,13 @@ closed curve transverse to the graph and records which edges that curve
 crosses; the resulting crossing cochain represents the Poincare dual of the
 cycle's class, and pairing it with any 1-cycle gives the mod-2 intersection
 number.
+
+Every GF(2) solve goes through one echelon, ``Gf2Span``.  A basis builder
+adds the face boundaries, then each accepted cycle chain C_j with right-hand
+side ``1 << j``; back-substitution on bit i gives the dual cocycle phi_i
+(zero on faces, phi_i(C_j) = delta_ij).  A separate solve per phi_i would
+eliminate the same rows to the same pivots, and the solution that is zero
+off the pivot bits is unique, so it would give the same phi_i.
 """
 
 from __future__ import annotations
@@ -18,13 +25,13 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import NotAClosedWalk, NotSimple
-from .surface_graph import CombinatorialMap, FaceSet, trace_faces
+from .surface_graph import CombinatorialMap, FaceSet, spanning_tree, trace_faces
 
 Walk = Tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
-# GF(2) helpers on bitmasks
+# GF(2) elimination on bitmasks
 # ---------------------------------------------------------------------------
 
 def parity(bits: int) -> int:
@@ -35,75 +42,59 @@ def dot(a: int, b: int) -> int:
     return (a & b).bit_count() & 1
 
 
-def gf2_rank(rows: Sequence[int]) -> int:
-    basis: List[int] = []
-    for row in rows:
-        for b in basis:
-            row = min(row, row ^ b)
-        if row:
-            basis.append(row)
-            basis.sort(reverse=True)
-    return len(basis)
-
-
-def gf2_reduce(row: int, basis: Sequence[int]) -> int:
-    """Reduce ``row`` against echelon ``basis`` rows (each with distinct
-    leading bit)."""
-    for b in basis:
-        row = min(row, row ^ b)
-    return row
-
-
 class Gf2Span:
-    """Incremental GF(2) span of bitmask rows."""
+    """Incremental GF(2) echelon of bitmask rows with right-hand sides.
+
+    Rows stay in insertion order as (pivot, mask, rhs): ``mask`` is the row
+    reduced against every earlier row and ``pivot`` its top bit.  Bit ``k``
+    of ``rhs`` is the row's right-hand side in parity system ``k``.
+    """
 
     def __init__(self, rows: Sequence[int] = ()) -> None:
-        self.basis: List[int] = []
+        self.rows: List[Tuple[int, int, int]] = []
         for r in rows:
             self.add(r)
 
-    def add(self, row: int) -> bool:
-        """Insert ``row``; returns True if it enlarged the span."""
-        row = gf2_reduce(row, self.basis)
-        if row == 0:
-            return False
-        self.basis.append(row)
-        self.basis.sort(reverse=True)
-        return True
+    def _reduce(self, row: int, rhs: int) -> Tuple[int, int]:
+        for pb, pm, pr in self.rows:
+            if (row >> pb) & 1:
+                row ^= pm
+                rhs ^= pr
+        return row, rhs
+
+    def add(self, row: int, rhs: int = 0) -> bool:
+        """Insert ``row``; True if it enlarged the span, else it is dropped."""
+        row, rhs = self._reduce(row, rhs)
+        if row:
+            self.rows.append((row.bit_length() - 1, row, rhs))
+        return bool(row)
 
     def contains(self, row: int) -> bool:
-        return gf2_reduce(row, self.basis) == 0
+        return self._reduce(row, 0)[0] == 0
 
     @property
     def rank(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
+
+    def solve(self, k: int = 0) -> int:
+        """x with parity(x & mask) = bit ``k`` of rhs on every kept row, free
+        variables 0.  A mask holds no earlier row's pivot bit, so reverse
+        insertion order sets every other pivot bit of it before it is read."""
+        x = 0
+        for pb, pm, pr in reversed(self.rows):
+            if ((pr >> k) & 1) ^ dot(x, pm):
+                x |= 1 << pb
+        return x
 
 
-def solve_parity_system(constraints: Sequence[Tuple[int, int]], nbits: int) -> Optional[int]:
-    """Find x with parity(x & mask_i) = b_i for all i, or None.
-
-    Free variables are set to 0.
-    """
-    rows = [(mask, rhs & 1) for mask, rhs in constraints]
-    pivots: List[Tuple[int, int, int]] = []  # (pivot bit, mask, rhs)
-    for mask, rhs in rows:
-        for pb, pm, pr in pivots:
-            if (mask >> pb) & 1:
-                mask ^= pm
-                rhs ^= pr
-        if mask == 0:
-            if rhs:
-                return None
-            continue
-        pivots.append((mask.bit_length() - 1, mask, rhs))
-    x = 0
-    # row k's mask holds no pivot bit of rows before k, so reverse insertion
-    # order resolves every non-pivot bit before it is consumed
-    for pb, pm, pr in reversed(pivots):
-        val = pr ^ dot(x, pm & ~(1 << pb))
-        if val:
-            x |= 1 << pb
-    return x
+def solve_parity_system(constraints: Sequence[Tuple[int, int]]) -> Optional[int]:
+    """x with parity(x & mask_i) = b_i for all i (free variables 0), or None."""
+    span = Gf2Span()
+    for mask, rhs in constraints:
+        span.add(mask, rhs & 1)
+    x = span.solve()
+    # a dropped row is a sum of kept ones; x satisfies it iff its rhs agrees
+    return x if all(dot(x, mask) == rhs & 1 for mask, rhs in constraints) else None
 
 
 # ---------------------------------------------------------------------------
@@ -118,14 +109,7 @@ def chain_from_edges(edges: Sequence[int]) -> int:
 
 
 def edges_of(bits: int) -> List[int]:
-    out = []
-    e = 0
-    while bits:
-        if bits & 1:
-            out.append(e)
-        bits >>= 1
-        e += 1
-    return out
+    return [e for e in range(bits.bit_length()) if (bits >> e) & 1]
 
 
 def is_cycle(m: CombinatorialMap, chain: int) -> bool:
@@ -140,10 +124,7 @@ def is_cycle(m: CombinatorialMap, chain: int) -> bool:
 
 
 def walk_chain(walk: Walk) -> int:
-    bits = 0
-    for h in walk:
-        bits ^= 1 << (h // 2)
-    return bits
+    return chain_from_edges(h // 2 for h in walk)
 
 
 def walk_vertices(m: CombinatorialMap, walk: Walk) -> List[int]:
@@ -208,7 +189,7 @@ def coboundary_preimage(m: CombinatorialMap, phi: int) -> Optional[Tuple[int, ..
         mask = (1 << edge.u) | (1 << edge.v)
         constraints.append((mask, (phi >> e) & 1))
     constraints.append((1, 0))  # pin vertex 0 out of S
-    x = solve_parity_system(constraints, m.vertex_count)
+    x = solve_parity_system(constraints)
     if x is None:
         return None
     side = tuple(v for v in range(m.vertex_count) if (x >> v) & 1)
@@ -344,52 +325,24 @@ def cycle_basis(m: CombinatorialMap, faces: Optional[FaceSet] = None) -> Homolog
     the ones independent modulo face boundaries are selected greedily.
     """
     faces = faces if faces is not None else trace_faces(m)
-    tree, parent_arc = _tree(m)
+    tree, parent_arc = spanning_tree(m)
     span = Gf2Span(face_boundary_chains(m, faces))
     b1 = 2 - (m.vertex_count - m.edge_count + len(faces))
     tree_set = set(tree)
     cycles: List[Walk] = []
     chains: List[int] = []
     for e in range(m.edge_count):
+        if len(cycles) == b1:
+            break
         if e in tree_set:
             continue
         w = fundamental_cycle(m, e, parent_arc)
         ch = walk_chain(w)
-        if span.add(ch):
+        if span.add(ch, 1 << len(chains)):
             cycles.append(w)
             chains.append(ch)
-        if len(cycles) == b1:
-            break
     assert len(cycles) == b1, "cycle selection failed to reach rank b1"
-
-    pd = [crossing_cochain(m, w) for w in cycles]
-    gram = tuple(tuple(dot(pd[i], chains[j]) for j in range(b1)) for i in range(b1))
-    # symmetry check of the pairing
-    for i in range(b1):
-        for j in range(b1):
-            assert gram[i][j] == gram[j][i], "intersection pairing asymmetry"
-
-    duals = _dual_cocycles(m, faces, chains)
-    return HomologyBasis(tuple(cycles), tuple(chains), gram, tuple(duals), tuple(pd))
-
-
-def _tree(m: CombinatorialMap):
-    from .surface_graph import spanning_tree
-    return spanning_tree(m)
-
-
-def _dual_cocycles(m: CombinatorialMap, faces: FaceSet, chains: Sequence[int]) -> List[int]:
-    """Cocycles phi_i with phi_i(C_j) = delta_ij."""
-    face_masks = [f.odd_edge_mask() for f in faces.faces]
-    duals = []
-    for i in range(len(chains)):
-        constraints = [(mask, 0) for mask in face_masks]
-        for j, ch in enumerate(chains):
-            constraints.append((ch, 1 if i == j else 0))
-        x = solve_parity_system(constraints, m.edge_count)
-        assert x is not None, "dual cocycle system must be solvable"
-        duals.append(x)
-    return duals
+    return _basis(m, cycles, chains, span)
 
 
 def basis_from_cycles(m: CombinatorialMap, cycles: Sequence[Walk],
@@ -400,13 +353,22 @@ def basis_from_cycles(m: CombinatorialMap, cycles: Sequence[Walk],
         check_simple_walk(m, w)
     chains = [walk_chain(w) for w in cycles]
     span = Gf2Span(face_boundary_chains(m, faces))
-    for ch in chains:
-        if not span.add(ch):
+    for j, ch in enumerate(chains):
+        if not span.add(ch, 1 << j):
             raise NotAClosedWalk("prescribed cycles are dependent modulo boundaries")
     b1 = 2 - (m.vertex_count - m.edge_count + len(faces))
     if len(cycles) != b1:
         raise NotAClosedWalk(f"need {b1} independent cycles, got {len(cycles)}")
+    return _basis(m, cycles, chains, span)
+
+
+def _basis(m: CombinatorialMap, cycles: Sequence[Walk], chains: Sequence[int],
+           span: Gf2Span) -> HomologyBasis:
+    """Pairing data of a basis; chain ``j`` went into ``span`` with rhs
+    ``1 << j`` after the face boundaries, so ``span.solve(i)`` is phi_i."""
     pd = [crossing_cochain(m, w) for w in cycles]
-    gram = tuple(tuple(dot(pd[i], chains[j]) for j in range(b1)) for i in range(b1))
-    duals = _dual_cocycles(m, faces, chains)
-    return HomologyBasis(tuple(cycles), tuple(chains), gram, tuple(duals), tuple(pd))
+    gram = tuple(tuple(dot(p, ch) for ch in chains) for p in pd)
+    assert all(gram[i][j] == gram[j][i] for i in range(len(gram)) for j in range(i)), \
+        "intersection pairing asymmetry"
+    duals = tuple(span.solve(i) for i in range(len(chains)))
+    return HomologyBasis(tuple(cycles), tuple(chains), gram, duals, tuple(pd))

@@ -20,12 +20,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import OddVertexCount, TooLarge
-from .homology import (
-    coboundary_preimage,
-    is_coboundary,
-    parity,
-    solve_parity_system,
-)
+from .homology import coboundary_preimage, is_coboundary, parity
 from .surface_graph import CombinatorialMap, FaceSet, trace_faces
 
 EXHAUSTIVE_EDGE_BOUND = 20
@@ -174,9 +169,8 @@ def construct_kasteleyn(m: CombinatorialMap,
                 if g not in prev:
                     prev[g] = (f, e)
                     queue.append(g)
-        if target < 0:
-            # cannot happen on a connected cellular map; solve globally instead
-            return _construct_by_solve(m, faces, omega)
+        assert target >= 0, ("the dual graph of a connected cellular map is "
+                             "connected and curved faces come in even number")
         flip = 0
         f = target
         while f != src:
@@ -187,19 +181,6 @@ def construct_kasteleyn(m: CombinatorialMap,
         curv[src] ^= 1
         curv[target] ^= 1
 
-    assert is_kasteleyn(m, K, omega, faces)
-    return K
-
-
-def _construct_by_solve(m: CombinatorialMap, faces: FaceSet,
-                        omega: Optional[int]) -> Orientation:
-    K0 = canonical_orientation(m)
-    curv = face_curvatures(m, K0, omega, faces)
-    constraints = [(face.odd_edge_mask(), c) for face, c in zip(faces.faces, curv)]
-    phi = solve_parity_system(constraints, m.edge_count)
-    if phi is None:  # pragma: no cover
-        raise OddVertexCount("curvature is not a coboundary")
-    K = K0.flipped(phi)
     assert is_kasteleyn(m, K, omega, faces)
     return K
 

@@ -121,3 +121,11 @@ def test_random_map_connected_valid():
         m = random_map(rng)
         faces = trace_faces(m)
         assert sum(len(f) for f in faces.faces) == 2 * m.edge_count
+
+
+def test_random_map_without_chords_is_a_tree():
+    rng = random.Random(2)
+    for _ in range(20):
+        m = random_map(rng, extra_edges=0)
+        assert m.edge_count == m.vertex_count - 1
+        assert classify(m).name == "sphere"

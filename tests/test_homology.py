@@ -21,12 +21,13 @@ from pfdimers import (
     trace_faces,
 )
 from pfdimers.generators import random_map
+from pfdimers.partition import partition
 from pfdimers.homology import (
     Gf2Span,
+    basis_from_cycles,
     chain_from_edges,
     dot,
     face_boundary_chains,
-    gf2_rank,
     is_cycle,
     parity,
     solve_parity_system,
@@ -36,14 +37,32 @@ from pfdimers.homology import (
 
 @given(st.lists(st.tuples(st.integers(0, 255), st.integers(0, 1)), max_size=12))
 def test_parity_solver_finds_solutions(constraints):
-    x = solve_parity_system(constraints, 8)
-    if x is not None:
-        for mask, rhs in constraints:
-            assert parity(x & mask) == rhs & 1
+    x = solve_parity_system(constraints)
+    solutions = [y for y in range(256)
+                 if all(parity(y & mask) == rhs for mask, rhs in constraints)]
+    if x is None:
+        assert not solutions
     else:
-        # the all-zero reduction must genuinely be inconsistent
-        assert gf2_rank([m for m, _ in constraints]) < len(
-            {tuple((m, r)) for m, r in constraints}) or True
+        assert x in solutions
+
+
+@given(st.lists(st.tuples(st.integers(0, 255), st.integers(0, 7)), max_size=10),
+       st.integers(0, 255))
+def test_gf2_span_matches_brute_force(rows, probe):
+    span = Gf2Span()
+    kept = []
+    for mask, rhs in rows:
+        if span.add(mask, rhs):
+            kept.append((mask, rhs))
+    spanned = {0}
+    for mask, _ in rows:
+        spanned |= {s ^ mask for s in spanned}
+    assert span.rank == len(kept) == len(spanned).bit_length() - 1
+    assert span.contains(probe) == (probe in spanned)
+    for k in range(3):
+        x = span.solve(k)
+        for mask, rhs in kept:
+            assert parity(x & mask) == (rhs >> k) & 1
 
 
 @given(st.integers(0, 2**30 - 1), st.integers(0, 2**30 - 1))
@@ -57,7 +76,7 @@ def test_cycle_space_dimensions():
         m = random_map(rng)
         faces = trace_faces(m)
         cycles_dim = m.edge_count - m.vertex_count + 1
-        faces_dim = gf2_rank(face_boundary_chains(m, faces))
+        faces_dim = Gf2Span(face_boundary_chains(m, faces)).rank
         assert faces_dim == len(faces) - 1
         b1 = 2 - (m.vertex_count - m.edge_count + len(faces))
         assert cycles_dim - faces_dim == b1
@@ -151,7 +170,7 @@ def test_gram_nonsingular():
         basis = cycle_basis(m)
         rows = [chain_from_edges([j for j in range(basis.rank) if basis.gram[i][j]])
                 for i in range(basis.rank)]
-        assert gf2_rank(rows) == basis.rank
+        assert Gf2Span(rows).rank == basis.rank
 
 
 def test_cocycle_coboundary_basics(sphere_square):
@@ -226,3 +245,67 @@ def test_gf2_span_incremental():
     assert span.contains(0b110)
     assert not span.add(0b110)
     assert span.add(0b1000)
+
+
+# Choices of the homology layer, taken from the implementation that solved
+# one parity system per dual cocycle: (cycle_basis duals, cycle_basis pd
+# cochains, basis_from_cycles of the lattice companions as (duals, pd) or
+# None, pin terms as "label:value" words).  Another choice of phi_i relabels
+# the classes and moves signs between terms.
+PINNED_CHOICES = {
+    "torus": (
+        (34952, 4026531840),
+        (4026531840, 4369),
+        ((4026531840, 34952), (34952, 4026531840)),
+        "00:256 10:144 01:144 11:0",
+    ),
+    "klein_hexagon": (
+        (4026531840, 3221225472),
+        (196618, 21845),
+        ((805306368, 3221225472), (536936457, 2214617088)),
+        "00:196 10:196 01:192 11:192",
+    ),
+    "rp2": (
+        (4278190080,),
+        (1610919984,),
+        ((4278190080,), (2178941001,)),
+        "0:228 1:228",
+    ),
+    "random6": (
+        (3072, 640, 128, 256, 1024),
+        (1026, 129, 65, 256, 6),
+        None,
+        "00000:-3-1i 10000:3+1i 01000:1+1i 11000:-1-1i 00100:-1-1i "
+        "10100:1+1i 01100:-1+1i 11100:1-1i 00010:-3+1i 10010:3-1i "
+        "01010:1-1i 11010:-1+1i 00110:-1+1i 10110:1-1i 01110:-1-1i "
+        "11110:1+1i 00001:3+1i 10001:-3-1i 01001:-1-1i 11001:1+1i "
+        "00101:1+1i 10101:-1-1i 01101:1-1i 11101:-1+1i 00011:3-1i "
+        "10011:-3+1i 01011:-1+1i 11011:1-1i 00111:1-1i 10111:-1+1i "
+        "01111:1+1i 11111:-1-1i",
+    ),
+    "random10": (
+        (128, 32, 256),
+        (8, 288, 113),
+        None,
+        "000:4 100:-4i 010:4i 110:4 001:-4i 101:-4 011:-4 111:4i",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CHOICES))
+def test_basis_choices_pinned(name):
+    duals, pd, companion_basis, terms = PINNED_CHOICES[name]
+    if name.startswith("random"):
+        m = random_map(random.Random(int(name[len("random"):])),
+                       max_vertices=8, extra_edges=6)
+        assert companion_basis is None
+    else:
+        inst = lattice(4, 4, name)
+        m = inst.map
+        comp = basis_from_cycles(m, [c.companion for c in inst.curves])
+        assert (comp.dual_cochains, comp.pd_cochains) == companion_basis
+    basis = cycle_basis(m)
+    assert basis.dual_cochains == duals
+    assert basis.pd_cochains == pd
+    assert " ".join(f"{label}:{value}" for label, value in
+                    partition(m, "pin").terms) == terms
