@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Reproduce the three reference lattice counts with per-route timings.
+"""Reproduce the four reference lattice counts with per-route timings.
 
 Usage:  python3 scripts/run_lattice_examples.py [--size 5x6]
 
@@ -68,7 +68,7 @@ def main() -> int:
     mm, nn = (int(t) for t in args.size.lower().split("x"))
 
     status = 0
-    for surface in ("planar", "torus", "klein_hexagon"):
+    for surface in ("planar", "torus", "klein_hexagon", "rp2"):
         inst = lattice(mm, nn, surface)
         m = inst.map
         print(f"== {surface} {mm}x{nn}  ({classify(m).name}, "

@@ -22,7 +22,7 @@ from .generators import lattice
 from .homology import cycle_basis
 from .kasteleyn import construct_kasteleyn, curvature_report
 from .oracle import count_matchings, find_matching, homology_buckets, partition_bruteforce
-from .partition import partition
+from .partition import _class_bits, _eps_label, partition
 from .spin_quadratic import arf, basis_enhancement, brown, normalize_qB
 from .surface_graph import classify
 
@@ -63,9 +63,10 @@ def cmd_orient(args) -> int:
     m = inst.map
     K = construct_kasteleyn(m)
     report = curvature_report(m, K)
+    name = classify(m).name
     pairs = [("vertices", m.vertex_count), ("edges", m.edge_count),
-             ("surface", classify(m).name.replace(" ", "_"))]
-    plain = [f"admissible orientation on {classify(m).name}"]
+             ("surface", name.replace(" ", "_"))]
+    plain = [f"admissible orientation on {name}"]
     for e in range(m.edge_count):
         a, b = K.arrow(m, e)
         pairs.append((f"edge.{e}", f"{a}->{b}"))
@@ -90,8 +91,8 @@ def cmd_invariants(args) -> int:
     plain = [f"surface: {surface.name}, b1 = {basis.rank}"]
     qB = normalize_qB(m, basis_enhancement(m, K, D0, basis), D0, basis)
     for idx in range(1 << basis.rank):
-        q = qB.shifted([(idx >> i) & 1 for i in range(basis.rank)])
-        label = "".join(str((idx >> i) & 1) for i in range(basis.rank)) or "0"
+        q = qB.shifted(_class_bits(idx, basis.rank))
+        label = _eps_label(idx, basis.rank)
         vals = ",".join(str(v) for v in q.basis_values)
         b = brown(q)
         pairs.append((f"q.{label}", vals))

@@ -1,12 +1,11 @@
-"""Exact complex arithmetic: Gaussian rationals and their extension by sqrt(2).
+"""Exact complex arithmetic: Gaussian rationals.
 
 ``GaussianRational`` models numbers p + q*i with rational p, q.  It is the
 entry type of the exact skew-adjacency matrices: real weights stay rational
-and twisted edges contribute factors of i.
-
-``Root2`` models a + b*sqrt(2) with Gaussian-rational a, b.  Eighth roots of
-unity live here (exp(i*pi/4) = (1+i)/sqrt(2)), which keeps the Brown-invariant
-weighted sums exact end to end.
+and twisted edges contribute factors of i.  It also holds every class weight
+of the four partition formulas.  The Brown-invariant weight
+exp(i*pi*beta/4) / 2^(b1/2) needs no sqrt(2): beta has the parity of b1, so
+with o = b1 mod 2 it equals i^((beta-o)/2) * (1+i)^o / 2^((b1+o)/2).
 """
 
 from __future__ import annotations
@@ -83,55 +82,3 @@ _I_POWERS = (GR_ONE, GR_I, GaussianRational.of(-1), GaussianRational.of(0, -1))
 
 def i_power(k: int) -> GaussianRational:
     return _I_POWERS[k % 4]
-
-
-@dataclass(frozen=True)
-class Root2:
-    """a + b*sqrt(2) with Gaussian-rational coefficients."""
-
-    a: GaussianRational
-    b: GaussianRational
-
-    @staticmethod
-    def of(a: GaussianRational, b: GaussianRational = GR_ZERO) -> "Root2":
-        return Root2(a, b)
-
-    def __add__(self, other: "Root2") -> "Root2":
-        return Root2(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: "Root2") -> "Root2":
-        return Root2(self.a - other.a, self.b - other.b)
-
-    def __mul__(self, other: "Root2") -> "Root2":
-        two = GaussianRational.of(2)
-        return Root2(
-            self.a * other.a + two * (self.b * other.b),
-            self.a * other.b + self.b * other.a,
-        )
-
-    def is_zero(self) -> bool:
-        return self.a.is_zero() and self.b.is_zero()
-
-    def to_complex(self) -> complex:
-        return self.a.to_complex() + self.b.to_complex() * (2.0**0.5)
-
-
-R2_ZERO = Root2.of(GR_ZERO)
-
-
-def zeta8_power(k: int) -> Root2:
-    """exp(i*pi/4)**k as an exact Root2 value."""
-    k %= 8
-    if k % 2 == 0:
-        return Root2.of(i_power(k // 2))
-    # zeta = (1+i)/sqrt(2) = ((1+i)/2) * sqrt(2)
-    half = GaussianRational.of(Fraction(1, 2), Fraction(1, 2))
-    return Root2.of(GR_ZERO, i_power((k - 1) // 2) * half)
-
-
-def power_of_two_inverse_sqrt(b1: int) -> Root2:
-    """2**(-b1/2) as a Root2 value (b1 >= 0)."""
-    if b1 % 2 == 0:
-        return Root2.of(GaussianRational.of(Fraction(1, 2 ** (b1 // 2))))
-    # 2**(-b1/2) = sqrt(2) / 2**((b1+1)/2)
-    return Root2.of(GR_ZERO, GaussianRational.of(Fraction(1, 2 ** ((b1 + 1) // 2))))

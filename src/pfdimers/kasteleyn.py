@@ -73,26 +73,38 @@ def _omega_flip_set(m: CombinatorialMap, omega: Optional[int]) -> Tuple[int, fro
     return omega, frozenset(s)
 
 
+def _face_parities(m: CombinatorialMap, omega: Optional[int],
+                   faces: FaceSet) -> List[Tuple[int, int]]:
+    """(fold, const) per face, with curvature parity(K.bits & fold) ^ const.
+
+    fold xors the face's step edges; const collects the step parity of arcs
+    on half 1 (they reverse the stored direction), the minus-minus label
+    count and one.  An edge met twice cancels in the fold and in the
+    mismatch count alike.
+    """
+    _, swap = _omega_flip_set(m, omega)
+    table = []
+    for face in faces.faces:
+        fold = 0
+        const = 1
+        labels = []
+        for h, s in face.steps:
+            fold ^= 1 << (h // 2)
+            const ^= h & 1
+            labels.append(s ^ (1 if m.half_vertex(h) in swap else 0))
+        for a, b in zip(labels, labels[1:] + labels[:1]):
+            const ^= a & b
+        table.append((fold, const))
+    return table
+
+
 def face_curvatures(m: CombinatorialMap, K: Orientation,
                     omega: Optional[int] = None,
                     faces: Optional[FaceSet] = None) -> List[int]:
     """Curvature bit of every face."""
     faces = faces if faces is not None else trace_faces(m)
-    _, swap = _omega_flip_set(m, omega)
-    out = []
-    for face in faces.faces:
-        L = len(face.steps)
-        n = 0
-        mm = 0
-        labels = []
-        for h, s in face.steps:
-            n ^= K.disagrees_with_arc(h)
-            labels.append(s ^ (1 if m.half_vertex(h) in swap else 0))
-        for i in range(L):
-            if labels[i] == 1 and labels[(i + 1) % L] == 1:
-                mm ^= 1
-        out.append((n + mm + 1) & 1)
-    return out
+    return [parity(K.bits & fold) ^ const
+            for fold, const in _face_parities(m, omega, faces)]
 
 
 def curvature(m: CombinatorialMap, K: Orientation, face_index: int,
@@ -211,40 +223,9 @@ def count_all_kasteleyn(m: CombinatorialMap,
     """Exhaustively count admissible orientations (small maps only)."""
     if m.edge_count > bound:
         raise TooLarge(f"{m.edge_count} edges exceeds exhaustive bound {bound}")
-    faces = trace_faces(m)
-    _, swap = _omega_flip_set(m, omega)
-
-    # curvature of face f under orientation bits B:
-    #   c_f(B) = parity(B & fold_f) xor const_f
-    # where fold_f xors the step edges and const_f collects the step parity
-    # of odd arcs plus the minus-minus count plus one.
-    folds = []
-    consts = []
-    for face in faces.faces:
-        fold = 0
-        const = 1
-        L = len(face.steps)
-        labels = []
-        for h, s in face.steps:
-            fold ^= 1 << (h // 2)
-            const ^= h & 1  # arc on half 1 reverses the stored direction
-            labels.append(s ^ (1 if m.half_vertex(h) in swap else 0))
-        for i in range(L):
-            if labels[i] == 1 and labels[(i + 1) % L] == 1:
-                const ^= 1
-        folds.append(fold)
-        consts.append(const)
-
-    count = 0
-    for bits in range(1 << m.edge_count):
-        ok = True
-        for fold, const in zip(folds, consts):
-            if (parity(bits & fold) ^ const):
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
+    table = _face_parities(m, omega, trace_faces(m))
+    return sum(not any(parity(bits & fold) ^ const for fold, const in table)
+               for bits in range(1 << m.edge_count))
 
 
 def omega_change(m: CombinatorialMap, omega: int, K: Orientation,

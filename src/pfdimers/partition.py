@@ -4,15 +4,21 @@ All four routes share one skeleton: prepare the map once (faces, homology
 basis, an admissible orientation K), take the Pfaffians of the orientation
 classes that flip K by subset sums of a list of cocycles, weight them, sum
 and normalise.  The pin route weights class xi by exp(i*pi*beta/4) * eps_xi
-with beta the Brown invariant of its enhancement; the spin route is the same
-sum on an untwisted orientable map at omega = 0 with beta = 4 * Arf.  The
-practical routes weight by signs of the intersection form.
+with beta the Brown invariant of its enhancement and divides by 2^(b1/2);
+the spin route is the same sum on an untwisted orientable map at omega = 0
+with beta = 4 * Arf.  The practical routes weight by signs of the
+intersection form, times 1 - i (odd Euler characteristic) or -i (unprimed
+classes, even Euler characteristic) on non-orientable surfaces, and take the
+real part.
 
-Exact mode keeps every intermediate value in the Gaussian rationals (plus
-sqrt(2) where eighth roots of unity appear) and asserts that the final value
-is a nonnegative rational; float mode mirrors the computation in complex
-floats.  Classes are always summed in a fixed order, so results are
-reproducible.
+Every weight is a Gaussian rational.  The Brown invariant of a nondegenerate
+Z4-valued form has the parity of its rank (Brown 1972; Kirby and Taylor
+1990), so with o = b1 mod 2, exp(i*pi*beta/4) / 2^(b1/2) equals
+i^((beta-o)/2) * (1+i)^o / 2^((b1+o)/2).  All four routes thus end in one
+weighted sum, ``_weighted_sum``: exact mode takes it in the Gaussian
+rationals and asserts that Z is a nonnegative rational; float mode converts
+the weights to complex floats.  Classes are always summed in a fixed order,
+so results are reproducible.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from .errors import (
     NotSimple,
     WrongSurfaceType,
 )
-from .exactnum import R2_ZERO, Root2, i_power, power_of_two_inverse_sqrt, zeta8_power
+from .exactnum import GR_ZERO, GaussianRational, i_power
 from .generators import TransverseCurve
 from .homology import (
     HomologyBasis,
@@ -259,26 +265,25 @@ def _labelled(pfs: Sequence, width: int) -> List[Tuple[str, str]]:
     return [(_eps_label(idx, width), str(pf)) for idx, pf in enumerate(pfs)]
 
 
-def _pair_sign(idx: int, gram: Sequence[Sequence[int]]) -> int:
-    """(-1) to the number of pairs i < j in ``idx`` with gram[i][j] = 1."""
+def _pair_sign(idx: int, gram: Sequence[Sequence[int]]) -> GaussianRational:
+    """(-1) to the number of pairs i < j in ``idx`` with gram[i][j] = 1, as
+    a class weight."""
     bits = [i for i in range(len(gram)) if (idx >> i) & 1]
     pairs = sum(gram[i][j] for k, i in enumerate(bits) for j in bits[k + 1:])
-    return -1 if pairs % 2 else 1
+    return i_power(2 * pairs)
 
 
-def _re_im(pf, exact: bool) -> Tuple[Number, Number]:
+def _weighted_sum(pairs: Sequence[Tuple[GaussianRational, object]], divisor: int,
+                  exact: bool) -> Tuple[Number, Number]:
+    """Real and imaginary parts of sum(c * x for c, x in pairs) / divisor.
+
+    The weights c are Gaussian rationals; float mode converts them with
+    ``to_complex``, so both backends take the same sum."""
     if exact:
-        return pf.re, pf.im
-    return pf.real, pf.imag
-
-
-def _finish_abs(total: Number, genus: int, exact: bool, method: str,
-                terms) -> PartitionResult:
-    if exact:
-        value = Fraction(abs(total), 2**genus)
-    else:
-        value = abs(total) / 2**genus
-    return PartitionResult(value, method, exact, tuple(terms))
+        total = sum((c * x for c, x in pairs), GR_ZERO)
+        return total.re / divisor, total.im / divisor
+    total = sum(c.to_complex() * x for c, x in pairs) / divisor
+    return total.real, total.imag
 
 
 def _enhanced_sum(m: CombinatorialMap, method: str, omega: int,
@@ -311,25 +316,20 @@ def _enhanced_sum(m: CombinatorialMap, method: str, omega: int,
         eps = eps0 * (-1) ** (idx & odd).bit_count()
         signed = pf if eps > 0 else -pf
         buckets[beta] = buckets[beta] + signed if beta in buckets else signed
-    scale = power_of_two_inverse_sqrt(b1) * Root2.of(i_power(-dotcount(omega, D0)))
-    if exact:
-        total = sum((Root2.of(s) * zeta8_power(beta) for beta, s in buckets.items()),
-                    R2_ZERO) * scale
-        if not total.b.is_zero() or total.a.im != 0:
-            raise NonRealResult(f"{method} sum is not real: {total}")
-        value = total.a.re
-        if value < 0:
-            raise NonRealResult(f"negative {method} sum {value}")
-    else:
-        total = sum(zeta8_power(beta).to_complex() * s
-                    for beta, s in buckets.items()) * scale.to_complex()
-        tol = 1e-9 * (1 + abs(total))
-        if abs(total.imag) > tol:
-            raise NonRealResult(f"{method} sum is not real: {total}")
-        if total.real < -tol:
-            raise NonRealResult(f"negative {method} sum {total}")
-        value = abs(total.real)
-    return PartitionResult(value, method, exact, tuple(_labelled(pfs, b1)))
+    # Weights as in the module docstring; (1+i)^o = 1 + o*i.
+    o = b1 % 2
+    if any((beta - o) % 2 for beta in buckets):
+        raise NonRealResult(f"{method} invariants {sorted(buckets)} differ in "
+                            f"parity from b1 = {b1}")
+    rotation = GaussianRational.of(1, o) * i_power(-dotcount(omega, D0))
+    re, im = _weighted_sum([(i_power((beta - o) // 2) * rotation, s)
+                            for beta, s in buckets.items()], 2 ** ((b1 + o) // 2), exact)
+    tol = 0 if exact else 1e-9 * (1 + abs(complex(re, im)))
+    if abs(im) > tol:
+        raise NonRealResult(f"{method} sum is not real: {re} + {im}i")
+    if re < -tol:
+        raise NonRealResult(f"negative {method} sum {re}")
+    return PartitionResult(abs(re), method, exact, tuple(_labelled(pfs, b1)))
 
 
 # ---------------------------------------------------------------------------
@@ -371,14 +371,11 @@ def partition_orientable_practical(m: CombinatorialMap, *,
         K = _normalize_by_reference(m, K, basis, D0)
 
     pfs = _class_pfaffians(m, K, flips, backend)
-    total: Number = Fraction(0) if exact else 0.0
-    for idx, pf in enumerate(pfs):
-        re, im = _re_im(pf, exact)
-        if exact and im != 0:
-            raise NonRealResult("orientable Pfaffian has an imaginary part")
-        total += _pair_sign(idx, basis.gram) * re
-    return _finish_abs(total, surface.genus, exact, "practical",
-                       _labelled(pfs, basis.rank))
+    if exact and any(pf.im for pf in pfs):
+        raise NonRealResult("orientable Pfaffian has an imaginary part")
+    re, _ = _weighted_sum([(_pair_sign(idx, basis.gram), pf) for idx, pf in enumerate(pfs)],
+                          2 ** surface.genus, exact)
+    return PartitionResult(abs(re), "practical", exact, tuple(_labelled(pfs, basis.rank)))
 
 
 def partition_orientable_spin(m: CombinatorialMap, *,
@@ -454,17 +451,17 @@ def partition_nonorientable_practical(m: CombinatorialMap,
     # along the first beta curve.
     flips = [cv.cross for cv in alphas] + ([] if odd_chi else [betas[0].cross])
     pfs = _class_pfaffians(m, K, flips, backend)
+    # Re((1-i) * pf) = Re pf + Im pf and Re(-i * pf) = Im pf.
     n = 1 << r
-    total: Number = Fraction(0) if exact else 0.0
-    for idx in range(n):
-        re, im = _re_im(pfs[idx], exact)
-        contrib = re + im if odd_chi else im + _re_im(pfs[idx + n], exact)[0]
-        total += _pair_sign(idx, basis.gram) * contrib
+    signs = [_pair_sign(idx, basis.gram) for idx in range(n)]
+    unprimed = GaussianRational.of(1, -1) if odd_chi else i_power(-1)
+    re, _ = _weighted_sum([(s * unprimed, pf) for s, pf in zip(signs, pfs)] +
+                          list(zip(signs, pfs[n:])), 2 ** surface.genus, exact)
     terms = _labelled(pfs[:n], r)
     if not odd_chi:
         primed = [(label + "'", pf) for label, pf in _labelled(pfs[n:], r)]
         terms = [t for pair in zip(primed, terms) for t in pair]
-    return _finish_abs(total, surface.genus, exact, "practical", terms)
+    return PartitionResult(abs(re), "practical", exact, tuple(terms))
 
 
 # ---------------------------------------------------------------------------

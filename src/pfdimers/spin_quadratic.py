@@ -33,6 +33,7 @@ from .exactnum import GaussianRational, i_power
 from .homology import (
     HomologyBasis,
     Walk,
+    _strict_interval,
     check_simple_walk,
     dot,
     edges_of,
@@ -82,17 +83,11 @@ def n_mismatch(K: Orientation, walk: Walk) -> int:
 # The local side test and the enhancement formula
 # ---------------------------------------------------------------------------
 
-def _positive_side(m: CombinatorialMap, h_in: int, h_out: int, h_dimer: int,
-                   swapped: bool) -> bool:
+def _positive_side(m: CombinatorialMap, v: int, h_in: int, h_out: int,
+                   h_dimer: int, swapped: bool) -> bool:
     """Does the matched half-edge leave on the positive side of the walk
-    corner (arrive via ``h_in``, depart via ``h_out``)?"""
-    left = False
-    h = m.rotation_prev(h_in)
-    while h != h_out:
-        if h == h_dimer:
-            left = True
-            break
-        h = m.rotation_prev(h)
+    corner at ``v`` (arrive via ``h_in``, depart via ``h_out``)?"""
+    left = h_dimer in _strict_interval(m, v, h_in, h_out, clockwise=True)
     positive = left if LEFT_IS_POSITIVE else not left
     return positive ^ swapped
 
@@ -118,7 +113,7 @@ def ell_omega(m: CombinatorialMap, D: int, walk: Walk,
             continue
         h_in = h ^ 1
         h_out = walk[(i + 1) % L]
-        if _positive_side(m, h_in, h_out, hd, v in swap):
+        if _positive_side(m, v, h_in, h_out, hd, v in swap):
             count += 1
     return count
 

@@ -9,6 +9,7 @@ import pytest
 from pfdimers import (
     CurveNotRealizable,
     FloatOutOfRange,
+    NonRealResult,
     PartitionResult,
     TransverseCurve,
     WrongSurfaceType,
@@ -158,6 +159,28 @@ def test_auto_falls_back_to_pin():
     r = partition(inst.map, "auto", curves=bare)
     assert r.method == "pin"
     assert r.value == partition_bruteforce(inst.map)
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("method, surface, name", [
+    ("pin", "torus", "brown"), ("pin", "klein_hexagon", "brown"), ("pin", "rp2", "brown"),
+    ("spin", "torus", "arf")])
+def test_wrong_invariants_or_signs_raise_non_real(monkeypatch, method, surface,
+                                                  name, backend):
+    # beta + 1 has the wrong parity for b1 (no Gaussian-rational weight);
+    # Arf + 1 and a negated matching sign turn the sum into -Z
+    module = sys.modules["pfdimers.partition"]
+    m = lattice(4, 4, surface).map
+    assert partition(m, method, backend=backend).value > 0
+    invariant = getattr(module, name)
+    with monkeypatch.context() as patch:
+        patch.setattr(module, name, lambda q: invariant(q) + 1)
+        with pytest.raises(NonRealResult):
+            partition(m, method, backend=backend)
+    sign = module.matching_sign
+    monkeypatch.setattr(module, "matching_sign", lambda *args: -sign(*args))
+    with pytest.raises(NonRealResult, match="negative"):
+        partition(m, method, backend=backend)
 
 
 def test_normalize_orientation_parities():

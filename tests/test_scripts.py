@@ -26,7 +26,10 @@ def test_random_agreement_sweep(monkeypatch, capsys):
 
 
 def test_run_lattice_examples_agree(monkeypatch):
-    # every route and the oracle on the three 4x4 reference surfaces
+    # every route and the oracle on the four reference surfaces; the rp2
+    # Pfaffian is real at 4x4 but not at 3x4, where the odd-chi weight 1 - i
+    # of the practical route tells Re + Im from Re - Im
     script = _load_script("run_lattice_examples")
-    monkeypatch.setattr(sys, "argv", ["run_lattice_examples.py", "--size", "4x4"])
-    assert script.main() == 0
+    for size in ("4x4", "3x4"):
+        monkeypatch.setattr(sys, "argv", ["run_lattice_examples.py", "--size", size])
+        assert script.main() == 0

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -29,7 +30,7 @@ from pfdimers import (
     normalize_qB,
     quad_enhancement,
 )
-from pfdimers.exactnum import GaussianRational, Root2, zeta8_power
+from pfdimers.exactnum import GaussianRational
 from pfdimers.generators import random_map
 from pfdimers.homology import dot, reverse_walk, vertex_coboundary
 from pfdimers.kasteleyn import Orientation, omega_change
@@ -366,18 +367,28 @@ def test_gauss_modulus_always_exact():
 # Brown and Arf invariants against the 2^rank-term Gauss sum
 # ---------------------------------------------------------------------------
 
+# (1+i)^k = 2^(k/2) * exp(i*pi*k/4) for k = 0..7
+_ONE_PLUS_I_POWERS = [GaussianRational.of(1)]
+for _ in range(7):
+    _ONE_PLUS_I_POWERS.append(_ONE_PLUS_I_POWERS[-1] * GaussianRational.of(1, 1))
+
+
 def _gauss_brown(q):
-    """Reference Brown invariant from the Gauss sum, or None when the form
-    is degenerate (|sum|^2 != 2^rank)."""
+    """Reference Brown invariant: the b in 0..7 with gauss_sum(q) =
+    2^(r/2) * exp(i*pi*b/4), r the rank, or None when the form is degenerate
+    (|sum|^2 != 2^r).  b is the exponent for which (1+i)^b points along the
+    sum s, that is, s * conj((1+i)^b) is a positive rational."""
     s = gauss_sum(q)
     if s.abs2() != 2 ** q.rank:
         return None
-    half, odd = divmod(q.rank, 2)
-    scale = GaussianRational.of(2 ** half)
-    root = Root2.of(GaussianRational.of(0), scale) if odd else Root2.of(scale)
-    betas = [b for b in range(8) if (root * zeta8_power(b) - Root2.of(s)).is_zero()]
+    rays = [s * GaussianRational(w.re, -w.im) for w in _ONE_PLUS_I_POWERS]
+    betas = [b for b, z in enumerate(rays) if z.im == 0 and z.re > 0]
     assert len(betas) == 1
-    return betas[0]
+    beta = betas[0]
+    # 2^(r/2) * exp(i*pi*beta/4) = (1+i)^beta * 2^((r-beta)/2), a Gaussian
+    # rational when beta = r (mod 2)
+    assert _ONE_PLUS_I_POWERS[beta].scale(Fraction(2) ** ((q.rank - beta) // 2)) == s
+    return beta
 
 
 def _check_against_gauss_sum(q):
@@ -386,6 +397,8 @@ def _check_against_gauss_sum(q):
         with pytest.raises(DegenerateForm):
             brown(q)
     else:
+        # the fact behind the partition routes' Gaussian-rational weights
+        assert beta % 2 == q.rank % 2
         assert brown(q) == beta
     even = not any(v % 2 for v in q.basis_values) and \
         not any(q.gram[i][i] for i in range(q.rank))
