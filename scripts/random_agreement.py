@@ -4,9 +4,10 @@
 Usage:  python3 scripts/random_agreement.py [--trials 200] [--seed 0]
 
 Draws random weighted lattices on the four supported surfaces plus random
-rotation-system maps of arbitrary genus, computes the partition function by
-every applicable route on both backends, and compares against brute-force
-enumeration: exactly, and within 1e-9 relative for the float backend.
+rotation-system maps of arbitrary genus (up to 10 chords, so b1 reaches 7-8
+and beyond), computes the partition function by every applicable route on
+both backends, and compares against brute-force enumeration: exactly, and
+within 1e-9 relative for the float backend.
 Exits nonzero on the first disagreement, naming the route and the backend.
 """
 
@@ -46,7 +47,7 @@ def main() -> int:
             inst = random_lattice(rng, max_vertices=14)
             m, basis, curves = inst.map, inst.basis, inst.curves
         else:
-            m, basis, curves = random_map(rng, max_vertices=6), None, ()
+            m, basis, curves = random_map(rng, max_vertices=6, extra_edges=10), None, ()
         z_ref = partition_bruteforce(m)
         routes = {"pin": lambda b: partition_general_pin(m, basis=basis, backend=b)}
         if classify(m).orientable:

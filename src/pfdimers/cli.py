@@ -22,9 +22,9 @@ from .generators import lattice
 from .homology import cycle_basis
 from .kasteleyn import construct_kasteleyn, curvature_report
 from .oracle import count_matchings, find_matching, homology_buckets, partition_bruteforce
-from .partition import _class_bits, _eps_label, partition
-from .spin_quadratic import arf, basis_enhancement, brown, normalize_qB
-from .surface_graph import classify
+from .partition import _eps_label, partition
+from .spin_quadratic import arf, basis_enhancement, brown, normalize_qB, shifted_browns
+from .surface_graph import classify, trace_faces
 
 
 def _load(args):
@@ -61,9 +61,10 @@ def cmd_gen(args) -> int:
 def cmd_orient(args) -> int:
     inst = _load(args)
     m = inst.map
-    K = construct_kasteleyn(m)
-    report = curvature_report(m, K)
-    name = classify(m).name
+    faces = trace_faces(m)
+    K = construct_kasteleyn(m, faces=faces)
+    report = curvature_report(m, K, faces=faces)
+    name = classify(m, faces).name
     pairs = [("vertices", m.vertex_count), ("edges", m.edge_count),
              ("surface", name.replace(" ", "_"))]
     plain = [f"admissible orientation on {name}"]
@@ -80,26 +81,29 @@ def cmd_orient(args) -> int:
 def cmd_invariants(args) -> int:
     inst = _load(args)
     m = inst.map
-    basis = inst.basis if inst.basis is not None else cycle_basis(m)
+    faces = trace_faces(m)
+    basis = inst.basis if inst.basis is not None else cycle_basis(m, faces)
     D0 = find_matching(m)
     if D0 is None:
         print("no perfect matching; invariants undefined", file=sys.stderr)
         return 2
-    K = construct_kasteleyn(m)
-    surface = classify(m)
+    K = construct_kasteleyn(m, faces=faces)
+    surface = classify(m, faces)
     pairs = [("b1", basis.rank), ("surface", surface.name.replace(" ", "_"))]
     plain = [f"surface: {surface.name}, b1 = {basis.rank}"]
     qB = normalize_qB(m, basis_enhancement(m, K, D0, basis), D0, basis)
-    for idx in range(1 << basis.rank):
-        q = qB.shifted(_class_bits(idx, basis.rank))
+    browns = shifted_browns(qB, brown(qB))
+    if surface.orientable:
+        arf(qB)  # its NotOrientableForm checks hold for all classes; arf = brown / 4
+    for idx, b in enumerate(browns):
         label = _eps_label(idx, basis.rank)
+        q = qB.shifted([(idx >> j) & 1 for j in range(basis.rank)])
         vals = ",".join(str(v) for v in q.basis_values)
-        b = brown(q)
         pairs.append((f"q.{label}", vals))
         pairs.append((f"brown.{label}", b))
         plain.append(f"class {label}: q = ({vals}), brown = {b}")
         if surface.orientable:
-            a = arf(q)
+            a = b // 4
             pairs.append((f"arf.{label}", a))
             plain.append(f"class {label}: arf = {a}")
     _emit(args, pairs, plain)

@@ -202,14 +202,11 @@ def enumerate_classes(m: CombinatorialMap, K: Orientation,
     """One representative per orientation class: flip K by every subset sum
     of the given cocycles.  Subset ``I`` sits at index ``sum(2**i, i in I)``.
     """
-    out = []
-    for idx in range(1 << len(dual_cochains)):
-        mask = 0
-        for i, phi in enumerate(dual_cochains):
-            if (idx >> i) & 1:
-                mask ^= phi
-        out.append(K.flipped(mask))
-    return out
+    masks = [0]
+    for idx in range(1, 1 << len(dual_cochains)):
+        low = idx & -idx  # the mask of idx is that of idx - low, plus one cocycle
+        masks.append(masks[idx ^ low] ^ dual_cochains[low.bit_length() - 1])
+    return [K.flipped(mask) for mask in masks]
 
 
 def equivalent(m: CombinatorialMap, K1: Orientation, K2: Orientation) -> bool:

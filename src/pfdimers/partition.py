@@ -6,10 +6,11 @@ classes that flip K by subset sums of a list of cocycles, weight them, sum
 and normalise.  The pin route weights class xi by exp(i*pi*beta/4) * eps_xi
 with beta the Brown invariant of its enhancement and divides by 2^(b1/2);
 the spin route is the same sum on an untwisted orientable map at omega = 0
-with beta = 4 * Arf.  The practical routes weight by signs of the
-intersection form, times 1 - i (odd Euler characteristic) or -i (unprimed
-classes, even Euler characteristic) on non-orientable surfaces, and take the
-real part.
+with beta = 4 * Arf.  Both take one O(b1^3) split per route plus the shift
+law (``shifted_browns``) for the betas.  The practical routes weight by signs
+of the intersection form, times 1 - i (odd Euler characteristic) or -i
+(unprimed classes, even Euler characteristic) on non-orientable surfaces,
+and take the real part.
 
 Every weight is a Gaussian rational.  The Brown invariant of a nondegenerate
 Z4-valued form has the parity of its rank (Brown 1972; Kirby and Taylor
@@ -58,6 +59,7 @@ from .spin_quadratic import (
     matching_sign,
     n_mismatch,
     normalize_qB,
+    shifted_browns,
 )
 from .surface_graph import (
     CombinatorialMap,
@@ -89,12 +91,6 @@ class PartitionResult:
 
 def _eps_label(idx: int, width: int) -> str:
     return "".join(str((idx >> i) & 1) for i in range(width)) or "0"
-
-
-def _class_bits(idx: int, width: int) -> List[int]:
-    """Class ``idx`` flips K by the dual cocycles phi_i, i in idx; as
-    phi_i(C_j) = delta_ij, its enhancement is the base one shifted by these."""
-    return [(idx >> j) & 1 for j in range(width)]
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +306,11 @@ def _enhanced_sum(m: CombinatorialMap, method: str, omega: int,
     eps0 = matching_sign(m, K, D0)
     odd = sum(((phi & D0).bit_count() & 1) << i
               for i, phi in enumerate(basis.dual_cochains))
+    # Class idx flips K by the dual cocycles phi_i, i in idx; as
+    # phi_i(C_j) = delta_ij, its enhancement is q0 shifted by the bits of idx.
+    betas = shifted_browns(q0, invariant(q0))
     buckets = {}  # beta -> signed Pfaffian sum, for the betas that occur
-    for idx, pf in enumerate(pfs):
-        beta = invariant(q0.shifted(_class_bits(idx, b1)))
+    for idx, (beta, pf) in enumerate(zip(betas, pfs)):
         eps = eps0 * (-1) ** (idx & odd).bit_count()
         signed = pf if eps > 0 else -pf
         buckets[beta] = buckets[beta] + signed if beta in buckets else signed

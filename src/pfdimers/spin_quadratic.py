@@ -17,20 +17,22 @@ by a regression test.
 
 Enhancements are stored through their values on a homology basis together
 with the mod-2 intersection matrix; values on arbitrary classes follow from
-the enhancement law q(x+y) = q(x) + q(y) + 2*(x.y).  The Brown invariant is
-additive over orthogonal sums, so ``brown`` and ``arf`` split the form into
-rank-1 and hyperbolic summands in O(b1^3) steps instead of summing over the
-2^b1 classes; ``gauss_sum`` is kept as the reference they are tested against.
+the enhancement law q(x+y) = q(x) + q(y) + 2*(x.y).  ``brown`` and ``arf``
+split the form into orthogonal rank-1 and hyperbolic summands in O(b1^3)
+steps; the 2^b1 classes q + 2*xi then take one split per route plus the shift
+law beta(q + 2*xi) = beta(q) - 2*q(xi*), O(1) per class (``shifted_browns``).
+``gauss_sum`` is kept as the reference they are tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import DegenerateForm, NotAMatching, NotOrientableForm
 from .exactnum import GaussianRational, i_power
 from .homology import (
+    Gf2Span,
     HomologyBasis,
     Walk,
     _strict_interval,
@@ -196,18 +198,21 @@ def gauss_sum(q: QuadraticEnhancement) -> GaussianRational:
     return total
 
 
+def _form_rows(q: QuadraticEnhancement) -> List[int]:
+    """G' in bitmask rows: the gram with the diagonal x.x = q(x) (mod 2)."""
+    return [sum(1 << j for j, g in enumerate(row) if g and j != i) | (v & 1) << i
+            for i, (v, row) in enumerate(zip(q.basis_values, q.gram))]
+
+
 def _split_brown(q: QuadraticEnhancement, degenerate: type) -> int:
     """Brown invariant by orthogonal splitting; raises ``degenerate`` when
     the form has a radical.
 
-    A class is a bitmask over the basis and carries its image under the
-    form, so x.y is the parity of ``x.vec & y.img``; the diagonal is read
-    from the values, x.x = q(x) (mod 2), as in ``evaluate``.
+    A class is a bitmask over the basis and carries its image under G'
+    (``_form_rows``), so x.y is the parity of ``x.vec & y.img``.
     """
-    left = []  # (class, image under the form, q value)
-    for i, (v, row) in enumerate(zip(q.basis_values, q.gram)):
-        img = sum(1 << j for j, g in enumerate(row) if g and j != i) | (v & 1) << i
-        left.append((1 << i, img, v % 4))
+    left = [(1 << i, img, v % 4)  # (class, image under the form, q value)
+            for i, (img, v) in enumerate(zip(_form_rows(q), q.basis_values))]
 
     def dot(x, y) -> int:
         return (x[0] & y[1]).bit_count() & 1
@@ -238,6 +243,29 @@ def _split_brown(q: QuadraticEnhancement, degenerate: type) -> int:
 def brown(q: QuadraticEnhancement) -> int:
     """Brown invariant beta with gauss_sum = 2**(b1/2) * exp(i*pi/4)**beta."""
     return _split_brown(q, DegenerateForm)
+
+
+def shifted_browns(q: QuadraticEnhancement, beta: int) -> List[int]:
+    """Brown invariants of q + 2*xi for all 2^r characters xi, indexed by the
+    bits xi(C_i), from beta = beta(q) (``brown(q)``, or ``4 * arf(q)`` if even).
+
+    beta(q + 2*xi) = beta - 2*q(xi*) (mod 8) (Brown 1972; Kirby and Taylor
+    1990) with xi* = sum of g_i = G'^-1 e_i over i in xi; q(xi*) is q*(xi) for
+    the form q* with values q(g_i) and gram G'^-1, filled in by lowest bit i:
+    q*(xi) = q*(xi - e_i) + q*(e_i) + 2 * g_i.(xi - e_i)."""
+    r = q.rank
+    span = Gf2Span()
+    for i, row in enumerate(_form_rows(q)):
+        if not span.add(row, 1 << i):
+            raise DegenerateForm(f"intersection form of rank {r} is degenerate")
+    inverse = [span.solve(k) for k in range(r)]  # g_k; G'^-1 is symmetric
+    duals = [q.evaluate([(g >> j) & 1 for j in range(r)]) for g in inverse]
+    betas = [beta % 8]
+    for idx in range(1, 1 << r):
+        i = (idx & -idx).bit_length() - 1
+        rest = idx ^ (1 << i)
+        betas.append((betas[rest] - 2 * duals[i] - 4 * (inverse[i] & rest).bit_count()) % 8)
+    return betas
 
 
 def arf(q: QuadraticEnhancement) -> int:

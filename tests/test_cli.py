@@ -140,3 +140,26 @@ def test_cli_no_matching_prints_zero(tmp_path, capsys):
         "rotation 0 0.0 1.0 2.0\nrotation 1 0.1\nrotation 2 1.1\nrotation 3 2.1\n")
     assert main(["partition", str(path)]) == 0
     assert capsys.readouterr().out.strip() == "0"
+
+
+def test_orient_and_invariants_trace_faces_once(tmp_path, monkeypatch, capsys):
+    # loading traces the faces once, and each command once more for its
+    # orientation, curvature, basis and surface
+    from pfdimers.surface_graph import trace_faces
+
+    path = tmp_path / "torus.pfd"
+    with open(path, "w") as fh:
+        graphfile.dump(lattice(4, 4, "torus"), fh)
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return trace_faces(m)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("pfdimers") and getattr(module, "trace_faces", None) is trace_faces:
+            monkeypatch.setattr(module, "trace_faces", counting)
+    for command in ("orient", "invariants"):
+        calls.clear()
+        assert main([command, str(path)]) == 0
+        assert len(calls) == 2, command

@@ -17,6 +17,7 @@ from pfdimers import (
     classify,
     construct_kasteleyn,
     enumerate_matchings,
+    find_matching,
     lattice,
     n_mismatch,
     normalize_orientation,
@@ -60,6 +61,30 @@ def test_spin_is_pin_on_untwisted_orientable_maps():
     for m in maps:
         spin = partition_orientable_spin(m)
         pin = partition_general_pin(m)
+        assert (spin.value, spin.terms) == (pin.value, pin.terms)
+
+
+def _random_map_of_b1(rng, vertices, b1, twisted):
+    """A random map with the given (even) vertex count, first Betti number
+    and a perfect matching, non-orientable if twisted."""
+    while True:
+        m = random_map(rng, max_vertices=vertices, extra_edges=10, twisted=twisted)
+        surface = classify(m)
+        if (m.vertex_count == vertices and surface.b1 == b1
+                and surface.orientable != twisted and find_matching(m) is not None):
+            return m
+
+
+@pytest.mark.parametrize("vertices, b1, twisted", [
+    (4, 8, False), (6, 8, False), (4, 7, True), (6, 7, True), (4, 8, True), (6, 8, True)])
+def test_pin_and_spin_at_b1_7_and_8(vertices, b1, twisted):
+    # 128 and 256 classes, whose invariants all come from the shift law
+    m = _random_map_of_b1(random.Random(vertices + b1), vertices, b1, twisted)
+    pin = partition_general_pin(m)
+    assert pin.value == partition_bruteforce(m)
+    assert len(pin.terms) == 1 << b1
+    if not twisted:
+        spin = partition_orientable_spin(m)
         assert (spin.value, spin.terms) == (pin.value, pin.terms)
 
 

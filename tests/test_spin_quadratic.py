@@ -34,7 +34,7 @@ from pfdimers.exactnum import GaussianRational
 from pfdimers.generators import random_map
 from pfdimers.homology import dot, reverse_walk, vertex_coboundary
 from pfdimers.kasteleyn import Orientation, omega_change
-from pfdimers.spin_quadratic import ell_omega, gauss_sum
+from pfdimers.spin_quadratic import ell_omega, gauss_sum, shifted_browns
 
 
 def _single_edge():
@@ -392,21 +392,29 @@ def _gauss_brown(q):
 
 
 def _check_against_gauss_sum(q):
+    # the shift-law table of every class q + 2*xi, against per-class brown
+    # and arf, and raising as they do
+    shifts = [q.shifted([(idx >> j) & 1 for j in range(q.rank)])
+              for idx in range(1 << q.rank)]
     beta = _gauss_brown(q)
     if beta is None:
         with pytest.raises(DegenerateForm):
             brown(q)
+        with pytest.raises(DegenerateForm):
+            shifted_browns(q, 0)
     else:
         # the fact behind the partition routes' Gaussian-rational weights
         assert beta % 2 == q.rank % 2
         assert brown(q) == beta
+        assert shifted_browns(q, brown(q)) == [brown(s) for s in shifts]
     even = not any(v % 2 for v in q.basis_values) and \
         not any(q.gram[i][i] for i in range(q.rank))
     if even and beta is not None:
         assert arf(q) == {0: 0, 4: 1}[beta]
+        assert shifted_browns(q, 4 * arf(q)) == [4 * arf(s) for s in shifts]
     else:
         with pytest.raises(NotOrientableForm):
-            arf(q)
+            shifted_browns(q, 4 * arf(q))
 
 
 def _symmetric(rank, bits):
