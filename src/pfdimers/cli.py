@@ -24,7 +24,7 @@ from .kasteleyn import construct_kasteleyn, curvature_report
 from .oracle import count_matchings, find_matching, homology_buckets, partition_bruteforce
 from .partition import _eps_label, partition
 from .spin_quadratic import arf, basis_enhancement, brown, normalize_qB, shifted_browns
-from .surface_graph import classify, trace_faces
+from .surface_graph import classify, is_orientable, trace_faces
 
 
 def _load(args):
@@ -143,10 +143,9 @@ def cmd_oracle(args) -> int:
 def cmd_verify(args) -> int:
     inst = _load(args)
     m = inst.map
-    surface = classify(m)
     results = {}
     results["pin"] = partition(m, "pin", basis=inst.basis, backend=args.backend)
-    if surface.orientable:
+    if is_orientable(m):
         results["practical"] = partition(m, "practical", curves=inst.curves or None,
                                          basis=inst.basis, backend=args.backend)
         results["spin"] = partition(m, "spin", basis=inst.basis, backend=args.backend)

@@ -13,8 +13,9 @@ Grammar (one directive per line; ``#`` starts a comment; blank lines ok)::
 Half-edges are written ``<edge-id>.<0|1>``; half 0 anchors at the edge's
 first endpoint.  Edge ids must be dense 0..E-1.  Weights are integers,
 fractions like ``3/2`` or decimals.  Companion walks are arc sequences (each
-arc leaves the anchor of the written half).  Unknown directives are
-rejected.
+arc leaves the anchor of the written half).  Unknown directives, crossings
+outside the edge ids and curve data for an index without a ``curve`` line
+are rejected.
 """
 
 from __future__ import annotations
@@ -115,10 +116,16 @@ def load(stream: TextIO) -> LatticeInstance:
     graph = build_map(nv, rotations, endpoints, twists, weights)
     faces = trace_faces(graph)
 
+    orphans = sorted({*curve_cross, *curve_edge, *curve_companion} - curve_kind.keys())
+    if orphans:
+        raise MalformedFile(f"curve data for index {orphans[0]} has no 'curve' line")
     curves = []
     for idx in sorted(curve_kind):
         kind = curve_kind[idx]
-        cross = chain_from_edges(curve_cross.get(idx, []))
+        crossed = curve_cross.get(idx, [])
+        if not all(0 <= e < ne for e in crossed):
+            raise MalformedFile(f"cross {idx} names an edge id outside 0..{ne - 1}")
+        cross = chain_from_edges(crossed)
         comp = None
         if idx in curve_companion:
             comp = tuple(_parse_half(t, ne) for t in curve_companion[idx])

@@ -1,21 +1,29 @@
-"""Partition-function assembly: the four Pfaffian routes.
+"""Partition-function assembly: four formulas on two skeletons.
 
-All four routes share one skeleton: prepare the map once (faces, homology
-basis, an admissible orientation K), take the Pfaffians of the orientation
-classes that flip K by subset sums of a list of cocycles, weight them, sum
-and normalise.  The pin route weights class xi by exp(i*pi*beta/4) * eps_xi
-with beta the Brown invariant of its enhancement and divides by 2^(b1/2);
-the spin route is the same sum on an untwisted orientable map at omega = 0
-with beta = 4 * Arf.  Both take one O(b1^3) split per route plus the shift
-law (``shifted_browns``) for the betas.  The practical routes weight by signs
-of the intersection form, times 1 - i (odd Euler characteristic) or -i
-(unprimed classes, even Euler characteristic) on non-orientable surfaces,
-and take the real part.
+Both skeletons prepare the map once (faces, homology basis, an admissible
+orientation K), take the Pfaffians of the orientation classes that flip K by
+subset sums of a list of cocycles, weight them, sum and normalise.
+
+``_enhanced_sum`` carries the pin and spin formulas.  The pin route weights
+class xi by exp(i*pi*beta/4) * eps_xi with beta the Brown invariant of its
+enhancement and divides by 2^(b1/2); the spin route is the same sum on an
+untwisted orientable map at omega = 0 with beta = 4 * Arf.  Both take one
+O(b1^3) split per route plus the shift law (``shifted_browns``) for the
+betas.
+
+``_practical`` carries the two practical formulas (Cimasoni and Reshetikhin
+2007 on orientable surfaces; Tesler 2000 and this paper on non-orientable
+ones): Z = |Re sum_xi w_xi * Pf(A^{K_xi})| / 2^g over the 2^(2g) classes
+flipped along the alpha curves.  Class xi weighs the sign (-1)^(number of
+its intersecting basis pairs) times an unprimed weight: 1 on orientable
+surfaces, 1 - i with odd Euler characteristic, -i with even Euler
+characteristic.  With even Euler characteristic the primed classes, also
+flipped along the first beta curve, weigh the sign alone.
 
 Every weight is a Gaussian rational.  The Brown invariant of a nondegenerate
 Z4-valued form has the parity of its rank (Brown 1972; Kirby and Taylor
 1990), so with o = b1 mod 2, exp(i*pi*beta/4) / 2^(b1/2) equals
-i^((beta-o)/2) * (1+i)^o / 2^((b1+o)/2).  All four routes thus end in one
+i^((beta-o)/2) * (1+i)^o / 2^((b1+o)/2).  Both skeletons thus end in one
 weighted sum, ``_weighted_sum``: exact mode takes it in the Gaussian
 rationals and asserts that Z is a nonnegative rational; float mode converts
 the weights to complex floats.  Classes are always summed in a fixed order,
@@ -37,7 +45,7 @@ from .errors import (
     NotSimple,
     WrongSurfaceType,
 )
-from .exactnum import GR_ZERO, GaussianRational, i_power
+from .exactnum import GR_ONE, GR_ZERO, GaussianRational, i_power
 from .generators import TransverseCurve
 from .homology import (
     HomologyBasis,
@@ -46,6 +54,7 @@ from .homology import (
     check_simple_walk,
     cycle_basis,
     dot,
+    is_cocycle,
     walk_chain,
 )
 from .kasteleyn import Orientation, construct_kasteleyn
@@ -330,6 +339,65 @@ def _enhanced_sum(m: CombinatorialMap, method: str, omega: int,
     return PartitionResult(abs(re), method, exact, tuple(_labelled(pfs, b1)))
 
 
+def _practical(m: CombinatorialMap, curves: Optional[Sequence[TransverseCurve]],
+               basis: Optional[HomologyBasis], backend: str) -> PartitionResult:
+    """The practical formula of the module docstring.  An orientable map
+    without a curve per basis class flips K by the Poincare-dual cochains
+    instead, normalised by a reference matching."""
+    exact = backend == "exact"
+    if m.vertex_count % 2:
+        return _zero("practical", exact)
+    faces = trace_faces(m)
+    surface = classify(m, faces)
+    r = 2 * surface.genus
+    primed = int(surface.kind == "nonorientable_even_chi")
+    if not surface.orientable:
+        betas = [cv for cv in curves if cv.kind == "beta"]
+        if len(betas) != 1 + primed:
+            raise CurveNotRealizable("even Euler characteristic needs two beta curves"
+                                     if primed else
+                                     "odd Euler characteristic needs one beta curve")
+        if betas[0].cross ^ (betas[-1].cross if primed else 0) != m.twist_bits():
+            raise CurveNotRealizable(
+                "beta crossings must reproduce the twist cochain exactly")
+        curves = [cv for cv in curves if cv.kind == "alpha"] + betas
+    for cv in curves or ():
+        if cv.cross >> m.edge_count or not is_cocycle(m, cv.cross, faces):
+            raise CurveNotRealizable("curve crossings are not a cocycle of the map")
+    companions = None if curves is None else [companion_cycle(m, cv, faces) for cv in curves]
+    if basis is None:
+        basis = (cycle_basis(m, faces) if companions is None
+                 else basis_from_cycles(m, companions, faces))
+    assert basis.rank == surface.b1
+    K = construct_kasteleyn(m, faces=faces)
+    if companions is not None and len(companions) == basis.rank:
+        flips = [cv.cross for cv in curves[:r + primed]]
+        K = normalize_orientation(m, K, basis, companions)
+    else:
+        assert surface.orientable
+        D0 = find_matching(m)
+        if D0 is None:
+            return _zero("practical", exact)
+        flips = list(basis.pd_cochains)
+        K = _normalize_by_reference(m, K, basis, D0)
+
+    pfs = _class_pfaffians(m, K, flips, backend)
+    if exact and surface.orientable and any(pf.im for pf in pfs):
+        raise NonRealResult("orientable Pfaffian has an imaginary part")
+    # Class idx + 2^r is the primed class of idx.
+    n = 1 << r
+    signs = [_pair_sign(idx, basis.gram) for idx in range(n)]
+    unprimed = (GR_ONE if surface.orientable else i_power(-1) if primed
+                else GaussianRational.of(1, -1))
+    re, _ = _weighted_sum([(s * unprimed, pf) for s, pf in zip(signs, pfs)] +
+                          list(zip(signs, pfs[n:])), 2 ** surface.genus, exact)
+    terms = _labelled(pfs[:n], r)
+    if primed:
+        primes = [(label + "'", pf) for label, pf in _labelled(pfs[n:], r)]
+        terms = [t for pair in zip(primes, terms) for t in pair]
+    return PartitionResult(abs(re), "practical", exact, tuple(terms))
+
+
 # ---------------------------------------------------------------------------
 # The four formulas
 # ---------------------------------------------------------------------------
@@ -341,39 +409,9 @@ def partition_orientable_practical(m: CombinatorialMap, *,
     """Single |sum of signed Pfaffians| over the 2^(2g) seed flips."""
     if not is_orientable(m):
         raise WrongSurfaceType("map is not orientable")
-    exact = backend == "exact"
-    if m.vertex_count % 2:
-        return _zero("practical", exact)
     if m.twist_bits():
         m, curves, basis = untwist(m), None, None
-    faces = trace_faces(m)
-    surface = classify(m, faces)
-    companions = None
-    if curves is not None and basis is None:
-        companions = [companion_cycle(m, cv, faces) for cv in curves]
-        basis = basis_from_cycles(m, companions, faces)
-    if basis is None:
-        basis = cycle_basis(m, faces)
-    assert basis.rank == 2 * surface.genus
-    K = construct_kasteleyn(m, faces=faces)
-    if curves is not None and len(curves) == basis.rank:
-        if companions is None:
-            companions = [companion_cycle(m, cv, faces) for cv in curves]
-        flips = [cv.cross for cv in curves]
-        K = normalize_orientation(m, K, basis, companions)
-    else:
-        D0 = find_matching(m)
-        if D0 is None:
-            return _zero("practical", exact)
-        flips = list(basis.pd_cochains)
-        K = _normalize_by_reference(m, K, basis, D0)
-
-    pfs = _class_pfaffians(m, K, flips, backend)
-    if exact and any(pf.im for pf in pfs):
-        raise NonRealResult("orientable Pfaffian has an imaginary part")
-    re, _ = _weighted_sum([(_pair_sign(idx, basis.gram), pf) for idx, pf in enumerate(pfs)],
-                          2 ** surface.genus, exact)
-    return PartitionResult(abs(re), "practical", exact, tuple(_labelled(pfs, basis.rank)))
+    return _practical(m, curves, basis, backend)
 
 
 def partition_orientable_spin(m: CombinatorialMap, *,
@@ -413,53 +451,9 @@ def partition_nonorientable_practical(m: CombinatorialMap,
                                       basis: Optional[HomologyBasis] = None,
                                       backend: str = "exact") -> PartitionResult:
     """Real/imaginary-part combination over the 2^(2g) seed flips."""
-    faces = trace_faces(m)
-    surface = classify(m, faces)
-    if surface.orientable:
+    if is_orientable(m):
         raise WrongSurfaceType("map is orientable; use the orientable routes")
-    exact = backend == "exact"
-    if m.vertex_count % 2:
-        return _zero("practical", exact)
-    alphas = [c for c in curves if c.kind == "alpha"]
-    betas = [c for c in curves if c.kind == "beta"]
-    odd_chi = surface.kind == "nonorientable_odd_chi"
-    if odd_chi and len(betas) != 1:
-        raise CurveNotRealizable("odd Euler characteristic needs one beta curve")
-    if not odd_chi and len(betas) != 2:
-        raise CurveNotRealizable("even Euler characteristic needs two beta curves")
-    cross_sum = 0
-    for c in betas:
-        cross_sum ^= c.cross
-    if cross_sum != m.twist_bits():
-        raise CurveNotRealizable(
-            "beta crossings must reproduce the twist cochain exactly")
-    ordered = alphas + betas
-    companions = None
-    if basis is None:
-        companions = [companion_cycle(m, cv, faces) for cv in ordered]
-        basis = basis_from_cycles(m, companions, faces)
-    r = len(alphas)
-    assert r == 2 * surface.genus
-    if companions is None:
-        companions = [companion_cycle(m, cv, faces) for cv in ordered]
-    K = construct_kasteleyn(m, faces=faces)
-    K = normalize_orientation(m, K, basis, companions)
-
-    # With even chi, class idx + 2^r is the primed class of idx: also flipped
-    # along the first beta curve.
-    flips = [cv.cross for cv in alphas] + ([] if odd_chi else [betas[0].cross])
-    pfs = _class_pfaffians(m, K, flips, backend)
-    # Re((1-i) * pf) = Re pf + Im pf and Re(-i * pf) = Im pf.
-    n = 1 << r
-    signs = [_pair_sign(idx, basis.gram) for idx in range(n)]
-    unprimed = GaussianRational.of(1, -1) if odd_chi else i_power(-1)
-    re, _ = _weighted_sum([(s * unprimed, pf) for s, pf in zip(signs, pfs)] +
-                          list(zip(signs, pfs[n:])), 2 ** surface.genus, exact)
-    terms = _labelled(pfs[:n], r)
-    if not odd_chi:
-        primed = [(label + "'", pf) for label, pf in _labelled(pfs[n:], r)]
-        terms = [t for pair in zip(primed, terms) for t in pair]
-    return PartitionResult(abs(re), "practical", exact, tuple(terms))
+    return _practical(m, curves, basis, backend)
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +465,8 @@ def partition(m: CombinatorialMap, method: str = "auto", *,
               basis: Optional[HomologyBasis] = None,
               backend: str = "exact") -> PartitionResult:
     """Compute Z by the requested route; ``auto`` prefers the practical
-    formulas and falls back to the pin route when curve data is missing."""
+    formulas and falls back to the pin route when curve data is missing or
+    not realizable."""
     if method == "oracle":
         from .oracle import partition_bruteforce
 
@@ -489,23 +484,18 @@ def partition(m: CombinatorialMap, method: str = "auto", *,
         return partition_orientable_spin(m, basis=basis, backend=backend)
     if method == "pin":
         return partition_general_pin(m, basis=basis, backend=backend)
-    if method == "practical":
-        if is_orientable(m):
-            return partition_orientable_practical(m, curves=curves, basis=basis,
-                                                  backend=backend)
-        if curves is None:
-            raise CurveNotRealizable("practical route needs curve data")
-        return partition_nonorientable_practical(m, curves, basis=basis,
-                                                 backend=backend)
-    if method == "auto":
+    if method in ("practical", "auto"):
         try:
             if is_orientable(m):
-                return partition_orientable_practical(
-                    m, curves=curves, basis=basis, backend=backend)
-            if curves:
-                return partition_nonorientable_practical(
-                    m, curves, basis=basis, backend=backend)
+                return partition_orientable_practical(m, curves=curves, basis=basis,
+                                                      backend=backend)
+            if curves is None:
+                raise CurveNotRealizable("practical route needs curve data")
+            if curves or method == "practical":  # auto reads [] as no curve data
+                return partition_nonorientable_practical(m, curves, basis=basis,
+                                                         backend=backend)
         except CurveNotRealizable:
-            pass
+            if method == "practical":
+                raise
         return partition_general_pin(m, basis=basis, backend=backend)
     raise ValueError(f"unknown method {method!r}")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import re
 import subprocess
 import sys
 
@@ -127,6 +128,27 @@ def test_cli_malformed_exit_code(tmp_path):
     assert main(["partition", str(path)]) == 1
 
 
+@pytest.mark.parametrize("pattern, repl", [
+    (r"^cross 0 .*$", "cross 0 -1"),
+    (r"^cross 0 .*$", "cross 0 999"),
+    (r"^cross 1 ", "cross 7 "),
+    (r"\Z", "crossing_edge 7 0\n"),
+    (r"^companion 1 ", "companion 7 "),
+], ids=["negative-cross", "cross-out-of-range", "orphan-cross",
+        "orphan-crossing-edge", "orphan-companion"])
+def test_cli_bad_curve_lines_are_parse_errors(tmp_path, capsys, pattern, repl):
+    # curve data naming a missing edge or a curve index without a 'curve'
+    # line is rejected at load, not dropped or left to the routes
+    buf = io.StringIO()
+    graphfile.dump(lattice(4, 4, "torus"), buf)
+    text, count = re.subn(pattern, repl, buf.getvalue(), count=1, flags=re.M)
+    assert count == 1
+    path = tmp_path / "bad.graph"
+    path.write_text(text)
+    assert main(["partition", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("parse error")
+
+
 def test_cli_gen_usage_error():
     assert main(["gen", "--surface", "torus", "--size", "bogus"]) == 1
 
@@ -144,7 +166,8 @@ def test_cli_no_matching_prints_zero(tmp_path, capsys):
 
 def test_orient_and_invariants_trace_faces_once(tmp_path, monkeypatch, capsys):
     # loading traces the faces once, and each command once more for its
-    # orientation, curvature, basis and surface
+    # orientation, curvature, basis and surface; verify once per route
+    # (pin, practical, spin) and not for its orientability check
     from pfdimers.surface_graph import trace_faces
 
     path = tmp_path / "torus.pfd"
@@ -159,7 +182,7 @@ def test_orient_and_invariants_trace_faces_once(tmp_path, monkeypatch, capsys):
     for name, module in list(sys.modules.items()):
         if name.startswith("pfdimers") and getattr(module, "trace_faces", None) is trace_faces:
             monkeypatch.setattr(module, "trace_faces", counting)
-    for command in ("orient", "invariants"):
+    for command, tracings in (("orient", 2), ("invariants", 2), ("verify", 4)):
         calls.clear()
         assert main([command, str(path)]) == 0
-        assert len(calls) == 2, command
+        assert len(calls) == tracings, command

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -29,10 +30,10 @@ from pfdimers import (
     partition_orientable_spin,
 )
 from pfdimers.generators import random_lattice, random_map
-from pfdimers.homology import vertex_coboundary
+from pfdimers.homology import chain_from_edges, vertex_coboundary
 from pfdimers.kasteleyn import is_kasteleyn
 from pfdimers.partition import companion_cycle
-from pfdimers.surface_graph import relabel
+from pfdimers.surface_graph import flip_charts, relabel
 
 
 def test_planar_5x6_single_pfaffian():
@@ -95,6 +96,61 @@ def test_klein_5x6_both_routes():
     # even chi: each class's primed Pfaffian is listed before its own
     assert r.terms == (("0'", "9922"), ("0", "1450+10150i"))
     assert partition_general_pin(inst.map, basis=inst.basis).value == 20072
+
+
+# Exact practical values and class Pfaffians, primed classes first.
+PRACTICAL_PINS = [
+    ("torus", 3, 4, 50, (("00", "50"), ("10", "0"), ("01", "50"), ("11", "0"))),
+    ("torus", 4, 4, 272, (("00", "256"), ("10", "144"), ("01", "144"), ("11", "0"))),
+    ("klein_hexagon", 3, 4, 54, (("0'", "54"), ("0", "50"))),
+    ("klein_hexagon", 4, 4, 196, (("0'", "196"), ("0", "192"))),
+    ("rp2", 3, 4, 98, (("0", "51+47i"),)),
+    ("rp2", 4, 4, 228, (("0", "228"),)),
+]
+
+
+@pytest.mark.parametrize("surface, rows, cols, value, terms", PRACTICAL_PINS)
+def test_practical_values_and_terms_pinned(surface, rows, cols, value, terms):
+    inst = lattice(rows, cols, surface)
+    r = partition(inst.map, "practical", curves=inst.curves, basis=inst.basis)
+    assert (r.value, r.method, r.terms) == (value, "practical", terms)
+
+
+def test_practical_reference_flips_pinned():
+    # maps without a curve per basis class flip K by the Poincare-dual
+    # cochains: the untwisted copy of a twisted torus, which drops its
+    # curves, and random orientable maps
+    torus = lattice(4, 4, "torus")
+    r = partition_orientable_practical(flip_charts(torus.map, [0, 5, 6]),
+                                       curves=torus.curves)
+    assert (r.value, r.terms) == PRACTICAL_PINS[1][3:]
+    pins = [(1, "-1 1 1 -1"),
+            (6, "6 -2 0 0 -2 2 0 4 -2 2 0 4 2 2 4 -4"),
+            (2, "2 0 0 -2 0 2 -2 0 0 -2 2 0 -2 0 0 2")]
+    rng = random.Random(5)
+    for value, pfs in pins:
+        m = random_map(rng, 8, 5, twisted=False)
+        while m.vertex_count % 2 or classify(m).genus == 0 or find_matching(m) is None:
+            m = random_map(rng, 8, 5, twisted=False)
+        r = partition(m, "practical")
+        assert (r.value, " ".join(pf for _, pf in r.terms)) == (value, pfs)
+        assert r.value == partition_bruteforce(m)
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_non_cocycle_crossings_rejected(backend):
+    # edges 15, 11, 7 miss edge 3 of the seam; the flip they give is no
+    # class flip and used to give 248.  Bits beyond the edges are no cocycle
+    # either.  auto falls back to pin.
+    inst = lattice(4, 4, "torus")
+    seam = inst.curves[0]
+    for cross in (chain_from_edges([15, 11, 7]), seam.cross | 1 << inst.map.edge_count):
+        curves = (replace(seam, cross=cross),) + inst.curves[1:]
+        with pytest.raises(CurveNotRealizable, match="cocycle"):
+            partition(inst.map, "practical", curves=curves, basis=inst.basis,
+                      backend=backend)
+        r = partition(inst.map, "auto", curves=curves, basis=inst.basis, backend=backend)
+        assert r.method == "pin" and float(r.value) == pytest.approx(272)
 
 
 def test_rp2_two_vertex(rp2_two_vertex):
