@@ -24,7 +24,7 @@ from .kasteleyn import construct_kasteleyn, curvature_report
 from .oracle import count_matchings, find_matching, homology_buckets, partition_bruteforce
 from .partition import _eps_label, partition
 from .spin_quadratic import arf, basis_enhancement, brown, normalize_qB, shifted_browns
-from .surface_graph import classify, is_orientable, trace_faces
+from .surface_graph import classify, is_orientable
 
 
 def _load(args):
@@ -61,10 +61,9 @@ def cmd_gen(args) -> int:
 def cmd_orient(args) -> int:
     inst = _load(args)
     m = inst.map
-    faces = trace_faces(m)
-    K = construct_kasteleyn(m, faces=faces)
-    report = curvature_report(m, K, faces=faces)
-    name = classify(m, faces).name
+    K = construct_kasteleyn(m)
+    report = curvature_report(m, K)
+    name = classify(m).name
     pairs = [("vertices", m.vertex_count), ("edges", m.edge_count),
              ("surface", name.replace(" ", "_"))]
     plain = [f"admissible orientation on {name}"]
@@ -81,14 +80,13 @@ def cmd_orient(args) -> int:
 def cmd_invariants(args) -> int:
     inst = _load(args)
     m = inst.map
-    faces = trace_faces(m)
-    basis = inst.basis if inst.basis is not None else cycle_basis(m, faces)
+    basis = inst.basis if inst.basis is not None else cycle_basis(m)
     D0 = find_matching(m)
     if D0 is None:
         print("no perfect matching; invariants undefined", file=sys.stderr)
         return 2
-    K = construct_kasteleyn(m, faces=faces)
-    surface = classify(m, faces)
+    K = construct_kasteleyn(m)
+    surface = classify(m)
     pairs = [("b1", basis.rank), ("surface", surface.name.replace(" ", "_"))]
     plain = [f"surface: {surface.name}, b1 = {basis.rank}"]
     qB = normalize_qB(m, basis_enhancement(m, K, D0, basis), D0, basis)
@@ -130,9 +128,10 @@ def cmd_oracle(args) -> int:
     n = count_matchings(inst.map, max_vertices=args.max_vertices)
     pairs = [("Z", z), ("matchings", n), ("method", "oracle")]
     plain = [f"Z = {z} ({n} matchings)"]
-    if args.buckets and inst.basis is not None and n:
+    if args.buckets and n:
+        basis = inst.basis if inst.basis is not None else cycle_basis(inst.map)
         D0 = find_matching(inst.map)
-        for coords, val in sorted(homology_buckets(inst.map, D0, inst.basis).items()):
+        for coords, val in sorted(homology_buckets(inst.map, D0, basis).items()):
             label = "".join(str(c) for c in coords) or "0"
             pairs.append((f"bucket.{label}", val))
             plain.append(f"bucket {label}: {val}")

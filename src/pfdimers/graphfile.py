@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, TextIO, Tuple
 from .errors import MalformedFile, NotAClosedWalk, NotSimple
 from .generators import LatticeInstance, TransverseCurve
 from .homology import basis_from_cycles, chain_from_edges, edges_of
-from .surface_graph import build_map, classify, trace_faces
+from .surface_graph import build_map, classify
 
 
 def _parse_weight(tok: str) -> object:
@@ -114,7 +114,6 @@ def load(stream: TextIO) -> LatticeInstance:
         toks = rotation_rows.get(v, [])
         rotations.append([_parse_half(t, ne) for t in toks])
     graph = build_map(nv, rotations, endpoints, twists, weights)
-    faces = trace_faces(graph)
 
     orphans = sorted({*curve_cross, *curve_edge, *curve_companion} - curve_kind.keys())
     if orphans:
@@ -136,10 +135,10 @@ def load(stream: TextIO) -> LatticeInstance:
     basis = None
     if curves and all(c.companion for c in curves):
         try:
-            basis = basis_from_cycles(graph, [c.companion for c in curves], faces)
+            basis = basis_from_cycles(graph, [c.companion for c in curves])
         except (NotAClosedWalk, NotSimple):
             basis = None
-    return LatticeInstance(graph, classify(graph, faces).name, tuple(curves), basis)
+    return LatticeInstance(graph, classify(graph).name, tuple(curves), basis)
 
 
 def dump(inst: LatticeInstance, stream: TextIO) -> None:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import NotAClosedWalk, NotSimple
-from .surface_graph import CombinatorialMap, FaceSet, spanning_tree, trace_faces
+from .surface_graph import CombinatorialMap, euler_characteristic, spanning_tree
 
 Walk = Tuple[int, ...]
 
@@ -168,9 +168,8 @@ def vertex_coboundary(m: CombinatorialMap, v: int) -> int:
     return bits
 
 
-def is_cocycle(m: CombinatorialMap, phi: int, faces: Optional[FaceSet] = None) -> bool:
-    faces = faces if faces is not None else trace_faces(m)
-    return all(dot(phi, f.odd_edge_mask()) == 0 for f in faces.faces)
+def is_cocycle(m: CombinatorialMap, phi: int) -> bool:
+    return all(dot(phi, f.odd_edge_mask()) == 0 for f in m.faces.faces)
 
 
 def coboundary_preimage(m: CombinatorialMap, phi: int) -> Optional[Tuple[int, ...]]:
@@ -314,20 +313,19 @@ def fundamental_cycle(m: CombinatorialMap, e: int, parent_arc: Sequence[int]) ->
     return tuple([2 * e] + up + down)
 
 
-def face_boundary_chains(m: CombinatorialMap, faces: FaceSet) -> List[int]:
-    return [f.odd_edge_mask() for f in faces.faces]
+def face_boundary_chains(m: CombinatorialMap) -> List[int]:
+    return [f.odd_edge_mask() for f in m.faces.faces]
 
 
-def cycle_basis(m: CombinatorialMap, faces: Optional[FaceSet] = None) -> HomologyBasis:
+def cycle_basis(m: CombinatorialMap) -> HomologyBasis:
     """A basis of the first mod-2 homology with simple representatives.
 
     Fundamental cycles of a spanning tree are vertex-simple by construction;
     the ones independent modulo face boundaries are selected greedily.
     """
-    faces = faces if faces is not None else trace_faces(m)
     tree, parent_arc = spanning_tree(m)
-    span = Gf2Span(face_boundary_chains(m, faces))
-    b1 = 2 - (m.vertex_count - m.edge_count + len(faces))
+    span = Gf2Span(face_boundary_chains(m))
+    b1 = 2 - euler_characteristic(m)
     tree_set = set(tree)
     cycles: List[Walk] = []
     chains: List[int] = []
@@ -345,18 +343,16 @@ def cycle_basis(m: CombinatorialMap, faces: Optional[FaceSet] = None) -> Homolog
     return _basis(m, cycles, chains, span)
 
 
-def basis_from_cycles(m: CombinatorialMap, cycles: Sequence[Walk],
-                      faces: Optional[FaceSet] = None) -> HomologyBasis:
+def basis_from_cycles(m: CombinatorialMap, cycles: Sequence[Walk]) -> HomologyBasis:
     """Basis with prescribed simple representatives (e.g. curve companions)."""
-    faces = faces if faces is not None else trace_faces(m)
     for w in cycles:
         check_simple_walk(m, w)
     chains = [walk_chain(w) for w in cycles]
-    span = Gf2Span(face_boundary_chains(m, faces))
+    span = Gf2Span(face_boundary_chains(m))
     for j, ch in enumerate(chains):
         if not span.add(ch, 1 << j):
             raise NotAClosedWalk("prescribed cycles are dependent modulo boundaries")
-    b1 = 2 - (m.vertex_count - m.edge_count + len(faces))
+    b1 = 2 - euler_characteristic(m)
     if len(cycles) != b1:
         raise NotAClosedWalk(f"need {b1} independent cycles, got {len(cycles)}")
     return _basis(m, cycles, chains, span)

@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import OddVertexCount, TooLarge
 from .homology import coboundary_preimage, is_coboundary, parity
-from .surface_graph import CombinatorialMap, FaceSet, trace_faces
+from .surface_graph import CombinatorialMap
 
 EXHAUSTIVE_EDGE_BOUND = 20
 
@@ -73,8 +73,7 @@ def _omega_flip_set(m: CombinatorialMap, omega: Optional[int]) -> Tuple[int, fro
     return omega, frozenset(s)
 
 
-def _face_parities(m: CombinatorialMap, omega: Optional[int],
-                   faces: FaceSet) -> List[Tuple[int, int]]:
+def _face_parities(m: CombinatorialMap, omega: Optional[int]) -> List[Tuple[int, int]]:
     """(fold, const) per face, with curvature parity(K.bits & fold) ^ const.
 
     fold xors the face's step edges; const collects the step parity of arcs
@@ -84,7 +83,7 @@ def _face_parities(m: CombinatorialMap, omega: Optional[int],
     """
     _, swap = _omega_flip_set(m, omega)
     table = []
-    for face in faces.faces:
+    for face in m.faces.faces:
         fold = 0
         const = 1
         labels = []
@@ -99,19 +98,15 @@ def _face_parities(m: CombinatorialMap, omega: Optional[int],
 
 
 def face_curvatures(m: CombinatorialMap, K: Orientation,
-                    omega: Optional[int] = None,
-                    faces: Optional[FaceSet] = None) -> List[int]:
+                    omega: Optional[int] = None) -> List[int]:
     """Curvature bit of every face."""
-    faces = faces if faces is not None else trace_faces(m)
-    return [parity(K.bits & fold) ^ const
-            for fold, const in _face_parities(m, omega, faces)]
+    return [parity(K.bits & fold) ^ const for fold, const in _face_parities(m, omega)]
 
 
 def curvature(m: CombinatorialMap, K: Orientation, face_index: int,
-              omega: Optional[int] = None,
-              faces: Optional[FaceSet] = None) -> int:
+              omega: Optional[int] = None) -> int:
     """Curvature bit of one face."""
-    return face_curvatures(m, K, omega, faces)[face_index]
+    return face_curvatures(m, K, omega)[face_index]
 
 
 @dataclass(frozen=True)
@@ -128,20 +123,17 @@ class CurvatureReport:
 
 
 def curvature_report(m: CombinatorialMap, K: Orientation,
-                     omega: Optional[int] = None,
-                     faces: Optional[FaceSet] = None) -> CurvatureReport:
-    return CurvatureReport(tuple(face_curvatures(m, K, omega, faces)), m.vertex_count)
+                     omega: Optional[int] = None) -> CurvatureReport:
+    return CurvatureReport(tuple(face_curvatures(m, K, omega)), m.vertex_count)
 
 
 def is_kasteleyn(m: CombinatorialMap, K: Orientation,
-                 omega: Optional[int] = None,
-                 faces: Optional[FaceSet] = None) -> bool:
-    return not any(face_curvatures(m, K, omega, faces))
+                 omega: Optional[int] = None) -> bool:
+    return not any(face_curvatures(m, K, omega))
 
 
 def construct_kasteleyn(m: CombinatorialMap,
-                        omega: Optional[int] = None,
-                        faces: Optional[FaceSet] = None) -> Orientation:
+                        omega: Optional[int] = None) -> Orientation:
     """Zero-curvature orientation by local repairs.
 
     Starts from the canonical orientation; curved faces come in pairs, and
@@ -150,14 +142,13 @@ def construct_kasteleyn(m: CombinatorialMap,
     """
     if m.vertex_count % 2:
         raise OddVertexCount("no admissible orientation on an odd vertex count")
-    faces = faces if faces is not None else trace_faces(m)
     K = canonical_orientation(m)
-    curv = face_curvatures(m, K, omega, faces)
+    curv = face_curvatures(m, K, omega)
     assert sum(curv) % 2 == 0
 
     # dual adjacency through edges with two distinct incident faces
-    dual_adj: List[List[Tuple[int, int]]] = [[] for _ in range(len(faces))]
-    for e, (f1, f2) in enumerate(faces.edge_face_incidence(m.edge_count)):
+    dual_adj: List[List[Tuple[int, int]]] = [[] for _ in range(len(m.faces))]
+    for e, (f1, f2) in enumerate(m.faces.edge_face_incidence(m.edge_count)):
         if f1 != f2:
             dual_adj[f1].append((f2, e))
             dual_adj[f2].append((f1, e))
@@ -193,7 +184,7 @@ def construct_kasteleyn(m: CombinatorialMap,
         curv[src] ^= 1
         curv[target] ^= 1
 
-    assert is_kasteleyn(m, K, omega, faces)
+    assert is_kasteleyn(m, K, omega)
     return K
 
 
@@ -220,7 +211,7 @@ def count_all_kasteleyn(m: CombinatorialMap,
     """Exhaustively count admissible orientations (small maps only)."""
     if m.edge_count > bound:
         raise TooLarge(f"{m.edge_count} edges exceeds exhaustive bound {bound}")
-    table = _face_parities(m, omega, trace_faces(m))
+    table = _face_parities(m, omega)
     return sum(not any(parity(bits & fold) ^ const for fold, const in table)
                for bits in range(1 << m.edge_count))
 

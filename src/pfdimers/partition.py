@@ -1,8 +1,9 @@
 """Partition-function assembly: four formulas on two skeletons.
 
-Both skeletons prepare the map once (faces, homology basis, an admissible
-orientation K), take the Pfaffians of the orientation classes that flip K by
-subset sums of a list of cocycles, weight them, sum and normalise.
+Both skeletons read the map's faces (``m.faces``, traced once per map), build a
+homology basis and an admissible orientation K once, take the Pfaffians of the
+orientation classes that flip K by subset sums of a list of cocycles, weight
+them, sum and normalise.
 
 ``_enhanced_sum`` carries the pin and spin formulas.  The pin route weights
 class xi by exp(i*pi*beta/4) * eps_xi with beta the Brown invariant of its
@@ -51,6 +52,7 @@ from .homology import (
     HomologyBasis,
     Walk,
     basis_from_cycles,
+    chain_from_edges,
     check_simple_walk,
     cycle_basis,
     dot,
@@ -72,10 +74,8 @@ from .spin_quadratic import (
 )
 from .surface_graph import (
     CombinatorialMap,
-    FaceSet,
     classify,
     is_orientable,
-    trace_faces,
     untwist,
 )
 
@@ -106,8 +106,7 @@ def _eps_label(idx: int, width: int) -> str:
 # Companion cycles and seed normalization
 # ---------------------------------------------------------------------------
 
-def companion_cycle(m: CombinatorialMap, curve: TransverseCurve,
-                    faces: Optional[FaceSet] = None) -> Walk:
+def companion_cycle(m: CombinatorialMap, curve: TransverseCurve) -> Walk:
     """A cycle running alongside the curve, with the curve to one side.
 
     An explicitly supplied companion is validated and returned.  Otherwise
@@ -129,7 +128,7 @@ def companion_cycle(m: CombinatorialMap, curve: TransverseCurve,
         return walk
     if curve.ordered_crossings is None:
         raise CurveNotRealizable("curve carries neither companion nor crossings")
-    return _build_companion(m, curve, faces or trace_faces(m))
+    return _build_companion(m, curve)
 
 
 def _segments(face_steps: Sequence[Tuple[int, int]], e_in: int, e_out: int):
@@ -151,8 +150,7 @@ def _segments(face_steps: Sequence[Tuple[int, int]], e_in: int, e_out: int):
     return fwd, bwd
 
 
-def _build_companion(m: CombinatorialMap, curve: TransverseCurve,
-                     faces: FaceSet) -> Walk:
+def _build_companion(m: CombinatorialMap, curve: TransverseCurve) -> Walk:
     crossings = list(curve.ordered_crossings)
     if curve.kind == "beta":
         e = curve.crossing_edge
@@ -163,7 +161,7 @@ def _build_companion(m: CombinatorialMap, curve: TransverseCurve,
     if len(crossings) < 2:
         raise CurveNotRealizable("need at least two crossings to follow the curve")
 
-    edge_to_faces = faces.edge_face_incidence(m.edge_count)
+    edge_to_faces = m.faces.edge_face_incidence(m.edge_count)
 
     def passage_face(e1: int, e2: int) -> int:
         common = set(edge_to_faces[e1]) & set(edge_to_faces[e2])
@@ -176,7 +174,7 @@ def _build_companion(m: CombinatorialMap, curve: TransverseCurve,
     options = []
     for e1, e2 in pairs:
         fi = passage_face(e1, e2)
-        fwd, bwd = _segments(faces.faces[fi].steps, e1, e2)
+        fwd, bwd = _segments(m.faces.faces[fi].steps, e1, e2)
         for seg in (fwd, bwd):
             for h in seg:
                 if (curve.cross >> (h // 2)) & 1:
@@ -303,11 +301,10 @@ def _enhanced_sum(m: CombinatorialMap, method: str, omega: int,
         D0 = find_matching(m)
     if D0 is None:
         return _zero(method, exact)
-    faces = trace_faces(m)
     if basis is None:
-        basis = cycle_basis(m, faces)
+        basis = cycle_basis(m)
     b1 = basis.rank
-    K = construct_kasteleyn(m, omega=omega, faces=faces)
+    K = construct_kasteleyn(m, omega=omega)
     q0 = basis_enhancement(m, K, D0, basis, omega)
     pfs = _class_pfaffians(m, K, basis.dual_cochains, backend, omega)
     # Flipping the orientation of one dimer swaps one pair of the matching
@@ -347,8 +344,7 @@ def _practical(m: CombinatorialMap, curves: Optional[Sequence[TransverseCurve]],
     exact = backend == "exact"
     if m.vertex_count % 2:
         return _zero("practical", exact)
-    faces = trace_faces(m)
-    surface = classify(m, faces)
+    surface = classify(m)
     r = 2 * surface.genus
     primed = int(surface.kind == "nonorientable_even_chi")
     if not surface.orientable:
@@ -362,14 +358,19 @@ def _practical(m: CombinatorialMap, curves: Optional[Sequence[TransverseCurve]],
                 "beta crossings must reproduce the twist cochain exactly")
         curves = [cv for cv in curves if cv.kind == "alpha"] + betas
     for cv in curves or ():
-        if cv.cross >> m.edge_count or not is_cocycle(m, cv.cross, faces):
+        if cv.cross >> m.edge_count or not is_cocycle(m, cv.cross):
             raise CurveNotRealizable("curve crossings are not a cocycle of the map")
-    companions = None if curves is None else [companion_cycle(m, cv, faces) for cv in curves]
+        # A cross shifted by a vertex coboundary stays in its class but
+        # negates that class's Pfaffian; the ordered crossings are the curve.
+        if cv.ordered_crossings is not None and \
+                chain_from_edges(cv.ordered_crossings) != cv.cross:
+            raise CurveNotRealizable("curve crossings differ from its ordered crossings")
+    companions = None if curves is None else [companion_cycle(m, cv) for cv in curves]
     if basis is None:
-        basis = (cycle_basis(m, faces) if companions is None
-                 else basis_from_cycles(m, companions, faces))
+        basis = (cycle_basis(m) if companions is None
+                 else basis_from_cycles(m, companions))
     assert basis.rank == surface.b1
-    K = construct_kasteleyn(m, faces=faces)
+    K = construct_kasteleyn(m)
     if companions is not None and len(companions) == basis.rank:
         flips = [cv.cross for cv in curves[:r + primed]]
         K = normalize_orientation(m, K, basis, companions)

@@ -21,12 +21,19 @@ predecessor of the arrival half-edge on sign 0 and along the successor on
 sign 1.  Each face of the embedding corresponds to exactly two state orbits
 (its two lifts, each traversed as its own oriented boundary); one canonical
 orbit per face is retained.
+
+Faces are traced once per map: ``m.faces`` runs ``trace_faces`` on first use
+and keeps the result, and every consumer (Euler characteristic, homology
+basis, Kasteleyn curvature, companion cycles) reads it there.  A map made
+from another one (``flip_charts``, ``untwist``, ``relabel``) is a new object
+with its own faces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -81,6 +88,13 @@ class CombinatorialMap:
 
     def rotation_prev(self, h: int) -> int:
         return self._prev[h]
+
+    @cached_property
+    def faces(self) -> FaceSet:
+        """The faces of the embedding, traced on first use and kept in the
+        instance ``__dict__``, outside the fields that ``==`` and ``hash``
+        compare."""
+        return trace_faces(self)
 
 
 @dataclass(frozen=True)
@@ -267,9 +281,8 @@ def trace_faces(m: CombinatorialMap) -> FaceSet:
     return FaceSet(faces=tuple(faces))
 
 
-def euler_characteristic(m: CombinatorialMap, faces: Optional[FaceSet] = None) -> int:
-    faces = faces if faces is not None else trace_faces(m)
-    return m.vertex_count - m.edge_count + len(faces)
+def euler_characteristic(m: CombinatorialMap) -> int:
+    return m.vertex_count - m.edge_count + len(m.faces)
 
 
 def _bfs(m: CombinatorialMap) -> Tuple[list, list]:
@@ -315,8 +328,8 @@ def is_orientable(m: CombinatorialMap) -> bool:
     return True
 
 
-def classify(m: CombinatorialMap, faces: Optional[FaceSet] = None) -> SurfaceType:
-    chi = euler_characteristic(m, faces)
+def classify(m: CombinatorialMap) -> SurfaceType:
+    chi = euler_characteristic(m)
     if is_orientable(m):
         assert chi % 2 == 0
         return SurfaceType(True, (2 - chi) // 2, chi, "orientable")

@@ -4,6 +4,7 @@ import io
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -122,6 +123,19 @@ def test_cli_oracle_buckets(tmp_path, capsys):
     assert "bucket." in out
 
 
+def test_cli_oracle_buckets_without_companions(tmp_path, capsys):
+    # the buckets are then taken in the map's own cycle basis
+    buf = io.StringIO()
+    graphfile.dump(lattice(4, 4, "torus"), buf)
+    path = tmp_path / "t.graph"
+    path.write_text(re.sub(r"^companion .*\n", "", buf.getvalue(), flags=re.M))
+    assert main(["oracle", str(path), "--buckets", "--format", "kv"]) == 0
+    pairs = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
+    buckets = [Fraction(v) for k, v in pairs.items() if k.startswith("bucket.")]
+    assert pairs["Z"] == "272"
+    assert len(buckets) > 1 and sum(buckets) == 272
+
+
 def test_cli_malformed_exit_code(tmp_path):
     path = tmp_path / "bad.graph"
     path.write_text("vertices 2\nwhat 1 2\n")
@@ -165,9 +179,8 @@ def test_cli_no_matching_prints_zero(tmp_path, capsys):
 
 
 def test_orient_and_invariants_trace_faces_once(tmp_path, monkeypatch, capsys):
-    # loading traces the faces once, and each command once more for its
-    # orientation, curvature, basis and surface; verify once per route
-    # (pin, practical, spin) and not for its orientability check
+    # loading traces the faces of the map, and every later step of the
+    # command (orientation, curvature, basis, surface, each route) reads them
     from pfdimers.surface_graph import trace_faces
 
     path = tmp_path / "torus.pfd"
@@ -182,7 +195,7 @@ def test_orient_and_invariants_trace_faces_once(tmp_path, monkeypatch, capsys):
     for name, module in list(sys.modules.items()):
         if name.startswith("pfdimers") and getattr(module, "trace_faces", None) is trace_faces:
             monkeypatch.setattr(module, "trace_faces", counting)
-    for command, tracings in (("orient", 2), ("invariants", 2), ("verify", 4)):
+    for command in ("orient", "invariants", "partition", "verify"):
         calls.clear()
         assert main([command, str(path)]) == 0
-        assert len(calls) == tracings, command
+        assert len(calls) == 1, command

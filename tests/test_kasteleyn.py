@@ -66,9 +66,9 @@ def test_single_flip_changes_adjacent_faces_only():
         m = random_map(rng)
         faces = trace_faces(m)
         K = canonical_orientation(m)
-        base = face_curvatures(m, K, faces=faces)
+        base = face_curvatures(m, K)
         e = rng.randrange(m.edge_count)
-        upd = face_curvatures(m, K.flipped(1 << e), faces=faces)
+        upd = face_curvatures(m, K.flipped(1 << e))
         incident = []
         for fi, face in enumerate(faces.faces):
             mult = sum(1 for h, _ in face.steps if h // 2 == e)

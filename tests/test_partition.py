@@ -153,6 +153,20 @@ def test_non_cocycle_crossings_rejected(backend):
         assert r.method == "pin" and float(r.value) == pytest.approx(272)
 
 
+@pytest.mark.parametrize("v", [0, 5])
+def test_coboundary_shifted_crossings_rejected(v):
+    # the shifted cross is a cocycle in the seam's class, but flipping K at
+    # v negates that class's Pfaffian; it used to give 128 under practical
+    inst = lattice(4, 4, "torus")
+    seam = inst.curves[0]
+    curves = (replace(seam, cross=seam.cross ^ vertex_coboundary(inst.map, v)),) + \
+        inst.curves[1:]
+    with pytest.raises(CurveNotRealizable, match="ordered crossings"):
+        partition(inst.map, "practical", curves=curves)
+    r = partition(inst.map, "auto", curves=curves)
+    assert (r.value, r.method) == (272, "pin")
+
+
 def test_rp2_two_vertex(rp2_two_vertex):
     m = rp2_two_vertex
     cv = TransverseCurve("beta", 1 << 1, (2, 1), crossing_edge=1)
@@ -420,9 +434,11 @@ def test_faces_traced_once_per_route_call_and_load(monkeypatch):
         graphfile.dump(inst, buf)
         runs.append(lambda text=buf.getvalue(): graphfile.load(io.StringIO(text)))
     for run in runs:
-        calls.clear()
+        before = len(calls)
         run()
-        assert len(calls) == 1
+        assert len(calls) - before <= 1
+    # a map keeps its faces: the runs on one map trace it once between them
+    assert len({id(m) for m in calls}) == len(calls)
 
 
 @pytest.mark.parametrize("backend", ["exact", "float"])

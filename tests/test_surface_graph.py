@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import random
+import re
+from pathlib import Path
 
 import pytest
 
+import pfdimers
 from pfdimers import (
     DisconnectedGraph,
     MalformedRotation,
@@ -27,7 +30,7 @@ def test_single_edge_sphere():
     m = build_map(2, [[0], [1]], [(0, 1)], [0], [1])
     faces = trace_faces(m)
     assert len(faces) == 1
-    assert euler_characteristic(m, faces) == 2
+    assert euler_characteristic(m) == 2
     assert classify(m).name == "sphere"
 
 
@@ -51,7 +54,7 @@ def test_klein_lattice_combinatorics():
     assert sum(e.twist for e in m.edges) == 6
     faces = trace_faces(m)
     assert len(faces) == 30
-    assert euler_characteristic(m, faces) == 0
+    assert euler_characteristic(m) == 0
     st = classify(m)
     assert st.kind == "nonorientable_even_chi" and st.b1 == 2
     # bipartite with colour classes of 15 + 15
@@ -134,6 +137,45 @@ def test_untwist_preserves_embedding():
     assert flat.twist_bits() == 0
     assert len(trace_faces(flat)) == len(trace_faces(base))
     assert classify(flat).name == "torus"
+
+
+def test_faces_traced_once_and_kept_on_the_map():
+    m = lattice(3, 4, "klein_hexagon").map
+    assert m.faces is m.faces
+    assert m.faces == trace_faces(m)
+
+
+def test_faces_cache_leaves_equality_and_hash_alone():
+    base = lattice(3, 4, "torus").map
+    a, b = (build_map(base.vertex_count, base.rotations, [(e.u, e.v) for e in base.edges],
+                      [e.twist for e in base.edges], [e.weight for e in base.edges])
+            for _ in range(2))
+    assert a == b and hash(a) == hash(b)
+    assert len(a.faces) == 12
+    assert "faces" in vars(a) and "faces" not in vars(b)
+    assert a == b and hash(a) == hash(b)
+
+
+def test_derived_maps_carry_their_own_faces():
+    torus = lattice(3, 4, "torus").map
+    klein = lattice(3, 4, "klein_hexagon").map
+    twisted = flip_charts(torus, [0, 5])
+    perm = list(range(klein.vertex_count))
+    random.Random(5).shuffle(perm)
+    for m in (torus, klein, twisted):
+        m.faces
+    for source, derived in ((klein, flip_charts(klein, [1, 2, 7])),
+                            (twisted, untwist(twisted)), (klein, relabel(klein, perm))):
+        assert "faces" not in vars(derived)
+        assert derived.faces is not source.faces
+        assert derived.faces == trace_faces(derived)
+
+
+def test_only_the_map_traces_its_faces():
+    # every consumer reads m.faces, so one module decides when faces are traced
+    calls = {path.name: len(re.findall(r"(?<!def )\btrace_faces\(", path.read_text()))
+             for path in Path(pfdimers.__file__).parent.glob("*.py")}
+    assert {name: n for name, n in calls.items() if n} == {"surface_graph.py": 1}
 
 
 def test_flip_charts_preserves_faces():
