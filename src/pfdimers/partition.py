@@ -15,11 +15,13 @@ betas.
 ``_practical`` carries the two practical formulas (Cimasoni and Reshetikhin
 2007 on orientable surfaces; Tesler 2000 and this paper on non-orientable
 ones): Z = |Re sum_xi w_xi * Pf(A^{K_xi})| / 2^g over the 2^(2g) classes
-flipped along the alpha curves.  Class xi weighs the sign (-1)^(number of
-its intersecting basis pairs) times an unprimed weight: 1 on orientable
-surfaces, 1 - i with odd Euler characteristic, -i with even Euler
-characteristic.  With even Euler characteristic the primed classes, also
-flipped along the first beta curve, weigh the sign alone.
+flipped along the alpha curves, after K is flipped to an odd mismatch count
+on each curve's companion cycle.  An orientable map without curve data uses
+its basis cycles, flipped along their left push-offs.  Class xi weighs the
+sign (-1)^(number of its intersecting basis pairs) times an unprimed weight:
+1 on orientable surfaces, 1 - i with odd Euler characteristic, -i with even
+Euler characteristic.  With even Euler characteristic the primed classes,
+also flipped along the first beta curve, weigh the sign alone.
 
 Every weight is a Gaussian rational.  The Brown invariant of a nondegenerate
 Z4-valued form has the parity of its rank (Brown 1972; Kirby and Taylor
@@ -69,7 +71,6 @@ from .spin_quadratic import (
     brown,
     matching_sign,
     n_mismatch,
-    normalize_qB,
     shifted_browns,
 )
 from .surface_graph import (
@@ -109,9 +110,10 @@ def _eps_label(idx: int, width: int) -> str:
 def companion_cycle(m: CombinatorialMap, curve: TransverseCurve) -> Walk:
     """A cycle running alongside the curve, with the curve to one side.
 
-    An explicitly supplied companion is validated and returned.  Otherwise
-    the walk is assembled from face-boundary arcs between consecutive
-    crossings; beta curves traverse their designated crossing edge.
+    An explicitly supplied companion is validated, also against the faces
+    its curve passes, and returned.  Otherwise the walk is assembled from
+    face-boundary arcs between consecutive crossings; beta curves traverse
+    their designated crossing edge.
     """
     if curve.companion is not None:
         walk = curve.companion
@@ -125,6 +127,8 @@ def companion_cycle(m: CombinatorialMap, curve: TransverseCurve) -> Walk:
             if curve.crossing_edge is None or \
                     not any(h // 2 == curve.crossing_edge for h in walk):
                 raise CurveNotRealizable("beta companion must use its crossing edge")
+        if curve.ordered_crossings is not None and len(set(curve.ordered_crossings)) > 1:
+            _check_alongside(m, curve, walk)
         return walk
     if curve.ordered_crossings is None:
         raise CurveNotRealizable("curve carries neither companion nor crossings")
@@ -150,6 +154,26 @@ def _segments(face_steps: Sequence[Tuple[int, int]], e_in: int, e_out: int):
     return fwd, bwd
 
 
+def _passage_arcs(m: CombinatorialMap, crossings: Sequence[int]) -> list:
+    """Per cyclically consecutive pair of crossed edges, the ``_segments``
+    of every face that both edges meet."""
+    incidence = m.faces.edge_face_incidence(m.edge_count)
+    return [[_segments(m.faces.faces[f].steps, e1, e2)
+             for f in sorted(set(incidence[e1]) & set(incidence[e2]))]
+            for e1, e2 in zip(crossings, crossings[1:] + crossings[:1])]
+
+
+def _check_alongside(m: CombinatorialMap, curve: TransverseCurve, walk: Walk) -> None:
+    """A given companion must run along an arc of a face shared by each pair
+    of consecutive crossings, and nowhere else but a beta curve's crossing
+    edge: a crossing set shifted off it negates a class Pfaffian."""
+    used = {h // 2 for h in walk} - {curve.crossing_edge}
+    on = [[arc for arc in ({h // 2 for h in seg} for pair in arcs for seg in pair)
+           if arc <= used] for arcs in _passage_arcs(m, curve.ordered_crossings)]
+    if not all(on) or used - set().union(*(arc for arcs in on for arc in arcs)):
+        raise CurveNotRealizable("companion does not run along its curve")
+
+
 def _build_companion(m: CombinatorialMap, curve: TransverseCurve) -> Walk:
     crossings = list(curve.ordered_crossings)
     if curve.kind == "beta":
@@ -161,20 +185,11 @@ def _build_companion(m: CombinatorialMap, curve: TransverseCurve) -> Walk:
     if len(crossings) < 2:
         raise CurveNotRealizable("need at least two crossings to follow the curve")
 
-    edge_to_faces = m.faces.edge_face_incidence(m.edge_count)
-
-    def passage_face(e1: int, e2: int) -> int:
-        common = set(edge_to_faces[e1]) & set(edge_to_faces[e2])
-        if len(common) != 1:
-            raise CurveNotRealizable(
-                f"passage face between edges {e1} and {e2} is not unique")
-        return common.pop()
-
-    pairs = list(zip(crossings, crossings[1:] + crossings[:1]))
     options = []
-    for e1, e2 in pairs:
-        fi = passage_face(e1, e2)
-        fwd, bwd = _segments(m.faces.faces[fi].steps, e1, e2)
+    for e1, arcs in zip(crossings, _passage_arcs(m, crossings)):
+        if len(arcs) != 1:
+            raise CurveNotRealizable(f"passage face after edge {e1} is not unique")
+        fwd, bwd = arcs[0]
         for seg in (fwd, bwd):
             for h in seg:
                 if (curve.cross >> (h // 2)) & 1:
@@ -232,20 +247,6 @@ def normalize_orientation(m: CombinatorialMap, K: Orientation,
     for walk, phi in zip(companions, basis.dual_cochains):
         if (n_mismatch(K, walk) + dot(flip, walk_chain(walk))) % 2 == 0:
             flip ^= phi
-    return K.flipped(flip)
-
-
-def _normalize_by_reference(m: CombinatorialMap, K: Orientation,
-                            basis: HomologyBasis, D0: int) -> Orientation:
-    """Flip K by dual cocycles until the matching-independent enhancement
-    vanishes on the basis."""
-    q = normalize_qB(m, basis_enhancement(m, K, D0, basis), D0, basis)
-    flip = 0
-    for have, phi in zip(q.basis_values, basis.dual_cochains):
-        if have % 4 == 2:
-            flip ^= phi
-        elif have % 4 != 0:
-            raise NonRealResult("enhancement target unreachable by class flips")
     return K.flipped(flip)
 
 
@@ -339,8 +340,8 @@ def _enhanced_sum(m: CombinatorialMap, method: str, omega: int,
 def _practical(m: CombinatorialMap, curves: Optional[Sequence[TransverseCurve]],
                basis: Optional[HomologyBasis], backend: str) -> PartitionResult:
     """The practical formula of the module docstring.  An orientable map
-    without a curve per basis class flips K by the Poincare-dual cochains
-    instead, normalised by a reference matching."""
+    without a curve per basis class takes its basis cycles as companions and
+    their Poincare-dual cochains as flips; no dimer configuration is needed."""
     exact = backend == "exact"
     if m.vertex_count % 2:
         return _zero("practical", exact)
@@ -370,18 +371,15 @@ def _practical(m: CombinatorialMap, curves: Optional[Sequence[TransverseCurve]],
         basis = (cycle_basis(m) if companions is None
                  else basis_from_cycles(m, companions))
     assert basis.rank == surface.b1
-    K = construct_kasteleyn(m)
     if companions is not None and len(companions) == basis.rank:
         flips = [cv.cross for cv in curves[:r + primed]]
-        K = normalize_orientation(m, K, basis, companions)
     else:
+        # The basis cycles are their own companions: on an untwisted map the
+        # dimers leaving C on its left are, mod 2, those its left push-off
+        # crosses, so q_B(C) = 2(n_K(C) + 1) mod 4 for every matching.
         assert surface.orientable
-        D0 = find_matching(m)
-        if D0 is None:
-            return _zero("practical", exact)
-        flips = list(basis.pd_cochains)
-        K = _normalize_by_reference(m, K, basis, D0)
-
+        companions, flips = basis.cycles, basis.pd_cochains
+    K = normalize_orientation(m, construct_kasteleyn(m), basis, companions)
     pfs = _class_pfaffians(m, K, flips, backend)
     if exact and surface.orientable and any(pf.im for pf in pfs):
         raise NonRealResult("orientable Pfaffian has an imaginary part")

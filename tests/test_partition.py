@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import random
 import sys
 from dataclasses import replace
@@ -19,6 +20,7 @@ from pfdimers import (
     construct_kasteleyn,
     enumerate_matchings,
     find_matching,
+    graphfile,
     lattice,
     n_mismatch,
     normalize_orientation,
@@ -30,7 +32,7 @@ from pfdimers import (
     partition_orientable_spin,
 )
 from pfdimers.generators import random_lattice, random_map
-from pfdimers.homology import chain_from_edges, vertex_coboundary
+from pfdimers.homology import chain_from_edges, edges_of, vertex_coboundary
 from pfdimers.kasteleyn import is_kasteleyn
 from pfdimers.partition import companion_cycle
 from pfdimers.surface_graph import flip_charts, relabel
@@ -138,6 +140,40 @@ def test_practical_reference_flips_pinned():
 
 
 @pytest.mark.parametrize("backend", ["exact", "float"])
+def test_planar_8x8_above_the_oracle_bound(backend):
+    # one Pfaffian, Kasteleyn 1961; the reference-matching route raised
+    # TooLarge at 64 vertices
+    m = lattice(8, 8, "planar").map
+    for method in ("practical", "auto"):
+        r = partition(m, method, backend=backend)
+        assert (r.value, r.method) == (12988816, "practical")
+
+
+@pytest.mark.parametrize("size", [8, 12])
+def test_twisted_torus_above_the_oracle_bound(size):
+    # the untwisted copy drops its curves and flips by the pd_cochains
+    inst = lattice(size, size, "torus")
+    r = partition(flip_charts(inst.map, [0, 5, 6]), "auto")
+    want = partition(inst.map, "practical", curves=inst.curves, basis=inst.basis)
+    assert (r.value, r.method, r.terms) == (want.value, "practical", want.terms)
+
+
+def test_orientable_practical_never_calls_the_oracle(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("oracle reached")
+
+    monkeypatch.setattr(sys.modules["pfdimers.partition"], "find_matching", refuse)
+    torus = lattice(4, 4, "torus")
+    maps = [(lattice(4, 5, "planar").map, None), (torus.map, torus.curves),
+            (torus.map, None), (flip_charts(torus.map, [0, 5, 6]), None)]
+    rng = random.Random(3)
+    maps += [(random_map(rng, 8, 5, twisted=False), None) for _ in range(20)]
+    for m, curves in maps:
+        for method in ("practical", "auto"):
+            assert partition(m, method, curves=curves).method == "practical"
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
 def test_non_cocycle_crossings_rejected(backend):
     # edges 15, 11, 7 miss edge 3 of the seam; the flip they give is no
     # class flip and used to give 248.  Bits beyond the edges are no cocycle
@@ -165,6 +201,65 @@ def test_coboundary_shifted_crossings_rejected(v):
         partition(inst.map, "practical", curves=curves)
     r = partition(inst.map, "auto", curves=curves)
     assert (r.value, r.method) == (272, "pin")
+
+
+def test_shifted_seam_file_with_companions_rejected():
+    # the seam shifted by delta(v5), read with the generator's companions:
+    # cross and ordered crossings come from one line, so only the companion
+    # check sees the shift; auto used to return 128 via practical
+    buf = io.StringIO()
+    graphfile.dump(lattice(4, 4, "torus"), buf)
+    text = buf.getvalue().replace("cross 0 15 11 7 3\n", "cross 0 3 4 5 7 11 15 17 21\n")
+    inst = graphfile.load(io.StringIO(text))
+    assert inst.curves[0].ordered_crossings == (3, 4, 5, 7, 11, 15, 17, 21)
+    with pytest.raises(CurveNotRealizable, match="run along"):
+        partition(inst.map, "practical", curves=inst.curves, basis=inst.basis)
+    r = partition(inst.map, "auto", curves=inst.curves, basis=inst.basis)
+    assert (r.value, r.method) == (272, "pin")
+
+
+def _with_seam_order(inst, order):
+    seam = replace(inst.curves[0], cross=chain_from_edges(order),
+                   ordered_crossings=tuple(order))
+    return (seam,) + inst.curves[1:]
+
+
+def test_every_vertex_shift_of_the_seam_rejected():
+    inst = lattice(4, 4, "torus")
+    for v in range(inst.map.vertex_count):
+        order = edges_of(inst.curves[0].cross ^ vertex_coboundary(inst.map, v))
+        curves = _with_seam_order(inst, order)
+        with pytest.raises(CurveNotRealizable, match="run along"):
+            companion_cycle(inst.map, curves[0])
+        r = partition(inst.map, "auto", curves=curves, basis=inst.basis)
+        assert (r.value, r.method) == (272, "pin")
+
+
+@pytest.mark.parametrize("order", [
+    (15, 3, 16, 17, 5, 21, 4, 16, 7, 11),
+    (15, 3, 19, 18, 17, 4, 21, 5, 18, 19, 7, 11),
+])
+def test_reordered_shifted_seam_rejected(order):
+    # the delta(v5) shift ordered so that consecutive crossings always share
+    # a face, some edges twice: a check of the faces alone passes it, but
+    # the companion does not run along it
+    inst = lattice(4, 4, "torus")
+    curves = _with_seam_order(inst, order)
+    with pytest.raises(CurveNotRealizable, match="run along"):
+        partition(inst.map, "practical", curves=curves)
+    r = partition(inst.map, "auto", curves=curves)
+    assert (r.value, r.method) == (272, "pin")
+
+
+@pytest.mark.parametrize("surface", ["torus", "klein_hexagon", "rp2"])
+def test_generator_companions_run_along_their_curves(surface):
+    for rows in range(2, 9):
+        for cols in range(2, 9):
+            if surface == "klein_hexagon" and cols % 2:
+                continue
+            inst = lattice(rows, cols, surface)
+            for cv in inst.curves:
+                assert companion_cycle(inst.map, cv) == cv.companion
 
 
 def test_rp2_two_vertex(rp2_two_vertex):
@@ -195,7 +290,9 @@ def test_no_matching_zero():
     # build a bowtie-free example instead: star with 3 leaves has odd count
     m = build_map(4, [[0, 2, 4], [1], [3], [5]],
                   [(0, 1), (0, 2), (0, 3)], [0, 0, 0], [1, 1, 1])
-    assert partition_orientable_practical(m).value == 0
+    # the practical route takes the one class Pfaffian; it needs no matching
+    r = partition_orientable_practical(m)
+    assert (r.value, r.terms) == (0, (("0", "0"),))
     assert partition_orientable_spin(m).value == 0
     assert partition_general_pin(m).value == 0
 
