@@ -367,9 +367,15 @@ def _practical(m: CombinatorialMap, curves: Optional[Sequence[TransverseCurve]],
                 chain_from_edges(cv.ordered_crossings) != cv.cross:
             raise CurveNotRealizable("curve crossings differ from its ordered crossings")
     companions = None if curves is None else [companion_cycle(m, cv) for cv in curves]
+    if basis is None and companions is not None:
+        try:
+            basis = basis_from_cycles(m, companions)
+        except NotAClosedWalk:  # too few companions, or dependent ones
+            if not surface.orientable:
+                raise CurveNotRealizable("curves do not give a homology basis")
+            companions = None
     if basis is None:
-        basis = (cycle_basis(m) if companions is None
-                 else basis_from_cycles(m, companions))
+        basis = cycle_basis(m)
     assert basis.rank == surface.b1
     if companions is not None and len(companions) == basis.rank:
         flips = [cv.cross for cv in curves[:r + primed]]

@@ -1,24 +1,31 @@
 """Skew-symmetric matrices, their Pfaffians, and the adjacency construction.
 
 Every Pfaffian takes one path.  ``_EdgeMatrix`` reads a skew matrix as
-weighted edges (a, b, w), entry (a, b) summing +w and (b, a) summing -w,
-and prepares them once: the reverse Cuthill-McKee order of the pattern
-(breadth-first from a least-degree index of every component), the sign of
-that permutation, since Pf(P A P^T) = det(P) Pf(A), the envelope of every
-reordered row (one past its last nonzero column), and the cell of every
-edge in the reordered upper triangle.  The class matrices of a route differ
-only in the signs of the flipped edges, so ``_class_matrices`` prepares a
-route once and hands out each class as a ``_ClassMatrix``, the preparation
-with the bits of its flipped edges.  ``pfaffian`` evaluates a
-``_ClassMatrix``, and a ``SkewMatrix`` as one class whose edges are its
-nonzero upper entries.
+weighted edges (a, b, w), entry (a, b) summing +w and (b, a) summing -w, and
+prepares them once: the reverse Cuthill-McKee order of the pattern, its sign,
+since Pf(P A P^T) = det(P) Pf(A), the envelope of every reordered row (one
+past its last nonzero column), and the cell of every edge in the reordered
+upper triangle.  ``pfaffian`` evaluates one class of a prepared route, a
+``_ClassMatrix``, or a ``SkewMatrix`` as one class of its nonzero entries.
+
+The classes of a route differ only in the signs of the flipped edges, whose
+endpoints form the seam S.  With several classes and an even |S| <= n/2, S
+goes last in the order, after the RCM order of the interior.  Pf(A) is the
+product of the interior pivots and the Pfaffian of the Schur complement on
+S, and only the cells inside S differ between classes.  So the interior is
+eliminated once per route and arithmetic without them, and each class adds
+its own to a copy of the complement and eliminates that; an interior index
+without a nonzero interior pivot drops the split, but not the order.
 
 One kernel, ``_eliminate``, does the skew elimination in both arithmetics.
 It keeps the upper triangle, swaps two indices to bring the pivot next to
 the pivot row (flipping the sign), and stops each row update at the
-envelope of the two pivot rows, which grows with fill-in.  In a band of
-width w this costs O(n w^2); lattices have w at most about twice the side.
-Mod p the pivot is the first nonzero entry of the row; in complex floats it
+envelope of the two pivot rows, which grows with fill-in; split, an
+interior row also updates its S columns, its panel.  In a band of width w
+this costs O(n w^2); lattices have w at most about twice the side.  Where a
+pivot row is zero in the updated row's column (on bipartite graphs one
+always is), the update takes one product per entry.  Mod p the pivot is the
+first nonzero entry of the row; in floats (real ones for a real class) it
 is the largest, with a warning below the conditioning threshold, and
 ``FloatOutOfRange`` when the product of the pivots leaves the double range.
 
@@ -44,8 +51,11 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import chain
 from math import isqrt, lcm, prod
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from operator import or_
+from typing import Collection, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import (
     FloatOutOfRange,
@@ -158,23 +168,25 @@ def _class_matrices(m: CombinatorialMap, K: Orientation, flips: Sequence[int],
                     backend: str, omega: Optional[int] = None) -> List["_ClassMatrix"]:
     """The classes of K flipped by subset sums of ``flips``, in
     ``enumerate_classes`` order, from one preparation of K's edges."""
-    exact = backend == "exact"
-    route = _EdgeMatrix(m.vertex_count, _map_edges(m, K, omega, exact), exact)
-    return [_ClassMatrix(route, Kc.bits ^ K.bits, m.vertex_count, exact)
-            for Kc in enumerate_classes(m, K, flips)]
+    exact, n = backend == "exact", m.vertex_count
+    masks = [Kc.bits ^ K.bits for Kc in enumerate_classes(m, K, flips)]
+    route = _EdgeMatrix(n, _map_edges(m, K, omega, exact), exact, reduce(or_, masks))
+    return [_ClassMatrix(route, f, n, exact) for f in masks]
 
 
 class _EdgeMatrix:
     """The skew matrix of an edge list, prepared for the Pfaffians of its
     sign patterns: ``pfaffian(flips)`` negates the weight of edge e for every
-    bit e of ``flips``."""
+    bit e of ``flips``, and some pattern negates each bit of ``seam``."""
 
-    def __init__(self, n: int, edges: Sequence[Edge], exact: bool) -> None:
+    def __init__(self, n: int, edges: Sequence[Edge], exact: bool, seam: int = 0) -> None:
         if n % 2:
             raise OddDimension(f"dimension {n} is odd")
-        position, self.end = _rcm_order(n, [(a, b) for a, b, _ in edges])
+        ends = sorted({v for e, (a, b, _) in enumerate(edges) if seam >> e & 1 for v in (a, b)})
+        last = dict.fromkeys(ends if 2 * len(ends) <= n and not len(ends) % 2 else ())
+        position, self.end = _rcm_order(n, [(a, b) for a, b, _ in edges], last)
         self.sign = _perm_sign(position)
-        self.exact = exact
+        self.exact, self.stop, self.shared = exact, n - len(last), {}
         cells: Dict[Tuple[int, int], int] = {}
         slots = []  # (cell, weight signed for the reordered upper triangle)
         for a, b, w in edges:
@@ -202,8 +214,9 @@ class _EdgeMatrix:
             for e, (c, w) in enumerate(self.slots):
                 values[c] = values[c] - w if (flips >> e) & 1 else values[c] + w
             scale = max(map(abs, values), default=0.0)
-            return _eliminate(self._upper(values, 0j), list(self.end), self.sign,
-                              0, scale)
+            real = not any(v.imag for v in values)
+            return complex(self._pf([v.real for v in values] if real else values,
+                                    0.0 if real else 0j, 0, 0, scale))
         re, im = [0] * len(self.cells), [0] * len(self.cells)
         for e, (c, r, i) in enumerate(self.slots):
             sign = -1 if (flips >> e) & 1 else 1
@@ -231,8 +244,31 @@ class _EdgeMatrix:
 
     def _residue(self, re: List[int], im: List[int], p: int, s: int) -> int:
         """Pf mod p with i -> s."""
-        values = [(r + s * i) % p for r, i in zip(re, im)]
-        return _eliminate(self._upper(values, 0), list(self.end), self.sign, p)
+        return self._pf([(r + s * i) % p for r, i in zip(re, im)], 0, p, s)
+
+    def _pf(self, values: list, zero, p: int, s: int, scale: float = 0.0):
+        """Pf of the pattern with these cell values, mod p with i -> s if p."""
+        n, stop, key = len(self.end), self.stop, (p, s, type(zero))
+        if stop < n and key not in self.shared:
+            a = self._upper(values, zero)
+            a[stop:] = [[zero] * n for _ in range(stop, n)]  # cells of each pattern
+            factor = _eliminate(a, list(self.end), stop, self.sign, p, scale)
+            if factor:
+                self.shared[key] = factor, [row[stop:] for row in a[stop:]]
+            else:  # no interior pivot, or a float underflow: keep the order, unsplit
+                self.stop = stop = n
+                for i, j in self.cells:
+                    self.end[i] = max(self.end[i], j + 1)
+        if stop == n:
+            return _eliminate(self._upper(values, zero), list(self.end), n, self.sign,
+                              p, scale)
+        factor, block = self.shared[key]
+        block = [row[:] for row in block]
+        for (i, j), x in zip(self.cells, values):
+            if i >= stop:
+                row, j = block[i - stop], j - stop
+                row[j] = (row[j] + x) % p if p else row[j] + x
+        return _eliminate(block, [n - stop] * (n - stop), n - stop, factor, p, scale)
 
     def _upper(self, values: list, zero) -> list:
         n = len(self.end)
@@ -250,17 +286,19 @@ class _ClassMatrix(NamedTuple):
     exact: bool
 
 
-def _eliminate(a: list, end: List[int], sign: int, p: int = 0,
+def _eliminate(a: list, end: List[int], stop: int, factor, p: int = 0,
                scale: float = 0.0):
-    """sign * Pf by skew elimination mod p, or over complex floats if p is 0.
+    """factor * Pf by skew elimination mod p, or over floats if p is 0.
 
     Row i of ``a`` holds the upper-triangle entries a[i][j], j > i, and is
     zero from column end[i] on; both are overwritten.  ``scale`` is the
-    largest entry modulus, for the float conditioning warning.
+    largest entry modulus, for the float conditioning warning.  Pivots are
+    taken only before ``stop``, where end[i] <= stop; if stop < n, factor times
+    them returns unchecked (0 if one is missing), a[stop:] the Schur complement.
     """
     n = len(a)
-    result = 1 if p else 1.0 + 0j
-    for k in range(0, n, 2):
+    result = factor
+    for k in range(0, stop, 2):
         rk = a[k]
         q = k + 1
         if p:
@@ -279,7 +317,7 @@ def _eliminate(a: list, end: List[int], sign: int, p: int = 0,
         rq = a[q]
         if piv != q:
             # swap indices q and piv in the upper storage: Pf changes sign
-            sign = -sign
+            result = -result
             rk[q], rk[piv] = rk[piv], rk[q]
             for j in range(q + 1, piv):
                 rj = a[j]
@@ -296,37 +334,42 @@ def _eliminate(a: list, end: List[int], sign: int, p: int = 0,
         if p:
             result %= p
             inv = pow(pivot, -1, p)
-        # envelope: rows k and q vanish from column h on
+        # envelope: rows k and q vanish from column h on, up to their panels
         h = max(end[k], end[q])
+        wide = stop < n and (any(rk[stop:]) or any(rq[stop:]))
         # Schur complement: a_ij += (a_qi * a_kj - a_ki * a_qj) / pivot
-        for i in range(q + 1, h):
+        for i in chain(range(q + 1, h), range(stop, n)) if wide else range(q + 1, h):
             f, g = rq[i], rk[i]
             if f or g:
                 ri = a[i]
-                t = i + 1
-                if p:
-                    f = f * inv % p
-                    g = g * inv % p
-                    ri[t:h] = [(c + f * b - g * d) % p
-                               for c, b, d in zip(ri[t:h], rk[t:h], rq[t:h])]
-                else:
-                    f /= pivot
-                    g /= pivot
-                    ri[t:h] = [c + f * b - g * d
-                               for c, b, d in zip(ri[t:h], rk[t:h], rq[t:h])]
+                f, g = (f * inv % p, g * inv % p) if p else (f / pivot, g / pivot)
+                t, u = i + 1, h if i < stop else n
+                ri[t:u] = _combine(ri[t:u], rk[t:u], rq[t:u], f, g, p)
+                if wide and i < stop:
+                    ri[stop:] = _combine(ri[stop:], rk[stop:], rq[stop:], f, g, p)
                 if end[i] < h:
                     end[i] = h
     if p:
-        return sign * result % p
-    if not (cmath.isfinite(result) and result):
+        return result % p
+    if stop == n and not (cmath.isfinite(result) and result):
         raise FloatOutOfRange(f"float Pfaffian {result} left the double range")
-    return sign * result
+    return result
 
 
-def _rcm_order(n: int, pairs: Sequence[Tuple[int, int]]) -> Tuple[List[int], List[int]]:
+def _combine(c: list, b: list, d: list, f, g, p: int) -> list:
+    """c + f*b - g*d entrywise, mod p if p; one product when f or g is 0."""
+    if f and g:
+        return ([(x + f * y - g * z) % p for x, y, z in zip(c, b, d)] if p else
+                [x + f * y - g * z for x, y, z in zip(c, b, d)])
+    f, b = (f, b) if f else (-g, d)
+    return [(x + f * y) % p for x, y in zip(c, b)] if p else [x + f * y for x, y in zip(c, b)]
+
+
+def _rcm_order(n: int, pairs: Sequence[Tuple[int, int]],
+               last: Collection[int] = ()) -> Tuple[List[int], List[int]]:
     """Position of every index in the reverse Cuthill-McKee order of the
-    pattern of n indices joined by ``pairs``, and the envelope: one past the
-    last joined column of each reordered row (at least i + 1).
+    pattern joined by ``pairs``, then ``last``, and the envelope: one past the
+    last joined column of each row, not counting ``last`` outside it (>= i + 1).
 
     Every component is searched breadth-first from an index of least degree,
     neighbours by increasing degree; isolated indices are components too.
@@ -337,7 +380,7 @@ def _rcm_order(n: int, pairs: Sequence[Tuple[int, int]]) -> Tuple[List[int], Lis
         adj[a].add(b)
         adj[b].add(a)
     degree = [len(s) for s in adj]
-    seen = [False] * n
+    seen = [v in last for v in range(n)]
     order: List[int] = []
     for start in sorted(range(n), key=degree.__getitem__):
         if seen[start]:
@@ -352,11 +395,12 @@ def _rcm_order(n: int, pairs: Sequence[Tuple[int, int]]) -> Tuple[List[int], Lis
                     order.append(w)
             head += 1
     position = [0] * n
-    for i, o in enumerate(reversed(order)):
+    for i, o in enumerate(order[::-1] + list(last)):
         position[o] = i
     end = [0] * n
     for o, i in enumerate(position):
-        end[i] = max([i + 1] + [position[w] + 1 for w in adj[o]])
+        end[i] = max([i + 1] + [position[w] + 1 for w in adj[o]
+                                if o in last or w not in last])
     return position, end
 
 

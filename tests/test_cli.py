@@ -136,6 +136,18 @@ def test_cli_oracle_buckets_without_companions(tmp_path, capsys):
     assert len(buckets) > 1 and sum(buckets) == 272
 
 
+def test_cli_partition_with_one_curve_of_two(tmp_path, capsys):
+    # without curve 1 the practical route takes the torus's own cycle basis
+    buf = io.StringIO()
+    graphfile.dump(lattice(4, 4, "torus"), buf)
+    path = tmp_path / "t.graph"
+    path.write_text(re.sub(r"^(curve|cross|companion) 1 .*\n", "", buf.getvalue(),
+                           flags=re.M))
+    assert "curve 1" not in path.read_text()
+    assert main(["partition", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "272"
+
+
 def test_cli_malformed_exit_code(tmp_path):
     path = tmp_path / "bad.graph"
     path.write_text("vertices 2\nwhat 1 2\n")

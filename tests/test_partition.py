@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import random
 import sys
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -11,7 +12,9 @@ import pytest
 from pfdimers import (
     CurveNotRealizable,
     FloatOutOfRange,
+    IllConditionedWarning,
     NonRealResult,
+    NotAClosedWalk,
     PartitionResult,
     TransverseCurve,
     WrongSurfaceType,
@@ -590,6 +593,65 @@ def test_float_out_of_range_raises(surface, weight):
         assert partition(inst.map, method, **kw).value == z * scale
         with pytest.raises(FloatOutOfRange):
             partition(inst.map, method, backend="float", **kw)
+
+
+@pytest.mark.parametrize("weight", [10**160, Fraction(1, 10**160)], ids=["1e160", "1e-160"])
+@pytest.mark.parametrize("surface", ["torus", "klein_hexagon"])
+def test_float_out_of_range_raises_through_the_split(surface, weight):
+    # 1e160: the interior pivots overflow, and their product with the seam
+    # block's raises; 1e-160: they underflow to 0, which reads as a missing
+    # pivot, so the route drops the split and the unsplit product raises
+    from pfdimers.pfaffian import _class_matrices, pfaffian
+
+    count = lattice(8, 8, surface).map.edge_count
+    inst = lattice(8, 8, surface, weights=[weight] * count)
+    m = inst.map
+    flips = [cv.cross for cv in inst.curves]
+    classes = _class_matrices(m, construct_kasteleyn(m), flips, "float")
+    route, n = classes[0].route, m.vertex_count
+    assert route.stop < n
+    with pytest.raises(FloatOutOfRange):
+        pfaffian(classes[0])
+    assert (route.stop < n) == (weight > 1)
+    with pytest.raises(FloatOutOfRange):
+        partition(m, "auto", curves=inst.curves, basis=inst.basis, backend="float")
+
+
+@pytest.mark.parametrize("surface, count", [("torus", 2), ("klein_hexagon", 0), ("rp2", 0)])
+def test_float_conditioning_warnings_at_20x20(surface, count):
+    # the (+,+) torus class is singular on even lattices; the split warns on
+    # it as the unsplit elimination did, and nowhere else
+    inst = lattice(20, 20, surface)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        r = partition(inst.map, "auto", curves=inst.curves, basis=inst.basis,
+                      backend="float")
+    assert r.method == "practical"
+    assert sum(issubclass(w.category, IllConditionedWarning) for w in caught) == count
+
+
+def test_practical_with_too_few_curves_takes_the_basis_cycles():
+    inst = lattice(4, 4, "torus")
+    for backend in ("exact", "float"):
+        for method in ("auto", "practical"):
+            r = partition(inst.map, method, curves=inst.curves[:1], backend=backend)
+            assert (r.value, r.method) == (272, "practical")
+        # dependent curves: the same one twice
+        r = partition(inst.map, "auto", curves=inst.curves[:1] * 2, backend=backend)
+        assert (r.value, r.method) == (272, "practical")
+
+
+def test_nonorientable_curves_without_a_basis_fall_back_to_pin(monkeypatch):
+    # no generator curve set reaches this; force basis_from_cycles to fail
+    def no_basis(m, cycles):
+        raise NotAClosedWalk("need 1 independent cycles, got 0")
+
+    monkeypatch.setattr(sys.modules["pfdimers.partition"], "basis_from_cycles", no_basis)
+    inst = lattice(4, 4, "rp2")
+    with pytest.raises(CurveNotRealizable, match="homology basis"):
+        partition(inst.map, "practical", curves=inst.curves)
+    r = partition(inst.map, "auto", curves=inst.curves)
+    assert (r.value, r.method) == (partition_bruteforce(inst.map), "pin")
 
 
 def test_float_value_out_of_range_raises():

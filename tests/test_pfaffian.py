@@ -493,3 +493,126 @@ def test_pfaffian_matches_matching_count():
     K = construct_kasteleyn(m)
     pf = pfaffian(build_adjacency(m, K))
     assert pf.abs2() == 4
+
+
+# ---------------------------------------------------------------------------
+# Seam split: the interior is eliminated once per route, each class finishes
+# its Schur complement on the seam
+# ---------------------------------------------------------------------------
+
+def _split_cases():
+    """(label, map, K, flips, omega) of the practical and pin routes on
+    lattices of four surfaces, one of them twisted by chart flips."""
+    from dataclasses import replace
+
+    from pfdimers.surface_graph import flip_charts
+
+    cases = []
+    for size in (6, 8, 10):
+        torus = lattice(size, size, "torus")
+        insts = [(s, lattice(size, size, s)) for s in ("torus", "klein_hexagon", "rp2")]
+        twisted = replace(torus, map=flip_charts(torus.map, [0, 5, 6]), curves=())
+        insts.append(("twisted torus", twisted))
+        for surface, inst in insts:
+            m = inst.map
+            basis = cycle_basis(m)
+            practical = ([cv.cross for cv in inst.curves] if inst.curves
+                         else list(basis.pd_cochains))
+            cases.append((f"{surface} {size} practical", m, construct_kasteleyn(m),
+                          practical, None))
+            cases.append((f"{surface} {size} pin", m,
+                          construct_kasteleyn(m, omega=m.twist_bits()),
+                          list(basis.dual_cochains), m.twist_bits()))
+    return cases
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_split_class_pfaffians_match_unsplit_reference(backend):
+    from pfdimers.pfaffian import _class_matrices
+
+    split = 0
+    for label, m, K, flips, omega in _split_cases():
+        classes = _class_matrices(m, K, flips, backend, omega)
+        split += classes[0].route.stop < m.vertex_count
+        got = [pfaffian(c) for c in classes]
+        want = [pfaffian(build_adjacency(m, Kc, omega, backend))
+                for Kc in enumerate_classes(m, K, flips)]
+        if backend == "exact":
+            assert got == want, label
+        else:
+            top = max(map(abs, want))
+            assert all(abs(g - w) <= 1e-9 * top for g, w in zip(got, want)), label
+    assert split >= 12
+
+
+def test_split_taken_on_torus_not_on_small_high_genus_map():
+    from pfdimers.pfaffian import _class_matrices
+
+    m = lattice(10, 10, "torus").map
+    route = _class_matrices(m, construct_kasteleyn(m), cycle_basis(m).dual_cochains,
+                            "exact")[0].route
+    assert route.stop < m.vertex_count
+    rng = random.Random(5)
+    while True:
+        m = random_map(rng, max_vertices=6, extra_edges=10)
+        basis = cycle_basis(m)
+        if m.vertex_count % 2 == 0 and basis.rank == 7:
+            break
+    classes = _class_matrices(m, construct_kasteleyn(m, omega=m.twist_bits()),
+                              basis.dual_cochains, "exact", m.twist_bits())
+    assert len(classes) == 2 ** 7
+    assert classes[0].route.stop == m.vertex_count
+
+
+def _split_route(edges, seam, exact):
+    """The prepared route, the Pfaffians of its patterns through it (flipping
+    none, then each seam edge) and through an unsplit preparation."""
+    from pfdimers.pfaffian import _EdgeMatrix
+
+    n = 1 + max(max(a, b) for a, b, _ in edges)
+    route = _EdgeMatrix(n, edges, exact, seam)
+    assert route.stop < n
+    patterns = [0] + [1 << e for e in range(len(edges)) if (seam >> e) & 1]
+    got = [route.pfaffian(f) for f in patterns]
+    want = [_EdgeMatrix(n, edges, exact).pfaffian(f) for f in patterns]
+    return route, got, want
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_split_falls_back_when_an_interior_index_only_meets_the_seam(exact):
+    # seam edges (0, 1) and (2, 3); interior index 4 meets only 0 and 2, so
+    # its row has no interior pivot
+    pairs = [(0, 1, 3), (2, 3, 5), (4, 0, 2), (4, 2, 7), (5, 6, 1), (7, 3, 4),
+             (5, 7, 6), (6, 1, 2), (1, 2, 3)]
+    edges = [(a, b, GaussianRational.of(w) if exact else complex(w)) for a, b, w in pairs]
+    route, got, want = _split_route(edges, 0b11, exact)
+    assert route.stop == len(route.end)
+    assert any(want)
+    if exact:
+        assert got == want
+    else:
+        assert all(abs(g - w) <= 1e-12 * max(map(abs, want)) for g, w in zip(got, want))
+
+
+def test_split_falls_back_on_an_interior_pivot_zero_mod_p():
+    # the interior pair (2, 3) weighs the first prime p: its pivot is 0 mod p
+    # although Pf = 11 * p - 2 * 3 + 5 * 7 is not
+    p = _modulus(0)[0]
+    pairs = [(0, 1, 11), (2, 3, p), (0, 2, 2), (1, 3, 3), (0, 3, 5), (1, 2, 7)]
+    edges = [(a, b, GaussianRational.of(w)) for a, b, w in pairs]
+    route, got, want = _split_route(edges, 0b1, True)
+    assert route.stop == 4
+    assert got == want
+    assert got[0] == GaussianRational.of(11 * p - 2 * 3 + 5 * 7)
+
+
+def test_split_block_entries_reduced_mod_p():
+    # Pf = w - a*b: at w = a*b the class's seam cell and the Schur
+    # correction sum to exactly p, which must read as 0, not as a pivot
+    a, b = 3, 5
+    pairs = [(0, 1, a * b), (2, 3, 1), (0, 2, a), (1, 3, b)]
+    edges = [(u, v, GaussianRational.of(w)) for u, v, w in pairs]
+    route, got, want = _split_route(edges, 0b1, True)
+    assert route.stop == 2
+    assert got == want
+    assert sorted(x.re for x in got) == [-2 * a * b, 0]
