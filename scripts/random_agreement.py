@@ -7,8 +7,12 @@ Draws random weighted lattices on the four supported surfaces plus random
 rotation-system maps of arbitrary genus (up to 10 chords, so b1 reaches 7-8
 and beyond), computes the partition function by every applicable route on
 both backends, and compares against brute-force enumeration: exactly, and
-within 1e-9 relative for the float backend.
-Exits nonzero on the first disagreement, naming the route and the backend.
+within 1e-9 relative for the float backend.  It also checks the prepared
+homology data of every map it draws (its own basis, if any, and
+``cycle_basis``): each dual cocycle phi_i is zero on every face boundary,
+phi_i(C_j) = delta_ij, and the intersection matrix is invertible over GF(2).
+Exits nonzero on the first disagreement or violation, naming the route and
+the backend, or the map.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from pfdimers import (  # noqa: E402
     classify,
+    cycle_basis,
     partition_bruteforce,
     partition_general_pin,
     partition_nonorientable_practical,
@@ -30,8 +35,22 @@ from pfdimers import (  # noqa: E402
     partition_orientable_spin,
 )
 from pfdimers.generators import random_lattice, random_map  # noqa: E402
+from pfdimers.homology import Gf2Span, chain_from_edges, dot, is_cocycle  # noqa: E402
 
 FLOAT_REL_TOL = 1e-9
+
+
+def prepared_violation(m, basis):
+    """What is wrong with a basis's dual cocycles or intersection form, or None."""
+    for i, phi in enumerate(basis.dual_cochains):
+        if not is_cocycle(m, phi):
+            return f"phi_{i} is nonzero on a face boundary"
+        if [dot(phi, ch) for ch in basis.chains] != [int(i == j) for j in range(basis.rank)]:
+            return f"phi_{i} is not dual to the basis cycles"
+    rows = [chain_from_edges(j for j, g in enumerate(row) if g) for row in basis.gram]
+    if Gf2Span(rows).rank != basis.rank:
+        return "the intersection matrix is singular over GF(2)"
+    return None
 
 
 def main() -> int:
@@ -46,8 +65,16 @@ def main() -> int:
         if trial % 2 == 0:
             inst = random_lattice(rng, max_vertices=14)
             m, basis, curves = inst.map, inst.basis, inst.curves
+            label = f"{inst.surface} lattice"
         else:
             m, basis, curves = random_map(rng, max_vertices=6, extra_edges=10), None, ()
+            label = "random map"
+        for prepared in filter(None, (basis, cycle_basis(m))):
+            bad = prepared_violation(m, prepared)
+            if bad:
+                print(f"BAD PREPARED DATA at trial {trial} ({label}, "
+                      f"{m.vertex_count} vertices, {m.edge_count} edges): {bad}")
+                return 1
         z_ref = partition_bruteforce(m)
         routes = {"pin": lambda b: partition_general_pin(m, basis=basis, backend=b)}
         if classify(m).orientable:

@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from . import graphfile
 from .errors import MalformedFile, PfdimersError
+from .exactnum import rational_str
 from .generators import lattice
 from .homology import cycle_basis
 from .kasteleyn import construct_kasteleyn, curvature_report
@@ -34,10 +35,14 @@ def _load(args):
         return graphfile.load(fh)
 
 
+def _text(v) -> str:
+    return rational_str(v) if isinstance(v, (int, Fraction)) else str(v)
+
+
 def _emit(args, pairs, plain_lines) -> None:
     if args.format == "kv":
         for k, v in pairs:
-            print(f"{k} {v}")
+            print(f"{k} {_text(v)}")
     else:
         for line in plain_lines:
             print(line)
@@ -118,7 +123,7 @@ def cmd_partition(args) -> int:
              ("b1", surface.b1), ("surface", surface.name.replace(" ", "_"))]
     for label, pf in res.terms:
         pairs.append((f"pf.{label}", pf))
-    _emit(args, pairs, [str(res.value)])
+    _emit(args, pairs, [_text(res.value)])
     return 0
 
 
@@ -127,7 +132,7 @@ def cmd_oracle(args) -> int:
     z = partition_bruteforce(inst.map, max_vertices=args.max_vertices)
     n = count_matchings(inst.map, max_vertices=args.max_vertices)
     pairs = [("Z", z), ("matchings", n), ("method", "oracle")]
-    plain = [f"Z = {z} ({n} matchings)"]
+    plain = [f"Z = {_text(z)} ({n} matchings)"]
     if args.buckets and n:
         basis = inst.basis if inst.basis is not None else cycle_basis(inst.map)
         D0 = find_matching(inst.map)
@@ -158,7 +163,7 @@ def cmd_verify(args) -> int:
     ok = all(_close(v, ref, args.backend) for v in values.values())
     pairs = [(k, v.value) for k, v in sorted(results.items())]
     pairs.append(("agree", "yes" if ok else "no"))
-    plain = [f"{k}: Z = {v.value}" for k, v in sorted(results.items())]
+    plain = [f"{k}: Z = {_text(v.value)}" for k, v in sorted(results.items())]
     plain.append("all methods agree" if ok else "METHOD DISAGREEMENT")
     _emit(args, pairs, plain)
     return 0 if ok else 2

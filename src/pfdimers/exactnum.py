@@ -11,10 +11,17 @@ with o = b1 mod 2 it equals i^((beta-o)/2) * (1+i)^o / 2^((b1+o)/2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Union
 
 Rational = Union[int, Fraction]
+
+
+def rational_str(q: Rational) -> str:
+    """``str(q)``, through ``Decimal``, which has no int-to-str digit limit."""
+    num = str(Decimal(q.numerator))
+    return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
 
 
 @dataclass(frozen=True)
@@ -65,11 +72,11 @@ class GaussianRational:
 
     def __str__(self) -> str:
         if self.im == 0:
-            return str(self.re)
+            return rational_str(self.re)
+        im = rational_str(self.im) + "i"
         if self.re == 0:
-            return f"{self.im}i"
-        sign = "+" if self.im >= 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
+            return im
+        return rational_str(self.re) + ("+" + im if self.im > 0 else im)
 
 
 GR_ZERO = GaussianRational.of(0)

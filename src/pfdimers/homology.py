@@ -11,18 +11,19 @@ crosses; the resulting crossing cochain represents the Poincare dual of the
 cycle's class, and pairing it with any 1-cycle gives the mod-2 intersection
 number.
 
-Every GF(2) solve goes through one echelon, ``Gf2Span``.  A basis builder
-adds the face boundaries, then each accepted cycle chain C_j with right-hand
-side ``1 << j``; back-substitution on bit i gives the dual cocycle phi_i
-(zero on faces, phi_i(C_j) = delta_ij).  A separate solve per phi_i would
-eliminate the same rows to the same pivots, and the solution that is zero
-off the pivot bits is unique, so it would give the same phi_i.
+Every GF(2) solve goes through one echelon, ``Gf2Span``, keyed by pivot: a
+row meets only the pivots it hits, so a basis costs about one pass over the
+face boundaries.  A basis builder adds the face boundaries, then each
+accepted cycle chain C_j with right-hand side ``1 << j``; back-substitution
+on bit i gives the dual cocycle phi_i (zero on faces, phi_i(C_j) =
+delta_ij).  The pivots are the top bits of the span and the solution that is
+zero off them is unique, so phi_i does not depend on the elimination order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import NotAClosedWalk, NotSimple
 from .surface_graph import CombinatorialMap, euler_characteristic, spanning_tree
@@ -45,28 +46,27 @@ def dot(a: int, b: int) -> int:
 class Gf2Span:
     """Incremental GF(2) echelon of bitmask rows with right-hand sides.
 
-    Rows stay in insertion order as (pivot, mask, rhs): ``mask`` is the row
-    reduced against every earlier row and ``pivot`` its top bit.  Bit ``k``
-    of ``rhs`` is the row's right-hand side in parity system ``k``.
+    ``pivots`` maps a top bit to the one kept row (mask, rhs) with that top
+    bit.  A row is reduced at its top bit until that bit is no pivot, which
+    leaves the least top bit of its coset: the pivots are the top bits of
+    the span.  Bit ``k`` of ``rhs`` is the right-hand side of system ``k``.
     """
 
     def __init__(self, rows: Sequence[int] = ()) -> None:
-        self.rows: List[Tuple[int, int, int]] = []
+        self.pivots: Dict[int, Tuple[int, int]] = {}
         for r in rows:
             self.add(r)
 
     def _reduce(self, row: int, rhs: int) -> Tuple[int, int]:
-        for pb, pm, pr in self.rows:
-            if (row >> pb) & 1:
-                row ^= pm
-                rhs ^= pr
+        while (hit := self.pivots.get(row.bit_length() - 1)) is not None:
+            row, rhs = row ^ hit[0], rhs ^ hit[1]
         return row, rhs
 
     def add(self, row: int, rhs: int = 0) -> bool:
         """Insert ``row``; True if it enlarged the span, else it is dropped."""
         row, rhs = self._reduce(row, rhs)
         if row:
-            self.rows.append((row.bit_length() - 1, row, rhs))
+            self.pivots[row.bit_length() - 1] = (row, rhs)
         return bool(row)
 
     def contains(self, row: int) -> bool:
@@ -74,14 +74,16 @@ class Gf2Span:
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
     def solve(self, k: int = 0) -> int:
         """x with parity(x & mask) = bit ``k`` of rhs on every kept row, free
-        variables 0.  A mask holds no earlier row's pivot bit, so reverse
-        insertion order sets every other pivot bit of it before it is read."""
+        variables 0, set in increasing pivot order: below its pivot a mask
+        holds only free bits and earlier pivots.  It is the one solution
+        carried by the pivots, whatever order reduced the rows."""
         x = 0
-        for pb, pm, pr in reversed(self.rows):
+        for pb in sorted(self.pivots):
+            pm, pr = self.pivots[pb]
             if ((pr >> k) & 1) ^ dot(x, pm):
                 x |= 1 << pb
         return x

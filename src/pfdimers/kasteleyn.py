@@ -138,12 +138,15 @@ def construct_kasteleyn(m: CombinatorialMap,
 
     Starts from the canonical orientation; curved faces come in pairs, and
     reversing the edges along a dual path between two curved faces repairs
-    both without disturbing anything else.
+    both without disturbing anything else.  Each repair joins the lowest
+    curved face to the nearest other one; repairs only clear curvature, so
+    one forward scan over the faces finds every source.
     """
     if m.vertex_count % 2:
         raise OddVertexCount("no admissible orientation on an odd vertex count")
     K = canonical_orientation(m)
-    curv = face_curvatures(m, K, omega)
+    table = _face_parities(m, omega)
+    curv = [parity(K.bits & fold) ^ const for fold, const in table]
     assert sum(curv) % 2 == 0
 
     # dual adjacency through edges with two distinct incident faces
@@ -153,18 +156,13 @@ def construct_kasteleyn(m: CombinatorialMap,
             dual_adj[f1].append((f2, e))
             dual_adj[f2].append((f1, e))
 
-    while True:
-        curved = [f for f, c in enumerate(curv) if c]
+    for src, curved in enumerate(curv):
         if not curved:
-            break
-        src = curved[0]
+            continue
         prev = {src: (-1, -1)}
         queue = [src]
         target = -1
-        qi = 0
-        while qi < len(queue):
-            f = queue[qi]
-            qi += 1
+        for f in queue:
             if f != src and curv[f]:
                 target = f
                 break
@@ -181,10 +179,9 @@ def construct_kasteleyn(m: CombinatorialMap,
             flip ^= 1 << e
             f = g
         K = K.flipped(flip)
-        curv[src] ^= 1
-        curv[target] ^= 1
+        curv[src] = curv[target] = 0
 
-    assert is_kasteleyn(m, K, omega)
+    assert not any(parity(K.bits & fold) ^ const for fold, const in table)
     return K
 
 

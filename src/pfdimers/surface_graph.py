@@ -24,7 +24,8 @@ orbit per face is retained.
 
 Faces are traced once per map: ``m.faces`` runs ``trace_faces`` on first use
 and keeps the result, and every consumer (Euler characteristic, homology
-basis, Kasteleyn curvature, companion cycles) reads it there.  A map made
+basis, Kasteleyn curvature, companion cycles) reads it there.  Orientability
+is kept the same way (``m.orientable``), without tracing faces.  A map made
 from another one (``flip_charts``, ``untwist``, ``relabel``) is a new object
 with its own faces.
 """
@@ -95,6 +96,12 @@ class CombinatorialMap:
         instance ``__dict__``, outside the fields that ``==`` and ``hash``
         compare."""
         return trace_faces(self)
+
+    @cached_property
+    def orientable(self) -> bool:
+        """True iff the twist cochain is a vertex coboundary; kept like ``faces``."""
+        t = tree_twist_parity(self)
+        return not any(edge.twist ^ t[edge.u] ^ t[edge.v] for edge in self.edges)
 
 
 @dataclass(frozen=True)
@@ -321,16 +328,12 @@ def tree_twist_parity(m: CombinatorialMap) -> Tuple[int, ...]:
 
 def is_orientable(m: CombinatorialMap) -> bool:
     """True iff the twist cochain is the coboundary of a vertex chart flip."""
-    t = tree_twist_parity(m)
-    for e, edge in enumerate(m.edges):
-        if edge.twist ^ t[edge.u] ^ t[edge.v]:
-            return False
-    return True
+    return m.orientable
 
 
 def classify(m: CombinatorialMap) -> SurfaceType:
     chi = euler_characteristic(m)
-    if is_orientable(m):
+    if m.orientable:
         assert chi % 2 == 0
         return SurfaceType(True, (2 - chi) // 2, chi, "orientable")
     if chi % 2 == 1:

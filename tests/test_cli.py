@@ -211,3 +211,18 @@ def test_orient_and_invariants_trace_faces_once(tmp_path, monkeypatch, capsys):
         calls.clear()
         assert main([command, str(path)]) == 0
         assert len(calls) == 1, command
+
+
+def test_cli_partition_past_the_int_str_digit_limit(tmp_path, capsys):
+    # Z = 272 * w^8 with w = 10**600 has 4803 digits, past CPython's default
+    # int-to-str limit of 4300
+    path = tmp_path / "big.txt"
+    with open(path, "w") as fh:
+        graphfile.dump(lattice(4, 4, "torus", weights=[10**600] * 32), fh)
+    zeros = "0" * 4800
+    assert main(["partition", str(path), "--format", "kv"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"Z 272{zeros}", "method practical", "b1 2", "surface torus",
+        f"pf.00 256{zeros}", f"pf.10 144{zeros}", f"pf.01 144{zeros}", "pf.11 0"]
+    assert main(["partition", str(path)]) == 0
+    assert capsys.readouterr().out == f"272{zeros}\n"

@@ -308,3 +308,71 @@ def test_basis_choices_pinned(name):
     assert basis.pd_cochains == pd
     assert " ".join(f"{label}:{value}" for label, value in
                     partition(m, "pin").terms) == terms
+
+
+class _InsertionOrderSpan:
+    """The insertion-order echelon that ``Gf2Span`` replaced: each row is
+    reduced against every earlier row, and ``solve`` back-substitutes in
+    reverse insertion order."""
+
+    def __init__(self, rows=()):
+        self.rows = []
+        for r in rows:
+            self.add(r)
+
+    def _reduce(self, row, rhs):
+        for pb, pm, pr in self.rows:
+            if (row >> pb) & 1:
+                row, rhs = row ^ pm, rhs ^ pr
+        return row, rhs
+
+    def add(self, row, rhs=0):
+        row, rhs = self._reduce(row, rhs)
+        if row:
+            self.rows.append((row.bit_length() - 1, row, rhs))
+        return bool(row)
+
+    def contains(self, row):
+        return self._reduce(row, 0)[0] == 0
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def solve(self, k=0):
+        x = 0
+        for pb, pm, pr in reversed(self.rows):
+            if ((pr >> k) & 1) ^ dot(x, pm):
+                x |= 1 << pb
+        return x
+
+
+@given(st.lists(st.tuples(st.integers(0, 2**12 - 1), st.integers(0, 15)), max_size=16),
+       st.lists(st.integers(0, 2**12 - 1), max_size=4))
+def test_pivot_echelon_matches_insertion_order_echelon(rows, probes):
+    span, ref = Gf2Span(), _InsertionOrderSpan()
+    for mask, rhs in rows:
+        assert span.add(mask, rhs) == ref.add(mask, rhs)
+        assert span.rank == ref.rank
+    for probe in probes:
+        assert span.contains(probe) == ref.contains(probe)
+    # the same free-variables-zero solution, not just some solution
+    assert [span.solve(k) for k in range(4)] == [ref.solve(k) for k in range(4)]
+
+
+def test_bases_equal_under_insertion_order_echelon(monkeypatch):
+    import pfdimers.homology as homology
+
+    maps = [(inst.map, [c.companion for c in inst.curves])
+            for inst in (lattice(20, 20, s) for s in ("torus", "klein_hexagon", "rp2"))]
+    rng = random.Random(3)
+    for _ in range(300):
+        m = random_map(rng, 8, 5)
+        maps.append((m, cycle_basis(m).cycles))
+
+    def bases():
+        return [(cycle_basis(m), basis_from_cycles(m, cycles)) for m, cycles in maps]
+
+    new = bases()
+    monkeypatch.setattr(homology, "Gf2Span", _InsertionOrderSpan)
+    assert bases() == new

@@ -200,3 +200,75 @@ def test_construct_runs_on_random_maps():
             continue
         K = construct_kasteleyn(m)
         assert is_kasteleyn(m, K)
+
+
+def _rescan_kasteleyn(m):
+    """The repair loop that ``construct_kasteleyn`` replaced: it rebuilds
+    the list of curved faces before every repair."""
+    K = canonical_orientation(m)
+    curv = face_curvatures(m, K)
+    dual_adj = [[] for _ in range(len(m.faces))]
+    for e, (f1, f2) in enumerate(m.faces.edge_face_incidence(m.edge_count)):
+        if f1 != f2:
+            dual_adj[f1].append((f2, e))
+            dual_adj[f2].append((f1, e))
+    while True:
+        curved = [f for f, c in enumerate(curv) if c]
+        if not curved:
+            return K
+        src = curved[0]
+        prev = {src: (-1, -1)}
+        queue = [src]
+        target = -1
+        qi = 0
+        while qi < len(queue):
+            f = queue[qi]
+            qi += 1
+            if f != src and curv[f]:
+                target = f
+                break
+            for g, e in dual_adj[f]:
+                if g not in prev:
+                    prev[g] = (f, e)
+                    queue.append(g)
+        flip = 0
+        f = target
+        while f != src:
+            g, e = prev[f]
+            flip ^= 1 << e
+            f = g
+        K = K.flipped(flip)
+        curv[src] ^= 1
+        curv[target] ^= 1
+
+
+def test_construct_makes_the_rescan_loop_choices():
+    maps = [lattice(a, b, s).map for s in ("planar", "torus", "klein_hexagon", "rp2")
+            for a, b in ((2, 2), (4, 4), (6, 8), (12, 12))]
+    rng = random.Random(5)
+    lattices = len(maps)
+    while len(maps) < lattices + 200:
+        m = random_map(rng, 8, 5)
+        if m.vertex_count % 2 == 0:
+            maps.append(m)
+    for m in maps:
+        assert construct_kasteleyn(m).bits == _rescan_kasteleyn(m).bits
+
+
+def test_construct_builds_the_face_table_once(monkeypatch):
+    import pfdimers.kasteleyn as kasteleyn
+
+    calls = []
+    table = kasteleyn._face_parities
+
+    def counting(m, omega):
+        calls.append(m)
+        return table(m, omega)
+
+    maps = [lattice(6, 6, s).map for s in ("torus", "klein_hexagon", "rp2")]
+    monkeypatch.setattr(kasteleyn, "_face_parities", counting)
+    for m in maps:
+        K = construct_kasteleyn(m, omega=m.twist_bits())
+        assert calls == [m]
+        assert is_kasteleyn(m, K)
+        calls.clear()

@@ -8,6 +8,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pfdimers import (
     CurveNotRealizable,
@@ -34,6 +36,7 @@ from pfdimers import (
     partition_orientable_practical,
     partition_orientable_spin,
 )
+from pfdimers.exactnum import GaussianRational, rational_str
 from pfdimers.generators import random_lattice, random_map
 from pfdimers.homology import chain_from_edges, edges_of, vertex_coboundary
 from pfdimers.kasteleyn import is_kasteleyn
@@ -660,3 +663,49 @@ def test_float_value_out_of_range_raises():
     with pytest.raises(FloatOutOfRange):
         PartitionResult(float("nan"), "practical", False)
     assert PartitionResult(Fraction(10**400), "pin", True).value == 10**400
+
+
+def test_exact_values_past_the_int_str_digit_limit():
+    # w^(V/2) with w = 10**600 on 16 vertices: Z and the class Pfaffians
+    # have 4803 digits, past CPython's default int-to-str limit of 4300
+    zeros = "0" * 4800
+    inst = lattice(4, 4, "torus", weights=[10**600] * 32)
+    for method in ("auto", "pin"):
+        r = partition(inst.map, method, curves=inst.curves, basis=inst.basis)
+        assert r.value == 272 * 10**4800
+        assert r.terms == (("00", "256" + zeros), ("10", "144" + zeros),
+                           ("01", "144" + zeros), ("11", "0"))
+    # a Gaussian class Pfaffian: 51+47i at unit weights on the rp2 3x4 lattice
+    rp2 = lattice(3, 4, "rp2", weights=[10**800] * 24)
+    r = partition(rp2.map, "pin", basis=rp2.basis)
+    assert r.value == 98 * 10**4800
+    assert r.terms == (("0", f"51{zeros}+47{zeros}i"), ("1", f"51{zeros}-47{zeros}i"))
+
+
+@given(st.fractions(), st.fractions())
+def test_exact_strings_unchanged_below_the_digit_limit(re, im):
+    assert rational_str(re) == str(re)
+    assert rational_str(re.numerator) == str(re.numerator)
+    old = (str(re) if im == 0 else f"{im}i" if re == 0
+           else f"{re}{'+' if im >= 0 else '-'}{abs(im)}i")
+    assert str(GaussianRational(re, im)) == old
+
+
+def test_orientability_searched_once_per_map(monkeypatch):
+    import pfdimers.surface_graph as surface_graph
+
+    calls = []
+    search = surface_graph.tree_twist_parity
+
+    def counting(m):
+        calls.append(m)
+        return search(m)
+
+    monkeypatch.setattr(surface_graph, "tree_twist_parity", counting)
+    for surface in ("torus", "rp2"):
+        for backend in ("exact", "float"):
+            inst = lattice(6, 6, surface)
+            partition(inst.map, "auto", curves=inst.curves, basis=inst.basis,
+                      backend=backend)
+            assert calls[-1] is inst.map
+    assert len({id(m) for m in calls}) == len(calls)

@@ -33,3 +33,23 @@ def test_run_lattice_examples_agree(monkeypatch):
     for size in ("4x4", "3x4"):
         monkeypatch.setattr(sys, "argv", ["run_lattice_examples.py", "--size", size])
         assert script.main() == 0
+
+
+def test_random_agreement_names_a_map_with_bad_prepared_data(monkeypatch, capsys):
+    from dataclasses import replace
+
+    script = _load_script("random_agreement")
+    good = script.cycle_basis
+
+    def swapped_duals(m):
+        # reversed duals are still cocycles, but not dual to their cycles
+        basis = good(m)
+        return replace(basis, dual_cochains=basis.dual_cochains[::-1])
+
+    monkeypatch.setattr(script, "cycle_basis", swapped_duals)
+    monkeypatch.setattr(sys, "argv",
+                        ["random_agreement.py", "--trials", "20", "--seed", "1"])
+    assert script.main() == 1
+    assert capsys.readouterr().out.startswith(
+        "BAD PREPARED DATA at trial 0 (torus lattice, 8 vertices, 16 edges): "
+        "phi_0 is not dual to the basis cycles")
