@@ -11,7 +11,8 @@ within 1e-9 relative for the float backend.  It also checks the prepared
 homology data of every map it draws (its own basis, if any, and
 ``cycle_basis``): each dual cocycle phi_i is zero on every face boundary,
 phi_i(C_j) = delta_ij, and the intersection matrix is invertible over GF(2).
-Exits nonzero on the first disagreement or violation, naming the route and
+On untwisted orientable maps pin and spin must also return identical class
+terms.  Exits nonzero on the first disagreement or violation, naming the route and
 the backend, or the map.
 """
 
@@ -84,14 +85,21 @@ def main() -> int:
         elif curves:
             routes["practical"] = lambda b: partition_nonorientable_practical(
                 m, curves, basis=basis, backend=b)
-        for name, route in routes.items():
-            for backend in ("exact", "float"):
-                val = route(backend).value
+        for backend in ("exact", "float"):
+            results = {name: route(backend) for name, route in routes.items()}
+            for name, res in results.items():
                 tol = 0 if backend == "exact" else FLOAT_REL_TOL * z_ref
-                if abs(val - z_ref) > tol:
+                if abs(res.value - z_ref) > tol:
                     print(f"DISAGREEMENT at trial {trial}: {name} ({backend}) = "
-                          f"{val}, oracle = {z_ref}")
+                          f"{res.value}, oracle = {z_ref}")
                     return 1
+            # on an untwisted orientable map spin is the pin sum at omega = 0:
+            # same K, basis, D0 and flips, so the same class Pfaffians
+            if "spin" in results and not m.twist_bits() and \
+                    results["spin"].terms != results["pin"].terms:
+                print(f"TERMS DIFFER at trial {trial} ({label}, {m.vertex_count} "
+                      f"vertices, {m.edge_count} edges): pin and spin ({backend})")
+                return 1
     print(f"{args.trials} trials agree exactly (float backend within "
           f"{FLOAT_REL_TOL:g} relative)  [{time.perf_counter() - t0:.1f}s]")
     return 0

@@ -11,32 +11,50 @@ Grammar (one directive per line; ``#`` starts a comment; blank lines ok)::
     companion <idx> <half-edge> ...
 
 Half-edges are written ``<edge-id>.<0|1>``; half 0 anchors at the edge's
-first endpoint.  Edge ids must be dense 0..E-1.  Weights are integers,
-fractions like ``3/2`` or decimals.  Companion walks are arc sequences (each
-arc leaves the anchor of the written half).  Unknown directives, crossings
-outside the edge ids and curve data for an index without a ``curve`` line
-are rejected.
+first endpoint.  Edge ids must be dense 0..E-1.  Weights are integers or
+fractions like ``3/2``, of any length, or decimals.  Companion walks are arc
+sequences (each arc leaves the anchor of the written half).  Unknown
+directives, crossings outside the edge ids and curve data for an index
+without a ``curve`` line are rejected.
 """
 
 from __future__ import annotations
 
+import re
+from decimal import Decimal
 from fractions import Fraction
 from typing import Dict, List, Optional, TextIO, Tuple
 
 from .errors import MalformedFile, NotAClosedWalk, NotSimple
+from .exactnum import rational_str
 from .generators import LatticeInstance, TransverseCurve
 from .homology import basis_from_cycles, chain_from_edges, edges_of
 from .surface_graph import build_map, classify
+
+_INTEGER = re.compile(r"[+-]?\d+(?:_\d+)*")
+
+
+def _int(tok: str) -> int:
+    """``int(tok)``, through ``Decimal`` past CPython's int-from-str digit limit."""
+    try:
+        return int(tok)
+    except ValueError:
+        if _INTEGER.fullmatch(tok) is None:
+            raise
+        return int(Decimal(tok))
 
 
 def _parse_weight(tok: str) -> object:
     try:
         if "/" in tok:
-            return Fraction(tok)
+            p, q = tok.split("/")
+            if not q[:1].isdigit():  # the denominator carries no sign
+                raise ValueError(q)
+            return Fraction(_int(p), _int(q))
         if "." in tok or "e" in tok or "E" in tok:
             return float(tok)
-        return int(tok)
-    except ValueError as exc:
+        return _int(tok)
+    except (ValueError, ZeroDivisionError) as exc:
         raise MalformedFile(f"bad weight {tok!r}") from exc
 
 
@@ -147,7 +165,7 @@ def dump(inst: LatticeInstance, stream: TextIO) -> None:
     stream.write(f"vertices {m.vertex_count}\n")
     for e, edge in enumerate(m.edges):
         w = edge.weight
-        wtok = str(w) if not isinstance(w, float) else repr(w)
+        wtok = repr(w) if isinstance(w, float) else rational_str(w)
         stream.write(f"edge {e} {edge.u} {edge.v} {edge.twist} {wtok}\n")
     for v in range(m.vertex_count):
         toks = " ".join(f"{h // 2}.{h % 2}" for h in m.rotations[v])

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import NotAClosedWalk, NotSimple
-from .surface_graph import CombinatorialMap, euler_characteristic, spanning_tree
+from .surface_graph import CombinatorialMap, euler_characteristic, spanning_tree, vertex_labels
 
 Walk = Tuple[int, ...]
 
@@ -87,16 +87,6 @@ class Gf2Span:
             if ((pr >> k) & 1) ^ dot(x, pm):
                 x |= 1 << pb
         return x
-
-
-def solve_parity_system(constraints: Sequence[Tuple[int, int]]) -> Optional[int]:
-    """x with parity(x & mask_i) = b_i for all i (free variables 0), or None."""
-    span = Gf2Span()
-    for mask, rhs in constraints:
-        span.add(mask, rhs & 1)
-    x = span.solve()
-    # a dropped row is a sum of kept ones; x satisfies it iff its rhs agrees
-    return x if all(dot(x, mask) == rhs & 1 for mask, rhs in constraints) else None
 
 
 # ---------------------------------------------------------------------------
@@ -177,24 +167,17 @@ def is_cocycle(m: CombinatorialMap, phi: int) -> bool:
 def coboundary_preimage(m: CombinatorialMap, phi: int) -> Optional[Tuple[int, ...]]:
     """A vertex set S with delta(S) = phi, or None.
 
-    On a connected graph the two solutions are complements; the smaller one
-    is returned (ties broken towards the side without vertex 0), so that a
-    single-vertex coboundary always maps back to that vertex.
-    """
-    constraints = []
-    for e, edge in enumerate(m.edges):
-        if edge.u == edge.v:
-            if (phi >> e) & 1:
-                return None
-            continue
-        mask = (1 << edge.u) | (1 << edge.v)
-        constraints.append((mask, (phi >> e) & 1))
-    constraints.append((1, 0))  # pin vertex 0 out of S
-    x = solve_parity_system(constraints)
-    if x is None:
+    The tree labels ``vertex_labels(m, phi)`` split the vertices into the
+    only two candidates, complements; the smaller one is returned (ties to
+    the side without vertex 0), so a single-vertex coboundary maps back to
+    that vertex."""
+    labels = vertex_labels(m, phi)
+    delta = sum(1 << e for e, edge in enumerate(m.edges)
+                if labels[edge.u] != labels[edge.v])
+    if delta != phi:
         return None
-    side = tuple(v for v in range(m.vertex_count) if (x >> v) & 1)
-    other = tuple(v for v in range(m.vertex_count) if not (x >> v) & 1)
+    side = tuple(v for v in range(m.vertex_count) if labels[v] < 0)
+    other = tuple(v for v in range(m.vertex_count) if labels[v] > 0)
     return other if len(other) < len(side) else side
 
 

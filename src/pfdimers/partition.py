@@ -1,16 +1,21 @@
-"""Partition-function assembly: four formulas on two skeletons.
+"""Partition-function assembly: one class sum on two skeletons.
 
-Both skeletons read the map's faces (``m.faces``, traced once per map), build a
-homology basis and an admissible orientation K once, take the Pfaffians of the
-orientation classes that flip K by subset sums of a list of cocycles, weight
-them, sum and normalise.
+Every formula is one sum Z = sum_xi w_xi * Pf(A^{K_xi}) over the orientation
+classes that flip an admissible K by subset sums of a list of cocycles, with
+w_xi = c * i^k_xi / divisor and one constant c per route.  ``_class_sum``
+sums the class Pfaffians in class order into four buckets by k mod 4 and
+applies c once, in the Gaussian rationals (exact) or complex floats.  Both
+skeletons build the faces (``m.faces``), a homology basis and K once.
 
 ``_enhanced_sum`` carries the pin and spin formulas.  The pin route weights
 class xi by exp(i*pi*beta/4) * eps_xi with beta the Brown invariant of its
 enhancement and divides by 2^(b1/2); the spin route is the same sum on an
 untwisted orientable map at omega = 0 with beta = 4 * Arf.  Both take one
 O(b1^3) split per route plus the shift law (``shifted_browns``) for the
-betas.
+betas.  The Brown invariant of a nondegenerate Z4-valued form has the
+parity of its rank (Brown 1972; Kirby and Taylor 1990), so with o = b1 mod
+2, exp(i*pi*beta/4) / 2^(b1/2) = i^((beta-o)/2) * (1+i)^o / 2^((b1+o)/2):
+k = (beta - o)/2 + 2 [eps_xi < 0] and c = (1+i)^o * i^(-omega(D0)).
 
 ``_practical`` carries the two practical formulas (Cimasoni and Reshetikhin
 2007 on orientable surfaces; Tesler 2000 and this paper on non-orientable
@@ -19,18 +24,9 @@ flipped along the alpha curves, after K is flipped to an odd mismatch count
 on each curve's companion cycle.  An orientable map without curve data uses
 its basis cycles, flipped along their left push-offs.  Class xi weighs the
 sign (-1)^(number of its intersecting basis pairs) times an unprimed weight:
-1 on orientable surfaces, 1 - i with odd Euler characteristic, -i with even
-Euler characteristic.  With even Euler characteristic the primed classes,
-also flipped along the first beta curve, weigh the sign alone.
-
-Every weight is a Gaussian rational.  The Brown invariant of a nondegenerate
-Z4-valued form has the parity of its rank (Brown 1972; Kirby and Taylor
-1990), so with o = b1 mod 2, exp(i*pi*beta/4) / 2^(b1/2) equals
-i^((beta-o)/2) * (1+i)^o / 2^((b1+o)/2).  Both skeletons thus end in one
-weighted sum, ``_weighted_sum``: exact mode takes it in the Gaussian
-rationals and asserts that Z is a nonnegative rational; float mode converts
-the weights to complex floats.  Classes are always summed in a fixed order,
-so results are reproducible.
+1 on orientable surfaces, 1 - i with odd Euler characteristic (c), -i with
+even Euler characteristic, where the primed classes, also flipped along the
+first beta curve, weigh the sign alone.
 """
 
 from __future__ import annotations
@@ -48,7 +44,7 @@ from .errors import (
     NotSimple,
     WrongSurfaceType,
 )
-from .exactnum import GR_ONE, GR_ZERO, GaussianRational, i_power
+from .exactnum import GR_I, GR_ONE, GR_ZERO, GaussianRational, i_power
 from .generators import TransverseCurve
 from .homology import (
     HomologyBasis,
@@ -59,6 +55,7 @@ from .homology import (
     cycle_basis,
     dot,
     is_cocycle,
+    parity,
     walk_chain,
 )
 from .kasteleyn import Orientation, construct_kasteleyn
@@ -258,36 +255,25 @@ def _zero(method: str, exact: bool) -> PartitionResult:
     return PartitionResult(Fraction(0) if exact else 0.0, method, exact)
 
 
-def _class_pfaffians(m: CombinatorialMap, K: Orientation, flips: Sequence[int],
-                     backend: str, omega: Optional[int] = None) -> list:
-    """Pfaffians of the classes of K flipped by subset sums of ``flips``, in
-    ``enumerate_classes`` order, from one preparation of K's edges."""
-    return [pfaffian(c) for c in _class_matrices(m, K, flips, backend, omega)]
-
-
 def _labelled(pfs: Sequence, width: int) -> List[Tuple[str, str]]:
     return [(_eps_label(idx, width), str(pf)) for idx, pf in enumerate(pfs)]
 
 
-def _pair_sign(idx: int, gram: Sequence[Sequence[int]]) -> GaussianRational:
-    """(-1) to the number of pairs i < j in ``idx`` with gram[i][j] = 1, as
-    a class weight."""
-    bits = [i for i in range(len(gram)) if (idx >> i) & 1]
-    pairs = sum(gram[i][j] for k, i in enumerate(bits) for j in bits[k + 1:])
-    return i_power(2 * pairs)
-
-
-def _weighted_sum(pairs: Sequence[Tuple[GaussianRational, object]], divisor: int,
-                  exact: bool) -> Tuple[Number, Number]:
-    """Real and imaginary parts of sum(c * x for c, x in pairs) / divisor.
-
-    The weights c are Gaussian rationals; float mode converts them with
-    ``to_complex``, so both backends take the same sum."""
-    if exact:
-        total = sum((c * x for c, x in pairs), GR_ZERO)
-        return total.re / divisor, total.im / divisor
-    total = sum(c.to_complex() * x for c, x in pairs) / divisor
-    return total.real, total.imag
+def _class_sum(m: CombinatorialMap, K: Orientation, flips: Sequence[int],
+               powers: Sequence[int], factor: GaussianRational, divisor: int,
+               backend: str, omega: Optional[int] = None) -> Tuple[Number, Number, list]:
+    """Real and imaginary parts of factor * sum_xi i^powers[xi] * Pf(A^{K_xi})
+    / divisor over the classes of K flipped by subset sums of ``flips``, in
+    ``enumerate_classes`` order, and the class Pfaffians."""
+    exact = backend == "exact"
+    pfs = [pfaffian(c) for c in _class_matrices(m, K, flips, backend, omega)]
+    buckets = [GR_ZERO if exact else 0j] * 4
+    for k, pf in zip(powers, pfs):
+        buckets[k % 4] += pf
+    unit, c = ((GR_I, factor.scale(Fraction(1, divisor))) if exact
+               else (1j, factor.to_complex() / divisor))
+    total = c * ((buckets[0] - buckets[2]) + unit * (buckets[1] - buckets[3]))
+    return (total.re, total.im, pfs) if exact else (total.real, total.imag, pfs)
 
 
 def _enhanced_sum(m: CombinatorialMap, method: str, omega: int,
@@ -307,28 +293,24 @@ def _enhanced_sum(m: CombinatorialMap, method: str, omega: int,
     b1 = basis.rank
     K = construct_kasteleyn(m, omega=omega)
     q0 = basis_enhancement(m, K, D0, basis, omega)
-    pfs = _class_pfaffians(m, K, basis.dual_cochains, backend, omega)
-    # Flipping the orientation of one dimer swaps one pair of the matching
-    # permutation, so class idx has eps_0 * (-1)^(sum of |phi_i & D0|, i in idx).
-    eps0 = matching_sign(m, K, D0)
-    odd = sum(((phi & D0).bit_count() & 1) << i
-              for i, phi in enumerate(basis.dual_cochains))
     # Class idx flips K by the dual cocycles phi_i, i in idx; as
     # phi_i(C_j) = delta_ij, its enhancement is q0 shifted by the bits of idx.
     betas = shifted_browns(q0, invariant(q0))
-    buckets = {}  # beta -> signed Pfaffian sum, for the betas that occur
-    for idx, (beta, pf) in enumerate(zip(betas, pfs)):
-        eps = eps0 * (-1) ** (idx & odd).bit_count()
-        signed = pf if eps > 0 else -pf
-        buckets[beta] = buckets[beta] + signed if beta in buckets else signed
-    # Weights as in the module docstring; (1+i)^o = 1 + o*i.
     o = b1 % 2
-    if any((beta - o) % 2 for beta in buckets):
-        raise NonRealResult(f"{method} invariants {sorted(buckets)} differ in "
+    if any((beta - o) % 2 for beta in betas):
+        raise NonRealResult(f"{method} invariants {sorted(set(betas))} differ in "
                             f"parity from b1 = {b1}")
-    rotation = GaussianRational.of(1, o) * i_power(-dotcount(omega, D0))
-    re, im = _weighted_sum([(i_power((beta - o) // 2) * rotation, s)
-                            for beta, s in buckets.items()], 2 ** ((b1 + o) // 2), exact)
+    # Flipping the orientation of one dimer swaps one pair of the matching
+    # permutation, so class idx has eps_0 * (-1)^(sum of |phi_i & D0|, i in idx).
+    odd = sum(parity(phi & D0) << i for i, phi in enumerate(basis.dual_cochains))
+    neg = int(matching_sign(m, K, D0) < 0)
+    # Weights as in the module docstring; eps_xi = i^(2 [eps_xi < 0]) and
+    # (1+i)^o = 1 + o*i.
+    powers = [(beta - o) // 2 + 2 * (neg ^ parity(idx & odd))
+              for idx, beta in enumerate(betas)]
+    factor = GaussianRational.of(1, o) * i_power(-dotcount(omega, D0))
+    re, im, pfs = _class_sum(m, K, basis.dual_cochains, powers, factor,
+                             2 ** ((b1 + o) // 2), backend, omega)
     tol = 0 if exact else 1e-9 * (1 + abs(complex(re, im)))
     if abs(im) > tol:
         raise NonRealResult(f"{method} sum is not real: {re} + {im}i")
@@ -386,16 +368,18 @@ def _practical(m: CombinatorialMap, curves: Optional[Sequence[TransverseCurve]],
         assert surface.orientable
         companions, flips = basis.cycles, basis.pd_cochains
     K = normalize_orientation(m, construct_kasteleyn(m), basis, companions)
-    pfs = _class_pfaffians(m, K, flips, backend)
+    # Class idx + 2^r is the primed class of idx.  Class xi weighs
+    # i^(2 * number of its intersecting basis pairs i < j; later[i] holds
+    # the j), times -i on an unprimed class of even Euler characteristic and
+    # 1 - i with odd (``factor``).
+    n = 1 << r
+    later = [sum(basis.gram[i][j] << j for j in range(i + 1, r)) for i in range(r)]
+    powers = [2 * sum((idx & later[i]).bit_count() for i in range(r) if (idx >> i) & 1)
+              - primed * (idx < n) for idx in range(n << primed)]
+    factor = GaussianRational.of(1, -1) if surface.kind == "nonorientable_odd_chi" else GR_ONE
+    re, _, pfs = _class_sum(m, K, flips, powers, factor, 2 ** surface.genus, backend)
     if exact and surface.orientable and any(pf.im for pf in pfs):
         raise NonRealResult("orientable Pfaffian has an imaginary part")
-    # Class idx + 2^r is the primed class of idx.
-    n = 1 << r
-    signs = [_pair_sign(idx, basis.gram) for idx in range(n)]
-    unprimed = (GR_ONE if surface.orientable else i_power(-1) if primed
-                else GaussianRational.of(1, -1))
-    re, _ = _weighted_sum([(s * unprimed, pf) for s, pf in zip(signs, pfs)] +
-                          list(zip(signs, pfs[n:])), 2 ** surface.genus, exact)
     terms = _labelled(pfs[:n], r)
     if primed:
         primes = [(label + "'", pf) for label, pf in _labelled(pfs[n:], r)]

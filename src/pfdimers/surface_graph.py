@@ -220,18 +220,7 @@ def build_map(
 def _check_connected(m: CombinatorialMap) -> None:
     if m.vertex_count == 0:
         raise DisconnectedGraph("empty vertex set")
-    seen = [False] * m.vertex_count
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        v = stack.pop()
-        for h in m.rotations[v]:
-            w = m.arc_target(h)
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                stack.append(w)
+    count = len(_bfs(m)[0])
     if count != m.vertex_count:
         raise DisconnectedGraph(f"{m.vertex_count - count} vertices unreachable")
 

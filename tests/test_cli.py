@@ -11,6 +11,8 @@ import pytest
 from pfdimers import graphfile, lattice
 from pfdimers.cli import main
 from pfdimers.errors import MalformedFile
+from pfdimers.exactnum import rational_str
+from pfdimers.partition import partition
 
 
 def _roundtrip(inst):
@@ -57,6 +59,26 @@ def test_malformed_file_messages():
         graphfile.load(io.StringIO("edge 0 0 1 0 1\n"))
     with pytest.raises(MalformedFile):
         graphfile.load(io.StringIO("vertices 2\nedge 5 0 1 0 1\n"))
+
+
+def test_graph_file_weights_past_the_int_str_digit_limit(tmp_path, capsys):
+    # integer and p/q weights of 5001 digits, past CPython's default
+    # int-to-str limit of 4300, survive dump and load
+    w = 10**5000
+    inst = lattice(2, 2, "torus", weights=[w, Fraction(w + 1, 7)] * 4)
+    path = tmp_path / "huge.txt"
+    with open(path, "w") as fh:
+        graphfile.dump(inst, fh)
+    with open(path) as fh:
+        back = graphfile.load(fh)
+    assert back.map == inst.map
+    z = partition(inst.map, "auto", curves=inst.curves, basis=inst.basis).value
+    assert partition(back.map, "auto", curves=back.curves, basis=back.basis).value == z
+    assert main(["partition", str(path)]) == 0
+    assert capsys.readouterr().out == rational_str(z) + "\n"
+    for tok in ("1/0", "1/-2", "1/+2", "1/2/3", "1.5/2", "+-1", "inf", "x12", "1__0", "0x10"):
+        with pytest.raises(MalformedFile):
+            graphfile.load(io.StringIO(f"vertices 2\nedge 0 0 1 0 {tok}\n"))
 
 
 def test_fraction_weights_roundtrip(tmp_path):

@@ -26,24 +26,43 @@ from pfdimers.homology import (
     Gf2Span,
     basis_from_cycles,
     chain_from_edges,
+    coboundary_preimage,
     dot,
     face_boundary_chains,
     is_cycle,
     parity,
-    solve_parity_system,
     vertex_coboundary,
 )
 
 
-@given(st.lists(st.tuples(st.integers(0, 255), st.integers(0, 1)), max_size=12))
-def test_parity_solver_finds_solutions(constraints):
-    x = solve_parity_system(constraints)
-    solutions = [y for y in range(256)
-                 if all(parity(y & mask) == rhs for mask, rhs in constraints)]
-    if x is None:
-        assert not solutions
-    else:
-        assert x in solutions
+@pytest.mark.parametrize("twisted", [False, True])
+def test_coboundary_preimage_is_the_smaller_side(twisted):
+    # every vertex set S of 60 random maps with V <= 8: the smaller of S and
+    # its complement, ties to the side without vertex 0; non-coboundaries None
+    rng = random.Random(7)
+    rejected = 0
+    for _ in range(60):
+        m = random_map(rng, max_vertices=8, extra_edges=5, twisted=twisted)
+        nv, everyone = m.vertex_count, (1 << m.vertex_count) - 1
+        coboundaries = set()
+        for s in range(1 << nv):
+            phi = 0
+            for v in range(nv):
+                if (s >> v) & 1:
+                    phi ^= vertex_coboundary(m, v)
+            coboundaries.add(phi)
+            side = everyone ^ s if s & 1 else s
+            other = everyone ^ side
+            want = other if other.bit_count() < side.bit_count() else side
+            assert coboundary_preimage(m, phi) == tuple(
+                v for v in range(nv) if (want >> v) & 1)
+        assert len(coboundaries) == 1 << (nv - 1)
+        for _ in range(5):
+            phi = rng.randrange(1 << m.edge_count)
+            if phi not in coboundaries:
+                assert coboundary_preimage(m, phi) is None
+                rejected += 1
+    assert rejected >= 100
 
 
 @given(st.lists(st.tuples(st.integers(0, 255), st.integers(0, 7)), max_size=10),

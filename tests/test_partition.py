@@ -73,6 +73,39 @@ def test_spin_is_pin_on_untwisted_orientable_maps():
         assert (spin.value, spin.terms) == (pin.value, pin.terms)
 
 
+def _row_dimers(m, cols):
+    """D0 of the row dimers (r, 2k)-(r, 2k+1); lattice vertex (r, c) is
+    r * cols + c."""
+    D0 = chain_from_edges(e for e, edge in enumerate(m.edges)
+                          if min(edge.u, edge.v) % 2 == 0 and
+                          max(edge.u, edge.v) == min(edge.u, edge.v) + 1 and
+                          min(edge.u, edge.v) % cols < cols - 1)
+    ends = sorted(v for e in edges_of(D0) for v in (m.edges[e].u, m.edges[e].v))
+    assert ends == list(range(m.vertex_count))
+    return D0
+
+
+@pytest.mark.parametrize("size", [8, 10])
+def test_routes_agree_exactly_above_the_oracle_bound(size):
+    # pin (all surfaces) and spin (torus, also with charts flipped) from a
+    # given D0 equal the exact practical Z past the 36-vertex oracle bound
+    torus = lattice(size, size, "torus")
+    cases = [(torus.map, torus.curves, torus.basis,
+              (partition_general_pin, partition_orientable_spin)),
+             (flip_charts(torus.map, [0, 5, 6]), None, None, (partition_orientable_spin,))]
+    for surface in ("klein_hexagon", "rp2"):
+        inst = lattice(size, size, surface)
+        cases.append((inst.map, inst.curves, inst.basis, (partition_general_pin,)))
+    for m, curves, basis, routes in cases:
+        z = partition(m, "practical", curves=curves, basis=basis).value
+        zf = partition(m, "practical", curves=curves, basis=basis, backend="float").value
+        assert abs(zf - z) <= 1e-9 * z
+        D0 = _row_dimers(m, size)
+        for route in routes:
+            assert route(m, D0=D0).value == z
+            assert abs(route(m, D0=D0, backend="float").value - z) <= 1e-9 * z
+
+
 def _random_map_of_b1(rng, vertices, b1, twisted):
     """A random map with the given (even) vertex count, first Betti number
     and a perfect matching, non-orientable if twisted."""

@@ -28,10 +28,10 @@ from pfdimers import (
 from pfdimers.exactnum import GR_ZERO, GaussianRational
 from pfdimers.generators import random_map, random_weights
 from pfdimers.homology import vertex_coboundary
-from pfdimers.partition import _class_pfaffians
 from pfdimers.pfaffian import (
     EXPANSION_DIM_BOUND,
     SkewMatrix,
+    _class_matrices,
     _is_prime,
     _modulus,
     build_adjacency,
@@ -388,7 +388,7 @@ def test_route_pfaffians_match_reference_builder(backend):
     for m, omega in _route_cases():
         K = construct_kasteleyn(m, omega=omega)
         flips = cycle_basis(m).dual_cochains
-        got = _class_pfaffians(m, K, flips, backend, omega)
+        got = [pfaffian(c) for c in _class_matrices(m, K, flips, backend, omega)]
         mats = [build_adjacency(m, Kc, omega, backend)
                 for Kc in enumerate_classes(m, K, flips)]
         want = [pfaffian(a) for a in mats]
@@ -528,8 +528,6 @@ def _split_cases():
 
 @pytest.mark.parametrize("backend", ["exact", "float"])
 def test_split_class_pfaffians_match_unsplit_reference(backend):
-    from pfdimers.pfaffian import _class_matrices
-
     split = 0
     for label, m, K, flips, omega in _split_cases():
         classes = _class_matrices(m, K, flips, backend, omega)
@@ -546,8 +544,6 @@ def test_split_class_pfaffians_match_unsplit_reference(backend):
 
 
 def test_split_taken_on_torus_not_on_small_high_genus_map():
-    from pfdimers.pfaffian import _class_matrices
-
     m = lattice(10, 10, "torus").map
     route = _class_matrices(m, construct_kasteleyn(m), cycle_basis(m).dual_cochains,
                             "exact")[0].route

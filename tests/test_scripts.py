@@ -53,3 +53,23 @@ def test_random_agreement_names_a_map_with_bad_prepared_data(monkeypatch, capsys
     assert capsys.readouterr().out.startswith(
         "BAD PREPARED DATA at trial 0 (torus lattice, 8 vertices, 16 edges): "
         "phi_0 is not dual to the basis cycles")
+
+
+def test_random_agreement_names_a_map_where_pin_and_spin_terms_differ(monkeypatch, capsys):
+    from dataclasses import replace
+
+    script = _load_script("random_agreement")
+    good = script.partition_orientable_spin
+
+    def dropped_term(m, **kwargs):
+        # the same value with one class term fewer
+        res = good(m, **kwargs)
+        return replace(res, terms=res.terms[1:])
+
+    monkeypatch.setattr(script, "partition_orientable_spin", dropped_term)
+    monkeypatch.setattr(sys, "argv",
+                        ["random_agreement.py", "--trials", "20", "--seed", "1"])
+    assert script.main() == 1
+    assert capsys.readouterr().out == (
+        "TERMS DIFFER at trial 0 (torus lattice, 8 vertices, 16 edges): "
+        "pin and spin (exact)\n")
