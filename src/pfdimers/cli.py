@@ -23,7 +23,7 @@ from .generators import lattice
 from .homology import cycle_basis
 from .kasteleyn import construct_kasteleyn, curvature_report
 from .oracle import count_matchings, find_matching, homology_buckets, partition_bruteforce
-from .partition import _eps_label, partition
+from .partition import _eps_label, _oracle, partition
 from .spin_quadratic import arf, basis_enhancement, brown, normalize_qB, shifted_browns
 from .surface_graph import classify, is_orientable
 
@@ -135,8 +135,9 @@ def cmd_oracle(args) -> int:
     plain = [f"Z = {_text(z)} ({n} matchings)"]
     if args.buckets and n:
         basis = inst.basis if inst.basis is not None else cycle_basis(inst.map)
-        D0 = find_matching(inst.map)
-        for coords, val in sorted(homology_buckets(inst.map, D0, basis).items()):
+        D0 = find_matching(inst.map, max_vertices=args.max_vertices)
+        buckets = homology_buckets(inst.map, D0, basis, max_vertices=args.max_vertices)
+        for coords, val in sorted(buckets.items()):
             label = "".join(str(c) for c in coords) or "0"
             pairs.append((f"bucket.{label}", val))
             plain.append(f"bucket {label}: {val}")
@@ -157,7 +158,7 @@ def cmd_verify(args) -> int:
         results["practical"] = partition(m, "practical", curves=inst.curves,
                                          basis=inst.basis, backend=args.backend)
     if m.vertex_count <= args.max_vertices:
-        results["oracle"] = partition(m, "oracle", backend=args.backend)
+        results["oracle"] = _oracle(m, args.backend, args.max_vertices)
     values = {k: Fraction(v.value) if v.exact else v.value for k, v in results.items()}
     ref = next(iter(values.values()))
     ok = all(_close(v, ref, args.backend) for v in values.values())

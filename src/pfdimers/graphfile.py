@@ -143,6 +143,8 @@ def load(stream: TextIO) -> LatticeInstance:
         if not all(0 <= e < ne for e in crossed):
             raise MalformedFile(f"cross {idx} names an edge id outside 0..{ne - 1}")
         cross = chain_from_edges(crossed)
+        if idx in curve_edge and not 0 <= curve_edge[idx] < ne:
+            raise MalformedFile(f"crossing_edge {idx} names an edge id outside 0..{ne - 1}")
         comp = None
         if idx in curve_companion:
             comp = tuple(_parse_half(t, ne) for t in curve_companion[idx])

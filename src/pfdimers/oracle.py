@@ -1,15 +1,53 @@
-"""Brute-force ground truth: enumerate perfect matchings directly."""
+"""Brute-force ground truth: enumerate perfect matchings directly, in one
+search that multiplies in each dimer's weight along the way."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple, Union
 
 from .errors import TooLarge
-from .homology import HomologyBasis, edges_of
+from .homology import HomologyBasis
 from .surface_graph import CombinatorialMap
 
 VERTEX_BOUND = 36
+
+
+def _weighted_matchings(m: CombinatorialMap,
+                        max_vertices: int) -> Iterator[Tuple[int, Union[int, Fraction]]]:
+    """Yield (edge bitmask, exact weight product) for every perfect matching,
+    each exactly once; loops never match.  Each weight is made exact once,
+    integral ones as ints, whose products are cheap."""
+    n = m.vertex_count
+    if n > max_vertices:
+        raise TooLarge(f"{n} vertices exceeds oracle bound {max_vertices}")
+    if n % 2:
+        return
+    incident = [[] for _ in range(n)]
+    for e, edge in enumerate(m.edges):
+        if edge.u != edge.v:
+            w = Fraction(edge.weight)
+            w = w.numerator if w.denominator == 1 else w
+            incident[edge.u].append((e, edge.v, w))
+            incident[edge.v].append((e, edge.u, w))
+
+    matched = [False] * n
+
+    def rec(v: int, acc: int, weight: Union[int, Fraction]):
+        while v < n and matched[v]:
+            v += 1
+        if v == n:
+            yield acc, weight
+            return
+        matched[v] = True
+        for e, u, w in incident[v]:
+            if not matched[u]:
+                matched[u] = True
+                yield from rec(v + 1, acc | (1 << e), weight * w)
+                matched[u] = False
+        matched[v] = False
+
+    yield from rec(0, 0, 1)
 
 
 def enumerate_matchings(m: CombinatorialMap,
@@ -18,33 +56,8 @@ def enumerate_matchings(m: CombinatorialMap,
 
     Branches on the lowest-index unmatched vertex; loops never match.
     """
-    if m.vertex_count > max_vertices:
-        raise TooLarge(f"{m.vertex_count} vertices exceeds oracle bound {max_vertices}")
-    if m.vertex_count % 2:
-        return
-    incident = [[] for _ in range(m.vertex_count)]
-    for e, edge in enumerate(m.edges):
-        if edge.u != edge.v:
-            incident[edge.u].append((e, edge.v))
-            incident[edge.v].append((e, edge.u))
-
-    matched = [False] * m.vertex_count
-
-    def rec(v: int, acc: int) -> Iterator[int]:
-        while v < m.vertex_count and matched[v]:
-            v += 1
-        if v == m.vertex_count:
-            yield acc
-            return
-        matched[v] = True
-        for e, w in incident[v]:
-            if not matched[w]:
-                matched[w] = True
-                yield from rec(v + 1, acc | (1 << e))
-                matched[w] = False
-        matched[v] = False
-
-    yield from rec(0, 0)
+    for D, _ in _weighted_matchings(m, max_vertices):
+        yield D
 
 
 def find_matching(m: CombinatorialMap,
@@ -57,13 +70,7 @@ def find_matching(m: CombinatorialMap,
 def partition_bruteforce(m: CombinatorialMap,
                          max_vertices: int = VERTEX_BOUND) -> Fraction:
     """Exact weighted sum over all perfect matchings."""
-    total = Fraction(0)
-    for D in enumerate_matchings(m, max_vertices):
-        w = Fraction(1)
-        for e in edges_of(D):
-            w *= Fraction(m.edges[e].weight)
-        total += w
-    return total
+    return sum((w for _, w in _weighted_matchings(m, max_vertices)), Fraction(0))
 
 
 def count_matchings(m: CombinatorialMap, max_vertices: int = VERTEX_BOUND) -> int:
@@ -78,10 +85,7 @@ def homology_buckets(m: CombinatorialMap, D0: int, basis: HomologyBasis,
     partition function.
     """
     buckets: Dict[Tuple[int, ...], Fraction] = {}
-    for D in enumerate_matchings(m, max_vertices):
-        w = Fraction(1)
-        for e in edges_of(D):
-            w *= Fraction(m.edges[e].weight)
+    for D, w in _weighted_matchings(m, max_vertices):
         key = basis.coordinates(D ^ D0)
         buckets[key] = buckets.get(key, Fraction(0)) + w
     return buckets

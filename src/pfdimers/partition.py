@@ -59,7 +59,7 @@ from .homology import (
     walk_chain,
 )
 from .kasteleyn import Orientation, construct_kasteleyn
-from .oracle import find_matching
+from .oracle import VERTEX_BOUND, find_matching, partition_bruteforce
 from .pfaffian import _class_matrices, pfaffian
 from .spin_quadratic import (
     QuadraticEnhancement,
@@ -251,6 +251,13 @@ def normalize_orientation(m: CombinatorialMap, K: Orientation,
 # The shared skeleton: class Pfaffians, weights, sum and normalisation
 # ---------------------------------------------------------------------------
 
+def _exact(backend: str) -> bool:
+    """True for the exact backend, False for float; ValueError otherwise."""
+    if backend not in ("exact", "float"):
+        raise ValueError(f"unknown backend {backend!r}")
+    return backend == "exact"
+
+
 def _zero(method: str, exact: bool) -> PartitionResult:
     return PartitionResult(Fraction(0) if exact else 0.0, method, exact)
 
@@ -265,7 +272,7 @@ def _class_sum(m: CombinatorialMap, K: Orientation, flips: Sequence[int],
     """Real and imaginary parts of factor * sum_xi i^powers[xi] * Pf(A^{K_xi})
     / divisor over the classes of K flipped by subset sums of ``flips``, in
     ``enumerate_classes`` order, and the class Pfaffians."""
-    exact = backend == "exact"
+    exact = _exact(backend)
     pfs = [pfaffian(c) for c in _class_matrices(m, K, flips, backend, omega)]
     buckets = [GR_ZERO if exact else 0j] * 4
     for k, pf in zip(powers, pfs):
@@ -281,7 +288,7 @@ def _enhanced_sum(m: CombinatorialMap, method: str, omega: int,
                   invariant: Callable[[QuadraticEnhancement], int]) -> PartitionResult:
     """2^(-b1/2) * i^(-omega(D0)) * sum over classes xi of
     exp(i*pi*invariant(q_xi)/4) * eps_xi * Pf(A^{K_xi})."""
-    exact = backend == "exact"
+    exact = _exact(backend)
     if m.vertex_count % 2:
         return _zero(method, exact)
     if D0 is None:
@@ -324,7 +331,7 @@ def _practical(m: CombinatorialMap, curves: Optional[Sequence[TransverseCurve]],
     """The practical formula of the module docstring.  An orientable map
     without a curve per basis class takes its basis cycles as companions and
     their Poincare-dual cochains as flips; no dimer configuration is needed."""
-    exact = backend == "exact"
+    exact = _exact(backend)
     if m.vertex_count % 2:
         return _zero("practical", exact)
     surface = classify(m)
@@ -449,6 +456,22 @@ def partition_nonorientable_practical(m: CombinatorialMap,
 # Dispatcher
 # ---------------------------------------------------------------------------
 
+def _oracle(m: CombinatorialMap, backend: str,
+            max_vertices: int = VERTEX_BOUND) -> PartitionResult:
+    """The brute-force Z on the given backend."""
+    exact = _exact(backend)
+    value = partition_bruteforce(m, max_vertices=max_vertices)
+    if exact:
+        return PartitionResult(value, "oracle", True)
+    try:
+        approx = float(value)
+    except OverflowError:
+        approx = math.inf
+    if value and not approx:
+        raise FloatOutOfRange("float oracle value underflowed to 0")
+    return PartitionResult(approx, "oracle", False)
+
+
 def partition(m: CombinatorialMap, method: str = "auto", *,
               curves: Optional[Sequence[TransverseCurve]] = None,
               basis: Optional[HomologyBasis] = None,
@@ -457,18 +480,7 @@ def partition(m: CombinatorialMap, method: str = "auto", *,
     formulas and falls back to the pin route when curve data is missing or
     not realizable."""
     if method == "oracle":
-        from .oracle import partition_bruteforce
-
-        value = partition_bruteforce(m)
-        if backend == "exact":
-            return PartitionResult(value, "oracle", True)
-        try:
-            approx = float(value)
-        except OverflowError:
-            approx = math.inf
-        if value and not approx:
-            raise FloatOutOfRange("float oracle value underflowed to 0")
-        return PartitionResult(approx, "oracle", False)
+        return _oracle(m, backend)
     if method == "spin":
         return partition_orientable_spin(m, basis=basis, backend=backend)
     if method == "pin":

@@ -11,9 +11,11 @@ edges in the respective subset of C, and l(C) counts the vertices of C whose
 matched edge leaves C on the positive side.  "Positive side" is chart-local:
 the frame (walk direction, matched edge) is positively oriented in the
 vertex's rotation chart, which for a vertex in the omega chart-swap set is
-read with the opposite sign.  The remaining binary choice of chirality is a
-module constant pinned by the cross-validated partition functions and frozen
-by a regression test.
+read with the opposite sign.  The chirality is fixed: a matched edge in the
+clockwise sector from the incoming to the outgoing half-edge (the walker's
+left in a counterclockwise chart) is on the positive side.  The
+cross-validated partition functions pin this choice, and
+``test_chirality_regression`` freezes it.
 
 Enhancements are stored through their values on a homology basis together
 with the mod-2 intersection matrix; values on arbitrary classes follow from
@@ -43,12 +45,6 @@ from .homology import (
 from .kasteleyn import Orientation, _omega_flip_set
 from .pfaffian import _perm_sign
 from .surface_graph import CombinatorialMap
-
-# Chirality of the "positive side" test inside ell_omega.  True counts a
-# matched edge lying in the clockwise sector from the incoming to the
-# outgoing half-edge (the walker's left in a counterclockwise chart).
-LEFT_IS_POSITIVE = True
-
 
 # ---------------------------------------------------------------------------
 # Matchings and matching signs
@@ -90,8 +86,7 @@ def _positive_side(m: CombinatorialMap, v: int, h_in: int, h_out: int,
     """Does the matched half-edge leave on the positive side of the walk
     corner at ``v`` (arrive via ``h_in``, depart via ``h_out``)?"""
     left = h_dimer in _strict_interval(m, v, h_in, h_out, clockwise=True)
-    positive = left if LEFT_IS_POSITIVE else not left
-    return positive ^ swapped
+    return left ^ swapped
 
 
 def ell_omega(m: CombinatorialMap, D: int, walk: Walk,

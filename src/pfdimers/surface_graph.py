@@ -18,9 +18,11 @@ current lift vertex in the orientation double cover (0 for the lift whose
 chart is counterclockwise, 1 for the other); it flips across twisted edges.
 With the face kept on the left, the walk leaves a vertex along the rotation
 predecessor of the arrival half-edge on sign 0 and along the successor on
-sign 1.  Each face of the embedding corresponds to exactly two state orbits
-(its two lifts, each traversed as its own oriented boundary); one canonical
-orbit per face is retained.
+sign 1.  Each face corresponds to two state orbits, its two lifts, each
+traversed as its own oriented boundary.  State ``(h, s)`` and its mirror
+``(h ^ 1, s ^ twist(h) ^ 1)`` are the same corner on the two lifts, so
+``trace_faces`` walks one lift per face and marks each walked state's mirror
+in the same pass; the other lift is never walked.
 
 Faces are traced once per map: ``m.faces`` runs ``trace_faces`` on first use
 and keeps the result, and every consumer (Euler characteristic, homology
@@ -225,55 +227,32 @@ def _check_connected(m: CombinatorialMap) -> None:
         raise DisconnectedGraph(f"{m.vertex_count - count} vertices unreachable")
 
 
-def _face_successor(m: CombinatorialMap, h: int, s: int) -> Tuple[int, int]:
-    e = h // 2
-    s2 = s ^ m.edges[e].twist
-    h_in = h ^ 1
-    h_next = m.rotation_prev(h_in) if s2 == 0 else m.rotation_next(h_in)
-    return h_next, s2
-
-
 def trace_faces(m: CombinatorialMap) -> FaceSet:
-    """Trace all face boundary walks.
-
-    Returns one canonical orbit per face; the mirror orbit (the other lift,
-    reverse traversal) is discarded.  Total step count over faces is 2E.
+    """Trace one lift of every face, marking the mirror of each walked state
+    in the same pass (see the module docstring).  A walk that meets a visited
+    state before it returns to its start raises MalformedRotation.  Total
+    step count over faces is 2E.
     """
-    ne = m.edge_count
-    visited = [False] * (4 * ne)  # state (h, s) -> index 2*h + s
-    orbits = []
-    for start in range(4 * ne):
+    twist = [edge.twist for edge in m.edges]
+    nxt, prv = m._next, m._prev
+    visited = [False] * (4 * m.edge_count)  # state (h, s) -> index 2*h + s
+    faces = []
+    for start in range(len(visited)):
         if visited[start]:
             continue
-        h, s = start >> 1, start & 1
-        orbit = []
+        steps, idx = [], start
         while True:
-            idx = 2 * h + s
-            if visited[idx]:
+            h, s = idx >> 1, idx & 1
+            t = twist[h >> 1]
+            visited[idx] = visited[idx ^ 3 ^ t] = True  # (h, s) and (h ^ 1, s ^ t ^ 1)
+            steps.append((h, s))
+            s ^= t
+            idx = 2 * (nxt if s else prv)[h ^ 1] + s
+            if idx == start:
                 break
-            visited[idx] = True
-            orbit.append((h, s))
-            h, s = _face_successor(m, h, s)
-        orbits.append(orbit)
-
-    # Pair each orbit with its mirror: (h, s) -> (h^1, s ^ twist ^ 1).
-    key_to_orbit = {}
-    for i, orbit in enumerate(orbits):
-        for st in orbit:
-            key_to_orbit[st] = i
-    faces = []
-    used = set()
-    for i, orbit in enumerate(orbits):
-        if i in used:
-            continue
-        h, s = orbit[0]
-        mirror = key_to_orbit[(h ^ 1, s ^ m.edges[h // 2].twist ^ 1)]
-        if mirror == i or mirror in used:
-            raise MalformedRotation("face orbit pairing failed; invalid rotation system")
-        used.add(i)
-        used.add(mirror)
-        faces.append(Face(steps=tuple(orbit)))
-    assert sum(len(f) for f in faces) == 2 * ne
+            if visited[idx]:
+                raise MalformedRotation("face walk meets a visited state")
+        faces.append(Face(steps=tuple(steps)))
     return FaceSet(faces=tuple(faces))
 
 

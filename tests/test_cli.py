@@ -182,8 +182,11 @@ def test_cli_malformed_exit_code(tmp_path):
     (r"^cross 1 ", "cross 7 "),
     (r"\Z", "crossing_edge 7 0\n"),
     (r"^companion 1 ", "companion 7 "),
+    (r"\Z", "crossing_edge 0 999\n"),
+    (r"\Z", "crossing_edge 0 -1\n"),
 ], ids=["negative-cross", "cross-out-of-range", "orphan-cross",
-        "orphan-crossing-edge", "orphan-companion"])
+        "orphan-crossing-edge", "orphan-companion", "crossing-edge-out-of-range",
+        "negative-crossing-edge"])
 def test_cli_bad_curve_lines_are_parse_errors(tmp_path, capsys, pattern, repl):
     # curve data naming a missing edge or a curve index without a 'curve'
     # line is rejected at load, not dropped or left to the routes
@@ -195,6 +198,45 @@ def test_cli_bad_curve_lines_are_parse_errors(tmp_path, capsys, pattern, repl):
     path.write_text(text)
     assert main(["partition", str(path)]) == 1
     assert capsys.readouterr().err.startswith("parse error")
+
+
+def test_crossing_edge_out_of_range_on_rp2_is_a_parse_error(tmp_path, capsys):
+    # the rp2 beta curve's own crossing_edge line, pointed past the 24 edges
+    assert main(["gen", "--surface", "rp2", "--size", "3x4"]) == 0
+    text, count = re.subn(r"^crossing_edge 0 \d+$", "crossing_edge 0 999",
+                          capsys.readouterr().out, flags=re.M)
+    assert count == 1
+    path = tmp_path / "bad.graph"
+    path.write_text(text)
+    with pytest.raises(MalformedFile, match="crossing_edge 0"):
+        graphfile.load(io.StringIO(text))
+    assert main(["partition", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("parse error")
+
+
+def test_cli_oracle_buckets_obeys_max_vertices(tmp_path, capsys):
+    path = tmp_path / "p.graph"
+    main(["gen", "--surface", "planar", "--size", "2x19", "--out", str(path)])
+    assert main(["oracle", str(path), "--buckets", "--format", "kv"]) == 2
+    assert "TooLarge" in capsys.readouterr().err
+    assert main(["oracle", str(path), "--buckets", "--max-vertices", "40",
+                 "--format", "kv"]) == 0
+    pairs = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
+    assert (pairs["Z"], pairs["matchings"], pairs["bucket.0"]) == ("6765", "6765", "6765")
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_cli_verify_obeys_max_vertices(tmp_path, capsys, backend):
+    # 39 vertices: above the default bound the oracle is left out
+    path = tmp_path / "p.graph"
+    main(["gen", "--surface", "planar", "--size", "3x13", "--out", str(path)])
+    assert main(["verify", str(path), "--backend", backend, "--format", "kv"]) == 0
+    assert "oracle" not in capsys.readouterr().out
+    assert main(["verify", str(path), "--backend", backend, "--max-vertices", "40",
+                 "--format", "kv"]) == 0
+    pairs = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
+    assert pairs["oracle"] == ("0" if backend == "exact" else "0.0")
+    assert pairs["agree"] == "yes"
 
 
 def test_cli_gen_usage_error():

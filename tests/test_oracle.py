@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import io
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,7 +21,11 @@ from pfdimers import (
     partition_bruteforce,
     basis_enhancement,
 )
+from pfdimers import graphfile
 from pfdimers.exactnum import GaussianRational, i_power
+from pfdimers.generators import random_map, random_weights
+from pfdimers.homology import cycle_basis, edges_of
+from pfdimers.oracle import _weighted_matchings
 from pfdimers.partition import dotcount
 from pfdimers.pfaffian import build_adjacency, pfaffian
 
@@ -143,3 +149,100 @@ def test_bucket_linear_system():
             for coords, zval in buckets.items():
                 rhs = rhs + i_power(-q.evaluate(coords) % 4).scale(zval)
             assert (lhs - rhs).is_zero()
+
+
+def _reference_matchings(m):
+    """Reference oracle: the masks of the lowest-unmatched-vertex search,
+    each weighed afterwards by its own product over the dimers."""
+    incident = [[] for _ in range(m.vertex_count)]
+    for e, edge in enumerate(m.edges):
+        if edge.u != edge.v:
+            incident[edge.u].append((e, edge.v))
+            incident[edge.v].append((e, edge.u))
+    matched, masks = [False] * m.vertex_count, []
+
+    def rec(v, acc):
+        while v < m.vertex_count and matched[v]:
+            v += 1
+        if v == m.vertex_count:
+            masks.append(acc)
+            return
+        matched[v] = True
+        for e, w in incident[v]:
+            if not matched[w]:
+                matched[w] = True
+                rec(v + 1, acc | (1 << e))
+                matched[w] = False
+        matched[v] = False
+
+    if m.vertex_count % 2 == 0:
+        rec(0, 0)
+    weights = []
+    for D in masks:
+        w = Fraction(1)
+        for e in edges_of(D):
+            w *= Fraction(m.edges[e].weight)
+        weights.append(w)
+    return masks, weights
+
+
+def _assert_oracle_matches_reference(m, basis):
+    masks, weights = _reference_matchings(m)
+    assert list(enumerate_matchings(m)) == masks
+    assert count_matchings(m) == len(masks)
+    z = partition_bruteforce(m)
+    assert type(z) is Fraction and z == sum(weights, Fraction(0))
+    if masks:
+        D0 = find_matching(m)
+        assert D0 == masks[0]
+        expected = {}
+        for D, w in zip(masks, weights):
+            key = basis.coordinates(D ^ D0)
+            expected[key] = expected.get(key, Fraction(0)) + w
+        buckets = homology_buckets(m, D0, basis)
+        assert buckets == expected
+        assert all(type(v) is Fraction for v in buckets.values())
+
+
+@pytest.mark.parametrize("surface", ["planar", "torus", "klein_hexagon", "rp2"])
+def test_oracle_equals_the_per_matching_reference_on_weighted_lattices(surface):
+    rng = random.Random(16)
+    for a, b in [(2, 2), (2, 4), (3, 4), (4, 4), (4, 5), (4, 6)]:
+        if surface == "klein_hexagon" and b % 2:
+            continue
+        edge_count = lattice(a, b, surface).map.edge_count
+        inst = lattice(a, b, surface, weights=random_weights(rng, edge_count))
+        _assert_oracle_matches_reference(inst.map, inst.basis or cycle_basis(inst.map))
+
+
+def test_oracle_equals_the_per_matching_reference_on_decimal_weights():
+    # float weights read from a graph file are taken at their exact binary value
+    buf = io.StringIO()
+    graphfile.dump(lattice(4, 4, "klein_hexagon"), buf)
+    rng = random.Random(3)
+    text = re.sub(r"^(edge \d+ \d+ \d+ \d+) 1$",
+                  lambda mo: f"{mo.group(1)} {rng.choice(['0.1', '2.5', '1e-3', '0.7'])}",
+                  buf.getvalue(), flags=re.M)
+    inst = graphfile.load(io.StringIO(text))
+    assert {type(e.weight) for e in inst.map.edges} == {float}
+    _assert_oracle_matches_reference(inst.map, inst.basis)
+
+
+def test_oracle_equals_the_per_matching_reference_on_random_maps():
+    rng = random.Random(11)
+    with_matchings = 0
+    for _ in range(300):
+        base = random_map(rng, 12, 14)
+        m = build_map(base.vertex_count, base.rotations, [(e.u, e.v) for e in base.edges],
+                      [e.twist for e in base.edges],
+                      random_weights(rng, base.edge_count))
+        _assert_oracle_matches_reference(m, cycle_basis(m))
+        with_matchings += find_matching(m) is not None
+    assert with_matchings >= 100
+
+
+@pytest.mark.parametrize("oracle", [enumerate_matchings, _weighted_matchings])
+def test_too_large_is_raised_on_the_first_next(oracle):
+    gen = oracle(lattice(5, 8, "torus").map, 36)
+    with pytest.raises(TooLarge):
+        next(gen)

@@ -6,6 +6,7 @@ import sys
 import warnings
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given
@@ -742,3 +743,21 @@ def test_orientability_searched_once_per_map(monkeypatch):
                       backend=backend)
             assert calls[-1] is inst.map
     assert len({id(m) for m in calls}) == len(calls)
+
+
+def test_unknown_backend_is_rejected_by_every_route():
+    torus = lattice(3, 4, "torus")
+    rp2 = lattice(3, 4, "rp2")
+    calls = [partial(partition, torus.map, method)
+             for method in ("auto", "practical", "pin", "spin", "oracle")]
+    calls += [
+        partial(partition, rp2.map, "auto", curves=rp2.curves),
+        partial(partition_orientable_practical, torus.map),
+        partial(partition_orientable_spin, torus.map),
+        partial(partition_general_pin, rp2.map),
+        partial(partition_nonorientable_practical, rp2.map, rp2.curves),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="unknown backend 'flaot'"):
+            call(backend="flaot")
+        assert call(backend="float").value == pytest.approx(float(call().value))

@@ -23,7 +23,7 @@ from pfdimers import (
 )
 from pfdimers.generators import random_map
 from pfdimers.homology import dot, edges_of
-from pfdimers.surface_graph import flip_charts
+from pfdimers.surface_graph import CombinatorialMap, Face, FaceSet, flip_charts
 
 
 def test_single_edge_sphere():
@@ -222,3 +222,56 @@ def test_orientability_invariant_under_rotation_start():
 def test_loops_kept_in_map(sphere_loop):
     assert sphere_loop.is_loop(0)
     assert edges_of(sphere_loop.twist_bits()) == []
+
+
+def _two_pass_faces(m):
+    """Reference tracer: walk all 4E states, then keep the first orbit of
+    each mirror pair (h, s) ~ (h ^ 1, s ^ twist ^ 1)."""
+    visited, orbits = [False] * (4 * m.edge_count), []
+    for start in range(4 * m.edge_count):
+        h, s = start >> 1, start & 1
+        orbit = []
+        while not visited[2 * h + s]:
+            visited[2 * h + s] = True
+            orbit.append((h, s))
+            s ^= m.edges[h // 2].twist
+            h = m.rotation_next(h ^ 1) if s else m.rotation_prev(h ^ 1)
+        if orbit:
+            orbits.append(orbit)
+    orbit_of = {st: i for i, orbit in enumerate(orbits) for st in orbit}
+    kept, used = [], set()
+    for i, orbit in enumerate(orbits):
+        if i not in used:
+            h, s = orbit[0]
+            used |= {i, orbit_of[(h ^ 1, s ^ m.edges[h // 2].twist ^ 1)]}
+            kept.append(Face(steps=tuple(orbit)))
+    return FaceSet(faces=tuple(kept))
+
+
+@pytest.mark.parametrize("surface", ["planar", "torus", "klein_hexagon", "rp2"])
+def test_one_pass_faces_equal_the_two_pass_reference_on_lattices(surface):
+    sizes = [(a, b) for a in range(2, 21) for b in (a, a + 1) if b <= 20]
+    checked = 0
+    for a, b in sizes:
+        if surface == "klein_hexagon" and b % 2:
+            continue
+        m = lattice(a, b, surface).map
+        assert trace_faces(m) == _two_pass_faces(m), (a, b)
+        checked += 1
+    assert checked >= 19
+
+
+def test_one_pass_faces_equal_the_two_pass_reference_on_random_maps():
+    rng = random.Random(16)
+    for _ in range(2000):
+        m = random_map(rng, 9, 6)
+        assert trace_faces(m) == _two_pass_faces(m)
+
+
+def test_a_walk_meeting_a_visited_state_is_a_malformed_rotation():
+    # a successor table that is not a permutation sends two walks into one
+    m = lattice(2, 2, "torus").map
+    broken = CombinatorialMap(m.vertex_count, m.edges, m.rotations,
+                              _next=(0,) * len(m._next), _prev=(0,) * len(m._prev))
+    with pytest.raises(MalformedRotation, match="visited state"):
+        trace_faces(broken)
