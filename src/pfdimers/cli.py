@@ -22,8 +22,9 @@ from .exactnum import rational_str
 from .generators import lattice
 from .homology import cycle_basis
 from .kasteleyn import construct_kasteleyn, curvature_report
-from .oracle import count_matchings, find_matching, homology_buckets, partition_bruteforce
-from .partition import _eps_label, _oracle, partition
+from .oracle import _weighted_matchings, find_matching, homology_buckets
+from .partition import (_eps_label, _oracle, partition, partition_general_pin,
+                        partition_orientable_spin)
 from .spin_quadratic import arf, basis_enhancement, brown, normalize_qB, shifted_browns
 from .surface_graph import classify, is_orientable
 
@@ -129,8 +130,9 @@ def cmd_partition(args) -> int:
 
 def cmd_oracle(args) -> int:
     inst = _load(args)
-    z = partition_bruteforce(inst.map, max_vertices=args.max_vertices)
-    n = count_matchings(inst.map, max_vertices=args.max_vertices)
+    z, n = Fraction(0), 0
+    for _, w in _weighted_matchings(inst.map, args.max_vertices):
+        z, n = z + w, n + 1
     pairs = [("Z", z), ("matchings", n), ("method", "oracle")]
     plain = [f"Z = {_text(z)} ({n} matchings)"]
     if args.buckets and n:
@@ -149,11 +151,13 @@ def cmd_verify(args) -> int:
     inst = _load(args)
     m = inst.map
     results = {}
-    results["pin"] = partition(m, "pin", basis=inst.basis, backend=args.backend)
+    D0 = find_matching(m, args.max_vertices) if m.vertex_count <= args.max_vertices else None
+    results["pin"] = partition_general_pin(m, D0=D0, basis=inst.basis, backend=args.backend)
     if is_orientable(m):
         results["practical"] = partition(m, "practical", curves=inst.curves or None,
                                          basis=inst.basis, backend=args.backend)
-        results["spin"] = partition(m, "spin", basis=inst.basis, backend=args.backend)
+        results["spin"] = partition_orientable_spin(m, D0=D0, basis=inst.basis,
+                                                    backend=args.backend)
     elif inst.curves:
         results["practical"] = partition(m, "practical", curves=inst.curves,
                                          basis=inst.basis, backend=args.backend)

@@ -17,6 +17,12 @@ eliminated once per route and arithmetic without them, and each class adds
 its own to a copy of the complement and eliminates that; an interior index
 without a nonzero interior pivot drops the split, but not the order.
 
+A route twisted by omega (weight times i on each omega edge) is gauged if
+omega(e) + c = x_u + x_v (mod 2) on every edge, for vertex bits x and c in
+{0, 1}: Pf(D A D) = det(D) Pf(A) with D = diag(i^x_v), so the weights
+w * i^(omega + x_u + x_v - c) are real and Pf(A) = i^t times their Pfaffian,
+t = c*n/2 - sum(x) (mod 4) for every class (classes only negate weights).
+
 One kernel, ``_eliminate``, does the skew elimination in both arithmetics.
 It keeps the upper triangle, swaps two indices to bring the pivot next to
 the pivot row (flipping the sign), and stops each row update at the
@@ -67,10 +73,11 @@ from .errors import (
 )
 from .exactnum import GR_ZERO, GaussianRational
 from .kasteleyn import Orientation, enumerate_classes
-from .surface_graph import CombinatorialMap
+from .surface_graph import CombinatorialMap, _bfs
 
 EXPANSION_DIM_BOUND = 12
 PIVOT_THRESHOLD = 1e-12
+_UNITS = (1, 1j, -1, -1j)  # i^k
 
 Scalar = Union[GaussianRational, complex]
 Edge = Tuple[int, int, Scalar]
@@ -114,21 +121,40 @@ def skew_matrix(rows: Sequence[Sequence[Scalar]], exact: bool) -> SkewMatrix:
 
 
 def _map_edges(m: CombinatorialMap, K: Orientation, omega: Optional[int],
-               exact: bool) -> List[Edge]:
-    """(tail, head, weight) of every edge under K; omega = 1 weights times i."""
+               exact: bool, gauge: Optional[Tuple[List[int], int]] = None) -> List[Edge]:
+    """(tail, head, weight) of every edge under K; omega = 1 weights times i,
+    and with a gauge (x, c) every weight times i^(x_u + x_v - c)."""
     om = m.twist_bits() if omega is None else omega
+    x, c = gauge or ([0] * m.vertex_count, 0)
     edges = []
     for e, edge in enumerate(m.edges):
         if edge.u == edge.v:
             raise LoopEdge(f"edge {e} is a loop; remove loops before building")
         a, b = K.arrow(m, e)
+        k = ((om >> e) & 1) + x[edge.u] + x[edge.v] - c  # the power of i, -1..3
         if exact:
-            f = Fraction(edge.weight)
-            w = GaussianRational(0, f) if (om >> e) & 1 else GaussianRational(f, 0)
+            f = -Fraction(edge.weight) if k & 2 else Fraction(edge.weight)
+            w = GaussianRational(0, f) if k & 1 else GaussianRational(f, 0)
         else:
-            w = complex(edge.weight) * (1j if (om >> e) & 1 else 1.0)
+            w = complex(edge.weight) * _UNITS[k % 4]
         edges.append((a, b, w))
     return edges
+
+
+def _gauge(m: CombinatorialMap, om: int) -> Optional[Tuple[List[int], int]]:
+    """Vertex bits x and a constant c in {0, 1} with om(e) + c = x_u + x_v
+    (mod 2) on every edge, or None.  As om, like the twist cochain, represents
+    the first Stiefel-Whitney class, c = 0 holds on an orientable map whenever
+    c = 1 does, and never on one that is not; x labels a BFS tree."""
+    c = int(not m.orientable)
+    order, parent_arc = _bfs(m)
+    x = [0] * m.vertex_count
+    for w in order[1:]:
+        h = parent_arc[w]
+        x[w] = x[m.half_vertex(h)] ^ (om >> (h // 2)) & 1 ^ c
+    if all(x[edge.u] ^ x[edge.v] == (om >> e) & 1 ^ c for e, edge in enumerate(m.edges)):
+        return x, c
+    return None
 
 
 def build_adjacency(m: CombinatorialMap, K: Orientation,
@@ -170,23 +196,28 @@ def _class_matrices(m: CombinatorialMap, K: Orientation, flips: Sequence[int],
     ``enumerate_classes`` order, from one preparation of K's edges."""
     exact, n = backend == "exact", m.vertex_count
     masks = [Kc.bits ^ K.bits for Kc in enumerate_classes(m, K, flips)]
-    route = _EdgeMatrix(n, _map_edges(m, K, omega, exact), exact, reduce(or_, masks))
+    om = m.twist_bits() if omega is None else omega
+    gauge = _gauge(m, om) if om else None
+    turn = (gauge[1] * n // 2 - sum(gauge[0])) % 4 if gauge else 0
+    route = _EdgeMatrix(n, _map_edges(m, K, om, exact, gauge), exact, reduce(or_, masks),
+                        turn)
     return [_ClassMatrix(route, f, n, exact) for f in masks]
 
 
 class _EdgeMatrix:
     """The skew matrix of an edge list, prepared for the Pfaffians of its
-    sign patterns: ``pfaffian(flips)`` negates the weight of edge e for every
-    bit e of ``flips``, and some pattern negates each bit of ``seam``."""
+    sign patterns times i^turn: ``pfaffian(flips)`` negates the weight of
+    edge e for every bit e of ``flips``; some pattern negates each bit of ``seam``."""
 
-    def __init__(self, n: int, edges: Sequence[Edge], exact: bool, seam: int = 0) -> None:
+    def __init__(self, n: int, edges: Sequence[Edge], exact: bool, seam: int = 0,
+                 turn: int = 0) -> None:
         if n % 2:
             raise OddDimension(f"dimension {n} is odd")
         ends = sorted({v for e, (a, b, _) in enumerate(edges) if seam >> e & 1 for v in (a, b)})
         last = dict.fromkeys(ends if 2 * len(ends) <= n and not len(ends) % 2 else ())
         position, self.end = _rcm_order(n, [(a, b) for a, b, _ in edges], last)
         self.sign = _perm_sign(position)
-        self.exact, self.stop, self.shared = exact, n - len(last), {}
+        self.exact, self.stop, self.shared, self.turn = exact, n - len(last), {}, turn
         cells: Dict[Tuple[int, int], int] = {}
         slots = []  # (cell, weight signed for the reordered upper triangle)
         for a, b, w in edges:
@@ -215,8 +246,9 @@ class _EdgeMatrix:
                 values[c] = values[c] - w if (flips >> e) & 1 else values[c] + w
             scale = max(map(abs, values), default=0.0)
             real = not any(v.imag for v in values)
-            return complex(self._pf([v.real for v in values] if real else values,
-                                    0.0 if real else 0j, 0, 0, scale))
+            pf = complex(self._pf([v.real for v in values] if real else values,
+                                  0.0 if real else 0j, 0, 0, scale))
+            return pf * _UNITS[self.turn] if self.turn else pf
         re, im = [0] * len(self.cells), [0] * len(self.cells)
         for e, (c, r, i) in enumerate(self.slots):
             sign = -1 if (flips >> e) & 1 else 1
@@ -239,6 +271,7 @@ class _EdgeMatrix:
             y += modulus * ((yp - y) * c % p)
             modulus *= p
         x, y = (v - modulus if v > modulus // 2 else v for v in (x, y))
+        x, y = ((x, y), (-y, x), (-x, -y), (y, -x))[self.turn]
         scale = self.lcd ** (len(self.end) // 2)
         return GaussianRational(Fraction(x, scale), Fraction(y, scale))
 

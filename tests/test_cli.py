@@ -239,6 +239,45 @@ def test_cli_verify_obeys_max_vertices(tmp_path, capsys, backend):
     assert pairs["agree"] == "yes"
 
 
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_cli_verify_max_vertices_reaches_the_reference_matching(tmp_path, capsys, backend):
+    # 38 vertices: under --max-vertices 40 the pin and spin routes take their
+    # reference matching from the oracle with that bound; above it they raise
+    path = tmp_path / "p.graph"
+    main(["gen", "--surface", "planar", "--size", "2x19", "--out", str(path)])
+    assert main(["verify", str(path), "--backend", backend]) == 2
+    assert "TooLarge: 38 vertices exceeds oracle bound 36" in capsys.readouterr().err
+    assert main(["verify", str(path), "--backend", backend, "--max-vertices", "40",
+                 "--format", "kv"]) == 0
+    pairs = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
+    want = "6765" if backend == "exact" else "6765.0"
+    assert pairs == {"oracle": want, "pin": want, "practical": want, "spin": want,
+                     "agree": "yes"}
+
+
+@pytest.mark.parametrize("fmt", ["plain", "kv"])
+def test_cli_oracle_enumerates_once(tmp_path, capsys, monkeypatch, fmt):
+    import pfdimers.cli as cli
+    import pfdimers.oracle as oracle
+
+    passes = []
+    walk = oracle._weighted_matchings
+
+    def counted(m, max_vertices):
+        passes.append(m.vertex_count)
+        return walk(m, max_vertices)
+
+    monkeypatch.setattr(oracle, "_weighted_matchings", counted)
+    monkeypatch.setattr(cli, "_weighted_matchings", counted)
+    path = tmp_path / "t.graph"
+    main(["gen", "--surface", "torus", "--size", "4x4", "--out", str(path)])
+    assert main(["oracle", str(path), "--format", fmt]) == 0
+    assert passes == [16]
+    out = capsys.readouterr().out
+    assert out == ("Z 272\nmatchings 272\nmethod oracle\n" if fmt == "kv"
+                   else "Z = 272 (272 matchings)\n")
+
+
 def test_cli_gen_usage_error():
     assert main(["gen", "--surface", "torus", "--size", "bogus"]) == 1
 

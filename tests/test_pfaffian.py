@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import warnings
 from fractions import Fraction
 
@@ -27,7 +28,9 @@ from pfdimers import (
 )
 from pfdimers.exactnum import GR_ZERO, GaussianRational
 from pfdimers.generators import random_map, random_weights
-from pfdimers.homology import vertex_coboundary
+from pfdimers.homology import is_coboundary, vertex_coboundary
+from pfdimers.partition import partition
+from pfdimers.surface_graph import flip_charts
 from pfdimers.pfaffian import (
     EXPANSION_DIM_BOUND,
     SkewMatrix,
@@ -612,3 +615,178 @@ def test_split_block_entries_reduced_mod_p():
     assert route.stop == 2
     assert got == want
     assert sorted(x.re for x in got) == [-2 * a * b, 0]
+
+
+# ---------------------------------------------------------------------------
+# Gauge: a route whose twist cochain omega, or omega + 1, is a vertex
+# coboundary has real weights and a quarter-turn i^t
+# ---------------------------------------------------------------------------
+
+def _reference_gauge(m, omega):
+    """The c in {0, 1} with omega + c (c on every edge) a coboundary, or None."""
+    full = (1 << m.edge_count) - 1
+    return next((c for c in (0, 1) if is_coboundary(m, omega ^ (full * c))), None)
+
+
+def _imaginary_weights(route):
+    """Number of edge weights of a prepared route with a nonzero imaginary part."""
+    if route.exact:
+        return sum(1 for _, _, i in route.slots if i)
+    return sum(1 for _, w in route.slots if w.imag)
+
+
+def _weighted(rng, m):
+    return build_map(m.vertex_count, m.rotations, [(e.u, e.v) for e in m.edges],
+                     [e.twist for e in m.edges], random_weights(rng, m.edge_count, max_num=9))
+
+
+def _gauge_cases():
+    """(label, map, K, flips, omega): rp2 and klein_hexagon lattices under the
+    practical and pin routes (omega + 1 a coboundary), a chart-flipped torus
+    under pin (omega a coboundary), and random twisted maps with random
+    weights, for which either or neither holds."""
+    cases = []
+    for surface, size in (("rp2", 4), ("rp2", 6), ("klein_hexagon", 4), ("klein_hexagon", 8)):
+        inst = lattice(size, size, surface)
+        m = inst.map
+        cases.append((f"{surface} {size} practical", m, construct_kasteleyn(m),
+                      [cv.cross for cv in inst.curves], None))
+        cases.append((f"{surface} {size} pin", m, construct_kasteleyn(m, omega=m.twist_bits()),
+                      list(inst.basis.dual_cochains), m.twist_bits()))
+    m = flip_charts(lattice(6, 6, "torus").map, [0, 5, 6])
+    cases.append(("twisted torus 6 pin", m, construct_kasteleyn(m, omega=m.twist_bits()),
+                  list(cycle_basis(m).dual_cochains), m.twist_bits()))
+    rng = random.Random(3)
+    while len(cases) < 60:
+        m = random_map(rng, 8, 5)
+        if m.vertex_count % 2 == 0 and m.twist_bits():
+            m = _weighted(rng, m)
+            cases.append((f"random {len(cases)}", m,
+                          construct_kasteleyn(m, omega=m.twist_bits()),
+                          list(cycle_basis(m).dual_cochains), m.twist_bits()))
+    return cases
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_gauged_route_pfaffians_match_reference_builder(backend):
+    seen = set()
+    for label, m, K, flips, omega in _gauge_cases():
+        om = m.twist_bits() if omega is None else omega
+        c = _reference_gauge(m, om)
+        classes = _class_matrices(m, K, flips, backend, omega)
+        route = classes[0].route
+        # real weights exactly when the gauge applies, else i on the omega edges
+        assert _imaginary_weights(route) == (0 if c is not None else om.bit_count()), label
+        if c is None:
+            assert route.turn == 0, label
+        seen.add((c, route.turn if c is not None else None))
+        got = [pfaffian(cm) for cm in classes]
+        want = [pfaffian(build_adjacency(m, Kc, omega, backend))
+                for Kc in enumerate_classes(m, K, flips)]
+        if backend == "exact":
+            assert got == want, label
+        else:
+            top = max(map(abs, want))
+            assert all(abs(g - w) <= 1e-12 * top for g, w in zip(got, want)), label
+        if label.startswith(("rp2", "klein")):
+            assert c == 1, label
+        if label.startswith("twisted torus"):
+            assert c == 0, label
+    assert {c for c, _ in seen} == {0, 1, None}
+    assert {t for _, t in seen} >= {0, 1, 2, 3}
+
+
+def test_exact_gauged_route_takes_one_residue_per_prime(monkeypatch):
+    # rp2 10x10 under the practical route: every residue is of a real matrix
+    # (i -> s never taken), one per prime and class
+    from pfdimers.pfaffian import _EdgeMatrix
+
+    calls = []
+    residue = _EdgeMatrix._residue
+
+    def spy(self, re, im, p, s):
+        calls.append((p, s))
+        return residue(self, re, im, p, s)
+
+    monkeypatch.setattr(_EdgeMatrix, "_residue", spy)
+    inst = lattice(10, 10, "rp2")
+    r = partition(inst.map, "practical", curves=inst.curves, basis=inst.basis)
+    assert r.value == 12270412090464
+    assert calls and all(s == 0 for _, s in calls)
+    assert len(calls) == len(r.terms) * len({p for p, _ in calls})
+
+
+def _arithmetic(monkeypatch):
+    """Record the type of every class elimination's zero: float or complex."""
+    from pfdimers.pfaffian import _EdgeMatrix
+
+    kinds = []
+    pf = _EdgeMatrix._pf
+
+    def spy(self, values, zero, p, s, scale=0.0):
+        kinds.append(type(zero))
+        return pf(self, values, zero, p, s, scale)
+
+    monkeypatch.setattr(_EdgeMatrix, "_pf", spy)
+    return kinds
+
+
+@pytest.mark.parametrize("surface, size", [("rp2", 20), ("rp2", 24), ("klein_hexagon", 20)])
+def test_float_gauged_lattice_classes_are_eliminated_in_real_floats(monkeypatch, surface, size):
+    kinds = _arithmetic(monkeypatch)
+    inst = lattice(size, size, surface)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        r = partition(inst.map, "practical", curves=inst.curves, basis=inst.basis,
+                      backend="float")
+    assert len(kinds) == len(r.terms) and set(kinds) == {float}
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_route_without_a_gauge_stays_complex(monkeypatch, backend):
+    rng = random.Random(3)
+    while True:
+        m = random_map(rng, 8, 5)
+        om = m.twist_bits()
+        if m.vertex_count % 2 == 0 and om and _reference_gauge(m, om) is None:
+            break
+    if backend == "exact":
+        from pfdimers.pfaffian import _EdgeMatrix
+
+        calls = []
+        residue = _EdgeMatrix._residue
+
+        def spy(self, re, im, p, s):
+            calls.append(s)
+            return residue(self, re, im, p, s)
+
+        monkeypatch.setattr(_EdgeMatrix, "_residue", spy)
+    else:
+        calls = _arithmetic(monkeypatch)
+    K, flips = construct_kasteleyn(m, omega=om), cycle_basis(m).dual_cochains
+    got = [pfaffian(c) for c in _class_matrices(m, K, flips, backend, om)]
+    assert calls
+    if backend == "exact":  # both roots of -1 mod p: X + sY and X - sY
+        assert all(calls) and len(calls) % 2 == 0
+    else:
+        assert set(calls) == {complex}
+    want = [pfaffian(build_adjacency(m, Kc, om, backend))
+            for Kc in enumerate_classes(m, K, flips)]
+    if backend == "exact":
+        assert got == want
+    else:
+        assert all(abs(g - w) <= 1e-12 * max(map(abs, want)) for g, w in zip(got, want))
+
+
+def test_gauge_is_not_searched_when_omega_is_zero(monkeypatch):
+    pf = sys.modules["pfdimers.pfaffian"]  # the package's ``pfaffian`` is the function
+    searched = []
+    gauge = pf._gauge
+    monkeypatch.setattr(pf, "_gauge", lambda m, om: searched.append(om) or gauge(m, om))
+    inst = lattice(6, 6, "torus")
+    partition(inst.map, "practical", curves=inst.curves, basis=inst.basis)
+    partition(inst.map, "spin", basis=inst.basis)
+    assert searched == []
+    inst = lattice(6, 6, "rp2")
+    partition(inst.map, "practical", curves=inst.curves, basis=inst.basis)
+    assert searched == [inst.map.twist_bits()]
