@@ -11,9 +11,13 @@ within 1e-9 relative for the float backend.  It also checks the prepared
 homology data of every map it draws (its own basis, if any, and
 ``cycle_basis``): each dual cocycle phi_i is zero on every face boundary,
 phi_i(C_j) = delta_ij, and the intersection matrix is invertible over GF(2).
-On untwisted orientable maps pin and spin must also return identical class
-terms.  Exits nonzero on the first disagreement or violation, naming the route and
-the backend, or the map.
+A map keeps what its routes derive (reference matching, basis, Kasteleyn
+orientations, class Pfaffians), so on untwisted orientable maps spin reuses
+pin's Pfaffians.  Every route therefore also runs on its own fresh copy of
+the map (an identity ``relabel``), which keeps nothing yet, and must return
+the same value and terms there.  On untwisted orientable maps pin and spin
+must also return identical class terms.  Exits nonzero on the first
+disagreement or violation, naming the route and the backend, or the map.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from pfdimers import (  # noqa: E402
     partition_nonorientable_practical,
     partition_orientable_practical,
     partition_orientable_spin,
+    relabel,
 )
 from pfdimers.generators import random_lattice, random_map  # noqa: E402
 from pfdimers.homology import Gf2Span, chain_from_edges, dot, is_cocycle  # noqa: E402
@@ -77,16 +82,23 @@ def main() -> int:
                       f"{m.vertex_count} vertices, {m.edge_count} edges): {bad}")
                 return 1
         z_ref = partition_bruteforce(m)
-        routes = {"pin": lambda b: partition_general_pin(m, basis=basis, backend=b)}
+        routes = {"pin": lambda g, b: partition_general_pin(g, basis=basis, backend=b)}
         if classify(m).orientable:
-            routes["practical"] = lambda b: partition_orientable_practical(
-                m, curves=curves or None, basis=basis, backend=b)
-            routes["spin"] = lambda b: partition_orientable_spin(m, basis=basis, backend=b)
+            routes["practical"] = lambda g, b: partition_orientable_practical(
+                g, curves=curves or None, basis=basis, backend=b)
+            routes["spin"] = lambda g, b: partition_orientable_spin(g, basis=basis, backend=b)
         elif curves:
-            routes["practical"] = lambda b: partition_nonorientable_practical(
-                m, curves, basis=basis, backend=b)
+            routes["practical"] = lambda g, b: partition_nonorientable_practical(
+                g, curves, basis=basis, backend=b)
         for backend in ("exact", "float"):
-            results = {name: route(backend) for name, route in routes.items()}
+            results = {name: route(m, backend) for name, route in routes.items()}
+            for name, route in routes.items():
+                fresh = route(relabel(m, range(m.vertex_count)), backend)
+                if (fresh.value, fresh.terms) != (results[name].value, results[name].terms):
+                    print(f"KEPT DATA DIFFERS at trial {trial} ({label}, {m.vertex_count} "
+                          f"vertices, {m.edge_count} edges): {name} ({backend}) = "
+                          f"{results[name].value}, on a fresh copy {fresh.value}")
+                    return 1
             for name, res in results.items():
                 tol = 0 if backend == "exact" else FLOAT_REL_TOL * z_ref
                 if abs(res.value - z_ref) > tol:

@@ -26,7 +26,7 @@ from .oracle import _weighted_matchings, find_matching, homology_buckets
 from .partition import (_eps_label, _oracle, partition, partition_general_pin,
                         partition_orientable_spin)
 from .spin_quadratic import arf, basis_enhancement, brown, normalize_qB, shifted_browns
-from .surface_graph import classify, is_orientable
+from .surface_graph import classify, is_orientable, kept
 
 
 def _load(args):
@@ -151,13 +151,13 @@ def cmd_verify(args) -> int:
     inst = _load(args)
     m = inst.map
     results = {}
-    D0 = find_matching(m, args.max_vertices) if m.vertex_count <= args.max_vertices else None
-    results["pin"] = partition_general_pin(m, D0=D0, basis=inst.basis, backend=args.backend)
+    if m.vertex_count <= args.max_vertices:  # pin and spin read the kept D0
+        kept(m, "D0", find_matching, args.max_vertices)
+    results["pin"] = partition_general_pin(m, basis=inst.basis, backend=args.backend)
     if is_orientable(m):
         results["practical"] = partition(m, "practical", curves=inst.curves or None,
                                          basis=inst.basis, backend=args.backend)
-        results["spin"] = partition_orientable_spin(m, D0=D0, basis=inst.basis,
-                                                    backend=args.backend)
+        results["spin"] = partition_orientable_spin(m, basis=inst.basis, backend=args.backend)
     elif inst.curves:
         results["practical"] = partition(m, "practical", curves=inst.curves,
                                          basis=inst.basis, backend=args.backend)

@@ -27,6 +27,14 @@ sign (-1)^(number of its intersecting basis pairs) times an unprimed weight:
 1 on orientable surfaces, 1 - i with odd Euler characteristic (c), -i with
 even Euler characteristic, where the primed classes, also flipped along the
 first beta curve, weigh the sign alone.
+
+A route reads what it derives from the map alone through ``kept``: D0, the
+cycle basis, K per omega, the untwisted copy, and the class Pfaffians keyed
+by K, the flips, omega (None on the practical routes, which keep theirs
+apart) and the backend.  So a second route on the map reuses them, and on
+an untwisted orientable map spin, pin at omega = 0, takes pin's Pfaffians:
+what checks one against the other there is the Arf-vs-Brown weighting and
+the oracle.
 """
 
 from __future__ import annotations
@@ -74,6 +82,7 @@ from .surface_graph import (
     CombinatorialMap,
     classify,
     is_orientable,
+    kept,
     untwist,
 )
 
@@ -273,7 +282,8 @@ def _class_sum(m: CombinatorialMap, K: Orientation, flips: Sequence[int],
     / divisor over the classes of K flipped by subset sums of ``flips``, in
     ``enumerate_classes`` order, and the class Pfaffians."""
     exact = _exact(backend)
-    pfs = [pfaffian(c) for c in _class_matrices(m, K, flips, backend, omega)]
+    pfs = kept(m, ("pfaffians", K.bits, tuple(flips), omega, backend), lambda m: tuple(
+        pfaffian(c) for c in _class_matrices(m, K, flips, backend, omega)))
     buckets = [GR_ZERO if exact else 0j] * 4
     for k, pf in zip(powers, pfs):
         buckets[k % 4] += pf
@@ -285,20 +295,22 @@ def _class_sum(m: CombinatorialMap, K: Orientation, flips: Sequence[int],
 
 def _enhanced_sum(m: CombinatorialMap, method: str, omega: int,
                   D0: Optional[int], basis: Optional[HomologyBasis], backend: str,
-                  invariant: Callable[[QuadraticEnhancement], int]) -> PartitionResult:
+                  invariant: Callable[[QuadraticEnhancement], int],
+                  home: Optional[CombinatorialMap] = None) -> PartitionResult:
     """2^(-b1/2) * i^(-omega(D0)) * sum over classes xi of
-    exp(i*pi*invariant(q_xi)/4) * eps_xi * Pf(A^{K_xi})."""
+    exp(i*pi*invariant(q_xi)/4) * eps_xi * Pf(A^{K_xi}).  Without a D0, the
+    one kept on ``home`` (a map with m's edges; m itself by default)."""
     exact = _exact(backend)
     if m.vertex_count % 2:
         return _zero(method, exact)
     if D0 is None:
-        D0 = find_matching(m)
+        D0 = kept(home or m, "D0", find_matching)
     if D0 is None:
         return _zero(method, exact)
     if basis is None:
-        basis = cycle_basis(m)
+        basis = kept(m, "basis", cycle_basis)
     b1 = basis.rank
-    K = construct_kasteleyn(m, omega=omega)
+    K = kept(m, ("K", omega), construct_kasteleyn, omega)
     q0 = basis_enhancement(m, K, D0, basis, omega)
     # Class idx flips K by the dual cocycles phi_i, i in idx; as
     # phi_i(C_j) = delta_ij, its enhancement is q0 shifted by the bits of idx.
@@ -364,7 +376,7 @@ def _practical(m: CombinatorialMap, curves: Optional[Sequence[TransverseCurve]],
                 raise CurveNotRealizable("curves do not give a homology basis")
             companions = None
     if basis is None:
-        basis = cycle_basis(m)
+        basis = kept(m, "basis", cycle_basis)
     assert basis.rank == surface.b1
     if companions is not None and len(companions) == basis.rank:
         flips = [cv.cross for cv in curves[:r + primed]]
@@ -374,7 +386,8 @@ def _practical(m: CombinatorialMap, curves: Optional[Sequence[TransverseCurve]],
         # crosses, so q_B(C) = 2(n_K(C) + 1) mod 4 for every matching.
         assert surface.orientable
         companions, flips = basis.cycles, basis.pd_cochains
-    K = normalize_orientation(m, construct_kasteleyn(m), basis, companions)
+    om = m.twist_bits()
+    K = normalize_orientation(m, kept(m, ("K", om), construct_kasteleyn, om), basis, companions)
     # Class idx + 2^r is the primed class of idx.  Class xi weighs
     # i^(2 * number of its intersecting basis pairs i < j; later[i] holds
     # the j), times -i on an unprimed class of even Euler characteristic and
@@ -406,7 +419,7 @@ def partition_orientable_practical(m: CombinatorialMap, *,
     if not is_orientable(m):
         raise WrongSurfaceType("map is not orientable")
     if m.twist_bits():
-        m, curves, basis = untwist(m), None, None
+        m, curves, basis = kept(m, "untwist", untwist), None, None
     return _practical(m, curves, basis, backend)
 
 
@@ -418,9 +431,10 @@ def partition_orientable_spin(m: CombinatorialMap, *,
     untwisted map at omega = 0, with beta = 4 * Arf."""
     if not is_orientable(m):
         raise WrongSurfaceType("map is not orientable")
+    home = m
     if m.twist_bits():
-        m, basis = untwist(m), None
-    return _enhanced_sum(m, "spin", 0, D0, basis, backend, lambda q: 4 * arf(q))
+        m, basis = kept(m, "untwist", untwist), None
+    return _enhanced_sum(m, "spin", 0, D0, basis, backend, lambda q: 4 * arf(q), home)
 
 
 def partition_general_pin(m: CombinatorialMap, *,

@@ -73,7 +73,7 @@ from .errors import (
 )
 from .exactnum import GR_ZERO, GaussianRational
 from .kasteleyn import Orientation, enumerate_classes
-from .surface_graph import CombinatorialMap, _bfs
+from .surface_graph import CombinatorialMap, vertex_labels
 
 EXPANSION_DIM_BOUND = 12
 PIVOT_THRESHOLD = 1e-12
@@ -147,11 +147,7 @@ def _gauge(m: CombinatorialMap, om: int) -> Optional[Tuple[List[int], int]]:
     the first Stiefel-Whitney class, c = 0 holds on an orientable map whenever
     c = 1 does, and never on one that is not; x labels a BFS tree."""
     c = int(not m.orientable)
-    order, parent_arc = _bfs(m)
-    x = [0] * m.vertex_count
-    for w in order[1:]:
-        h = parent_arc[w]
-        x[w] = x[m.half_vertex(h)] ^ (om >> (h // 2)) & 1 ^ c
+    x = [int(label < 0) for label in vertex_labels(m, om ^ -c & ((1 << m.edge_count) - 1))]
     if all(x[edge.u] ^ x[edge.v] == (om >> e) & 1 ^ c for e, edge in enumerate(m.edges)):
         return x, c
     return None
@@ -363,13 +359,12 @@ def _eliminate(a: list, end: List[int], stop: int, factor, p: int = 0,
             rq[t:], rp[t:] = rp[t:], rq[t:]
             end[q], end[piv] = max(end[piv], t), max(end[q], t)
         pivot = rk[q]
-        result *= pivot
-        if p:
-            result %= p
-            inv = pow(pivot, -1, p)
+        result = result * pivot % p if p else result * pivot
         # envelope: rows k and q vanish from column h on, up to their panels
         h = max(end[k], end[q])
         wide = stop < n and (any(rk[stop:]) or any(rq[stop:]))
+        if p and (wide or h > q + 1):  # some row is updated
+            inv = pow(pivot, -1, p)
         # Schur complement: a_ij += (a_qi * a_kj - a_ki * a_qj) / pivot
         for i in chain(range(q + 1, h), range(stop, n)) if wide else range(q + 1, h):
             f, g = rq[i], rk[i]

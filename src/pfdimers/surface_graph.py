@@ -27,9 +27,11 @@ in the same pass; the other lift is never walked.
 Faces are traced once per map: ``m.faces`` runs ``trace_faces`` on first use
 and keeps the result, and every consumer (Euler characteristic, homology
 basis, Kasteleyn curvature, companion cycles) reads it there.  Orientability
-is kept the same way (``m.orientable``), without tracing faces.  A map made
-from another one (``flip_charts``, ``untwist``, ``relabel``) is a new object
-with its own faces.
+is kept the same way (``m.orientable``), without tracing faces, and
+``kept`` keeps the rest derived from the map alone: its BFS tree, and the
+partition routes' D0, basis, K, untwisted copy and class Pfaffians.  A map
+made from another one (``flip_charts``, ``untwist``, ``relabel``,
+``graphfile.load``) is a new object that starts with none of it.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 from .errors import (
     DisconnectedGraph,
@@ -104,6 +106,15 @@ class CombinatorialMap:
         """True iff the twist cochain is a vertex coboundary; kept like ``faces``."""
         t = tree_twist_parity(self)
         return not any(edge.twist ^ t[edge.u] ^ t[edge.v] for edge in self.edges)
+
+
+def kept(m: CombinatorialMap, key, make: Callable, *args):
+    """``make(m, *args)``, computed on first use per map and ``key`` and kept
+    in the instance ``__dict__`` outside ``==`` and ``hash``, like ``faces``."""
+    store = m.__dict__.setdefault("_kept", {})
+    if key not in store:
+        store[key] = make(m, *args)
+    return store[key]
 
 
 @dataclass(frozen=True)
@@ -222,7 +233,7 @@ def build_map(
 def _check_connected(m: CombinatorialMap) -> None:
     if m.vertex_count == 0:
         raise DisconnectedGraph("empty vertex set")
-    count = len(_bfs(m)[0])
+    count = len(kept(m, "bfs", _bfs)[0])
     if count != m.vertex_count:
         raise DisconnectedGraph(f"{m.vertex_count - count} vertices unreachable")
 
@@ -260,10 +271,10 @@ def euler_characteristic(m: CombinatorialMap) -> int:
     return m.vertex_count - m.edge_count + len(m.faces)
 
 
-def _bfs(m: CombinatorialMap) -> Tuple[list, list]:
+def _bfs(m: CombinatorialMap) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """BFS from vertex 0: (vertices in visiting order, parent arcs), where
     ``parent_arc[v]`` points from the tree parent of ``v`` to ``v`` and the
-    root gets -1."""
+    root gets -1.  Callers read it through ``kept``, once per map."""
     parent_arc = [-1] * m.vertex_count
     seen = [False] * m.vertex_count
     seen[0] = True
@@ -275,7 +286,7 @@ def _bfs(m: CombinatorialMap) -> Tuple[list, list]:
                 seen[w] = True
                 parent_arc[w] = h
                 order.append(w)
-    return order, parent_arc
+    return tuple(order), tuple(parent_arc)
 
 
 def spanning_tree(m: CombinatorialMap) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -285,8 +296,8 @@ def spanning_tree(m: CombinatorialMap) -> Tuple[Tuple[int, ...], Tuple[int, ...]
     (half-edge) pointing from the tree parent of ``v`` to ``v``; the root 0
     gets -1.
     """
-    order, parent_arc = _bfs(m)
-    return tuple(parent_arc[w] // 2 for w in order[1:]), tuple(parent_arc)
+    order, parent_arc = kept(m, "bfs", _bfs)
+    return tuple(parent_arc[w] // 2 for w in order[1:]), parent_arc
 
 
 def tree_twist_parity(m: CombinatorialMap) -> Tuple[int, ...]:
@@ -322,7 +333,7 @@ def vertex_labels(m: CombinatorialMap, omega: Optional[int] = None) -> Tuple[int
     ``omega(e) = 1``.  Well defined up to a global swap.
     """
     omega = m.twist_bits() if omega is None else omega
-    order, parent_arc = _bfs(m)
+    order, parent_arc = kept(m, "bfs", _bfs)
     labels = [1] * m.vertex_count
     for w in order[1:]:
         h = parent_arc[w]

@@ -329,3 +329,62 @@ def test_cli_partition_past_the_int_str_digit_limit(tmp_path, capsys):
         f"pf.00 256{zeros}", f"pf.10 144{zeros}", f"pf.01 144{zeros}", "pf.11 0"]
     assert main(["partition", str(path)]) == 0
     assert capsys.readouterr().out == f"272{zeros}\n"
+
+
+def _tree_with_three_leaves():
+    """38 vertices without a perfect matching: a 35-vertex path 0..34 and
+    three leaves 35, 36, 37 on vertex 0."""
+    from pfdimers import build_map
+
+    ends = [(v, v + 1) for v in range(34)] + [(0, leaf) for leaf in (35, 36, 37)]
+    rotations = [[] for _ in range(38)]
+    for e, (u, v) in enumerate(ends):
+        rotations[u].append(2 * e)
+        rotations[v].append(2 * e + 1)
+    return build_map(38, rotations, ends)
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_cli_verify_max_vertices_on_a_map_without_a_matching(tmp_path, capsys, backend):
+    # the bounded search's "no matching" is kept on the map, so pin and spin
+    # give Z = 0 instead of searching again under the default bound; a
+    # twisted copy runs spin on its untwisted copy with the same answer
+    from pfdimers.generators import LatticeInstance
+    from pfdimers.surface_graph import flip_charts
+
+    tree = _tree_with_three_leaves()
+    zero = "0" if backend == "exact" else "0.0"
+    for m in (tree, flip_charts(tree, [1, 2, 36])):
+        path = tmp_path / "tree.graph"
+        with open(path, "w") as fh:
+            graphfile.dump(LatticeInstance(m, "sphere", (), None), fh)
+        assert main(["verify", str(path), "--backend", backend]) == 2
+        assert "TooLarge: 38 vertices exceeds oracle bound 36" in capsys.readouterr().err
+        assert main(["verify", str(path), "--backend", backend, "--max-vertices", "40",
+                     "--format", "kv"]) == 0
+        pairs = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
+        assert pairs == {"oracle": zero, "pin": zero, "practical": zero, "spin": zero,
+                         "agree": "yes"}
+        assert main(["partition", str(path), "--backend", backend]) == 0
+        assert capsys.readouterr().out == zero + "\n"
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_cli_verify_max_vertices_on_a_twisted_orientable_map(tmp_path, capsys, backend):
+    # spin runs on the untwisted copy, with the reference matching of the
+    # twisted map (they share their edges) from the search under --max-vertices
+    from dataclasses import replace
+
+    from pfdimers.surface_graph import flip_charts
+
+    inst = lattice(2, 19, "planar")
+    twisted = replace(inst, map=flip_charts(inst.map, [0, 7, 20]))
+    path = tmp_path / "p.graph"
+    with open(path, "w") as fh:
+        graphfile.dump(twisted, fh)
+    assert main(["verify", str(path), "--backend", backend, "--max-vertices", "40",
+                 "--format", "kv"]) == 0
+    pairs = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
+    want = "6765" if backend == "exact" else "6765.0"
+    assert pairs == {"oracle": want, "pin": want, "practical": want, "spin": want,
+                     "agree": "yes"}

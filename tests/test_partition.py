@@ -37,12 +37,12 @@ from pfdimers import (
     partition_orientable_practical,
     partition_orientable_spin,
 )
-from pfdimers.exactnum import GaussianRational, rational_str
+from pfdimers.exactnum import GR_ONE, GaussianRational, rational_str
 from pfdimers.generators import random_lattice, random_map
 from pfdimers.homology import chain_from_edges, edges_of, vertex_coboundary
 from pfdimers.kasteleyn import is_kasteleyn
-from pfdimers.partition import companion_cycle
-from pfdimers.surface_graph import flip_charts, relabel
+from pfdimers.partition import _class_sum, companion_cycle
+from pfdimers.surface_graph import flip_charts, relabel, untwist
 
 
 def test_planar_5x6_single_pfaffian():
@@ -761,3 +761,117 @@ def test_unknown_backend_is_rejected_by_every_route():
         with pytest.raises(ValueError, match="unknown backend 'flaot'"):
             call(backend="flaot")
         assert call(backend="float").value == pytest.approx(float(call().value))
+
+
+# ---------------------------------------------------------------------------
+# What a map keeps: reference matching, basis, K, untwisted copy, BFS tree and
+# class Pfaffians are derived once per map object
+# ---------------------------------------------------------------------------
+
+def _counting_pfaffians(monkeypatch):
+    module = sys.modules["pfdimers.partition"]
+    pf, calls = module.pfaffian, []
+    monkeypatch.setattr(module, "pfaffian", lambda c: calls.append(c) or pf(c))
+    return calls
+
+
+def _fresh(m):
+    return relabel(m, range(m.vertex_count))
+
+
+def _random_orientable_maps(twisted, count=4, seed=7):
+    rng, maps = random.Random(seed), []
+    while len(maps) < count:
+        m = random_map(rng, max_vertices=8, extra_edges=6, twisted=twisted)
+        surface = classify(m)
+        if surface.orientable and surface.b1 and bool(m.twist_bits()) == twisted and \
+                m.vertex_count % 2 == 0 and find_matching(m) is not None:
+            maps.append(m)
+    return maps
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_spin_after_pin_computes_no_class_pfaffian(monkeypatch, backend):
+    calls = _counting_pfaffians(monkeypatch)
+    maps = [lattice(4, 4, "torus").map, lattice(3, 4, "torus").map]
+    for m in maps + _random_orientable_maps(twisted=False):
+        calls.clear()
+        pin = partition_general_pin(m, backend=backend)
+        assert len(calls) == 2 ** classify(m).b1
+        calls.clear()
+        spin = partition_orientable_spin(m, backend=backend)
+        assert calls == []
+        fresh = partition_orientable_spin(_fresh(m), backend=backend)
+        assert len(calls) == 2 ** classify(m).b1
+        assert (spin.value, spin.terms) == (fresh.value, fresh.terms)
+        assert spin.terms == pin.terms
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_kept_data_is_isolated_by_backend_basis_omega_and_k(monkeypatch, backend):
+    calls = _counting_pfaffians(monkeypatch)
+    other = "float" if backend == "exact" else "exact"
+    # their lattice bases differ from ``cycle_basis`` (the rp2 ones do not)
+    for inst in (lattice(4, 4, "torus"), lattice(4, 4, "klein_hexagon")):
+        m = inst.map
+        shifted = m.twist_bits() ^ vertex_coboundary(m, 0)  # the same class as omega
+        runs = [dict(backend=other), dict(backend=backend),
+                dict(basis=inst.basis, backend=backend),
+                dict(omega=shifted, backend=backend)]
+        results = []
+        for kwargs in runs:
+            calls.clear()
+            results.append(partition_general_pin(m, **kwargs))
+            assert len(calls) == 2 ** classify(m).b1, kwargs
+            fresh = partition_general_pin(_fresh(m), **kwargs)
+            assert (results[-1].value, results[-1].terms) == (fresh.value, fresh.terms)
+        calls.clear()
+        assert [partition_general_pin(m, **kwargs) for kwargs in runs] == results
+        assert calls == []
+        # and by K, which the practical routes normalise along their companions
+        K, flips = construct_kasteleyn(m), inst.basis.dual_cochains
+        args = ([0] * 2 ** len(flips), GR_ONE, 1, backend)
+        for Kc in (K, K.flipped(flips[0])):
+            calls.clear()
+            pfs = _class_sum(m, Kc, flips, *args)[2]
+            assert len(calls) == 2 ** len(flips)
+            assert pfs == _class_sum(_fresh(m), Kc, flips, *args)[2]
+
+
+def test_equal_maps_do_not_share_kept_data(monkeypatch):
+    calls = _counting_pfaffians(monkeypatch)
+    inst = lattice(4, 4, "torus")
+    buf = io.StringIO()
+    graphfile.dump(inst, buf)
+    buf.seek(0)
+    twin = lattice(4, 4, "torus").map
+    assert twin == inst.map and hash(twin) == hash(inst.map) and twin is not inst.map
+    partition_general_pin(inst.map)
+    copies = [twin, _fresh(inst.map), graphfile.load(buf).map, flip_charts(inst.map, []),
+              untwist(inst.map)]
+    for m in copies:
+        assert m == inst.map
+        calls.clear()
+        partition_general_pin(m)
+        assert len(calls) == 4
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_bfs_and_untwist_run_once_per_map(monkeypatch, backend):
+    import pfdimers.surface_graph as surface_graph
+
+    route_module = sys.modules["pfdimers.partition"]
+    bfs, untwisted = surface_graph._bfs, route_module.untwist
+    bfs_calls, untwist_calls = [], []
+    monkeypatch.setattr(surface_graph, "_bfs", lambda m: bfs_calls.append(m) or bfs(m))
+    monkeypatch.setattr(route_module, "untwist",
+                        lambda m: untwist_calls.append(m) or untwisted(m))
+    # both built after the patch, so each map's own search is counted too
+    torus = lattice(6, 6, "torus")
+    twisted = _random_orientable_maps(twisted=True, count=1)[0]
+    for m, curves, basis in ((torus.map, torus.curves, torus.basis), (twisted, None, None)):
+        for method in ("auto", "pin", "spin"):
+            partition(m, method, curves=curves, basis=basis, backend=backend)
+    assert {id(torus.map), id(twisted)} <= {id(m) for m in bfs_calls}
+    assert len({id(m) for m in bfs_calls}) == len(bfs_calls)
+    assert [id(m) for m in untwist_calls] == [id(twisted)]

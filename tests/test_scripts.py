@@ -73,3 +73,24 @@ def test_random_agreement_names_a_map_where_pin_and_spin_terms_differ(monkeypatc
     assert capsys.readouterr().out == (
         "TERMS DIFFER at trial 0 (torus lattice, 8 vertices, 16 edges): "
         "pin and spin (exact)\n")
+
+
+def test_random_agreement_names_a_map_with_corrupted_kept_pfaffians(monkeypatch, capsys):
+    script = _load_script("random_agreement")
+    good = script.partition_general_pin
+
+    def corrupting_pin(m, **kwargs):
+        # negate the first class Pfaffian of every set pin keeps on the map;
+        # spin on the same untwisted map reads them, a fresh copy does not
+        res = good(m, **kwargs)
+        store = m.__dict__["_kept"]
+        for key in [k for k in store if k[0] == "pfaffians"]:
+            store[key] = (-store[key][0],) + store[key][1:]
+        return res
+
+    monkeypatch.setattr(script, "partition_general_pin", corrupting_pin)
+    monkeypatch.setattr(sys, "argv",
+                        ["random_agreement.py", "--trials", "20", "--seed", "1"])
+    assert script.main() == 1
+    assert capsys.readouterr().out.startswith(
+        "KEPT DATA DIFFERS at trial 0 (torus lattice, 8 vertices, 16 edges): spin (exact) = ")
