@@ -158,7 +158,7 @@ def cmd_verify(args) -> int:
         results["practical"] = partition(m, "practical", curves=inst.curves or None,
                                          basis=inst.basis, backend=args.backend)
         results["spin"] = partition_orientable_spin(m, basis=inst.basis, backend=args.backend)
-    elif inst.curves:
+    elif inst.curves and all(cv.companion is not None for cv in inst.curves):
         results["practical"] = partition(m, "practical", curves=inst.curves,
                                          basis=inst.basis, backend=args.backend)
     if m.vertex_count <= args.max_vertices:

@@ -14,8 +14,15 @@ Half-edges are written ``<edge-id>.<0|1>``; half 0 anchors at the edge's
 first endpoint.  Edge ids must be dense 0..E-1.  Weights are integers or
 fractions like ``3/2``, of any length, or decimals.  Companion walks are arc
 sequences (each arc leaves the anchor of the written half).  Unknown
-directives, crossings outside the edge ids and curve data for an index
-without a ``curve`` line are rejected.
+directives, a second line for the same edge, vertex or curve index (or a
+second ``vertices`` line), rotations of vertices outside 0..N-1, crossings
+outside the edge ids and curve data for an index without a ``curve`` line
+are rejected.
+
+The practical routes read a curve's companion from its ``companion`` line
+and build none: orientable maps whose curves lack one use their basis
+cycles instead, and non-orientable ones fall back to the pin route under
+``auto``.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from __future__ import annotations
 import re
 from decimal import Decimal
 from fractions import Fraction
-from typing import Dict, List, Optional, TextIO, Tuple
+from typing import Dict, List, TextIO, Tuple
 
 from .errors import MalformedFile, NotAClosedWalk, NotSimple
 from .exactnum import rational_str
@@ -69,15 +76,27 @@ def _parse_half(tok: str, edge_count: int) -> int:
     return 2 * e + s
 
 
+def _curve_kind(toks: List[str]) -> str:
+    if toks[2] not in ("alpha", "beta"):
+        raise MalformedFile(f"curve kind must be alpha or beta, got {toks[2]!r}")
+    return toks[2]
+
+
+# Directives said at most once (per curve index), and what each one keeps.
+_ONCE = {
+    "vertices": lambda toks: int(toks[1]),
+    "curve": _curve_kind,
+    "cross": lambda toks: [int(t) for t in toks[2:]],
+    "crossing_edge": lambda toks: int(toks[2]),
+    "companion": lambda toks: toks[2:],
+}
+
+
 def load(stream: TextIO) -> LatticeInstance:
     """Parse a graph file into a map plus optional curve data."""
-    nv: Optional[int] = None
     edge_rows: Dict[int, Tuple[int, int, int, object]] = {}
     rotation_rows: Dict[int, List[str]] = {}
-    curve_kind: Dict[int, str] = {}
-    curve_cross: Dict[int, List[int]] = {}
-    curve_companion: Dict[int, List[str]] = {}
-    curve_edge: Dict[int, int] = {}
+    once: Dict[str, Dict[int, object]] = {key: {} for key in _ONCE}
 
     for lineno, raw in enumerate(stream, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -86,9 +105,7 @@ def load(stream: TextIO) -> LatticeInstance:
         toks = line.split()
         key = toks[0]
         try:
-            if key == "vertices":
-                nv = int(toks[1])
-            elif key == "edge":
+            if key == "edge":
                 eid, u, v, tw = int(toks[1]), int(toks[2]), int(toks[3]), int(toks[4])
                 w = _parse_weight(toks[5])
                 if eid in edge_rows:
@@ -99,19 +116,11 @@ def load(stream: TextIO) -> LatticeInstance:
                 if v in rotation_rows:
                     raise MalformedFile(f"duplicate rotation for vertex {v}")
                 rotation_rows[v] = toks[2:]
-            elif key == "curve":
-                idx, kind = int(toks[1]), toks[2]
-                if kind not in ("alpha", "beta"):
-                    raise MalformedFile(f"curve kind must be alpha or beta, got {kind!r}")
-                curve_kind[idx] = kind
-            elif key == "cross":
-                idx = int(toks[1])
-                curve_cross[idx] = [int(t) for t in toks[2:]]
-            elif key == "crossing_edge":
-                curve_edge[int(toks[1])] = int(toks[2])
-            elif key == "companion":
-                idx = int(toks[1])
-                curve_companion[idx] = toks[2:]
+            elif key in _ONCE:
+                idx = 0 if key == "vertices" else int(toks[1])
+                if idx in once[key]:
+                    raise MalformedFile(f"line {lineno}: {key!r} repeats an earlier line")
+                once[key][idx] = _ONCE[key](toks)
             else:
                 raise MalformedFile(f"unknown directive {key!r}")
         except MalformedFile:
@@ -119,6 +128,9 @@ def load(stream: TextIO) -> LatticeInstance:
         except (IndexError, ValueError) as exc:
             raise MalformedFile(f"line {lineno}: cannot parse {line!r}") from exc
 
+    nv = once["vertices"].get(0)
+    curve_kind, curve_cross, curve_edge, curve_companion = (
+        once[key] for key in ("curve", "cross", "crossing_edge", "companion"))
     if nv is None:
         raise MalformedFile("missing 'vertices' line")
     ne = len(edge_rows)
@@ -127,10 +139,9 @@ def load(stream: TextIO) -> LatticeInstance:
     endpoints = [(edge_rows[e][0], edge_rows[e][1]) for e in range(ne)]
     twists = [edge_rows[e][2] for e in range(ne)]
     weights = [edge_rows[e][3] for e in range(ne)]
-    rotations = []
-    for v in range(nv):
-        toks = rotation_rows.get(v, [])
-        rotations.append([_parse_half(t, ne) for t in toks])
+    rotations = [[_parse_half(t, ne) for t in rotation_rows.pop(v, [])] for v in range(nv)]
+    if rotation_rows:
+        raise MalformedFile(f"rotation for vertex {min(rotation_rows)} outside 0..{nv - 1}")
     graph = build_map(nv, rotations, endpoints, twists, weights)
 
     orphans = sorted({*curve_cross, *curve_edge, *curve_companion} - curve_kind.keys())

@@ -21,8 +21,9 @@ k = (beta - o)/2 + 2 [eps_xi < 0] and c = (1+i)^o * i^(-omega(D0)).
 2007 on orientable surfaces; Tesler 2000 and this paper on non-orientable
 ones): Z = |Re sum_xi w_xi * Pf(A^{K_xi})| / 2^g over the 2^(2g) classes
 flipped along the alpha curves, after K is flipped to an odd mismatch count
-on each curve's companion cycle.  An orientable map without curve data uses
-its basis cycles, flipped along their left push-offs.  Class xi weighs the
+on each curve's companion cycle.  An orientable map without curve data, or
+with curves that lack their companions, uses its basis cycles, flipped
+along their left push-offs.  Class xi weighs the
 sign (-1)^(number of its intersecting basis pairs) times an unprimed weight:
 1 on orientable surfaces, 1 - i with odd Euler characteristic (c), -i with
 even Euler characteristic, where the primed classes, also flipped along the
@@ -114,59 +115,44 @@ def _eps_label(idx: int, width: int) -> str:
 # ---------------------------------------------------------------------------
 
 def companion_cycle(m: CombinatorialMap, curve: TransverseCurve) -> Walk:
-    """A cycle running alongside the curve, with the curve to one side.
+    """The curve's companion: a simple cycle running alongside it, with the
+    curve to one side.
 
-    An explicitly supplied companion is validated, also against the faces
-    its curve passes, and returned.  Otherwise the walk is assembled from
-    face-boundary arcs between consecutive crossings; beta curves traverse
-    their designated crossing edge.
+    The companion is validated, also against the faces its curve passes, and
+    returned.  A curve without one raises ``CurveNotRealizable``: a cycle
+    taken from the face arcs between the crossings may run on either side
+    of the curve, and the practical formulas need it on one side.
     """
-    if curve.companion is not None:
-        walk = curve.companion
+    walk = curve.companion
+    if walk is None:
+        raise CurveNotRealizable("curve carries no companion")
+    try:
         check_simple_walk(m, walk)
-        crossings = dot(curve.cross, walk_chain(walk))
-        want = 1 if curve.kind == "beta" else 0
-        if crossings != want:
-            raise CurveNotRealizable(
-                f"companion crosses the curve {crossings} times, expected {want}")
-        if curve.kind == "beta":
-            if curve.crossing_edge is None or \
-                    not any(h // 2 == curve.crossing_edge for h in walk):
-                raise CurveNotRealizable("beta companion must use its crossing edge")
-        if curve.ordered_crossings is not None and len(set(curve.ordered_crossings)) > 1:
-            _check_alongside(m, curve, walk)
-        return walk
-    if curve.ordered_crossings is None:
-        raise CurveNotRealizable("curve carries neither companion nor crossings")
-    return _build_companion(m, curve)
+    except (NotAClosedWalk, NotSimple) as exc:
+        raise CurveNotRealizable(f"companion is not a simple cycle: {exc}") from exc
+    crossings = dot(curve.cross, walk_chain(walk))
+    want = 1 if curve.kind == "beta" else 0
+    if crossings != want:
+        raise CurveNotRealizable(
+            f"companion crosses the curve {crossings} times, expected {want}")
+    if curve.kind == "beta":
+        if curve.crossing_edge is None or \
+                not any(h // 2 == curve.crossing_edge for h in walk):
+            raise CurveNotRealizable("beta companion must use its crossing edge")
+    if curve.ordered_crossings is not None and len(set(curve.ordered_crossings)) > 1:
+        _check_alongside(m, curve, walk)
+    return walk
 
 
-def _segments(face_steps: Sequence[Tuple[int, int]], e_in: int, e_out: int):
-    """The two boundary arcs of a face between two crossed edges.
-
-    Yields (start vertex implicit) arc lists; each runs forward along the
-    face walk from just after the step on ``e_in`` to just before the step
-    on ``e_out``.
-    """
-    pos_in = [i for i, (h, _) in enumerate(face_steps) if h // 2 == e_in]
-    pos_out = [i for i, (h, _) in enumerate(face_steps) if h // 2 == e_out]
-    if len(pos_in) != 1 or len(pos_out) != 1:
+def _arcs(steps: Sequence[Tuple[int, int]], e_in: int, e_out: int):
+    """The edge sets of the two boundary arcs of a face between two crossed
+    edges, one running forward from ``e_in`` to ``e_out``, one back."""
+    edges = [h // 2 for h, _ in steps]
+    if edges.count(e_in) != 1 or edges.count(e_out) != 1:
         raise CurveNotRealizable("crossed edge meets the passage face twice")
-    L = len(face_steps)
-    p, q = pos_in[0], pos_out[0]
-    fwd = [face_steps[(p + 1 + k) % L][0] for k in range((q - p - 1) % L)]
-    bwd_rev = [face_steps[(q + 1 + k) % L][0] for k in range((p - q - 1) % L)]
-    bwd = [h ^ 1 for h in reversed(bwd_rev)]
-    return fwd, bwd
-
-
-def _passage_arcs(m: CombinatorialMap, crossings: Sequence[int]) -> list:
-    """Per cyclically consecutive pair of crossed edges, the ``_segments``
-    of every face that both edges meet."""
-    incidence = m.faces.edge_face_incidence(m.edge_count)
-    return [[_segments(m.faces.faces[f].steps, e1, e2)
-             for f in sorted(set(incidence[e1]) & set(incidence[e2]))]
-            for e1, e2 in zip(crossings, crossings[1:] + crossings[:1])]
+    L, p, q = len(edges), edges.index(e_in), edges.index(e_out)
+    return ({edges[(p + 1 + k) % L] for k in range((q - p - 1) % L)},
+            {edges[(q + 1 + k) % L] for k in range((p - q - 1) % L)})
 
 
 def _check_alongside(m: CombinatorialMap, curve: TransverseCurve, walk: Walk) -> None:
@@ -174,73 +160,14 @@ def _check_alongside(m: CombinatorialMap, curve: TransverseCurve, walk: Walk) ->
     of consecutive crossings, and nowhere else but a beta curve's crossing
     edge: a crossing set shifted off it negates a class Pfaffian."""
     used = {h // 2 for h in walk} - {curve.crossing_edge}
-    on = [[arc for arc in ({h // 2 for h in seg} for pair in arcs for seg in pair)
-           if arc <= used] for arcs in _passage_arcs(m, curve.ordered_crossings)]
+    crossings = list(curve.ordered_crossings)
+    incidence = m.faces.edge_face_incidence(m.edge_count)
+    passages = [[arc for f in set(incidence[e1]) & set(incidence[e2])
+                 for arc in _arcs(m.faces.faces[f].steps, e1, e2)]
+                for e1, e2 in zip(crossings, crossings[1:] + crossings[:1])]
+    on = [[arc for arc in arcs if arc <= used] for arcs in passages]
     if not all(on) or used - set().union(*(arc for arcs in on for arc in arcs)):
         raise CurveNotRealizable("companion does not run along its curve")
-
-
-def _build_companion(m: CombinatorialMap, curve: TransverseCurve) -> Walk:
-    crossings = list(curve.ordered_crossings)
-    if curve.kind == "beta":
-        e = curve.crossing_edge
-        if e is None or e not in crossings:
-            raise CurveNotRealizable("beta curve needs its designated crossing edge")
-        k = crossings.index(e)
-        crossings = crossings[k:] + crossings[:k]
-    if len(crossings) < 2:
-        raise CurveNotRealizable("need at least two crossings to follow the curve")
-
-    options = []
-    for e1, arcs in zip(crossings, _passage_arcs(m, crossings)):
-        if len(arcs) != 1:
-            raise CurveNotRealizable(f"passage face after edge {e1} is not unique")
-        fwd, bwd = arcs[0]
-        for seg in (fwd, bwd):
-            for h in seg:
-                if (curve.cross >> (h // 2)) & 1:
-                    raise CurveNotRealizable("companion segment crosses the curve")
-        options.append((fwd, bwd))
-
-    def assemble(start_arc: Optional[int], first_pick: int):
-        segs: List[List[int]] = []
-        cur: Optional[int] = None
-        if start_arc is not None:
-            segs.append([start_arc])
-            cur = m.arc_target(start_arc)
-        for fwd, bwd in options:
-            if cur is None:
-                seg = (fwd, bwd)[first_pick]
-                if not seg:
-                    return None
-            else:
-                seg = next((s for s in (fwd, bwd)
-                            if s and m.half_vertex(s[0]) == cur), None)
-                if seg is None:
-                    return None
-            segs.append(list(seg))
-            cur = m.arc_target(seg[-1])
-        walk = tuple(h for s in segs for h in s)
-        if not walk or m.arc_target(walk[-1]) != m.half_vertex(walk[0]):
-            return None
-        try:
-            check_simple_walk(m, walk)
-        except (NotAClosedWalk, NotSimple):
-            return None
-        return walk
-
-    if curve.kind == "beta":
-        e0 = crossings[0]
-        for arc in (2 * e0, 2 * e0 + 1):
-            walk = assemble(arc, 0)
-            if walk is not None:
-                return walk
-    else:
-        for pick in (0, 1):
-            walk = assemble(None, pick)
-            if walk is not None:
-                return walk
-    raise CurveNotRealizable("no consistent companion found")
 
 
 def normalize_orientation(m: CombinatorialMap, K: Orientation,
@@ -341,14 +268,18 @@ def _enhanced_sum(m: CombinatorialMap, method: str, omega: int,
 def _practical(m: CombinatorialMap, curves: Optional[Sequence[TransverseCurve]],
                basis: Optional[HomologyBasis], backend: str) -> PartitionResult:
     """The practical formula of the module docstring.  An orientable map
-    without a curve per basis class takes its basis cycles as companions and
-    their Poincare-dual cochains as flips; no dimer configuration is needed."""
+    without a curve per basis class, or with a curve lacking its companion,
+    takes its basis cycles as companions and their Poincare-dual cochains as
+    flips; no dimer configuration is needed.  A non-orientable map needs a
+    companion on every curve."""
     exact = _exact(backend)
     if m.vertex_count % 2:
         return _zero("practical", exact)
     surface = classify(m)
     r = 2 * surface.genus
     primed = int(surface.kind == "nonorientable_even_chi")
+    if surface.orientable and any(cv.companion is None for cv in curves or ()):
+        curves = None
     if not surface.orientable:
         betas = [cv for cv in curves if cv.kind == "beta"]
         if len(betas) != 1 + primed:
@@ -372,20 +303,19 @@ def _practical(m: CombinatorialMap, curves: Optional[Sequence[TransverseCurve]],
         try:
             basis = basis_from_cycles(m, companions)
         except NotAClosedWalk:  # too few companions, or dependent ones
-            if not surface.orientable:
-                raise CurveNotRealizable("curves do not give a homology basis")
             companions = None
     if basis is None:
         basis = kept(m, "basis", cycle_basis)
     assert basis.rank == surface.b1
     if companions is not None and len(companions) == basis.rank:
         flips = [cv.cross for cv in curves[:r + primed]]
-    else:
+    elif surface.orientable:
         # The basis cycles are their own companions: on an untwisted map the
         # dimers leaving C on its left are, mod 2, those its left push-off
         # crosses, so q_B(C) = 2(n_K(C) + 1) mod 4 for every matching.
-        assert surface.orientable
         companions, flips = basis.cycles, basis.pd_cochains
+    else:
+        raise CurveNotRealizable("curves do not give a homology basis")
     om = m.twist_bits()
     K = normalize_orientation(m, kept(m, ("K", om), construct_kasteleyn, om), basis, companions)
     # Class idx + 2^r is the primed class of idx.  Class xi weighs
@@ -492,7 +422,9 @@ def partition(m: CombinatorialMap, method: str = "auto", *,
               backend: str = "exact") -> PartitionResult:
     """Compute Z by the requested route; ``auto`` prefers the practical
     formulas and falls back to the pin route when curve data is missing or
-    not realizable."""
+    not realizable.  The practical formulas read each curve's companion and
+    build none: orientable curves without companions give way to the basis
+    cycles, and on a non-orientable map they are not realizable."""
     if method == "oracle":
         return _oracle(m, backend)
     if method == "spin":

@@ -170,6 +170,51 @@ def test_cli_partition_with_one_curve_of_two(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "272"
 
 
+def _file_without_companions(tmp_path, surface, size):
+    buf = io.StringIO()
+    graphfile.dump(lattice(*size, surface), buf)
+    path = tmp_path / f"{surface}.graph"
+    path.write_text(re.sub(r"^companion .*\n", "", buf.getvalue(), flags=re.M))
+    return path
+
+
+def test_cli_klein_curves_without_companions_give_the_true_z(tmp_path, capsys):
+    path = _file_without_companions(tmp_path, "klein_hexagon", (2, 8))
+    assert main(["partition", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "196"
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_cli_verify_skips_practical_on_curves_without_companions(tmp_path, capsys,
+                                                                 backend):
+    path = _file_without_companions(tmp_path, "klein_hexagon", (2, 8))
+    assert main(["verify", str(path), "--backend", backend, "--format", "kv"]) == 0
+    pairs = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
+    assert pairs.keys() == {"oracle", "pin", "agree"}
+    assert Fraction(pairs["oracle"]) == 196
+    assert float(pairs["pin"]) == pytest.approx(196)
+
+
+@pytest.mark.parametrize("fault", ["arc-dropped", "walk-repeated"])
+@pytest.mark.parametrize("surface", ["torus", "klein_hexagon"])
+def test_cli_partition_with_a_malformed_companion_takes_pin(tmp_path, capsys,
+                                                            surface, fault):
+    buf = io.StringIO()
+    graphfile.dump(lattice(4, 4, surface), buf)
+    path = tmp_path / "c.graph"
+    path.write_text(buf.getvalue())
+    assert main(["partition", str(path), "--method", "pin"]) == 0
+    pin = capsys.readouterr().out
+    repl = r"companion 0 \2" if fault == "arc-dropped" else r"companion 0 \1 \2 \1 \2"
+    text, count = re.subn(r"^companion 0 (\S+) (.*)$", repl, buf.getvalue(), flags=re.M)
+    assert count == 1
+    path.write_text(text)
+    assert main(["partition", str(path), "--method", "practical"]) == 2
+    assert "not a simple cycle" in capsys.readouterr().err
+    assert main(["partition", str(path)]) == 0
+    assert capsys.readouterr().out == pin
+
+
 def test_cli_malformed_exit_code(tmp_path):
     path = tmp_path / "bad.graph"
     path.write_text("vertices 2\nwhat 1 2\n")
@@ -184,9 +229,18 @@ def test_cli_malformed_exit_code(tmp_path):
     (r"^companion 1 ", "companion 7 "),
     (r"\Z", "crossing_edge 0 999\n"),
     (r"\Z", "crossing_edge 0 -1\n"),
+    (r"^(vertices .*)$", r"\1\n\1"),
+    (r"\Z", "curve 0 beta\n"),
+    (r"^(cross 1 .*)$", r"\1\n\1"),
+    (r"\Z", "crossing_edge 0 3\ncrossing_edge 0 3\n"),
+    (r"^(companion 0 .*)$", r"\1\n\1"),
+    (r"\Z", "rotation 99\n"),
+    (r"\Z", "rotation -1\n"),
 ], ids=["negative-cross", "cross-out-of-range", "orphan-cross",
         "orphan-crossing-edge", "orphan-companion", "crossing-edge-out-of-range",
-        "negative-crossing-edge"])
+        "negative-crossing-edge", "repeated-vertices", "repeated-curve",
+        "repeated-cross", "repeated-crossing-edge", "repeated-companion",
+        "rotation-out-of-range", "negative-rotation"])
 def test_cli_bad_curve_lines_are_parse_errors(tmp_path, capsys, pattern, repl):
     # curve data naming a missing edge or a curve index without a 'curve'
     # line is rejected at load, not dropped or left to the routes

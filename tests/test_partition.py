@@ -387,7 +387,7 @@ def test_auto_falls_back_to_pin():
     inst = lattice(3, 4, "klein_hexagon")
     bare = [TransverseCurve(c.kind, c.cross, None, c.crossing_edge,
                             c.ordered_crossings) for c in inst.curves]
-    # generic companion construction fails on this geometry -> pin route
+    # non-orientable curves without their companions -> pin route
     r = partition(inst.map, "auto", curves=bare)
     assert r.method == "pin"
     assert r.value == partition_bruteforce(inst.map)
@@ -515,16 +515,93 @@ def test_partition_result_terms_exposed():
     assert r.method == "pin" and r.exact
 
 
-def test_companion_cycle_generic_torus():
-    inst = lattice(3, 4, "torus")
-    for cv in inst.curves:
-        bare = TransverseCurve(cv.kind, cv.cross, None, cv.crossing_edge,
-                               cv.ordered_crossings)
-        walk = companion_cycle(inst.map, bare)
-        from pfdimers.homology import walk_chain
+def _without_companions(curves):
+    return [replace(cv, companion=None) for cv in curves]
 
-        assert inst.basis.coordinates(walk_chain(walk)) == \
-            inst.basis.coordinates(walk_chain(cv.companion))
+
+@pytest.mark.parametrize("surface", ["torus", "klein_hexagon", "rp2"])
+def test_companion_cycle_validates_and_builds_none(surface):
+    inst = lattice(3, 4, surface)
+    for cv, bare in zip(inst.curves, _without_companions(inst.curves)):
+        assert companion_cycle(inst.map, cv) == cv.companion
+        with pytest.raises(CurveNotRealizable, match="carries no companion"):
+            companion_cycle(inst.map, bare)
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("size", [(2, 8), (3, 8)], ids=["2x8", "3x8"])
+def test_nonorientable_curves_without_companions_fall_back_to_pin(size, backend):
+    # a cycle through the face arcs between the crossings can run on the
+    # wrong side of these curves, and then the practical sum reads 68 at 2x8
+    inst = lattice(*size, "klein_hexagon")
+    bare = _without_companions(inst.curves)
+    with pytest.raises(CurveNotRealizable, match="carries no companion"):
+        partition(inst.map, "practical", curves=bare, backend=backend)
+    r = partition(inst.map, "auto", curves=bare, backend=backend)
+    z = partition_bruteforce(inst.map)
+    assert r.method == "pin"
+    assert r.value == (z if backend == "exact" else pytest.approx(z, rel=1e-12))
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("size", [(2, 12), (8, 8)], ids=["2x12", "8x8"])
+def test_orientable_curves_without_companions_take_the_basis_cycles(size, backend):
+    inst = lattice(*size, "torus")
+    z = partition(inst.map, "practical", curves=inst.curves, basis=inst.basis,
+                  backend=backend).value
+    bare = _without_companions(inst.curves)
+    for curves in (bare, bare[:1] + list(inst.curves[1:])):
+        for method in ("practical", "auto"):
+            r = partition(inst.map, method, curves=curves, backend=backend)
+            assert r.method == "practical"
+            assert r.value == (z if backend == "exact" else pytest.approx(z, rel=1e-12))
+
+
+@pytest.mark.parametrize("fault", ["arc-dropped", "walk-repeated"])
+@pytest.mark.parametrize("surface", ["torus", "klein_hexagon"])
+def test_malformed_companion_falls_back_to_pin(surface, fault):
+    inst = lattice(4, 4, surface)
+    walk = inst.curves[0].companion
+    walk = walk[1:] if fault == "arc-dropped" else walk * 2
+    curves = [replace(inst.curves[0], companion=walk), *inst.curves[1:]]
+    with pytest.raises(CurveNotRealizable, match="not a simple cycle"):
+        partition(inst.map, "practical", curves=curves)
+    r = partition(inst.map, "auto", curves=curves)
+    assert (r.value, r.method) == (partition(inst.map, "pin").value, "pin")
+
+
+def test_extra_curve_on_a_nonorientable_map_falls_back_to_pin():
+    # three curves against a rank-2 basis: no practical class sum, and an
+    # error that auto can catch rather than an assertion
+    inst = lattice(4, 4, "klein_hexagon")
+    curves = [*inst.curves, TransverseCurve("alpha", 0, inst.curves[0].companion)]
+    with pytest.raises(CurveNotRealizable, match="do not give a homology basis"):
+        partition(inst.map, "practical", curves=curves, basis=inst.basis)
+    r = partition(inst.map, "auto", curves=curves, basis=inst.basis)
+    assert (r.value, r.method) == (196, "pin")
+
+
+def _swap_companions(inst):
+    first, second = inst.curves[:2]
+    return [replace(first, companion=second.companion),
+            replace(second, companion=first.companion)]
+
+
+@pytest.mark.parametrize("surface, curves, message", [
+    ("torus", _swap_companions, "companion crosses the curve 1 times, expected 0"),
+    ("rp2", lambda inst: [replace(inst.curves[0], crossing_edge=25)],
+     "beta companion must use its crossing edge"),
+    ("klein_hexagon", lambda inst: inst.curves[:1],
+     "even Euler characteristic needs two beta curves"),
+], ids=["companion-crosses", "beta-off-its-edge", "one-beta-on-even-chi"])
+def test_curve_rejections_name_their_fault(surface, curves, message):
+    inst = lattice(4, 4, surface)
+    bad = curves(inst)
+    assert bad != list(inst.curves)
+    with pytest.raises(CurveNotRealizable, match=message):
+        partition(inst.map, "practical", curves=bad)
+    r = partition(inst.map, "auto", curves=bad)
+    assert (r.value, r.method) == (partition_bruteforce(inst.map), "pin")
 
 
 def test_oracle_method_dispatch():
