@@ -5,19 +5,23 @@ Usage:  python3 scripts/random_agreement.py [--trials 200] [--seed 0]
 
 Draws random weighted lattices on the four supported surfaces plus random
 rotation-system maps of arbitrary genus (up to 10 chords, so b1 reaches 7-8
-and beyond), computes the partition function by every applicable route on
-both backends, and compares against brute-force enumeration: exactly, and
-within 1e-9 relative for the float backend.  It also checks the prepared
-homology data of every map it draws (its own basis, if any, and
-``cycle_basis``): each dual cocycle phi_i is zero on every face boundary,
-phi_i(C_j) = delta_ij, and the intersection matrix is invertible over GF(2).
+and beyond; every other map has no twisted edge), computes the partition
+function by every applicable route on both backends, and compares against
+brute-force enumeration: exactly, and within 1e-9 relative for the float
+backend.  It also checks the prepared homology data of every map it draws
+(its own basis, if any, and ``cycle_basis``): each dual cocycle phi_i is zero
+on every face boundary, phi_i(C_j) = delta_ij, and the intersection matrix is
+invertible over GF(2).
 A map keeps what its routes derive (reference matching, basis, Kasteleyn
 orientations, class Pfaffians), so on untwisted orientable maps spin reuses
 pin's Pfaffians.  Every route therefore also runs on its own fresh copy of
 the map (an identity ``relabel``), which keeps nothing yet, and must return
 the same value and terms there.  On untwisted orientable maps pin and spin
-must also return identical class terms.  Exits nonzero on the first
-disagreement or violation, naming the route and the backend, or the map.
+must also return identical class terms, and the practical route also runs on
+curve data: one alpha curve per ``cycle_basis`` cycle C, crossing the map on
+C's left push-off and carrying C or its reverse, by a coin from the seeded
+generator, as its companion.  Exits nonzero on the first disagreement or violation, naming the
+map, the route and the backend.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from pfdimers import (  # noqa: E402
+    TransverseCurve,
     classify,
     cycle_basis,
     partition_bruteforce,
@@ -41,7 +46,14 @@ from pfdimers import (  # noqa: E402
     relabel,
 )
 from pfdimers.generators import random_lattice, random_map  # noqa: E402
-from pfdimers.homology import Gf2Span, chain_from_edges, dot, is_cocycle  # noqa: E402
+from pfdimers.homology import (  # noqa: E402
+    Gf2Span,
+    chain_from_edges,
+    crossing_cochain,
+    dot,
+    is_cocycle,
+    reverse_walk,
+)
 
 FLOAT_REL_TOL = 1e-9
 
@@ -73,13 +85,15 @@ def main() -> int:
             m, basis, curves = inst.map, inst.basis, inst.curves
             label = f"{inst.surface} lattice"
         else:
-            m, basis, curves = random_map(rng, max_vertices=6, extra_edges=10), None, ()
-            label = "random map"
+            twisted = trial % 4 == 1
+            m = random_map(rng, max_vertices=6, extra_edges=10, twisted=twisted)
+            basis, curves = None, ()
+            label = "random map" if twisted else "untwisted random map"
+        where = f"trial {trial} ({label}, {m.vertex_count} vertices, {m.edge_count} edges)"
         for prepared in filter(None, (basis, cycle_basis(m))):
             bad = prepared_violation(m, prepared)
             if bad:
-                print(f"BAD PREPARED DATA at trial {trial} ({label}, "
-                      f"{m.vertex_count} vertices, {m.edge_count} edges): {bad}")
+                print(f"BAD PREPARED DATA at {where}: {bad}")
                 return 1
         z_ref = partition_bruteforce(m)
         routes = {"pin": lambda g, b: partition_general_pin(g, basis=basis, backend=b)}
@@ -87,6 +101,12 @@ def main() -> int:
             routes["practical"] = lambda g, b: partition_orientable_practical(
                 g, curves=curves or None, basis=basis, backend=b)
             routes["spin"] = lambda g, b: partition_orientable_spin(g, basis=basis, backend=b)
+            if not m.twist_bits():
+                pushed = [TransverseCurve("alpha", crossing_cochain(m, c),
+                                          reverse_walk(c) if rng.random() < 0.5 else c)
+                          for c in cycle_basis(m).cycles]
+                routes["practical on basis-cycle curves"] = \
+                    lambda g, b: partition_orientable_practical(g, curves=pushed, backend=b)
         elif curves:
             routes["practical"] = lambda g, b: partition_nonorientable_practical(
                 g, curves, basis=basis, backend=b)
@@ -95,22 +115,20 @@ def main() -> int:
             for name, route in routes.items():
                 fresh = route(relabel(m, range(m.vertex_count)), backend)
                 if (fresh.value, fresh.terms) != (results[name].value, results[name].terms):
-                    print(f"KEPT DATA DIFFERS at trial {trial} ({label}, {m.vertex_count} "
-                          f"vertices, {m.edge_count} edges): {name} ({backend}) = "
+                    print(f"KEPT DATA DIFFERS at {where}: {name} ({backend}) = "
                           f"{results[name].value}, on a fresh copy {fresh.value}")
                     return 1
             for name, res in results.items():
                 tol = 0 if backend == "exact" else FLOAT_REL_TOL * z_ref
                 if abs(res.value - z_ref) > tol:
-                    print(f"DISAGREEMENT at trial {trial}: {name} ({backend}) = "
+                    print(f"DISAGREEMENT at {where}: {name} ({backend}) = "
                           f"{res.value}, oracle = {z_ref}")
                     return 1
             # on an untwisted orientable map spin is the pin sum at omega = 0:
             # same K, basis, D0 and flips, so the same class Pfaffians
             if "spin" in results and not m.twist_bits() and \
                     results["spin"].terms != results["pin"].terms:
-                print(f"TERMS DIFFER at trial {trial} ({label}, {m.vertex_count} "
-                      f"vertices, {m.edge_count} edges): pin and spin ({backend})")
+                print(f"TERMS DIFFER at {where}: pin and spin ({backend})")
                 return 1
     print(f"{args.trials} trials agree exactly (float backend within "
           f"{FLOAT_REL_TOL:g} relative)  [{time.perf_counter() - t0:.1f}s]")

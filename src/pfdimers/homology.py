@@ -119,23 +119,17 @@ def walk_chain(walk: Walk) -> int:
     return chain_from_edges(h // 2 for h in walk)
 
 
-def walk_vertices(m: CombinatorialMap, walk: Walk) -> List[int]:
-    return [m.half_vertex(h) for h in walk]
-
-
-def check_closed_walk(m: CombinatorialMap, walk: Walk) -> None:
+def check_simple_walk(m: CombinatorialMap, walk: Walk) -> None:
     if not walk:
         raise NotAClosedWalk("empty walk")
+    if not all(0 <= h < 2 * m.edge_count for h in walk):
+        raise NotAClosedWalk("walk leaves the map's half-edges")
     for i, h in enumerate(walk):
         nxt = walk[(i + 1) % len(walk)]
         if m.arc_target(h) != m.half_vertex(nxt):
             raise NotAClosedWalk(f"step {i} ends at {m.arc_target(h)}, "
                                  f"next starts at {m.half_vertex(nxt)}")
-
-
-def check_simple_walk(m: CombinatorialMap, walk: Walk) -> None:
-    check_closed_walk(m, walk)
-    verts = walk_vertices(m, walk)
+    verts = [m.half_vertex(h) for h in walk]
     if len(set(verts)) != len(verts):
         raise NotSimple("walk revisits a vertex")
     edges = [h // 2 for h in walk]

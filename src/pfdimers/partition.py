@@ -21,7 +21,8 @@ k = (beta - o)/2 + 2 [eps_xi < 0] and c = (1+i)^o * i^(-omega(D0)).
 2007 on orientable surfaces; Tesler 2000 and this paper on non-orientable
 ones): Z = |Re sum_xi w_xi * Pf(A^{K_xi})| / 2^g over the 2^(2g) classes
 flipped along the alpha curves, after K is flipped to an odd mismatch count
-on each curve's companion cycle.  An orientable map without curve data, or
+on each curve's companion cycle, walked in the direction whose push-off the
+curve is (``companion_cycle``).  An orientable map without curve data, or
 with curves that lack their companions, uses its basis cycles, flipped
 along their left push-offs.  Class xi weighs the
 sign (-1)^(number of its intersecting basis pairs) times an unprimed weight:
@@ -61,10 +62,12 @@ from .homology import (
     basis_from_cycles,
     chain_from_edges,
     check_simple_walk,
+    crossing_cochain,
     cycle_basis,
     dot,
     is_cocycle,
     parity,
+    reverse_walk,
     walk_chain,
 )
 from .kasteleyn import Orientation, construct_kasteleyn
@@ -115,13 +118,13 @@ def _eps_label(idx: int, width: int) -> str:
 # ---------------------------------------------------------------------------
 
 def companion_cycle(m: CombinatorialMap, curve: TransverseCurve) -> Walk:
-    """The curve's companion: a simple cycle running alongside it, with the
-    curve to one side.
+    """The curve's companion: a simple cycle whose push-off is the curve.
 
-    The companion is validated, also against the faces its curve passes, and
-    returned.  A curve without one raises ``CurveNotRealizable``: a cycle
-    taken from the face arcs between the crossings may run on either side
-    of the curve, and the practical formulas need it on one side.
+    The companion is validated and returned as given or reversed, whichever
+    the curve is the push-off of (``crossing_cochain``).  A curve without one
+    raises ``CurveNotRealizable``: a cycle taken from the face arcs between
+    the crossings may run on either side of the curve, and the practical
+    formulas need it on one side.
     """
     walk = curve.companion
     if walk is None:
@@ -135,39 +138,18 @@ def companion_cycle(m: CombinatorialMap, curve: TransverseCurve) -> Walk:
     if crossings != want:
         raise CurveNotRealizable(
             f"companion crosses the curve {crossings} times, expected {want}")
-    if curve.kind == "beta":
-        if curve.crossing_edge is None or \
-                not any(h // 2 == curve.crossing_edge for h in walk):
-            raise CurveNotRealizable("beta companion must use its crossing edge")
-    if curve.ordered_crossings is not None and len(set(curve.ordered_crossings)) > 1:
-        _check_alongside(m, curve, walk)
-    return walk
-
-
-def _arcs(steps: Sequence[Tuple[int, int]], e_in: int, e_out: int):
-    """The edge sets of the two boundary arcs of a face between two crossed
-    edges, one running forward from ``e_in`` to ``e_out``, one back."""
-    edges = [h // 2 for h, _ in steps]
-    if edges.count(e_in) != 1 or edges.count(e_out) != 1:
-        raise CurveNotRealizable("crossed edge meets the passage face twice")
-    L, p, q = len(edges), edges.index(e_in), edges.index(e_out)
-    return ({edges[(p + 1 + k) % L] for k in range((q - p - 1) % L)},
-            {edges[(q + 1 + k) % L] for k in range((p - q - 1) % L)})
-
-
-def _check_alongside(m: CombinatorialMap, curve: TransverseCurve, walk: Walk) -> None:
-    """A given companion must run along an arc of a face shared by each pair
-    of consecutive crossings, and nowhere else but a beta curve's crossing
-    edge: a crossing set shifted off it negates a class Pfaffian."""
-    used = {h // 2 for h in walk} - {curve.crossing_edge}
-    crossings = list(curve.ordered_crossings)
-    incidence = m.faces.edge_face_incidence(m.edge_count)
-    passages = [[arc for f in set(incidence[e1]) & set(incidence[e2])
-                 for arc in _arcs(m.faces.faces[f].steps, e1, e2)]
-                for e1, e2 in zip(crossings, crossings[1:] + crossings[:1])]
-    on = [[arc for arc in arcs if arc <= used] for arcs in passages]
-    if not all(on) or used - set().union(*(arc for arcs in on for arc in arcs)):
-        raise CurveNotRealizable("companion does not run along its curve")
+    if curve.kind == "beta" and curve.crossing_edge not in {h // 2 for h in walk}:
+        raise CurveNotRealizable("beta companion must use its crossing edge")
+    for way in (walk, reverse_walk(walk)):
+        push = way
+        if curve.kind == "beta":
+            # a beta curve pushes off the reversed walk from its crossing
+            # edge, so that the push-off closes across that edge
+            k = 1 + [h // 2 for h in way].index(curve.crossing_edge)
+            push = reverse_walk(way[k:] + way[:k])
+        if crossing_cochain(m, push) == curve.cross:
+            return way
+    raise CurveNotRealizable("companion does not run along its curve")
 
 
 def normalize_orientation(m: CombinatorialMap, K: Orientation,
@@ -192,6 +174,18 @@ def _exact(backend: str) -> bool:
     if backend not in ("exact", "float"):
         raise ValueError(f"unknown backend {backend!r}")
     return backend == "exact"
+
+
+def _check_basis(m: CombinatorialMap, basis: HomologyBasis) -> None:
+    """A caller's basis must be the one its cycles give on m, else it weighs
+    m's classes wrongly; checked once per map and basis."""
+    def same(m: CombinatorialMap) -> bool:
+        try:
+            return basis_from_cycles(m, basis.cycles) == basis
+        except (NotAClosedWalk, NotSimple):
+            return False
+    if not kept(m, ("basis of", basis), same):
+        raise ValueError("basis does not belong to this map")
 
 
 def _zero(method: str, exact: bool) -> PartitionResult:
@@ -236,6 +230,8 @@ def _enhanced_sum(m: CombinatorialMap, method: str, omega: int,
         return _zero(method, exact)
     if basis is None:
         basis = kept(m, "basis", cycle_basis)
+    else:
+        _check_basis(m, basis)
     b1 = basis.rank
     K = kept(m, ("K", omega), construct_kasteleyn, omega)
     q0 = basis_enhancement(m, K, D0, basis, omega)
@@ -271,10 +267,13 @@ def _practical(m: CombinatorialMap, curves: Optional[Sequence[TransverseCurve]],
     without a curve per basis class, or with a curve lacking its companion,
     takes its basis cycles as companions and their Poincare-dual cochains as
     flips; no dimer configuration is needed.  A non-orientable map needs a
-    companion on every curve."""
+    companion on every curve.  K is normalised along the companions as
+    ``companion_cycle`` returns them, some maybe reversed."""
     exact = _exact(backend)
     if m.vertex_count % 2:
         return _zero("practical", exact)
+    if basis is not None:
+        _check_basis(m, basis)
     surface = classify(m)
     r = 2 * surface.genus
     primed = int(surface.kind == "nonorientable_even_chi")
@@ -306,7 +305,6 @@ def _practical(m: CombinatorialMap, curves: Optional[Sequence[TransverseCurve]],
             companions = None
     if basis is None:
         basis = kept(m, "basis", cycle_basis)
-    assert basis.rank == surface.b1
     if companions is not None and len(companions) == basis.rank:
         flips = [cv.cross for cv in curves[:r + primed]]
     elif surface.orientable:

@@ -8,10 +8,11 @@ from fractions import Fraction
 
 import pytest
 
-from pfdimers import graphfile, lattice
+from pfdimers import build_map, graphfile, lattice
 from pfdimers.cli import main
 from pfdimers.errors import MalformedFile
 from pfdimers.exactnum import rational_str
+from pfdimers.generators import LatticeInstance
 from pfdimers.partition import partition
 
 
@@ -236,11 +237,19 @@ def test_cli_malformed_exit_code(tmp_path):
     (r"^(companion 0 .*)$", r"\1\n\1"),
     (r"\Z", "rotation 99\n"),
     (r"\Z", "rotation -1\n"),
+    (r"^companion 0 .*$", "companion 0 x.y"),
+    (r"^companion 0 .*$", "companion 0 99.0"),
+    (r"^curve 0 .*$", "curve 0 gamma"),
+    (r"^(edge 0 .*)$", r"\1\n\1"),
+    (r"^(rotation 0 .*)$", r"\1\n\1"),
+    (r"^edge 0 .*$", "edge 0 a"),
 ], ids=["negative-cross", "cross-out-of-range", "orphan-cross",
         "orphan-crossing-edge", "orphan-companion", "crossing-edge-out-of-range",
         "negative-crossing-edge", "repeated-vertices", "repeated-curve",
         "repeated-cross", "repeated-crossing-edge", "repeated-companion",
-        "rotation-out-of-range", "negative-rotation"])
+        "rotation-out-of-range", "negative-rotation", "companion-not-a-half-edge",
+        "companion-out-of-range", "unknown-curve-kind", "repeated-edge",
+        "repeated-rotation", "edge-not-a-number"])
 def test_cli_bad_curve_lines_are_parse_errors(tmp_path, capsys, pattern, repl):
     # curve data naming a missing edge or a curve index without a 'curve'
     # line is rejected at load, not dropped or left to the routes
@@ -345,6 +354,35 @@ def test_cli_no_matching_prints_zero(tmp_path, capsys):
         "rotation 0 0.0 1.0 2.0\nrotation 1 0.1\nrotation 2 1.1\nrotation 3 2.1\n")
     assert main(["partition", str(path)]) == 0
     assert capsys.readouterr().out.strip() == "0"
+
+
+def test_cli_invariants_without_a_matching_exit_2(tmp_path, capsys):
+    # the invariants are read off a reference matching, which a star with
+    # three leaves lacks
+    star = build_map(4, [[0, 2, 4], [1], [3], [5]],
+                     [(0, 1), (0, 2), (0, 3)], [0, 0, 0], [1, 1, 1])
+    path = tmp_path / "star.graph"
+    with open(path, "w") as fh:
+        graphfile.dump(LatticeInstance(star, "planar", (), None), fh)
+    assert main(["invariants", str(path)]) == 2
+    assert "no perfect matching" in capsys.readouterr().err
+
+
+def test_cli_reversed_klein_companion_gives_the_true_z(tmp_path, capsys):
+    # companion 0 written backwards: the face-arc check let it through and
+    # the sum read 218365952; verify stops above 36 vertices
+    buf = io.StringIO()
+    graphfile.dump(lattice(8, 8, "klein_hexagon"), buf)
+
+    def backwards(match):
+        halves = [h.split(".") for h in match.group(1).split()]
+        return "companion 0 " + " ".join(f"{e}.{1 - int(s)}" for e, s in reversed(halves))
+    text, count = re.subn(r"^companion 0 (.*)$", backwards, buf.getvalue(), flags=re.M)
+    assert count == 1 and text != buf.getvalue()
+    path = tmp_path / "k.graph"
+    path.write_text(text)
+    assert main(["partition", str(path), "--method", "practical"]) == 0
+    assert capsys.readouterr().out.strip() == "220581904"
 
 
 def test_orient_and_invariants_trace_faces_once(tmp_path, monkeypatch, capsys):

@@ -39,7 +39,14 @@ from pfdimers import (
 )
 from pfdimers.exactnum import GR_ONE, GaussianRational, rational_str
 from pfdimers.generators import random_lattice, random_map
-from pfdimers.homology import chain_from_edges, edges_of, vertex_coboundary
+from pfdimers.homology import (
+    chain_from_edges,
+    crossing_cochain,
+    cycle_basis,
+    edges_of,
+    reverse_walk,
+    vertex_coboundary,
+)
 from pfdimers.kasteleyn import is_kasteleyn
 from pfdimers.partition import _class_sum, companion_cycle
 from pfdimers.surface_graph import flip_charts, relabel, untwist
@@ -373,6 +380,8 @@ def test_wrong_surface_guards():
         partition_orientable_spin(inst.map)
     with pytest.raises(WrongSurfaceType):
         partition_nonorientable_practical(lattice(2, 2, "torus").map, [])
+    with pytest.raises(WrongSurfaceType):
+        partition_orientable_practical(inst.map)
 
 
 def test_beta_cross_mismatch_rejected():
@@ -572,13 +581,60 @@ def test_malformed_companion_falls_back_to_pin(surface, fault):
 
 def test_extra_curve_on_a_nonorientable_map_falls_back_to_pin():
     # three curves against a rank-2 basis: no practical class sum, and an
-    # error that auto can catch rather than an assertion
+    # error that auto can catch rather than an assertion.  The extra curve is
+    # the push-off of the middle row, so it passes every curve check; a curve
+    # that is not its companion's push-off stops earlier.
     inst = lattice(4, 4, "klein_hexagon")
-    curves = [*inst.curves, TransverseCurve("alpha", 0, inst.curves[0].companion)]
-    with pytest.raises(CurveNotRealizable, match="do not give a homology basis"):
-        partition(inst.map, "practical", curves=curves, basis=inst.basis)
-    r = partition(inst.map, "auto", curves=curves, basis=inst.basis)
-    assert (r.value, r.method) == (196, "pin")
+    m = inst.map
+    row = tuple(2 * (4 + c) for c in range(4))
+    for extra, message in [
+            (TransverseCurve("alpha", crossing_cochain(m, row), row),
+             "do not give a homology basis"),
+            (TransverseCurve("alpha", 0, inst.curves[0].companion), "does not run along")]:
+        curves = [*inst.curves, extra]
+        with pytest.raises(CurveNotRealizable, match=message):
+            partition(m, "practical", curves=curves, basis=inst.basis)
+        r = partition(m, "auto", curves=curves, basis=inst.basis)
+        assert (r.value, r.method) == (196, "pin")
+
+
+@pytest.mark.parametrize("surface, size", [
+    ("klein_hexagon", (2, 8)), ("klein_hexagon", (3, 4)), ("klein_hexagon", (4, 4)),
+    ("torus", (4, 4)), ("rp2", (4, 4)),
+], ids=["klein-2x8", "klein-3x4", "klein-4x4", "torus-4x4", "rp2-4x4"])
+def test_reversed_companion_gives_the_true_z(surface, size):
+    # the face-arc check let a reversed Klein companion through, and the sum
+    # read 68 at 2x8; on the torus and rp2 the reverse already gave the true Z
+    inst = lattice(*size, surface)
+    z = partition_bruteforce(inst.map)
+    for i, cv in enumerate(inst.curves):
+        curves = list(inst.curves)
+        curves[i] = replace(cv, companion=reverse_walk(cv.companion))
+        for method in ("practical", "auto"):
+            r = partition(inst.map, method, curves=curves)
+            assert (r.value, r.method) == (z, "practical")
+
+
+@pytest.mark.parametrize("seed", [53, 80, 105, 109, 124, 173, 184])
+def test_reversed_basis_cycle_companions_give_the_true_z(seed):
+    # curves without ordered crossings, each the push-off of a basis cycle
+    # and carrying that cycle reversed: no check ran on them, and seed 80
+    # gave 1 where Z is 3
+    m = random_map(random.Random(seed), max_vertices=8, extra_edges=6, twisted=False)
+    curves = [TransverseCurve("alpha", crossing_cochain(m, c), reverse_walk(c))
+              for c in cycle_basis(m).cycles]
+    assert partition(m, "practical", curves=curves).value == partition_bruteforce(m)
+
+
+@pytest.mark.parametrize("method", ["practical", "auto", "pin", "spin"])
+@pytest.mark.parametrize("other", [(4, 4, "klein_hexagon"), (4, 4, "planar"),
+                                   (8, 8, "torus")], ids=["klein", "planar", "torus-8x8"])
+def test_basis_of_another_map_rejected(other, method):
+    # a foreign basis gave 72 (klein) or 256 (planar) where Z is 272, and
+    # the 8x8 basis names half-edges the 4x4 map lacks
+    m = lattice(4, 4, "torus").map
+    with pytest.raises(ValueError, match="basis does not belong to this map"):
+        partition(m, method, basis=lattice(*other).basis)
 
 
 def _swap_companions(inst):

@@ -94,3 +94,24 @@ def test_random_agreement_names_a_map_with_corrupted_kept_pfaffians(monkeypatch,
     assert script.main() == 1
     assert capsys.readouterr().out.startswith(
         "KEPT DATA DIFFERS at trial 0 (torus lattice, 8 vertices, 16 edges): spin (exact) = ")
+
+
+def test_random_agreement_names_a_map_where_a_reversed_companion_misleads(monkeypatch,
+                                                                         capsys):
+    partition_module = sys.modules["pfdimers.partition"]
+    good = partition_module.companion_cycle
+
+    def as_given(m, curve):
+        # validates the curve, then keeps its companion's direction even
+        # where the reverse is the one its crossings run along
+        good(m, curve)
+        return curve.companion
+
+    monkeypatch.setattr(partition_module, "companion_cycle", as_given)
+    script = _load_script("random_agreement")
+    monkeypatch.setattr(sys, "argv",
+                        ["random_agreement.py", "--trials", "20", "--seed", "0"])
+    assert script.main() == 1
+    assert capsys.readouterr().out.startswith(
+        "DISAGREEMENT at trial 3 (untwisted random map, 4 vertices, 13 edges): "
+        "practical on basis-cycle curves (exact) = ")
