@@ -20,8 +20,11 @@ the same value and terms there.  On untwisted orientable maps pin and spin
 must also return identical class terms, and the practical route also runs on
 curve data: one alpha curve per ``cycle_basis`` cycle C, crossing the map on
 C's left push-off and carrying C or its reverse, by a coin from the seeded
-generator, as its companion.  Exits nonzero on the first disagreement or violation, naming the
-map, the route and the backend.
+generator, as its companion; and again on those curves in a seeded shuffled
+order, with ``cycle_basis`` passed as the basis.  On lattices with two or
+more curves the practical route also runs on the curves reversed, with the
+lattice's basis passed.  Exits nonzero on the first disagreement or
+violation, naming the map, the route and the backend.
 """
 
 from __future__ import annotations
@@ -97,19 +100,28 @@ def main() -> int:
                 return 1
         z_ref = partition_bruteforce(m)
         routes = {"pin": lambda g, b: partition_general_pin(g, basis=basis, backend=b)}
-        if classify(m).orientable:
-            routes["practical"] = lambda g, b: partition_orientable_practical(
+        orientable = classify(m).orientable
+        practical = (partition_orientable_practical if orientable
+                     else partition_nonorientable_practical)
+        if orientable or curves:
+            routes["practical"] = lambda g, b: practical(
                 g, curves=curves or None, basis=basis, backend=b)
+        if orientable:
             routes["spin"] = lambda g, b: partition_orientable_spin(g, basis=basis, backend=b)
             if not m.twist_bits():
+                own = cycle_basis(m)
                 pushed = [TransverseCurve("alpha", crossing_cochain(m, c),
                                           reverse_walk(c) if rng.random() < 0.5 else c)
-                          for c in cycle_basis(m).cycles]
+                          for c in own.cycles]
+                shuffled = rng.sample(pushed, len(pushed))
                 routes["practical on basis-cycle curves"] = \
                     lambda g, b: partition_orientable_practical(g, curves=pushed, backend=b)
-        elif curves:
-            routes["practical"] = lambda g, b: partition_nonorientable_practical(
-                g, curves, basis=basis, backend=b)
+                routes["practical on shuffled basis-cycle curves"] = \
+                    lambda g, b: partition_orientable_practical(
+                        g, curves=shuffled, basis=own, backend=b)
+        if len(curves) >= 2:
+            routes["practical on reversed curves"] = lambda g, b: practical(
+                g, curves=curves[::-1], basis=basis, backend=b)
         for backend in ("exact", "float"):
             results = {name: route(m, backend) for name, route in routes.items()}
             for name, route in routes.items():

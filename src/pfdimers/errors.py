@@ -12,7 +12,7 @@ class MalformedRotation(PfdimersError):
 
 
 class NegativeWeight(PfdimersError):
-    """Edge weights must be strictly positive."""
+    """Edge weights must be positive and finite."""
 
 
 class DisconnectedGraph(PfdimersError):

@@ -20,23 +20,25 @@ k = (beta - o)/2 + 2 [eps_xi < 0] and c = (1+i)^o * i^(-omega(D0)).
 ``_practical`` carries the two practical formulas (Cimasoni and Reshetikhin
 2007 on orientable surfaces; Tesler 2000 and this paper on non-orientable
 ones): Z = |Re sum_xi w_xi * Pf(A^{K_xi})| / 2^g over the 2^(2g) classes
-flipped along the alpha curves, after K is flipped to an odd mismatch count
-on each curve's companion cycle, walked in the direction whose push-off the
-curve is (``companion_cycle``).  An orientable map without curve data, or
-with curves that lack their companions, uses its basis cycles, flipped
-along their left push-offs.  Class xi weighs the
-sign (-1)^(number of its intersecting basis pairs) times an unprimed weight:
-1 on orientable surfaces, 1 - i with odd Euler characteristic (c), -i with
-even Euler characteristic, where the primed classes, also flipped along the
-first beta curve, weigh the sign alone.
+flipped along the alpha curves.  Its basis is the curves' companions in
+route order, alpha curves first, each walked in the direction whose
+push-off the curve is (``companion_cycle``); an orientable map without a
+curve per basis class, or with curves that lack their companions, takes
+its given or cycle basis.  Either way K is flipped to an odd mismatch count
+on every basis cycle, and the flips are the push-offs of the first 2g basis
+cycles, which are the alpha curves where curves give the basis.  Class xi
+weighs the sign (-1)^(number of its intersecting basis pairs) times an
+unprimed weight: 1 on orientable surfaces, 1 - i with odd Euler
+characteristic (c), -i with even Euler characteristic, where the primed
+classes, also flipped along the first beta curve, weigh the sign alone.
 
 A route reads what it derives from the map alone through ``kept``: D0, the
-cycle basis, K per omega, the untwisted copy, and the class Pfaffians keyed
-by K, the flips, omega (None on the practical routes, which keep theirs
-apart) and the backend.  So a second route on the map reuses them, and on
-an untwisted orientable map spin, pin at omega = 0, takes pin's Pfaffians:
-what checks one against the other there is the Arf-vs-Brown weighting and
-the oracle.
+cycle basis, the basis that each set of cycles gives, K per omega, the
+untwisted copy, and the class Pfaffians keyed by K, the flips, omega (None
+on the practical routes, which keep theirs apart) and the backend.  So a
+second route on the map reuses them, and on an untwisted orientable map
+spin, pin at omega = 0, takes pin's Pfaffians: what checks one against the
+other there is the Arf-vs-Brown weighting and the oracle.
 """
 
 from __future__ import annotations
@@ -65,7 +67,6 @@ from .homology import (
     crossing_cochain,
     cycle_basis,
     dot,
-    is_cocycle,
     parity,
     reverse_walk,
     walk_chain,
@@ -153,13 +154,11 @@ def companion_cycle(m: CombinatorialMap, curve: TransverseCurve) -> Walk:
 
 
 def normalize_orientation(m: CombinatorialMap, K: Orientation,
-                          basis: HomologyBasis,
-                          companions: Optional[Sequence[Walk]] = None) -> Orientation:
-    """Flip K by dual cocycles until every companion cycle has an odd
-    mismatch count.  Keeps the admissibility of K."""
-    companions = list(basis.cycles) if companions is None else list(companions)
+                          basis: HomologyBasis) -> Orientation:
+    """Flip K by dual cocycles until every basis cycle has an odd mismatch
+    count.  Keeps the admissibility of K."""
     flip = 0
-    for walk, phi in zip(companions, basis.dual_cochains):
+    for walk, phi in zip(basis.cycles, basis.dual_cochains):
         if (n_mismatch(K, walk) + dot(flip, walk_chain(walk))) % 2 == 0:
             flip ^= phi
     return K.flipped(flip)
@@ -176,16 +175,26 @@ def _exact(backend: str) -> bool:
     return backend == "exact"
 
 
-def _check_basis(m: CombinatorialMap, basis: HomologyBasis) -> None:
-    """A caller's basis must be the one its cycles give on m, else it weighs
-    m's classes wrongly; checked once per map and basis."""
-    def same(m: CombinatorialMap) -> bool:
+def _from_cycles(m: CombinatorialMap, cycles: Sequence[Walk]) -> Optional[HomologyBasis]:
+    """The basis these simple cycles give on m, kept; None if they give none."""
+    walks = tuple(map(tuple, cycles))
+
+    def build(m: CombinatorialMap) -> Optional[HomologyBasis]:
         try:
-            return basis_from_cycles(m, basis.cycles) == basis
+            return basis_from_cycles(m, walks)
         except (NotAClosedWalk, NotSimple):
-            return False
-    if not kept(m, ("basis of", basis), same):
+            return None
+    return kept(m, ("basis of", walks), build)
+
+
+def _basis(m: CombinatorialMap, basis: Optional[HomologyBasis]) -> HomologyBasis:
+    """The caller's basis, which must be the one its cycles give on m, else
+    it weighs m's classes wrongly; without one, the kept cycle basis."""
+    if basis is None:
+        return kept(m, "basis", cycle_basis)
+    if _from_cycles(m, basis.cycles) != basis:
         raise ValueError("basis does not belong to this map")
+    return basis
 
 
 def _zero(method: str, exact: bool) -> PartitionResult:
@@ -228,10 +237,7 @@ def _enhanced_sum(m: CombinatorialMap, method: str, omega: int,
         D0 = kept(home or m, "D0", find_matching)
     if D0 is None:
         return _zero(method, exact)
-    if basis is None:
-        basis = kept(m, "basis", cycle_basis)
-    else:
-        _check_basis(m, basis)
+    basis = _basis(m, basis)
     b1 = basis.rank
     K = kept(m, ("K", omega), construct_kasteleyn, omega)
     q0 = basis_enhancement(m, K, D0, basis, omega)
@@ -263,17 +269,15 @@ def _enhanced_sum(m: CombinatorialMap, method: str, omega: int,
 
 def _practical(m: CombinatorialMap, curves: Optional[Sequence[TransverseCurve]],
                basis: Optional[HomologyBasis], backend: str) -> PartitionResult:
-    """The practical formula of the module docstring.  An orientable map
-    without a curve per basis class, or with a curve lacking its companion,
-    takes its basis cycles as companions and their Poincare-dual cochains as
-    flips; no dimer configuration is needed.  A non-orientable map needs a
-    companion on every curve.  K is normalised along the companions as
-    ``companion_cycle`` returns them, some maybe reversed."""
+    """The practical formula of the module docstring.  A given basis is
+    checked, and serves only on the basis-cycle path or where its cycles
+    are the companions in route order; no dimer configuration is needed.  A
+    non-orientable map needs a companion on every curve."""
     exact = _exact(backend)
     if m.vertex_count % 2:
         return _zero("practical", exact)
     if basis is not None:
-        _check_basis(m, basis)
+        _basis(m, basis)
     surface = classify(m)
     r = 2 * surface.genus
     primed = int(surface.kind == "nonorientable_even_chi")
@@ -290,32 +294,27 @@ def _practical(m: CombinatorialMap, curves: Optional[Sequence[TransverseCurve]],
                 "beta crossings must reproduce the twist cochain exactly")
         curves = [cv for cv in curves if cv.kind == "alpha"] + betas
     for cv in curves or ():
-        if cv.cross >> m.edge_count or not is_cocycle(m, cv.cross):
-            raise CurveNotRealizable("curve crossings are not a cocycle of the map")
         # A cross shifted by a vertex coboundary stays in its class but
         # negates that class's Pfaffian; the ordered crossings are the curve.
         if cv.ordered_crossings is not None and \
                 chain_from_edges(cv.ordered_crossings) != cv.cross:
             raise CurveNotRealizable("curve crossings differ from its ordered crossings")
-    companions = None if curves is None else [companion_cycle(m, cv) for cv in curves]
-    if basis is None and companions is not None:
-        try:
-            basis = basis_from_cycles(m, companions)
-        except NotAClosedWalk:  # too few companions, or dependent ones
-            companions = None
-    if basis is None:
-        basis = kept(m, "basis", cycle_basis)
-    if companions is not None and len(companions) == basis.rank:
-        flips = [cv.cross for cv in curves[:r + primed]]
+    own = None if curves is None else _from_cycles(
+        m, [companion_cycle(m, cv) for cv in curves])
+    if own is not None:
+        basis = own
     elif surface.orientable:
         # The basis cycles are their own companions: on an untwisted map the
         # dimers leaving C on its left are, mod 2, those its left push-off
         # crosses, so q_B(C) = 2(n_K(C) + 1) mod 4 for every matching.
-        companions, flips = basis.cycles, basis.pd_cochains
-    else:
+        basis = _basis(m, basis)
+    else:  # too few companions, or dependent ones
         raise CurveNotRealizable("curves do not give a homology basis")
+    # An alpha curve is its companion's push-off, as a basis cycle's flip is
+    # its own; the primed classes also flip along the first beta curve.
+    flips = basis.pd_cochains[:r] + ((curves[r].cross,) if primed else ())
     om = m.twist_bits()
-    K = normalize_orientation(m, kept(m, ("K", om), construct_kasteleyn, om), basis, companions)
+    K = normalize_orientation(m, kept(m, ("K", om), construct_kasteleyn, om), basis)
     # Class idx + 2^r is the primed class of idx.  Class xi weighs
     # i^(2 * number of its intersecting basis pairs i < j; later[i] holds
     # the j), times -i on an unprimed class of even Euler characteristic and

@@ -36,6 +36,7 @@ made from another one (``flip_charts``, ``untwist``, ``relabel``,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -192,8 +193,8 @@ def build_map(
             raise MalformedRotation(f"edge endpoint out of range: ({u}, {v})")
         if t not in (0, 1):
             raise MalformedRotation(f"twist must be 0 or 1, got {t!r}")
-        if not w > 0:
-            raise NegativeWeight(f"weight must be positive, got {w!r}")
+        if not 0 < w < math.inf:
+            raise NegativeWeight(f"weight must be positive and finite, got {w!r}")
         edges.append(Edge(u, v, t, w))
 
     seen = {}

@@ -480,3 +480,20 @@ def test_cli_verify_max_vertices_on_a_twisted_orientable_map(tmp_path, capsys, b
     want = "6765" if backend == "exact" else "6765.0"
     assert pairs == {"oracle": want, "pin": want, "practical": want, "spin": want,
                      "agree": "yes"}
+
+
+@pytest.mark.parametrize("args", [
+    ["partition"], ["partition", "--backend", "float"], ["verify"], ["invariants"],
+    ["oracle"]], ids=["partition", "partition-float", "verify", "invariants", "oracle"])
+def test_cli_infinite_weight_exits_2(tmp_path, capsys, args):
+    # 1e999 parses to inf; exact routes died with an OverflowError traceback
+    # and the float one read a nan Pfaffian
+    buf = io.StringIO()
+    graphfile.dump(lattice(2, 2, "torus"), buf)
+    text, count = re.subn(r"^(edge 0 .*) 1$", r"\1 1e999", buf.getvalue(), flags=re.M)
+    assert count == 1
+    path = tmp_path / "inf.graph"
+    path.write_text(text)
+    assert main([args[0], str(path), *args[1:]]) == 2
+    assert capsys.readouterr().err.startswith(
+        "NegativeWeight: weight must be positive and finite, got inf")

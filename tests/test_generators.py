@@ -129,3 +129,8 @@ def test_random_map_without_chords_is_a_tree():
         m = random_map(rng, extra_edges=0)
         assert m.edge_count == m.vertex_count - 1
         assert classify(m).name == "sphere"
+
+
+def test_lattice_with_the_wrong_weight_count_rejected():
+    with pytest.raises(BadDimensions, match="expected 32 weights, got 3"):
+        lattice(4, 4, "torus", weights=[1] * 3)

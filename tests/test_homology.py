@@ -20,12 +20,14 @@ from pfdimers import (
     lattice,
     trace_faces,
 )
+from pfdimers.errors import NotSimple
 from pfdimers.generators import random_map
 from pfdimers.partition import partition
 from pfdimers.homology import (
     Gf2Span,
     basis_from_cycles,
     chain_from_edges,
+    check_simple_walk,
     coboundary_preimage,
     dot,
     face_boundary_chains,
@@ -395,3 +397,12 @@ def test_bases_equal_under_insertion_order_echelon(monkeypatch):
     new = bases()
     monkeypatch.setattr(homology, "Gf2Span", _InsertionOrderSpan)
     assert bases() == new
+
+
+@pytest.mark.parametrize("walk, error, message", [
+    ((), NotAClosedWalk, "empty walk"),
+    ((0, 1), NotSimple, "reuses an edge"),  # out along edge 0 and back
+], ids=["empty", "edge-reused"])
+def test_check_simple_walk_rejections(walk, error, message):
+    with pytest.raises(error, match=message):
+        check_simple_walk(lattice(4, 4, "torus").map, walk)

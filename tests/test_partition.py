@@ -224,12 +224,13 @@ def test_orientable_practical_never_calls_the_oracle(monkeypatch):
 def test_non_cocycle_crossings_rejected(backend):
     # edges 15, 11, 7 miss edge 3 of the seam; the flip they give is no
     # class flip and used to give 248.  Bits beyond the edges are no cocycle
-    # either.  auto falls back to pin.
+    # either.  Neither is a push-off, so without ordered crossings the
+    # companion check rejects them; auto falls back to pin.
     inst = lattice(4, 4, "torus")
     seam = inst.curves[0]
     for cross in (chain_from_edges([15, 11, 7]), seam.cross | 1 << inst.map.edge_count):
-        curves = (replace(seam, cross=cross),) + inst.curves[1:]
-        with pytest.raises(CurveNotRealizable, match="cocycle"):
+        curves = (replace(seam, cross=cross, ordered_crossings=None),) + inst.curves[1:]
+        with pytest.raises(CurveNotRealizable, match="does not run along"):
             partition(inst.map, "practical", curves=curves, basis=inst.basis,
                       backend=backend)
         r = partition(inst.map, "auto", curves=curves, basis=inst.basis, backend=backend)
@@ -637,6 +638,71 @@ def test_basis_of_another_map_rejected(other, method):
         partition(m, method, basis=lattice(*other).basis)
 
 
+@pytest.mark.parametrize("method", ["practical", "auto"])
+@pytest.mark.parametrize("surface, rows, cols", [
+    ("torus", 8, 9), ("klein_hexagon", 8, 8), ("torus", 4, 5), ("klein_hexagon", 4, 4)])
+def test_reordered_curves_with_a_given_basis_give_the_true_z(surface, rows, cols, method):
+    # the basis is the curves' companions in route order, not the given one,
+    # whose form and duals once weighed the reordered flips: they read 0 on
+    # the tori, 218365952 at klein 8x8 and 192 at 4x4 (two swapped betas)
+    inst = lattice(rows, cols, surface)
+    want = partition(inst.map, "practical", curves=inst.curves, basis=inst.basis)
+    r = partition(inst.map, method, curves=inst.curves[::-1], basis=inst.basis)
+    assert (r.value, r.method) == (want.value, "practical")
+    if surface == "torus":  # the same classes, listed in the curves' order
+        assert sorted(pf for _, pf in r.terms) == sorted(pf for _, pf in want.terms)
+
+
+@pytest.mark.parametrize("size", [(2, 3), (4, 5)], ids=["2x3", "4x5"])
+def test_generator_curves_with_the_cycle_basis_give_the_true_z(size):
+    # cycle_basis(m) is a valid basis of the map, but not the companions';
+    # the sum used to read 0 on tori with an odd column count
+    inst = lattice(*size, "torus")
+    z = partition_bruteforce(inst.map)
+    for basis in (cycle_basis(inst.map), inst.basis):
+        for method in ("practical", "auto"):
+            r = partition(inst.map, method, curves=inst.curves, basis=basis)
+            assert (r.value, r.method) == (z, "practical")
+
+
+def test_repeated_curve_takes_the_basis_cycles():
+    # two copies of curve 0 give no basis, so the given basis's own cycles
+    # serve; the copies' flips once gave 144
+    inst = lattice(4, 4, "torus")
+    for method in ("practical", "auto"):
+        r = partition(inst.map, method, curves=inst.curves[:1] * 2, basis=inst.basis)
+        assert (r.value, r.method) == (272, "practical")
+
+
+@pytest.mark.parametrize("surface", ["klein_hexagon", "rp2"])
+def test_repeated_curve_on_a_nonorientable_map_falls_back_to_pin(surface):
+    inst = lattice(4, 4, surface)
+    curves = inst.curves[:1] * 2 + inst.curves[1:]
+    with pytest.raises(CurveNotRealizable):
+        partition(inst.map, "practical", curves=curves, basis=inst.basis)
+    r = partition(inst.map, "auto", curves=curves, basis=inst.basis)
+    assert (r.value, r.method) == (partition(inst.map, "pin").value, "pin")
+
+
+def test_basis_cycle_curves_in_any_order_give_the_true_z():
+    # one alpha curve per cycle_basis cycle, with cycle_basis(m) passed: in
+    # reverse order, or with the first curve in place of the second, 137
+    # and 178 of 300 such maps once gave a wrong Z
+    rng, done = random.Random(5), 0
+    while done < 30:
+        m = random_map(rng, 8, 6, twisted=False)
+        if m.vertex_count % 2 or classify(m).b1 == 0:
+            continue
+        z = partition_bruteforce(m)
+        if not z:
+            continue
+        basis = cycle_basis(m)
+        curves = [TransverseCurve("alpha", crossing_cochain(m, c), c) for c in basis.cycles]
+        for order in (curves[::-1], curves[:1] * 2 + curves[2:]):
+            assert partition(m, "practical", curves=order, basis=basis).value == z
+        done += 1
+
+
 def _swap_companions(inst):
     first, second = inst.curves[:2]
     return [replace(first, companion=second.companion),
@@ -1008,3 +1074,13 @@ def test_bfs_and_untwist_run_once_per_map(monkeypatch, backend):
     assert {id(torus.map), id(twisted)} <= {id(m) for m in bfs_calls}
     assert len({id(m) for m in bfs_calls}) == len(bfs_calls)
     assert [id(m) for m in untwist_calls] == [id(twisted)]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda m: partition(m, "bogus"), "unknown method 'bogus'"),
+    (lambda m: partition_general_pin(m, omega=1),
+     "does not represent the first Stiefel-Whitney class"),
+], ids=["unknown-method", "omega-off-class"])
+def test_route_rejections_name_their_fault(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(lattice(4, 4, "torus").map)

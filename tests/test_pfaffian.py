@@ -790,3 +790,30 @@ def test_gauge_is_not_searched_when_omega_is_zero(monkeypatch):
     inst = lattice(6, 6, "rp2")
     partition(inst.map, "practical", curves=inst.curves, basis=inst.basis)
     assert searched == [inst.map.twist_bits()]
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: skew_matrix([[GaussianRational.of(0), GaussianRational.of(1)]] * 2, True),
+     ValueError, "not skew-symmetric"),
+    (lambda: pfaffian_expansion(skew_matrix([[GaussianRational.of(0)] * 3] * 3, True)),
+     OddDimension, "dimension 3 is odd"),
+], ids=["not-skew", "expansion-odd"])
+def test_matrix_rejections_name_their_fault(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_float_bipartite_pfaffian_takes_the_largest_pivot():
+    # the float determinant pivots on the largest entry of each column; the
+    # first column's largest sits below the diagonal, so rows are swapped
+    rng = random.Random(2)
+    k = 4
+    block = [[complex(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(k)]
+             for _ in range(k)]
+    block[k - 1][0] = 50
+    rows = [[0j] * (2 * k) for _ in range(2 * k)]
+    for i in range(k):
+        for j in range(k):
+            rows[i][k + j], rows[k + j][i] = block[i][j], -block[i][j]
+    a = skew_matrix(rows, exact=False)
+    assert bipartite_pfaffian(a) == pytest.approx(pfaffian(a), rel=1e-12)

@@ -96,22 +96,21 @@ def test_random_agreement_names_a_map_with_corrupted_kept_pfaffians(monkeypatch,
         "KEPT DATA DIFFERS at trial 0 (torus lattice, 8 vertices, 16 edges): spin (exact) = ")
 
 
-def test_random_agreement_names_a_map_where_a_reversed_companion_misleads(monkeypatch,
-                                                                         capsys):
+def test_random_agreement_names_a_map_where_k_is_not_normalized(monkeypatch, capsys):
+    from dataclasses import replace
+
     partition_module = sys.modules["pfdimers.partition"]
-    good = partition_module.companion_cycle
+    good = partition_module.normalize_orientation
 
-    def as_given(m, curve):
-        # validates the curve, then keeps its companion's direction even
-        # where the reverse is the one its crossings run along
-        good(m, curve)
-        return curve.companion
+    def skips_last(m, K, basis):
+        # leaves K's parity on the last basis cycle as it comes
+        return good(m, K, replace(basis, cycles=basis.cycles[:-1]))
 
-    monkeypatch.setattr(partition_module, "companion_cycle", as_given)
+    monkeypatch.setattr(partition_module, "normalize_orientation", skips_last)
     script = _load_script("random_agreement")
     monkeypatch.setattr(sys, "argv",
                         ["random_agreement.py", "--trials", "20", "--seed", "0"])
     assert script.main() == 1
     assert capsys.readouterr().out.startswith(
         "DISAGREEMENT at trial 3 (untwisted random map, 4 vertices, 13 edges): "
-        "practical on basis-cycle curves (exact) = ")
+        "practical on shuffled basis-cycle curves (exact) = ")

@@ -275,3 +275,34 @@ def test_a_walk_meeting_a_visited_state_is_a_malformed_rotation():
                               _next=(0,) * len(m._next), _prev=(0,) * len(m._prev))
     with pytest.raises(MalformedRotation, match="visited state"):
         trace_faces(broken)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: build_map(2, [[0], [1]], [(0, 1)], [0, 0], [1]), MalformedRotation,
+     "twist/weight lists"),
+    (lambda: build_map(2, [[0], [1]], [(0, 1)], [0], [1, 1]), MalformedRotation,
+     "twist/weight lists"),
+    (lambda: build_map(2, [[0, 1]], [(0, 1)], [0], [1]), MalformedRotation,
+     "one rotation per vertex"),
+    (lambda: build_map(2, [[0], [1]], [(0, 2)], [0], [1]), MalformedRotation,
+     "endpoint out of range"),
+    (lambda: build_map(2, [[0], [1]], [(0, 1)], [2], [1]), MalformedRotation,
+     "twist must be 0 or 1"),
+    (lambda: build_map(2, [[0], [1, 2]], [(0, 1)], [0], [1]), MalformedRotation,
+     "unknown half-edge 2"),
+    (lambda: build_map(0, [], [], [], []), DisconnectedGraph, "empty vertex set"),
+    (lambda: untwist(lattice(4, 4, "klein_hexagon").map), MalformedRotation,
+     "not orientable"),
+], ids=["twist-count", "weight-count", "rotation-count", "endpoint-out-of-range",
+        "twist-2", "half-edge-out-of-range", "no-vertices", "untwist-klein"])
+def test_map_rejections_name_their_fault(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
+@pytest.mark.parametrize("weight", [0, -2, float("inf"), float("-inf"), float("nan")])
+def test_weights_must_be_positive_and_finite(weight):
+    # an infinite weight once reached the routes, and exact arithmetic died
+    # converting it to a ratio
+    with pytest.raises(NegativeWeight, match="positive and finite"):
+        build_map(2, [[0], [1]], [(0, 1)], [0], [weight])
