@@ -14,10 +14,10 @@ Half-edges are written ``<edge-id>.<0|1>``; half 0 anchors at the edge's
 first endpoint.  Edge ids must be dense 0..E-1.  Weights are integers or
 fractions like ``3/2``, of any length, or decimals.  Companion walks are arc
 sequences (each arc leaves the anchor of the written half).  Unknown
-directives, a second line for the same edge, vertex or curve index (or a
-second ``vertices`` line), rotations of vertices outside 0..N-1, crossings
-outside the edge ids and curve data for an index without a ``curve`` line
-are rejected.
+directives, extra or missing fields, a second line for the same edge,
+vertex or curve index (or a second ``vertices`` line), rotations of vertices
+outside 0..N-1, crossings outside the edge ids and curve data for an index
+without a ``curve`` line are rejected.
 
 The practical routes read a curve's companion from its ``companion`` line
 and build none: orientable maps whose curves lack one use their basis
@@ -30,7 +30,7 @@ from __future__ import annotations
 import re
 from decimal import Decimal
 from fractions import Fraction
-from typing import Dict, List, TextIO, Tuple
+from typing import Dict, List, TextIO
 
 from .errors import MalformedFile, NotAClosedWalk, NotSimple
 from .exactnum import rational_str
@@ -82,20 +82,21 @@ def _curve_kind(toks: List[str]) -> str:
     return toks[2]
 
 
-# Directives said at most once (per curve index), and what each one keeps.
+# Each directive, said at most once per index (its first field; ``vertices``
+# has none): its token count, None for any, and what its line keeps.
 _ONCE = {
-    "vertices": lambda toks: int(toks[1]),
-    "curve": _curve_kind,
-    "cross": lambda toks: [int(t) for t in toks[2:]],
-    "crossing_edge": lambda toks: int(toks[2]),
-    "companion": lambda toks: toks[2:],
+    "vertices": (2, lambda toks: int(toks[1])),
+    "edge": (6, lambda toks: (*map(int, toks[2:5]), _parse_weight(toks[5]))),
+    "rotation": (None, lambda toks: toks[2:]),
+    "curve": (3, _curve_kind),
+    "cross": (None, lambda toks: [int(t) for t in toks[2:]]),
+    "crossing_edge": (3, lambda toks: int(toks[2])),
+    "companion": (None, lambda toks: toks[2:]),
 }
 
 
 def load(stream: TextIO) -> LatticeInstance:
     """Parse a graph file into a map plus optional curve data."""
-    edge_rows: Dict[int, Tuple[int, int, int, object]] = {}
-    rotation_rows: Dict[int, List[str]] = {}
     once: Dict[str, Dict[int, object]] = {key: {} for key in _ONCE}
 
     for lineno, raw in enumerate(stream, start=1):
@@ -104,33 +105,24 @@ def load(stream: TextIO) -> LatticeInstance:
             continue
         toks = line.split()
         key = toks[0]
+        if key not in _ONCE:
+            raise MalformedFile(f"unknown directive {key!r}")
+        count, keep = _ONCE[key]
         try:
-            if key == "edge":
-                eid, u, v, tw = int(toks[1]), int(toks[2]), int(toks[3]), int(toks[4])
-                w = _parse_weight(toks[5])
-                if eid in edge_rows:
-                    raise MalformedFile(f"duplicate edge id {eid}")
-                edge_rows[eid] = (u, v, tw, w)
-            elif key == "rotation":
-                v = int(toks[1])
-                if v in rotation_rows:
-                    raise MalformedFile(f"duplicate rotation for vertex {v}")
-                rotation_rows[v] = toks[2:]
-            elif key in _ONCE:
-                idx = 0 if key == "vertices" else int(toks[1])
-                if idx in once[key]:
-                    raise MalformedFile(f"line {lineno}: {key!r} repeats an earlier line")
-                once[key][idx] = _ONCE[key](toks)
-            else:
-                raise MalformedFile(f"unknown directive {key!r}")
+            if count is not None and len(toks) != count:
+                raise MalformedFile(f"line {lineno}: {key!r} needs {count} tokens, got {len(toks)}")
+            idx = 0 if key == "vertices" else int(toks[1])
+            if idx in once[key]:
+                raise MalformedFile(f"line {lineno}: {key!r} repeats an earlier line")
+            once[key][idx] = keep(toks)
         except MalformedFile:
             raise
         except (IndexError, ValueError) as exc:
             raise MalformedFile(f"line {lineno}: cannot parse {line!r}") from exc
 
-    nv = once["vertices"].get(0)
-    curve_kind, curve_cross, curve_edge, curve_companion = (
-        once[key] for key in ("curve", "cross", "crossing_edge", "companion"))
+    (vertices, edge_rows, rotation_rows, curve_kind, curve_cross, curve_edge,
+     curve_companion) = once.values()
+    nv = vertices.get(0)
     if nv is None:
         raise MalformedFile("missing 'vertices' line")
     ne = len(edge_rows)

@@ -18,6 +18,8 @@ accepted cycle chain C_j with right-hand side ``1 << j``; back-substitution
 on bit i gives the dual cocycle phi_i (zero on faces, phi_i(C_j) =
 delta_ij).  The pivots are the top bits of the span and the solution that is
 zero off them is unique, so phi_i does not depend on the elimination order.
+Coboundaries need no elimination: ``surface_graph.tree_side`` solves
+phi = delta(S) along the BFS tree.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import NotAClosedWalk, NotSimple
-from .surface_graph import CombinatorialMap, euler_characteristic, spanning_tree, vertex_labels
+from .surface_graph import CombinatorialMap, euler_characteristic, spanning_tree, tree_side
 
 Walk = Tuple[int, ...]
 
@@ -161,22 +163,19 @@ def is_cocycle(m: CombinatorialMap, phi: int) -> bool:
 def coboundary_preimage(m: CombinatorialMap, phi: int) -> Optional[Tuple[int, ...]]:
     """A vertex set S with delta(S) = phi, or None.
 
-    The tree labels ``vertex_labels(m, phi)`` split the vertices into the
-    only two candidates, complements; the smaller one is returned (ties to
-    the side without vertex 0), so a single-vertex coboundary maps back to
-    that vertex."""
-    labels = vertex_labels(m, phi)
-    delta = sum(1 << e for e, edge in enumerate(m.edges)
-                if labels[edge.u] != labels[edge.v])
-    if delta != phi:
+    ``tree_side(m, phi)`` and its complement are the only two candidates;
+    the smaller one is returned (ties to the side without vertex 0), so a
+    single-vertex coboundary maps back to that vertex."""
+    x = tree_side(m, phi)
+    if x is None:
         return None
-    side = tuple(v for v in range(m.vertex_count) if labels[v] < 0)
-    other = tuple(v for v in range(m.vertex_count) if labels[v] > 0)
+    side = tuple(v for v in range(m.vertex_count) if x[v])
+    other = tuple(v for v in range(m.vertex_count) if not x[v])
     return other if len(other) < len(side) else side
 
 
 def is_coboundary(m: CombinatorialMap, phi: int) -> bool:
-    return coboundary_preimage(m, phi) is not None
+    return tree_side(m, phi) is not None
 
 
 def dual_flip(orientation, phi: int):

@@ -57,43 +57,41 @@ def canonical_orientation(m: CombinatorialMap) -> Orientation:
     return Orientation(bits, m.edge_count)
 
 
-def _omega_flip_set(m: CombinatorialMap, omega: Optional[int]) -> Tuple[int, frozenset]:
-    """Resolve an omega cochain into (omega bits, chart-swap vertex set).
+def _omega_flip_set(m: CombinatorialMap, omega: Optional[int]) -> frozenset:
+    """The chart-swap vertex set of an omega cochain.
 
     ``omega`` must differ from the twist cochain by a vertex coboundary (both
     then represent the first Stiefel-Whitney class); the returned set is the
-    flip support, empty when omega is the twist cochain itself.
+    flip support, empty when omega is None or the twist cochain itself.
     """
     tw = m.twist_bits()
     if omega is None or omega == tw:
-        return tw if omega is None else omega, frozenset()
+        return frozenset()
     s = coboundary_preimage(m, omega ^ tw)
     if s is None:
         raise ValueError("omega does not represent the first Stiefel-Whitney class")
-    return omega, frozenset(s)
+    return frozenset(s)
 
 
 def _face_parities(m: CombinatorialMap, omega: Optional[int]) -> List[Tuple[int, int]]:
     """(fold, const) per face, with curvature parity(K.bits & fold) ^ const.
 
-    fold xors the face's step edges; const collects the step parity of arcs
-    on half 1 (they reverse the stored direction), the minus-minus label
+    fold is the face's ``odd_edge_mask``; const collects the step parity of
+    arcs on half 1 (they reverse the stored direction), the minus-minus label
     count and one.  An edge met twice cancels in the fold and in the
     mismatch count alike.
     """
-    _, swap = _omega_flip_set(m, omega)
+    swap = _omega_flip_set(m, omega)
     table = []
     for face in m.faces.faces:
-        fold = 0
         const = 1
         labels = []
         for h, s in face.steps:
-            fold ^= 1 << (h // 2)
             const ^= h & 1
-            labels.append(s ^ (1 if m.half_vertex(h) in swap else 0))
+            labels.append(s ^ (m.half_vertex(h) in swap))
         for a, b in zip(labels, labels[1:] + labels[:1]):
             const ^= a & b
-        table.append((fold, const))
+        table.append((face.odd_edge_mask(), const))
     return table
 
 

@@ -73,7 +73,7 @@ from .homology import (
 )
 from .kasteleyn import Orientation, construct_kasteleyn
 from .oracle import VERTEX_BOUND, find_matching, partition_bruteforce
-from .pfaffian import _class_matrices, pfaffian
+from .pfaffian import _class_matrices, _exact, pfaffian
 from .spin_quadratic import (
     QuadraticEnhancement,
     arf,
@@ -167,13 +167,6 @@ def normalize_orientation(m: CombinatorialMap, K: Orientation,
 # ---------------------------------------------------------------------------
 # The shared skeleton: class Pfaffians, weights, sum and normalisation
 # ---------------------------------------------------------------------------
-
-def _exact(backend: str) -> bool:
-    """True for the exact backend, False for float; ValueError otherwise."""
-    if backend not in ("exact", "float"):
-        raise ValueError(f"unknown backend {backend!r}")
-    return backend == "exact"
-
 
 def _from_cycles(m: CombinatorialMap, cycles: Sequence[Walk]) -> Optional[HomologyBasis]:
     """The basis these simple cycles give on m, kept; None if they give none."""
@@ -294,8 +287,8 @@ def _practical(m: CombinatorialMap, curves: Optional[Sequence[TransverseCurve]],
                 "beta crossings must reproduce the twist cochain exactly")
         curves = [cv for cv in curves if cv.kind == "alpha"] + betas
     for cv in curves or ():
-        # A cross shifted by a vertex coboundary stays in its class but
-        # negates that class's Pfaffian; the ordered crossings are the curve.
+        # companion_cycle rejects a cross that is not its companion's push-off,
+        # a coboundary-shifted one too; here a curve's two crossing records agree.
         if cv.ordered_crossings is not None and \
                 chain_from_edges(cv.ordered_crossings) != cv.cross:
             raise CurveNotRealizable("curve crossings differ from its ordered crossings")

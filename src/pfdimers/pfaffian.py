@@ -1,12 +1,14 @@
 """Skew-symmetric matrices, their Pfaffians, and the adjacency construction.
 
 Every Pfaffian takes one path.  ``_EdgeMatrix`` reads a skew matrix as
-weighted edges (a, b, w), entry (a, b) summing +w and (b, a) summing -w, and
-prepares them once: the reverse Cuthill-McKee order of the pattern, its sign,
-since Pf(P A P^T) = det(P) Pf(A), the envelope of every reordered row (one
-past its last nonzero column), and the cell of every edge in the reordered
-upper triangle.  ``pfaffian`` evaluates one class of a prepared route, a
-``_ClassMatrix``, or a ``SkewMatrix`` as one class of its nonzero entries.
+weighted edges in parts (a, b, re, im), entry (a, b) summing +w and (b, a)
+-w for w = re + i*im, and prepares them once: the reverse Cuthill-McKee
+order of the pattern, its sign, since Pf(P A P^T) = det(P) Pf(A), the
+envelope of every reordered row (one past its last nonzero column), and the
+cell of every edge in the reordered upper triangle with its signed parts,
+integers over one denominator (exact) or floats.  ``pfaffian`` evaluates
+one class of a prepared route, a ``_ClassMatrix``, or a ``SkewMatrix`` as
+one class of its nonzero entries.
 
 The classes of a route differ only in the signs of the flipped edges, whose
 endpoints form the seam S.  With several classes and an even |S| <= n/2, S
@@ -73,14 +75,15 @@ from .errors import (
 )
 from .exactnum import GR_ZERO, GaussianRational
 from .kasteleyn import Orientation, enumerate_classes
-from .surface_graph import CombinatorialMap, vertex_labels
+from .surface_graph import CombinatorialMap, tree_side
 
 EXPANSION_DIM_BOUND = 12
 PIVOT_THRESHOLD = 1e-12
 _UNITS = (1, 1j, -1, -1j)  # i^k
 
 Scalar = Union[GaussianRational, complex]
-Edge = Tuple[int, int, Scalar]
+Real = Union[int, Fraction, float]
+Parts = Tuple[int, int, Real, Real]  # (a, b, re, im) of one weighted edge
 
 
 @dataclass(frozen=True)
@@ -120,10 +123,18 @@ def skew_matrix(rows: Sequence[Sequence[Scalar]], exact: bool) -> SkewMatrix:
     return SkewMatrix(tuple(tuple(r) for r in rows), exact)
 
 
+def _exact(backend: str) -> bool:
+    """True for the exact backend, False for float; ValueError otherwise."""
+    if backend not in ("exact", "float"):
+        raise ValueError(f"unknown backend {backend!r}")
+    return backend == "exact"
+
+
 def _map_edges(m: CombinatorialMap, K: Orientation, omega: Optional[int],
-               exact: bool, gauge: Optional[Tuple[List[int], int]] = None) -> List[Edge]:
-    """(tail, head, weight) of every edge under K; omega = 1 weights times i,
-    and with a gauge (x, c) every weight times i^(x_u + x_v - c)."""
+               gauge: Optional[Tuple[Sequence[int], int]] = None) -> List[Parts]:
+    """(tail, head, re, im) of every edge under K, in the weight's type: the
+    parts of its weight times i on omega = 1 edges, and with a gauge (x, c)
+    times i^(x_u + x_v - c)."""
     om = m.twist_bits() if omega is None else omega
     x, c = gauge or ([0] * m.vertex_count, 0)
     edges = []
@@ -132,25 +143,20 @@ def _map_edges(m: CombinatorialMap, K: Orientation, omega: Optional[int],
             raise LoopEdge(f"edge {e} is a loop; remove loops before building")
         a, b = K.arrow(m, e)
         k = ((om >> e) & 1) + x[edge.u] + x[edge.v] - c  # the power of i, -1..3
-        if exact:
-            f = -Fraction(edge.weight) if k & 2 else Fraction(edge.weight)
-            w = GaussianRational(0, f) if k & 1 else GaussianRational(f, 0)
-        else:
-            w = complex(edge.weight) * _UNITS[k % 4]
-        edges.append((a, b, w))
+        w = -edge.weight if k & 2 else edge.weight
+        edges.append((a, b, 0, w) if k & 1 else (a, b, w, 0))
     return edges
 
 
-def _gauge(m: CombinatorialMap, om: int) -> Optional[Tuple[List[int], int]]:
+def _gauge(m: CombinatorialMap, om: int) -> Optional[Tuple[Tuple[int, ...], int]]:
     """Vertex bits x and a constant c in {0, 1} with om(e) + c = x_u + x_v
     (mod 2) on every edge, or None.  As om, like the twist cochain, represents
     the first Stiefel-Whitney class, c = 0 holds on an orientable map whenever
-    c = 1 does, and never on one that is not; x labels a BFS tree."""
+    c = 1 does, and never on one that is not; x is the ``tree_side`` of
+    om + c, the side without vertex 0."""
     c = int(not m.orientable)
-    x = [int(label < 0) for label in vertex_labels(m, om ^ -c & ((1 << m.edge_count) - 1))]
-    if all(x[edge.u] ^ x[edge.v] == (om >> e) & 1 ^ c for e, edge in enumerate(m.edges)):
-        return x, c
-    return None
+    x = tree_side(m, om ^ -c & ((1 << m.edge_count) - 1))
+    return None if x is None else (x, c)
 
 
 def build_adjacency(m: CombinatorialMap, K: Orientation,
@@ -162,10 +168,11 @@ def build_adjacency(m: CombinatorialMap, K: Orientation,
     the orientation and multiplied by i for omega = 1 edges.
     """
     n = m.vertex_count
-    exact = backend == "exact"
+    exact = _exact(backend)
     zero: Scalar = GR_ZERO if exact else 0j
     rows: List[List[Scalar]] = [[zero] * n for _ in range(n)]
-    for a, b, w in _map_edges(m, K, omega, exact):
+    for a, b, re, im in _map_edges(m, K, omega):
+        w = GaussianRational.of(re, im) if exact else complex(re, im)
         rows[a][b] = rows[a][b] + w
         rows[b][a] = rows[b][a] - w
     return SkewMatrix(tuple(tuple(r) for r in rows), exact)
@@ -179,10 +186,11 @@ def pfaffian(matrix: Union[SkewMatrix, "_ClassMatrix"]) -> Scalar:
     """Pfaffian by skew Gaussian elimination, O(n^3), of a ``SkewMatrix`` or
     of one class of a prepared route."""
     if isinstance(matrix, SkewMatrix):
-        zero = GR_ZERO if matrix.exact else 0
-        edges = [(i, j, x) for i, row in enumerate(matrix.entries)
-                 for j, x in enumerate(row[i + 1:], i + 1) if x != zero]
-        return _EdgeMatrix(matrix.dimension, edges, matrix.exact).pfaffian(0)
+        exact = matrix.exact
+        edges = [(i, j, x.re, x.im) if exact else (i, j, x.real, x.imag)
+                 for i, row in enumerate(matrix.entries)
+                 for j, x in enumerate(row[i + 1:], i + 1) if x != (GR_ZERO if exact else 0)]
+        return _EdgeMatrix(matrix.dimension, edges, exact).pfaffian(0)
     return matrix.route.pfaffian(matrix.flips)
 
 
@@ -190,45 +198,45 @@ def _class_matrices(m: CombinatorialMap, K: Orientation, flips: Sequence[int],
                     backend: str, omega: Optional[int] = None) -> List["_ClassMatrix"]:
     """The classes of K flipped by subset sums of ``flips``, in
     ``enumerate_classes`` order, from one preparation of K's edges."""
-    exact, n = backend == "exact", m.vertex_count
+    exact, n = _exact(backend), m.vertex_count
     masks = [Kc.bits ^ K.bits for Kc in enumerate_classes(m, K, flips)]
     om = m.twist_bits() if omega is None else omega
     gauge = _gauge(m, om) if om else None
     turn = (gauge[1] * n // 2 - sum(gauge[0])) % 4 if gauge else 0
-    route = _EdgeMatrix(n, _map_edges(m, K, om, exact, gauge), exact, reduce(or_, masks),
-                        turn)
+    route = _EdgeMatrix(n, _map_edges(m, K, om, gauge), exact, reduce(or_, masks), turn)
     return [_ClassMatrix(route, f, n, exact) for f in masks]
 
 
 class _EdgeMatrix:
-    """The skew matrix of an edge list, prepared for the Pfaffians of its
+    """The skew matrix of edges in parts, prepared for the Pfaffians of its
     sign patterns times i^turn: ``pfaffian(flips)`` negates the weight of
     edge e for every bit e of ``flips``; some pattern negates each bit of ``seam``."""
 
-    def __init__(self, n: int, edges: Sequence[Edge], exact: bool, seam: int = 0,
+    def __init__(self, n: int, edges: Sequence[Parts], exact: bool, seam: int = 0,
                  turn: int = 0) -> None:
         if n % 2:
             raise OddDimension(f"dimension {n} is odd")
-        ends = sorted({v for e, (a, b, _) in enumerate(edges) if seam >> e & 1 for v in (a, b)})
+        ends = sorted({v for e, (a, b, _, _) in enumerate(edges) if seam >> e & 1 for v in (a, b)})
         last = dict.fromkeys(ends if 2 * len(ends) <= n and not len(ends) % 2 else ())
-        position, self.end = _rcm_order(n, [(a, b) for a, b, _ in edges], last)
+        position, self.end = _rcm_order(n, [(a, b) for a, b, _, _ in edges], last)
         self.sign = _perm_sign(position)
         self.exact, self.stop, self.shared, self.turn = exact, n - len(last), {}, turn
         cells: Dict[Tuple[int, int], int] = {}
-        slots = []  # (cell, weight signed for the reordered upper triangle)
-        for a, b, w in edges:
+        slots = []  # (cell, parts signed for the reordered upper triangle)
+        for a, b, re, im in edges:
             i, j = position[a], position[b]
             if i > j:
-                i, j, w = j, i, -w
-            slots.append((cells.setdefault((i, j), len(cells)), w))
+                i, j, re, im = j, i, -re, -im
+            slots.append((cells.setdefault((i, j), len(cells)), re, im))
         self.cells = list(cells)
-        self.slots = slots
-        if exact:
-            self.lcd = lcm(*{f.denominator for _, w in slots for f in (w.re, w.im)})
-            self.slots = [(c, w.re.numerator * (self.lcd // w.re.denominator),
-                           w.im.numerator * (self.lcd // w.im.denominator))
-                          for c, w in slots]
-            count = Counter(c for c, _ in slots)
+        if not exact:
+            self.slots = [(c, float(r), float(i)) for c, r, i in slots]
+        else:
+            slots = [(c, Fraction(r), Fraction(i)) for c, r, i in slots]
+            self.lcd = lcm(*{f.denominator for _, r, i in slots for f in (r, i)})
+            self.slots = [(c, r.numerator * (self.lcd // r.denominator),
+                           i.numerator * (self.lcd // i.denominator)) for c, r, i in slots]
+            count = Counter(c for c, _, _ in slots)
             norms = [0] * n
             for c, r, i in self.slots:
                 for v in self.cells[c]:
@@ -236,21 +244,20 @@ class _EdgeMatrix:
             self.bound = isqrt(isqrt(prod(norms)))
 
     def pfaffian(self, flips: int) -> Scalar:
-        if not self.exact:
-            values = [0j] * len(self.cells)
-            for e, (c, w) in enumerate(self.slots):
-                values[c] = values[c] - w if (flips >> e) & 1 else values[c] + w
-            scale = max(map(abs, values), default=0.0)
-            real = not any(v.imag for v in values)
-            pf = complex(self._pf([v.real for v in values] if real else values,
-                                  0.0 if real else 0j, 0, 0, scale))
-            return pf * _UNITS[self.turn] if self.turn else pf
         re, im = [0] * len(self.cells), [0] * len(self.cells)
         for e, (c, r, i) in enumerate(self.slots):
-            sign = -1 if (flips >> e) & 1 else 1
-            re[c] += sign * r
-            im[c] += sign * i
+            if (flips >> e) & 1:
+                re[c] -= r
+                im[c] -= i
+            else:
+                re[c] += r
+                im[c] += i
         is_complex = any(im)
+        if not self.exact:
+            values = [complex(r, i) for r, i in zip(re, im)] if is_complex else re
+            scale = max(map(abs, values), default=0.0)
+            pf = complex(self._pf(values, 0j if is_complex else 0.0, 0, 0, scale))
+            return pf * _UNITS[self.turn] if self.turn else pf
         x = y = index = 0
         modulus = 1
         while modulus <= 2 * self.bound + 1:

@@ -94,7 +94,7 @@ def ell_omega(m: CombinatorialMap, D: int, walk: Walk,
     """Vertices of the walk whose dimer leaves it on the positive side."""
     check_simple_walk(m, walk)
     check_matching(m, D)
-    _, swap = _omega_flip_set(m, omega)
+    swap = _omega_flip_set(m, omega)
     dimer_half = {}
     for e in edges_of(D):
         edge = m.edges[e]

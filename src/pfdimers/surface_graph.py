@@ -29,7 +29,9 @@ and keeps the result, and every consumer (Euler characteristic, homology
 basis, Kasteleyn curvature, companion cycles) reads it there.  Orientability
 is kept the same way (``m.orientable``), without tracing faces, and
 ``kept`` keeps the rest derived from the map alone: its BFS tree, and the
-partition routes' D0, basis, K, untwisted copy and class Pfaffians.  A map
+partition routes' D0, basis, K, untwisted copy and class Pfaffians.
+``tree_side`` alone solves phi = delta(x) for vertex bits x; each caller
+picks a side, x or its complement.  A map
 made from another one (``flip_charts``, ``untwist``, ``relabel``,
 ``graphfile.load``) is a new object that starts with none of it.
 """
@@ -105,8 +107,7 @@ class CombinatorialMap:
     @cached_property
     def orientable(self) -> bool:
         """True iff the twist cochain is a vertex coboundary; kept like ``faces``."""
-        t = tree_twist_parity(self)
-        return not any(edge.twist ^ t[edge.u] ^ t[edge.v] for edge in self.edges)
+        return tree_side(self, self.twist_bits()) is not None
 
 
 def kept(m: CombinatorialMap, key, make: Callable, *args):
@@ -301,11 +302,6 @@ def spanning_tree(m: CombinatorialMap) -> Tuple[Tuple[int, ...], Tuple[int, ...]
     return tuple(parent_arc[w] // 2 for w in order[1:]), parent_arc
 
 
-def tree_twist_parity(m: CombinatorialMap) -> Tuple[int, ...]:
-    """Twist parity of the tree path from the root to each vertex."""
-    return tuple(int(label < 0) for label in vertex_labels(m))
-
-
 def is_orientable(m: CombinatorialMap) -> bool:
     """True iff the twist cochain is the coboundary of a vertex chart flip."""
     return m.orientable
@@ -343,6 +339,16 @@ def vertex_labels(m: CombinatorialMap, omega: Optional[int] = None) -> Tuple[int
     return tuple(labels)
 
 
+def tree_side(m: CombinatorialMap, phi: int) -> Optional[Tuple[int, ...]]:
+    """Vertex bits x with x_0 = 0 and x_u + x_v = phi(e) (mod 2) on every
+    edge, or None: x is phi's parity along the BFS tree path from vertex 0,
+    and its complement is the only other solution."""
+    x = tuple(int(label < 0) for label in vertex_labels(m, phi))
+    if any(x[edge.u] ^ x[edge.v] != (phi >> e) & 1 for e, edge in enumerate(m.edges)):
+        return None
+    return x
+
+
 def flip_charts(m: CombinatorialMap, vertices: Iterable[int]) -> CombinatorialMap:
     """Reverse the local chart at the given vertices.
 
@@ -362,12 +368,11 @@ def flip_charts(m: CombinatorialMap, vertices: Iterable[int]) -> CombinatorialMa
 
 
 def untwist(m: CombinatorialMap) -> CombinatorialMap:
-    """Re-present an orientable map with all twists zero."""
-    t = tree_twist_parity(m)
-    flipped = flip_charts(m, [v for v in range(m.vertex_count) if t[v]])
-    if flipped.twist_bits() != 0:
+    """Re-present an orientable map with all twists zero (``tree_side`` charts flipped)."""
+    x = tree_side(m, m.twist_bits())
+    if x is None:
         raise MalformedRotation("map is not orientable; cannot remove twists")
-    return flipped
+    return flip_charts(m, [v for v in range(m.vertex_count) if x[v]])
 
 
 def relabel(m: CombinatorialMap, perm: Sequence[int]) -> CombinatorialMap:

@@ -243,13 +243,18 @@ def test_cli_malformed_exit_code(tmp_path):
     (r"^(edge 0 .*)$", r"\1\n\1"),
     (r"^(rotation 0 .*)$", r"\1\n\1"),
     (r"^edge 0 .*$", "edge 0 a"),
+    (r"^(edge 0 .*)$", r"\1 7"),
+    (r"^vertices .*$", "vertices 16 9"),
+    (r"^curve 0 .*$", "curve 0 alpha beta"),
+    (r"\Z", "crossing_edge 0 3 4\n"),
 ], ids=["negative-cross", "cross-out-of-range", "orphan-cross",
         "orphan-crossing-edge", "orphan-companion", "crossing-edge-out-of-range",
         "negative-crossing-edge", "repeated-vertices", "repeated-curve",
         "repeated-cross", "repeated-crossing-edge", "repeated-companion",
         "rotation-out-of-range", "negative-rotation", "companion-not-a-half-edge",
         "companion-out-of-range", "unknown-curve-kind", "repeated-edge",
-        "repeated-rotation", "edge-not-a-number"])
+        "repeated-rotation", "edge-not-a-number", "edge-extra-field",
+        "vertices-extra-field", "curve-extra-field", "crossing-edge-extra-field"])
 def test_cli_bad_curve_lines_are_parse_errors(tmp_path, capsys, pattern, repl):
     # curve data naming a missing edge or a curve index without a 'curve'
     # line is rejected at load, not dropped or left to the routes

@@ -21,6 +21,7 @@ from pfdimers import (
     PartitionResult,
     TransverseCurve,
     WrongSurfaceType,
+    build_adjacency,
     build_map,
     classify,
     construct_kasteleyn,
@@ -928,13 +929,14 @@ def test_orientability_searched_once_per_map(monkeypatch):
     import pfdimers.surface_graph as surface_graph
 
     calls = []
-    search = surface_graph.tree_twist_parity
+    search = surface_graph.tree_side
 
-    def counting(m):
-        calls.append(m)
-        return search(m)
+    def counting(m, phi):
+        if phi == m.twist_bits():
+            calls.append(m)
+        return search(m, phi)
 
-    monkeypatch.setattr(surface_graph, "tree_twist_parity", counting)
+    monkeypatch.setattr(surface_graph, "tree_side", counting)
     for surface in ("torus", "rp2"):
         for backend in ("exact", "float"):
             inst = lattice(6, 6, surface)
@@ -960,6 +962,12 @@ def test_unknown_backend_is_rejected_by_every_route():
         with pytest.raises(ValueError, match="unknown backend 'flaot'"):
             call(backend="flaot")
         assert call(backend="float").value == pytest.approx(float(call().value))
+
+
+def test_unknown_backend_is_rejected_by_build_adjacency():
+    m = lattice(3, 4, "torus").map
+    with pytest.raises(ValueError, match="unknown backend 'exakt'"):
+        build_adjacency(m, construct_kasteleyn(m), backend="exakt")
 
 
 # ---------------------------------------------------------------------------

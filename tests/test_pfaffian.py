@@ -568,7 +568,7 @@ def _split_route(edges, seam, exact):
     none, then each seam edge) and through an unsplit preparation."""
     from pfdimers.pfaffian import _EdgeMatrix
 
-    n = 1 + max(max(a, b) for a, b, _ in edges)
+    n = 1 + max(max(a, b) for a, b, _, _ in edges)
     route = _EdgeMatrix(n, edges, exact, seam)
     assert route.stop < n
     patterns = [0] + [1 << e for e in range(len(edges)) if (seam >> e) & 1]
@@ -583,7 +583,7 @@ def test_split_falls_back_when_an_interior_index_only_meets_the_seam(exact):
     # its row has no interior pivot
     pairs = [(0, 1, 3), (2, 3, 5), (4, 0, 2), (4, 2, 7), (5, 6, 1), (7, 3, 4),
              (5, 7, 6), (6, 1, 2), (1, 2, 3)]
-    edges = [(a, b, GaussianRational.of(w) if exact else complex(w)) for a, b, w in pairs]
+    edges = [(a, b, w, 0) for a, b, w in pairs]
     route, got, want = _split_route(edges, 0b11, exact)
     assert route.stop == len(route.end)
     assert any(want)
@@ -598,7 +598,7 @@ def test_split_falls_back_on_an_interior_pivot_zero_mod_p():
     # although Pf = 11 * p - 2 * 3 + 5 * 7 is not
     p = _modulus(0)[0]
     pairs = [(0, 1, 11), (2, 3, p), (0, 2, 2), (1, 3, 3), (0, 3, 5), (1, 2, 7)]
-    edges = [(a, b, GaussianRational.of(w)) for a, b, w in pairs]
+    edges = [(a, b, w, 0) for a, b, w in pairs]
     route, got, want = _split_route(edges, 0b1, True)
     assert route.stop == 4
     assert got == want
@@ -610,7 +610,7 @@ def test_split_block_entries_reduced_mod_p():
     # correction sum to exactly p, which must read as 0, not as a pivot
     a, b = 3, 5
     pairs = [(0, 1, a * b), (2, 3, 1), (0, 2, a), (1, 3, b)]
-    edges = [(u, v, GaussianRational.of(w)) for u, v, w in pairs]
+    edges = [(u, v, w, 0) for u, v, w in pairs]
     route, got, want = _split_route(edges, 0b1, True)
     assert route.stop == 2
     assert got == want
@@ -630,9 +630,7 @@ def _reference_gauge(m, omega):
 
 def _imaginary_weights(route):
     """Number of edge weights of a prepared route with a nonzero imaginary part."""
-    if route.exact:
-        return sum(1 for _, _, i in route.slots if i)
-    return sum(1 for _, w in route.slots if w.imag)
+    return sum(1 for _, _, i in route.slots if i)
 
 
 def _weighted(rng, m):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -9,11 +10,22 @@ from pathlib import Path
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def _load_script(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+def _load_script(name, directory=SCRIPTS):
+    spec = importlib.util.spec_from_file_location(name, directory / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_traced_layers_resolve():
+    # the benchmark's tracer wraps these functions by name; a rename in the
+    # package must fail here, not only in a traced benchmark run
+    tracing = _load_script("tracing", SCRIPTS.parent / "perfbench")
+    assert tracing.LAYERS
+    for layer, (module_name, names) in tracing.LAYERS.items():
+        module = importlib.import_module(module_name)
+        for name in names:
+            assert callable(getattr(module, name, None)), (layer, module_name, name)
 
 
 def test_random_agreement_sweep(monkeypatch, capsys):

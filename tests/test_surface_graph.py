@@ -23,7 +23,7 @@ from pfdimers import (
 )
 from pfdimers.generators import random_map
 from pfdimers.homology import dot, edges_of
-from pfdimers.surface_graph import CombinatorialMap, Face, FaceSet, flip_charts
+from pfdimers.surface_graph import CombinatorialMap, Face, FaceSet, flip_charts, tree_side
 
 
 def test_single_edge_sphere():
@@ -208,6 +208,49 @@ def test_labels_flip_at_one_vertex_under_omega_move():
         l2 = vertex_labels(m, om ^ vertex_coboundary(m, v))
         diffs = [w for w in range(m.vertex_count) if l1[w] != l2[w]]
         assert diffs == [v]
+
+
+def _delta(m, side):
+    """The coboundary of a vertex set: the edges with one end in it."""
+    return sum(1 << e for e, edge in enumerate(m.edges) if (edge.u in side) != (edge.v in side))
+
+
+def _with_loop(rng, m):
+    """m with one more edge: a loop, twisted at random, at a random vertex."""
+    v, e = rng.randrange(m.vertex_count), m.edge_count
+    rotations = [list(r) for r in m.rotations]
+    for h in (2 * e, 2 * e + 1):
+        rotations[v].insert(rng.randint(0, len(rotations[v])), h)
+    return build_map(m.vertex_count, rotations, [(x.u, x.v) for x in m.edges] + [(v, v)],
+                     [x.twist for x in m.edges] + [rng.randint(0, 1)])
+
+
+@pytest.mark.parametrize("twisted", [False, True])
+def test_tree_side_matches_brute_force(twisted):
+    # tree_side(m, phi) is None exactly when no vertex subset S, all 2^V of
+    # them tried, has delta(S) = phi; otherwise x_0 = 0 and delta(x) = phi
+    rng = random.Random(30 + twisted)
+    outcomes = {True: 0, False: 0}
+    for trial in range(40):
+        m = random_map(rng, max_vertices=8, extra_edges=6, twisted=twisted)
+        if trial % 2:
+            m = _with_loop(rng, m)
+        n, ne = m.vertex_count, m.edge_count
+        deltas = {_delta(m, {v for v in range(n) if s >> v & 1}) for s in range(1 << n)}
+        cobounds = [_delta(m, set(rng.sample(range(n), rng.randint(0, n)))) for _ in range(4)]
+        loops = sum(1 << e for e in range(ne) if m.is_loop(e))
+        phis = [m.twist_bits(), *cobounds, *(c ^ loops for c in cobounds),
+                *(rng.getrandbits(ne) for _ in range(6)),
+                *(c ^ 1 << rng.randrange(ne) for c in cobounds)]
+        for phi in phis:
+            x = tree_side(m, phi)
+            outcomes[phi in deltas] += 1
+            if phi not in deltas:
+                assert x is None, (trial, phi)
+            else:
+                assert x is not None and x[0] == 0, (trial, phi)
+                assert _delta(m, {v for v in range(n) if x[v]}) == phi, (trial, phi)
+    assert min(outcomes.values()) >= 100
 
 
 def test_orientability_invariant_under_rotation_start():
