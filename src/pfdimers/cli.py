@@ -163,9 +163,8 @@ def cmd_verify(args) -> int:
                                          basis=inst.basis, backend=args.backend)
     if m.vertex_count <= args.max_vertices:
         results["oracle"] = _oracle(m, args.backend, args.max_vertices)
-    values = {k: Fraction(v.value) if v.exact else v.value for k, v in results.items()}
-    ref = next(iter(values.values()))
-    ok = all(_close(v, ref, args.backend) for v in values.values())
+    ref = next(iter(results.values()))
+    ok = all(_close(r, ref) for r in results.values())
     pairs = [(k, v.value) for k, v in sorted(results.items())]
     pairs.append(("agree", "yes" if ok else "no"))
     plain = [f"{k}: Z = {_text(v.value)}" for k, v in sorted(results.items())]
@@ -174,9 +173,9 @@ def cmd_verify(args) -> int:
     return 0 if ok else 2
 
 
-def _close(a, b, backend) -> bool:
-    if backend == "exact":
-        return a == b
+def _close(a, b) -> bool:
+    if a.exact and b.exact:
+        return a.value == b.value
     return abs(float(a) - float(b)) <= 1e-9 * (1 + abs(float(b)))
 
 

@@ -1,11 +1,10 @@
 """Exact complex arithmetic: Gaussian rationals.
 
 ``GaussianRational`` models numbers p + q*i with rational p, q.  It is the
-entry type of the exact skew-adjacency matrices: real weights stay rational
-and twisted edges contribute factors of i.  It also holds every class weight
-of the four partition formulas.  The Brown-invariant weight
-exp(i*pi*beta/4) / 2^(b1/2) needs no sqrt(2): beta has the parity of b1, so
-with o = b1 mod 2 it equals i^((beta-o)/2) * (1+i)^o / 2^((b1+o)/2).
+scalar of the exact backend: the entries of exact skew-adjacency matrices,
+where real weights stay rational and twisted edges contribute factors of i,
+and their Pfaffians.  It reads like ``complex`` (``real``, ``imag`` and
+truthiness), so code that only reads a scalar serves both backends.
 """
 
 from __future__ import annotations
@@ -57,11 +56,17 @@ class GaussianRational:
             (self.im * other.re - self.re * other.im) / d,
         )
 
+    real = property(lambda self: self.re)
+    imag = property(lambda self: self.im)
+
+    def __bool__(self) -> bool:
+        return bool(self.re or self.im)
+
     def abs2(self) -> Fraction:
         return self.re * self.re + self.im * self.im
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self
 
     def scale(self, r: Rational) -> "GaussianRational":
         f = Fraction(r)
@@ -80,11 +85,9 @@ class GaussianRational:
 
 
 GR_ZERO = GaussianRational.of(0)
-GR_ONE = GaussianRational.of(1)
-GR_I = GaussianRational.of(0, 1)
 
 # i**k for k mod 4
-_I_POWERS = (GR_ONE, GR_I, GaussianRational.of(-1), GaussianRational.of(0, -1))
+_I_POWERS = tuple(GaussianRational.of(*z) for z in ((1, 0), (0, 1), (-1, 0), (0, -1)))
 
 
 def i_power(k: int) -> GaussianRational:

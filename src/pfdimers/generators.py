@@ -247,9 +247,9 @@ def random_weights(rng, count: int, max_num: int = 5) -> List[Fraction]:
             for _ in range(count)]
 
 
-def random_lattice(rng, max_vertices: int = 16,
-                   rational_weights: bool = True) -> LatticeInstance:
-    """Random small lattice instance over the four surfaces."""
+def random_lattice(rng, max_vertices: int = 16) -> LatticeInstance:
+    """Random small lattice instance over the four surfaces, with random
+    rational weights."""
     while True:
         surface = rng.choice(list(SURFACES))
         m = rng.randint(2, 4)
@@ -259,8 +259,7 @@ def random_lattice(rng, max_vertices: int = 16,
         if m * n <= max_vertices:
             break
     count = len(lattice(m, n, surface).map.edges)
-    w = random_weights(rng, count) if rational_weights else None
-    return lattice(m, n, surface, weights=w)
+    return lattice(m, n, surface, weights=random_weights(rng, count))
 
 
 def random_map(rng, max_vertices: int = 7, extra_edges: int = 4,

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import NotAClosedWalk, NotSimple
-from .surface_graph import CombinatorialMap, euler_characteristic, spanning_tree, tree_side
+from .surface_graph import CombinatorialMap, euler_characteristic, kept, spanning_tree, tree_side
 
 Walk = Tuple[int, ...]
 
@@ -322,7 +322,13 @@ def cycle_basis(m: CombinatorialMap) -> HomologyBasis:
 
 
 def basis_from_cycles(m: CombinatorialMap, cycles: Sequence[Walk]) -> HomologyBasis:
-    """Basis with prescribed simple representatives (e.g. curve companions)."""
+    """Basis with prescribed simple representatives (e.g. curve companions),
+    built once per map and walks and kept (``kept``)."""
+    walks = tuple(map(tuple, cycles))
+    return kept(m, ("basis of", walks), _basis_of_cycles, walks)
+
+
+def _basis_of_cycles(m: CombinatorialMap, cycles: Sequence[Walk]) -> HomologyBasis:
     for w in cycles:
         check_simple_walk(m, w)
     chains = [walk_chain(w) for w in cycles]

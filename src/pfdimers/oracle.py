@@ -17,12 +17,13 @@ def _weighted_matchings(m: CombinatorialMap,
                         max_vertices: int) -> Iterator[Tuple[int, Union[int, Fraction]]]:
     """Yield (edge bitmask, exact weight product) for every perfect matching,
     each exactly once; loops never match.  Each weight is made exact once,
-    integral ones as ints, whose products are cheap."""
+    integral ones as ints, whose products are cheap.  An odd map has no
+    matching at any size, so parity is checked before the bound."""
     n = m.vertex_count
-    if n > max_vertices:
-        raise TooLarge(f"{n} vertices exceeds oracle bound {max_vertices}")
     if n % 2:
         return
+    if n > max_vertices:
+        raise TooLarge(f"{n} vertices exceeds oracle bound {max_vertices}")
     incident = [[] for _ in range(n)]
     for e, edge in enumerate(m.edges):
         if edge.u != edge.v:

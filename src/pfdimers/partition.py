@@ -1,21 +1,23 @@
 """Partition-function assembly: one class sum on two skeletons.
 
 Every formula is one sum Z = sum_xi w_xi * Pf(A^{K_xi}) over the orientation
-classes that flip an admissible K by subset sums of a list of cocycles, with
-w_xi = c * i^k_xi / divisor and one constant c per route.  ``_class_sum``
-sums the class Pfaffians in class order into four buckets by k mod 4 and
-applies c once, in the Gaussian rationals (exact) or complex floats.  Both
-skeletons build the faces (``m.faces``), a homology basis and K once.
+classes that flip an admissible K by subset sums of a list of cocycles, and
+every weight is an eighth root of unity over a power of sqrt(2),
+w_xi = exp(i*pi*e_xi/4) / sqrt(2)^s with every e_xi = s (mod 2).  With
+o = s mod 2 that is i^((e_xi-o)/2) * (1+i)^o / 2^((s+o)/2), so
+``_class_sum``, the one weight rule, sums the class Pfaffians in class order
+into four buckets by the power of i, turns each by its power, then applies
+(1+i)^o and the power of two, in the backend's own scalars.  Both skeletons
+build the faces (``m.faces``), a homology basis and K once.
 
 ``_enhanced_sum`` carries the pin and spin formulas.  The pin route weights
-class xi by exp(i*pi*beta/4) * eps_xi with beta the Brown invariant of its
-enhancement and divides by 2^(b1/2); the spin route is the same sum on an
-untwisted orientable map at omega = 0 with beta = 4 * Arf.  Both take one
-O(b1^3) split per route plus the shift law (``shifted_browns``) for the
-betas.  The Brown invariant of a nondegenerate Z4-valued form has the
-parity of its rank (Brown 1972; Kirby and Taylor 1990), so with o = b1 mod
-2, exp(i*pi*beta/4) / 2^(b1/2) = i^((beta-o)/2) * (1+i)^o / 2^((b1+o)/2):
-k = (beta - o)/2 + 2 [eps_xi < 0] and c = (1+i)^o * i^(-omega(D0)).
+class xi by exp(i*pi*beta/4) * eps_xi * i^(-omega(D0)) with beta the Brown
+invariant of its enhancement and divides by 2^(b1/2); the spin route is the
+same sum on an untwisted orientable map at omega = 0 with beta = 4 * Arf.
+Both take one O(b1^3) split per route plus the shift law
+(``shifted_browns``) for the betas.  So e_xi = beta + 4 [eps_xi < 0] -
+2 omega(D0) and s = b1: the Brown invariant of a nondegenerate Z4-valued
+form has the parity of its rank (Brown 1972; Kirby and Taylor 1990).
 
 ``_practical`` carries the two practical formulas (Cimasoni and Reshetikhin
 2007 on orientable surfaces; Tesler 2000 and this paper on non-orientable
@@ -28,9 +30,11 @@ its given or cycle basis.  Either way K is flipped to an odd mismatch count
 on every basis cycle, and the flips are the push-offs of the first 2g basis
 cycles, which are the alpha curves where curves give the basis.  Class xi
 weighs the sign (-1)^(number of its intersecting basis pairs) times an
-unprimed weight: 1 on orientable surfaces, 1 - i with odd Euler
-characteristic (c), -i with even Euler characteristic, where the primed
-classes, also flipped along the first beta curve, weigh the sign alone.
+unprimed weight: 1 on orientable surfaces, 1 - i = exp(-i*pi/4) * sqrt(2)
+with odd Euler characteristic, -i with even Euler characteristic, where the
+primed classes, also flipped along the first beta curve, weigh the sign
+alone.  So e_xi = 4 (intersecting basis pairs) - 2 [unprimed, even chi] -
+[odd chi] and s = 2g - [odd chi].
 
 A route reads what it derives from the map alone through ``kept``: D0, the
 cycle basis, the basis that each set of cycles gives, K per omega, the
@@ -56,7 +60,6 @@ from .errors import (
     NotSimple,
     WrongSurfaceType,
 )
-from .exactnum import GR_I, GR_ONE, GR_ZERO, GaussianRational, i_power
 from .generators import TransverseCurve
 from .homology import (
     HomologyBasis,
@@ -169,15 +172,11 @@ def normalize_orientation(m: CombinatorialMap, K: Orientation,
 # ---------------------------------------------------------------------------
 
 def _from_cycles(m: CombinatorialMap, cycles: Sequence[Walk]) -> Optional[HomologyBasis]:
-    """The basis these simple cycles give on m, kept; None if they give none."""
-    walks = tuple(map(tuple, cycles))
-
-    def build(m: CombinatorialMap) -> Optional[HomologyBasis]:
-        try:
-            return basis_from_cycles(m, walks)
-        except (NotAClosedWalk, NotSimple):
-            return None
-    return kept(m, ("basis of", walks), build)
+    """The basis these simple cycles give on m; None if they give none."""
+    try:
+        return basis_from_cycles(m, cycles)
+    except (NotAClosedWalk, NotSimple):
+        return None
 
 
 def _basis(m: CombinatorialMap, basis: Optional[HomologyBasis]) -> HomologyBasis:
@@ -199,21 +198,27 @@ def _labelled(pfs: Sequence, width: int) -> List[Tuple[str, str]]:
 
 
 def _class_sum(m: CombinatorialMap, K: Orientation, flips: Sequence[int],
-               powers: Sequence[int], factor: GaussianRational, divisor: int,
-               backend: str, omega: Optional[int] = None) -> Tuple[Number, Number, list]:
-    """Real and imaginary parts of factor * sum_xi i^powers[xi] * Pf(A^{K_xi})
-    / divisor over the classes of K flipped by subset sums of ``flips``, in
-    ``enumerate_classes`` order, and the class Pfaffians."""
-    exact = _exact(backend)
+               eighths: Sequence[int], root2s: int, backend: str,
+               omega: Optional[int] = None) -> Tuple[Number, Number, list]:
+    """Real and imaginary parts of sum_xi exp(i*pi*eighths[xi]/4) *
+    Pf(A^{K_xi}) / sqrt(2)^root2s over the classes of K flipped by subset sums
+    of ``flips``, in ``enumerate_classes`` order, and the class Pfaffians.
+    Every eighths[xi] has the parity of root2s (the module docstring)."""
     pfs = kept(m, ("pfaffians", K.bits, tuple(flips), omega, backend), lambda m: tuple(
         pfaffian(c) for c in _class_matrices(m, K, flips, backend, omega)))
-    buckets = [GR_ZERO if exact else 0j] * 4
-    for k, pf in zip(powers, pfs):
-        buckets[k % 4] += pf
-    unit, c = ((GR_I, factor.scale(Fraction(1, divisor))) if exact
-               else (1j, factor.to_complex() / divisor))
-    total = c * ((buckets[0] - buckets[2]) + unit * (buckets[1] - buckets[3]))
-    return (total.re, total.im, pfs) if exact else (total.real, total.imag, pfs)
+    assert all((e - root2s) % 2 == 0 for e in eighths), "weight off the parity of root2s"
+    o = root2s % 2
+    re, im = [0] * 4, [0] * 4  # the bucket sums by the power of i
+    for e, pf in zip(eighths, pfs):
+        k = (e - o) // 2 % 4
+        re[k] += pf.real
+        im[k] += pf.imag
+    x = (re[0] - re[2]) - (im[1] - im[3])
+    y = (im[0] - im[2]) + (re[1] - re[3])
+    if o:  # times 1 + i
+        x, y = x - y, x + y
+    scale = 2 ** ((root2s + o) // 2)
+    return x / scale, y / scale, pfs
 
 
 def _enhanced_sum(m: CombinatorialMap, method: str, omega: int,
@@ -237,21 +242,17 @@ def _enhanced_sum(m: CombinatorialMap, method: str, omega: int,
     # Class idx flips K by the dual cocycles phi_i, i in idx; as
     # phi_i(C_j) = delta_ij, its enhancement is q0 shifted by the bits of idx.
     betas = shifted_browns(q0, invariant(q0))
-    o = b1 % 2
-    if any((beta - o) % 2 for beta in betas):
+    if any((beta - b1) % 2 for beta in betas):
         raise NonRealResult(f"{method} invariants {sorted(set(betas))} differ in "
                             f"parity from b1 = {b1}")
     # Flipping the orientation of one dimer swaps one pair of the matching
     # permutation, so class idx has eps_0 * (-1)^(sum of |phi_i & D0|, i in idx).
     odd = sum(parity(phi & D0) << i for i, phi in enumerate(basis.dual_cochains))
     neg = int(matching_sign(m, K, D0) < 0)
-    # Weights as in the module docstring; eps_xi = i^(2 [eps_xi < 0]) and
-    # (1+i)^o = 1 + o*i.
-    powers = [(beta - o) // 2 + 2 * (neg ^ parity(idx & odd))
-              for idx, beta in enumerate(betas)]
-    factor = GaussianRational.of(1, o) * i_power(-dotcount(omega, D0))
-    re, im, pfs = _class_sum(m, K, basis.dual_cochains, powers, factor,
-                             2 ** ((b1 + o) // 2), backend, omega)
+    # Weights as in the module docstring, with eps_xi = exp(i*pi*4[eps_xi < 0]/4).
+    turn = 2 * dotcount(omega, D0)
+    eighths = [beta + 4 * (neg ^ parity(idx & odd)) - turn for idx, beta in enumerate(betas)]
+    re, im, pfs = _class_sum(m, K, basis.dual_cochains, eighths, b1, backend, omega)
     tol = 0 if exact else 1e-9 * (1 + abs(complex(re, im)))
     if abs(im) > tol:
         raise NonRealResult(f"{method} sum is not real: {re} + {im}i")
@@ -308,17 +309,16 @@ def _practical(m: CombinatorialMap, curves: Optional[Sequence[TransverseCurve]],
     flips = basis.pd_cochains[:r] + ((curves[r].cross,) if primed else ())
     om = m.twist_bits()
     K = normalize_orientation(m, kept(m, ("K", om), construct_kasteleyn, om), basis)
-    # Class idx + 2^r is the primed class of idx.  Class xi weighs
-    # i^(2 * number of its intersecting basis pairs i < j; later[i] holds
-    # the j), times -i on an unprimed class of even Euler characteristic and
-    # 1 - i with odd (``factor``).
+    # Class idx + 2^r is the primed class of idx.  Class xi weighs as in the
+    # module docstring, its intersecting basis pairs i < j counted through
+    # later[i], which holds the j.
     n = 1 << r
+    odd_chi = int(surface.kind == "nonorientable_odd_chi")
     later = [sum(basis.gram[i][j] << j for j in range(i + 1, r)) for i in range(r)]
-    powers = [2 * sum((idx & later[i]).bit_count() for i in range(r) if (idx >> i) & 1)
-              - primed * (idx < n) for idx in range(n << primed)]
-    factor = GaussianRational.of(1, -1) if surface.kind == "nonorientable_odd_chi" else GR_ONE
-    re, _, pfs = _class_sum(m, K, flips, powers, factor, 2 ** surface.genus, backend)
-    if exact and surface.orientable and any(pf.im for pf in pfs):
+    eighths = [4 * sum((idx & later[i]).bit_count() for i in range(r) if (idx >> i) & 1)
+               - 2 * primed * (idx < n) - odd_chi for idx in range(n << primed)]
+    re, _, pfs = _class_sum(m, K, flips, eighths, r - odd_chi, backend)
+    if surface.orientable and any(pf.imag for pf in pfs):
         raise NonRealResult("orientable Pfaffian has an imaginary part")
     terms = _labelled(pfs[:n], r)
     if primed:

@@ -73,7 +73,7 @@ from .errors import (
     OddDimension,
     TooLarge,
 )
-from .exactnum import GR_ZERO, GaussianRational
+from .exactnum import GaussianRational
 from .kasteleyn import Orientation, enumerate_classes
 from .surface_graph import CombinatorialMap, tree_side
 
@@ -169,10 +169,10 @@ def build_adjacency(m: CombinatorialMap, K: Orientation,
     """
     n = m.vertex_count
     exact = _exact(backend)
-    zero: Scalar = GR_ZERO if exact else 0j
-    rows: List[List[Scalar]] = [[zero] * n for _ in range(n)]
+    scalar = GaussianRational.of if exact else complex
+    rows: List[List[Scalar]] = [[scalar(0)] * n for _ in range(n)]
     for a, b, re, im in _map_edges(m, K, omega):
-        w = GaussianRational.of(re, im) if exact else complex(re, im)
+        w = scalar(re, im)
         rows[a][b] = rows[a][b] + w
         rows[b][a] = rows[b][a] - w
     return SkewMatrix(tuple(tuple(r) for r in rows), exact)
@@ -186,11 +186,9 @@ def pfaffian(matrix: Union[SkewMatrix, "_ClassMatrix"]) -> Scalar:
     """Pfaffian by skew Gaussian elimination, O(n^3), of a ``SkewMatrix`` or
     of one class of a prepared route."""
     if isinstance(matrix, SkewMatrix):
-        exact = matrix.exact
-        edges = [(i, j, x.re, x.im) if exact else (i, j, x.real, x.imag)
-                 for i, row in enumerate(matrix.entries)
-                 for j, x in enumerate(row[i + 1:], i + 1) if x != (GR_ZERO if exact else 0)]
-        return _EdgeMatrix(matrix.dimension, edges, exact).pfaffian(0)
+        edges = [(i, j, x.real, x.imag) for i, row in enumerate(matrix.entries)
+                 for j, x in enumerate(row[i + 1:], i + 1) if x]
+        return _EdgeMatrix(matrix.dimension, edges, matrix.exact).pfaffian(0)
     return matrix.route.pfaffian(matrix.flips)
 
 
@@ -526,44 +524,35 @@ def determinant(matrix: SkewMatrix) -> Scalar:
     pivot is the first nonzero entry of the column, in floats the largest."""
     n = matrix.dimension
     a = [list(row) for row in matrix.entries]
-    zero = GR_ZERO if matrix.exact else 0j
     det = GaussianRational.of(1) if matrix.exact else 1.0 + 0j
     for col in range(n):
         if matrix.exact:
-            piv = next((r for r in range(col, n) if a[r][col] != zero), col)
+            piv = next((r for r in range(col, n) if a[r][col]), col)
         else:
             piv = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if a[piv][col] == zero:
-            return zero
+        if not a[piv][col]:
+            return det - det  # zero, in det's type
         if piv != col:
             a[piv], a[col] = a[col], a[piv]
             det = -det
         det = det * a[col][col]
         for r in range(col + 1, n):
-            if a[r][col] != zero:
+            if a[r][col]:
                 f = a[r][col] / a[col][col]
                 for c in range(col, n):
                     a[r][c] = a[r][c] - f * a[col][c]
     return det
 
 
-def bipartite_pfaffian(matrix: SkewMatrix, k: Optional[int] = None) -> Scalar:
-    """Pfaffian of a block matrix [[0, M], [-M^T, 0]] via det(M).
-
-    ``k`` is the size of the first colour class (defaults to n/2).
-    """
+def bipartite_pfaffian(matrix: SkewMatrix) -> Scalar:
+    """Pfaffian of a block matrix [[0, M], [-M^T, 0]] with n/2 x n/2 blocks,
+    via det(M)."""
     n = matrix.dimension
     if n % 2:
         raise OddDimension(f"dimension {n} is odd")
-    k = n // 2 if k is None else k
-    if k != n - k:
-        raise NotBlockForm("colour classes must have equal size")
-
-    def iszero(x: Scalar) -> bool:
-        return x.is_zero() if matrix.exact else abs(x) == 0.0
-
+    k = n // 2
     for lo, name in ((0, "first"), (k, "second")):
-        if not all(iszero(matrix[i, j]) for i in range(lo, lo + k) for j in range(lo, lo + k)):
+        if any(matrix[i, j] for i in range(lo, lo + k) for j in range(lo, lo + k)):
             raise NotBlockForm(f"nonzero entry inside the {name} colour block")
     mrows = tuple(tuple(matrix[i, k + j] for j in range(k)) for i in range(k))
     det = determinant(SkewMatrix(mrows, matrix.exact))

@@ -361,6 +361,18 @@ def test_cli_no_matching_prints_zero(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "0"
 
 
+def test_cli_odd_map_above_the_oracle_bound(tmp_path, capsys):
+    # 37 vertices: no matching, so the oracle reads Z = 0 without a search
+    path = tmp_path / "strip.graph"
+    assert main(["gen", "--surface", "planar", "--size", "1x37", "--out", str(path)]) == 0
+    assert main(["oracle", str(path)]) == 0
+    assert capsys.readouterr().out == "Z = 0 (0 matchings)\n"
+    assert main(["partition", "--method", "oracle", str(path)]) == 0
+    assert capsys.readouterr().out == "0\n"
+    assert main(["invariants", str(path)]) == 2
+    assert "no perfect matching" in capsys.readouterr().err
+
+
 def test_cli_invariants_without_a_matching_exit_2(tmp_path, capsys):
     # the invariants are read off a reference matching, which a star with
     # three leaves lacks

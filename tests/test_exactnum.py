@@ -1,0 +1,24 @@
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+from pfdimers.exactnum import GaussianRational
+
+
+def _random_part(rng):
+    return Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+
+
+def test_real_imag_and_truthiness_read_like_complex():
+    rng = random.Random(11)
+    # zero, pure imaginaries and a pure real first
+    zs = [GaussianRational.of(*z) for z in ((0, 0), (0, 3), (0, Fraction(-1, 2)),
+                                            (Fraction(2, 3), 0))]
+    zs += [GaussianRational(_random_part(rng), _random_part(rng)) for _ in range(200)]
+    for z in zs:
+        c = z.to_complex()
+        assert (z.real, z.imag) == (z.re, z.im)
+        assert (float(z.real), float(z.imag)) == (c.real, c.imag)
+        assert bool(z) == bool(c) == (not z.is_zero())
+    assert not GaussianRational.of(0) and GaussianRational.of(0, 1)

@@ -100,6 +100,14 @@ def test_too_large():
         partition_bruteforce(m, max_vertices=36)
 
 
+def test_odd_map_above_the_bound_has_no_matching():
+    # parity is read before the bound: an odd map has no matching at any size
+    strip = lattice(1, 37, "planar").map
+    assert find_matching(strip) is None
+    assert partition_bruteforce(strip) == 0
+    assert count_matchings(strip) == 0
+
+
 def test_sphere_single_bucket(sphere_square):
     from pfdimers.homology import basis_from_cycles
 

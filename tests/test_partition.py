@@ -38,7 +38,7 @@ from pfdimers import (
     partition_orientable_practical,
     partition_orientable_spin,
 )
-from pfdimers.exactnum import GR_ONE, GaussianRational, rational_str
+from pfdimers.exactnum import GaussianRational, i_power, rational_str
 from pfdimers.generators import random_lattice, random_map
 from pfdimers.homology import (
     chain_from_edges,
@@ -1037,12 +1037,59 @@ def test_kept_data_is_isolated_by_backend_basis_omega_and_k(monkeypatch, backend
         assert calls == []
         # and by K, which the practical routes normalise along their companions
         K, flips = construct_kasteleyn(m), inst.basis.dual_cochains
-        args = ([0] * 2 ** len(flips), GR_ONE, 1, backend)
+        args = ([0] * 2 ** len(flips), 0, backend)
         for Kc in (K, K.flipped(flips[0])):
             calls.clear()
             pfs = _class_sum(m, Kc, flips, *args)[2]
             assert len(calls) == 2 ** len(flips)
             assert pfs == _class_sum(_fresh(m), Kc, flips, *args)[2]
+
+
+def _reference_class_sum(pfs, eighths, root2s):
+    """The class sum in Gaussian rationals, as factor * sum_xi i^k_xi * pf_xi
+    / divisor with factor (1+i)^o: the per-route factor arithmetic the weight
+    rule replaced.  Float Pfaffians enter with their exact values."""
+    o = root2s % 2
+    total = GaussianRational.of(0)
+    for e, pf in zip(eighths, pfs):
+        total = total + i_power((e - o) // 2) * GaussianRational.of(
+            Fraction(pf.real), Fraction(pf.imag))
+    return (GaussianRational.of(1, o) * total).scale(Fraction(1, 2 ** ((root2s + o) // 2)))
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("surface, size", [("klein_hexagon", (4, 4)), ("rp2", (3, 4)),
+                                           ("torus", (2, 6))])
+def test_class_sum_is_the_eighth_turn_weight_rule(backend, surface, size):
+    rng = random.Random(23)
+    inst = lattice(*size, surface)
+    m, om = inst.map, inst.map.twist_bits()
+    K, flips = construct_kasteleyn(m, om), inst.basis.dual_cochains
+    for _ in range(40):
+        root2s = rng.randint(-1, 6)
+        eighths = [root2s % 2 + 2 * rng.randint(-6, 6) for _ in range(2 ** len(flips))]
+        re, im, pfs = _class_sum(m, K, flips, eighths, root2s, backend, om)
+        ref = _reference_class_sum(pfs, eighths, root2s)
+        if backend == "exact":
+            assert (re, im) == (ref.re, ref.im)
+        else:
+            scale = 1 + sum(abs(pf) for pf in pfs)
+            assert abs(complex(re, im) - ref.to_complex()) <= 1e-12 * scale
+
+
+def test_companion_basis_is_built_once_per_map(monkeypatch):
+    homology = sys.modules["pfdimers.homology"]
+    build, builds = homology._basis_of_cycles, []
+    monkeypatch.setattr(homology, "_basis_of_cycles",
+                        lambda m, cycles: builds.append(cycles) or build(m, cycles))
+    for surface in ("torus", "klein_hexagon", "rp2"):
+        buf = io.StringIO()
+        graphfile.dump(lattice(6, 6, surface), buf)
+        buf.seek(0)
+        builds.clear()
+        inst = graphfile.load(buf)
+        r = partition(inst.map, "auto", curves=inst.curves, basis=inst.basis)
+        assert (r.method, len(builds)) == ("practical", 1), surface
 
 
 def test_equal_maps_do_not_share_kept_data(monkeypatch):
