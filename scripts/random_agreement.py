@@ -23,8 +23,14 @@ C's left push-off and carrying C or its reverse, by a coin from the seeded
 generator, as its companion; and again on those curves in a seeded shuffled
 order, with ``cycle_basis`` passed as the basis.  On lattices with two or
 more curves the practical route also runs on the curves reversed, with the
-lattice's basis passed.  Exits nonzero on the first disagreement or
-violation, naming the map, the route and the backend.
+lattice's basis passed.  Spin runs on the map it is given, twisted or not:
+on every orientable map with twists, and on a copy of every other
+orientable map with the charts of a seeded random vertex set reversed
+(``flip_charts``), spin and pin run again, and so does spin with that map's
+``cycle_basis`` passed in a seeded shuffled order.  The vertex sets and
+orders come from a second generator, so the maps drawn do not depend on
+them.  Exits nonzero on the first disagreement or violation, naming the
+map, the route and the backend.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from pfdimers import (  # noqa: E402
     TransverseCurve,
+    basis_from_cycles,
     classify,
     cycle_basis,
     partition_bruteforce,
@@ -57,6 +64,7 @@ from pfdimers.homology import (  # noqa: E402
     is_cocycle,
     reverse_walk,
 )
+from pfdimers.surface_graph import flip_charts  # noqa: E402
 
 FLOAT_REL_TOL = 1e-9
 
@@ -79,7 +87,7 @@ def main() -> int:
     ap.add_argument("--trials", type=int, default=200)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
-    rng = random.Random(args.seed)
+    rng, side = random.Random(args.seed), random.Random(args.seed)
     t0 = time.perf_counter()
 
     for trial in range(args.trials):
@@ -119,6 +127,19 @@ def main() -> int:
                 routes["practical on shuffled basis-cycle curves"] = \
                     lambda g, b: partition_orientable_practical(
                         g, curves=shuffled, basis=own, backend=b)
+            flipped = [] if m.twist_bits() else \
+                [v for v in range(m.vertex_count) if side.random() < 0.5]
+            twisted_copy = flip_charts(m, flipped)
+            if twisted_copy.twist_bits():
+                cycles = cycle_basis(twisted_copy).cycles
+                reordered = basis_from_cycles(twisted_copy, side.sample(cycles, len(cycles)))
+                routes["spin with twists"] = lambda g, b: partition_orientable_spin(
+                    flip_charts(g, flipped), backend=b)
+                routes["spin with twists on a shuffled cycle basis"] = \
+                    lambda g, b: partition_orientable_spin(
+                        flip_charts(g, flipped), basis=reordered, backend=b)
+                routes["pin with twists"] = lambda g, b: partition_general_pin(
+                    flip_charts(g, flipped), backend=b)
         if len(curves) >= 2:
             routes["practical on reversed curves"] = lambda g, b: practical(
                 g, curves=curves[::-1], basis=basis, backend=b)

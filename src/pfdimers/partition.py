@@ -13,8 +13,8 @@ build the faces (``m.faces``), a homology basis and K once.
 ``_enhanced_sum`` carries the pin and spin formulas.  The pin route weights
 class xi by exp(i*pi*beta/4) * eps_xi * i^(-omega(D0)) with beta the Brown
 invariant of its enhancement and divides by 2^(b1/2); the spin route is the
-same sum on an untwisted orientable map at omega = 0 with beta = 4 * Arf.
-Both take one O(b1^3) split per route plus the shift law
+same sum at omega = 0 with beta = 4 * Arf on the orientable map as given,
+twists and all.  Both take one O(b1^3) split per route plus the shift law
 (``shifted_browns``) for the betas.  So e_xi = beta + 4 [eps_xi < 0] -
 2 omega(D0) and s = b1: the Brown invariant of a nondegenerate Z4-valued
 form has the parity of its rank (Brown 1972; Kirby and Taylor 1990).
@@ -38,11 +38,11 @@ alone.  So e_xi = 4 (intersecting basis pairs) - 2 [unprimed, even chi] -
 
 A route reads what it derives from the map alone through ``kept``: D0, the
 cycle basis, the basis that each set of cycles gives, K per omega, the
-untwisted copy, and the class Pfaffians keyed by K, the flips, omega (None
-on the practical routes, which keep theirs apart) and the backend.  So a
-second route on the map reuses them, and on an untwisted orientable map
-spin, pin at omega = 0, takes pin's Pfaffians: what checks one against the
-other there is the Arf-vs-Brown weighting and the oracle.
+practical routes' untwisted copy, and the class Pfaffians keyed by K, the
+flips, omega (None on the practical routes) and the backend.  So spin and
+pin share D0, basis and faces on every orientable map, and on an untwisted
+one spin takes pin's Pfaffians: there only the Arf-vs-Brown weighting and
+the oracle check one against the other.
 """
 
 from __future__ import annotations
@@ -223,17 +223,14 @@ def _class_sum(m: CombinatorialMap, K: Orientation, flips: Sequence[int],
 
 def _enhanced_sum(m: CombinatorialMap, method: str, omega: int,
                   D0: Optional[int], basis: Optional[HomologyBasis], backend: str,
-                  invariant: Callable[[QuadraticEnhancement], int],
-                  home: Optional[CombinatorialMap] = None) -> PartitionResult:
+                  invariant: Callable[[QuadraticEnhancement], int]) -> PartitionResult:
     """2^(-b1/2) * i^(-omega(D0)) * sum over classes xi of
-    exp(i*pi*invariant(q_xi)/4) * eps_xi * Pf(A^{K_xi}).  Without a D0, the
-    one kept on ``home`` (a map with m's edges; m itself by default)."""
+    exp(i*pi*invariant(q_xi)/4) * eps_xi * Pf(A^{K_xi}) for an omega that
+    represents w1 on m, with m's kept D0 when none is given."""
     exact = _exact(backend)
-    if m.vertex_count % 2:
-        return _zero(method, exact)
     if D0 is None:
-        D0 = kept(home or m, "D0", find_matching)
-    if D0 is None:
+        D0 = kept(m, "D0", find_matching)
+    if m.vertex_count % 2 or D0 is None:
         return _zero(method, exact)
     basis = _basis(m, basis)
     b1 = basis.rank
@@ -339,6 +336,9 @@ def partition_orientable_practical(m: CombinatorialMap, *,
     if not is_orientable(m):
         raise WrongSurfaceType("map is not orientable")
     if m.twist_bits():
+        # at omega = 0 on m itself, with m's push-offs as flips, this formula gave wrong Z
+        if basis is not None:
+            _basis(m, basis)
         m, curves, basis = kept(m, "untwist", untwist), None, None
     return _practical(m, curves, basis, backend)
 
@@ -348,13 +348,10 @@ def partition_orientable_spin(m: CombinatorialMap, *,
                               basis: Optional[HomologyBasis] = None,
                               backend: str = "exact") -> PartitionResult:
     """Arf-invariant-signed sum over orientation classes: the pin sum of the
-    untwisted map at omega = 0, with beta = 4 * Arf."""
+    map as given at omega = 0, with beta = 4 * Arf."""
     if not is_orientable(m):
         raise WrongSurfaceType("map is not orientable")
-    home = m
-    if m.twist_bits():
-        m, basis = kept(m, "untwist", untwist), None
-    return _enhanced_sum(m, "spin", 0, D0, basis, backend, lambda q: 4 * arf(q), home)
+    return _enhanced_sum(m, "spin", 0, D0, basis, backend, lambda q: 4 * arf(q))
 
 
 def partition_general_pin(m: CombinatorialMap, *,

@@ -107,6 +107,24 @@ def test_cli_gen_partition_pipeline(tmp_path):
     assert any(k.startswith("pf.") for k in kv)
 
 
+def test_cli_warnings_print_without_their_source_line(tmp_path):
+    # the float (+,+) torus class is singular by design; its warning reads
+    # alike whatever the install path and the line that raised it
+    import warnings
+
+    path = tmp_path / "torus.graph"
+    assert main(["gen", "--surface", "torus", "--size", "4x4", "--out", str(path)]) == 0
+    shown = warnings.showwarning
+    out = subprocess.run(
+        [sys.executable, "-m", "pfdimers.cli", "partition", str(path),
+         "--backend", "float", "--format", "kv"],
+        capture_output=True, text=True)
+    assert (out.returncode, out.stdout.splitlines()[0]) == (0, "Z 271.99999999999994")
+    assert out.stderr == "IllConditionedWarning: pivot below conditioning threshold\n"
+    assert main(["verify", str(path), "--backend", "float"]) == 0
+    assert warnings.showwarning is shown  # library calls keep the default display
+
+
 def test_cli_pipe_stdin(tmp_path):
     gen = subprocess.run(
         [sys.executable, "-m", "pfdimers.cli", "gen", "--surface", "torus",
@@ -456,8 +474,8 @@ def _tree_with_three_leaves():
 @pytest.mark.parametrize("backend", ["exact", "float"])
 def test_cli_verify_max_vertices_on_a_map_without_a_matching(tmp_path, capsys, backend):
     # the bounded search's "no matching" is kept on the map, so pin and spin
-    # give Z = 0 instead of searching again under the default bound; a
-    # twisted copy runs spin on its untwisted copy with the same answer
+    # give Z = 0 instead of searching again under the default bound, on a
+    # twisted copy too
     from pfdimers.generators import LatticeInstance
     from pfdimers.surface_graph import flip_charts
 
@@ -480,8 +498,8 @@ def test_cli_verify_max_vertices_on_a_map_without_a_matching(tmp_path, capsys, b
 
 @pytest.mark.parametrize("backend", ["exact", "float"])
 def test_cli_verify_max_vertices_on_a_twisted_orientable_map(tmp_path, capsys, backend):
-    # spin runs on the untwisted copy, with the reference matching of the
-    # twisted map (they share their edges) from the search under --max-vertices
+    # spin runs on the twisted map itself, with the reference matching kept
+    # there by the search under --max-vertices
     from dataclasses import replace
 
     from pfdimers.surface_graph import flip_charts

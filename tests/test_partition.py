@@ -41,6 +41,7 @@ from pfdimers import (
 from pfdimers.exactnum import GaussianRational, i_power, rational_str
 from pfdimers.generators import random_lattice, random_map
 from pfdimers.homology import (
+    basis_from_cycles,
     chain_from_edges,
     crossing_cochain,
     cycle_basis,
@@ -79,6 +80,39 @@ def test_spin_is_pin_on_untwisted_orientable_maps():
     for m in maps:
         spin = partition_orientable_spin(m)
         pin = partition_general_pin(m)
+        assert (spin.value, spin.terms) == (pin.value, pin.terms)
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_spin_is_pin_at_omega_zero_on_twisted_orientable_maps(backend):
+    # spin runs on the map it is given, at omega = 0, whose chart swaps are
+    # the coboundary preimage of the twist cochain; so it is pin at omega = 0
+    # class by class, and both equal the oracle
+    maps = _random_orientable_maps(twisted=True, count=40, seed=17)
+    assert any(classify(m).b1 >= 4 for m in maps)
+    for m in maps:
+        z = partition_bruteforce(m)
+        spin = partition_orientable_spin(m, backend=backend)
+        at_zero = partition_general_pin(m, omega=0, backend=backend)
+        assert (spin.value, spin.terms) == (at_zero.value, at_zero.terms)
+        for r in (spin, partition_general_pin(m, backend=backend)):
+            if backend == "exact":
+                assert r.value == z
+            else:
+                assert abs(r.value - z) <= 1e-9 * z
+
+
+def test_spin_takes_a_basis_built_on_the_twisted_map():
+    # the classes follow the basis passed; an untwisted copy took its own
+    cases = [(flip_charts(lattice(4, 4, "torus").map, [0, 5, 6]), 272),
+             (flip_charts(lattice(6, 6, "torus").map, [1]), 90176)]
+    cases += [(m, partition_bruteforce(m))
+              for m in _random_orientable_maps(twisted=True, count=6, seed=19)]
+    for m, z in cases:
+        basis = basis_from_cycles(m, cycle_basis(m).cycles[::-1])
+        spin = partition_orientable_spin(m, basis=basis)
+        assert spin.value == z
+        pin = partition_general_pin(m, omega=0, basis=basis)
         assert (spin.value, spin.terms) == (pin.value, pin.terms)
 
 
@@ -639,6 +673,18 @@ def test_basis_of_another_map_rejected(other, method):
         partition(m, method, basis=lattice(*other).basis)
 
 
+@pytest.mark.parametrize("method", ["practical", "auto", "pin", "spin"])
+@pytest.mark.parametrize("size", [4, 6])
+@pytest.mark.parametrize("flipped", [[0, 5, 6], [0, 2, 3, 7]])
+def test_basis_of_the_unflipped_map_rejected(flipped, size, method):
+    # the torus's basis walks the charts that flip_charts reversed; spin and
+    # practical ran on an untwisted copy and dropped it without a word
+    inst = lattice(size, size, "torus")
+    with pytest.raises(ValueError, match="basis does not belong to this map"):
+        partition(flip_charts(inst.map, flipped), method, curves=inst.curves,
+                  basis=inst.basis)
+
+
 @pytest.mark.parametrize("method", ["practical", "auto"])
 @pytest.mark.parametrize("surface, rows, cols", [
     ("torus", 8, 9), ("klein_hexagon", 8, 8), ("torus", 4, 5), ("klein_hexagon", 4, 4)])
@@ -1129,6 +1175,16 @@ def test_bfs_and_untwist_run_once_per_map(monkeypatch, backend):
     assert {id(torus.map), id(twisted)} <= {id(m) for m in bfs_calls}
     assert len({id(m) for m in bfs_calls}) == len(bfs_calls)
     assert [id(m) for m in untwist_calls] == [id(twisted)]
+
+
+def test_spin_and_pin_never_untwist(monkeypatch):
+    route_module = sys.modules["pfdimers.partition"]
+    untwisted, calls = route_module.untwist, []
+    monkeypatch.setattr(route_module, "untwist", lambda m: calls.append(m) or untwisted(m))
+    m = _random_orientable_maps(twisted=True, count=1, seed=23)[0]
+    for method, want in (("spin", 0), ("pin", 0), ("auto", 1)):
+        partition(m, method)
+        assert len(calls) == want, method
 
 
 @pytest.mark.parametrize("call, message", [
