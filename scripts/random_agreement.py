@@ -29,8 +29,13 @@ orientable map with the charts of a seeded random vertex set reversed
 (``flip_charts``), spin and pin run again, and so does spin with that map's
 ``cycle_basis`` passed in a seeded shuffled order.  The vertex sets and
 orders come from a second generator, so the maps drawn do not depend on
-them.  Exits nonzero on the first disagreement or violation, naming the
-map, the route and the backend.
+them.  Every random map (b1 up to 7-8, unit weights) is also rebuilt with
+rational weights from that second generator, and pin, and spin if it is
+orientable, must give that copy's oracle value: its exact class
+Pfaffians are Gaussian integers over a scale L^(n/2), L the least common
+denominator of the weights, which is almost always above 1 there.  Exits
+nonzero on the first disagreement or violation, naming the map, the route
+and the backend.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from pfdimers import (  # noqa: E402
     TransverseCurve,
     basis_from_cycles,
+    build_map,
     classify,
     cycle_basis,
     partition_bruteforce,
@@ -55,7 +61,7 @@ from pfdimers import (  # noqa: E402
     partition_orientable_spin,
     relabel,
 )
-from pfdimers.generators import random_lattice, random_map  # noqa: E402
+from pfdimers.generators import random_lattice, random_map, random_weights  # noqa: E402
 from pfdimers.homology import (  # noqa: E402
     Gf2Span,
     chain_from_edges,
@@ -163,6 +169,23 @@ def main() -> int:
                     results["spin"].terms != results["pin"].terms:
                 print(f"TERMS DIFFER at {where}: pin and spin ({backend})")
                 return 1
+        if trial % 2:
+            # rational weights: exact class Pfaffians over a scale L^(n/2) > 1
+            rational = build_map(m.vertex_count, m.rotations, [(e.u, e.v) for e in m.edges],
+                                 [e.twist for e in m.edges],
+                                 random_weights(side, m.edge_count, max_num=9))
+            z_rational = partition_bruteforce(rational)
+            weighted_routes = {"pin": partition_general_pin}
+            if orientable:
+                weighted_routes["spin"] = partition_orientable_spin
+            for name, route in weighted_routes.items():
+                for backend in ("exact", "float"):
+                    value = route(rational, backend=backend).value
+                    tol = 0 if backend == "exact" else FLOAT_REL_TOL * z_rational
+                    if abs(value - z_rational) > tol:
+                        print(f"DISAGREEMENT at {where}: {name} on rational weights "
+                              f"({backend}) = {value}, oracle = {z_rational}")
+                        return 1
     print(f"{args.trials} trials agree exactly (float backend within "
           f"{FLOAT_REL_TOL:g} relative)  [{time.perf_counter() - t0:.1f}s]")
     return 0

@@ -25,8 +25,8 @@ def rational_str(q: Rational) -> str:
 
 @dataclass(frozen=True)
 class GaussianRational:
-    re: Fraction
-    im: Fraction
+    re: Rational  # int parts for the Gaussian integers of a route's classes
+    im: Rational
 
     @staticmethod
     def of(re: Rational = 0, im: Rational = 0) -> "GaussianRational":

@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import OddVertexCount, TooLarge
 from .homology import coboundary_preimage, is_coboundary, parity
-from .surface_graph import CombinatorialMap
+from .surface_graph import CombinatorialMap, kept
 
 EXHAUSTIVE_EDGE_BOUND = 20
 
@@ -62,12 +62,12 @@ def _omega_flip_set(m: CombinatorialMap, omega: Optional[int]) -> frozenset:
 
     ``omega`` must differ from the twist cochain by a vertex coboundary (both
     then represent the first Stiefel-Whitney class); the returned set is the
-    flip support, empty when omega is None or the twist cochain itself.
+    flip support, kept per omega, empty when omega is None or the twist cochain.
     """
     tw = m.twist_bits()
     if omega is None or omega == tw:
         return frozenset()
-    s = coboundary_preimage(m, omega ^ tw)
+    s = kept(m, ("swap", omega), coboundary_preimage, omega ^ tw)
     if s is None:
         raise ValueError("omega does not represent the first Stiefel-Whitney class")
     return frozenset(s)

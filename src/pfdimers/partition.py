@@ -6,9 +6,11 @@ every weight is an eighth root of unity over a power of sqrt(2),
 w_xi = exp(i*pi*e_xi/4) / sqrt(2)^s with every e_xi = s (mod 2).  With
 o = s mod 2 that is i^((e_xi-o)/2) * (1+i)^o / 2^((s+o)/2), so
 ``_class_sum``, the one weight rule, sums the class Pfaffians in class order
-into four buckets by the power of i, turns each by its power, then applies
-(1+i)^o and the power of two, in the backend's own scalars.  Both skeletons
-build the faces (``m.faces``), a homology basis and K once.
+into four buckets by the power of i, turns each by its power, applies
+(1+i)^o and divides once.  Exact class Pfaffians are Gaussian integers
+L^(n/2) Pf(A^{K_xi}), L the weights' least common denominator: integer
+buckets, one division, by L^(n/2) * 2^((s+o)/2).  Both skeletons build the
+faces (``m.faces``), a homology basis and K once.
 
 ``_enhanced_sum`` carries the pin and spin formulas.  The pin route weights
 class xi by exp(i*pi*beta/4) * eps_xi * i^(-omega(D0)) with beta the Brown
@@ -39,10 +41,10 @@ alone.  So e_xi = 4 (intersecting basis pairs) - 2 [unprimed, even chi] -
 A route reads what it derives from the map alone through ``kept``: D0, the
 cycle basis, the basis that each set of cycles gives, K per omega, the
 practical routes' untwisted copy, and the class Pfaffians keyed by K, the
-flips, omega (None on the practical routes) and the backend.  So spin and
-pin share D0, basis and faces on every orientable map, and on an untwisted
-one spin takes pin's Pfaffians: there only the Arf-vs-Brown weighting and
-the oracle check one against the other.
+flips, omega (None on the practical routes) and the backend, with their
+scale beside them.  So spin and pin share D0, basis and faces on every
+orientable map, and on an untwisted one spin takes pin's Pfaffians: there
+only the Arf-vs-Brown weighting and the oracle check one against the other.
 """
 
 from __future__ import annotations
@@ -114,7 +116,7 @@ class PartitionResult:
 
 
 def _eps_label(idx: int, width: int) -> str:
-    return "".join(str((idx >> i) & 1) for i in range(width)) or "0"
+    return format(idx, f"0{width}b")[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -193,19 +195,26 @@ def _zero(method: str, exact: bool) -> PartitionResult:
     return PartitionResult(Fraction(0) if exact else 0.0, method, exact)
 
 
-def _labelled(pfs: Sequence, width: int) -> List[Tuple[str, str]]:
-    return [(_eps_label(idx, width), str(pf)) for idx, pf in enumerate(pfs)]
+def _labelled(pfs: Sequence, width: int, scale: int) -> List[Tuple[str, str]]:
+    return [(_eps_label(idx, width), str(pf if scale == 1 else pf.scale(Fraction(1, scale))))
+            for idx, pf in enumerate(pfs)]
 
 
 def _class_sum(m: CombinatorialMap, K: Orientation, flips: Sequence[int],
                eighths: Sequence[int], root2s: int, backend: str,
-               omega: Optional[int] = None) -> Tuple[Number, Number, list]:
+               omega: Optional[int] = None) -> Tuple[Number, Number, tuple, int]:
     """Real and imaginary parts of sum_xi exp(i*pi*eighths[xi]/4) *
     Pf(A^{K_xi}) / sqrt(2)^root2s over the classes of K flipped by subset sums
-    of ``flips``, in ``enumerate_classes`` order, and the class Pfaffians.
-    Every eighths[xi] has the parity of root2s (the module docstring)."""
-    pfs = kept(m, ("pfaffians", K.bits, tuple(flips), omega, backend), lambda m: tuple(
-        pfaffian(c) for c in _class_matrices(m, K, flips, backend, omega)))
+    of ``flips``, in ``enumerate_classes`` order, the class Pfaffians times
+    ``scale`` (``pfaffian``), and ``scale``; each eighths[xi] = root2s mod 2."""
+    key = (K.bits, tuple(flips), omega, backend)
+
+    def pfaffians(m: CombinatorialMap) -> tuple:  # their scale is kept beside them
+        classes = _class_matrices(m, K, flips, backend, omega)
+        kept(m, ("scale",) + key, lambda m: classes[0].scale)
+        return tuple(pfaffian(c) for c in classes)
+
+    pfs, scale = kept(m, ("pfaffians",) + key, pfaffians), kept(m, ("scale",) + key, pfaffians)
     assert all((e - root2s) % 2 == 0 for e in eighths), "weight off the parity of root2s"
     o = root2s % 2
     re, im = [0] * 4, [0] * 4  # the bucket sums by the power of i
@@ -217,8 +226,8 @@ def _class_sum(m: CombinatorialMap, K: Orientation, flips: Sequence[int],
     y = (im[0] - im[2]) + (re[1] - re[3])
     if o:  # times 1 + i
         x, y = x - y, x + y
-    scale = 2 ** ((root2s + o) // 2)
-    return x / scale, y / scale, pfs
+    d = Fraction(scale * 2 ** ((root2s + o) // 2))  # float buckets divide by float(d)
+    return x / d, y / d, pfs, scale
 
 
 def _enhanced_sum(m: CombinatorialMap, method: str, omega: int,
@@ -228,11 +237,12 @@ def _enhanced_sum(m: CombinatorialMap, method: str, omega: int,
     exp(i*pi*invariant(q_xi)/4) * eps_xi * Pf(A^{K_xi}) for an omega that
     represents w1 on m, with m's kept D0 when none is given."""
     exact = _exact(backend)
-    if D0 is None:
-        D0 = kept(m, "D0", find_matching)
-    if m.vertex_count % 2 or D0 is None:
+    if m.vertex_count % 2:
         return _zero(method, exact)
-    basis = _basis(m, basis)
+    basis = _basis(m, basis)  # checked first: D0's search may exceed its bound
+    D0 = kept(m, "D0", find_matching) if D0 is None else D0
+    if D0 is None:
+        return _zero(method, exact)
     b1 = basis.rank
     K = kept(m, ("K", omega), construct_kasteleyn, omega)
     q0 = basis_enhancement(m, K, D0, basis, omega)
@@ -249,13 +259,13 @@ def _enhanced_sum(m: CombinatorialMap, method: str, omega: int,
     # Weights as in the module docstring, with eps_xi = exp(i*pi*4[eps_xi < 0]/4).
     turn = 2 * dotcount(omega, D0)
     eighths = [beta + 4 * (neg ^ parity(idx & odd)) - turn for idx, beta in enumerate(betas)]
-    re, im, pfs = _class_sum(m, K, basis.dual_cochains, eighths, b1, backend, omega)
+    re, im, pfs, scale = _class_sum(m, K, basis.dual_cochains, eighths, b1, backend, omega)
     tol = 0 if exact else 1e-9 * (1 + abs(complex(re, im)))
     if abs(im) > tol:
         raise NonRealResult(f"{method} sum is not real: {re} + {im}i")
     if re < -tol:
         raise NonRealResult(f"negative {method} sum {re}")
-    return PartitionResult(abs(re), method, exact, tuple(_labelled(pfs, b1)))
+    return PartitionResult(abs(re), method, exact, tuple(_labelled(pfs, b1, scale)))
 
 
 def _practical(m: CombinatorialMap, curves: Optional[Sequence[TransverseCurve]],
@@ -314,12 +324,12 @@ def _practical(m: CombinatorialMap, curves: Optional[Sequence[TransverseCurve]],
     later = [sum(basis.gram[i][j] << j for j in range(i + 1, r)) for i in range(r)]
     eighths = [4 * sum((idx & later[i]).bit_count() for i in range(r) if (idx >> i) & 1)
                - 2 * primed * (idx < n) - odd_chi for idx in range(n << primed)]
-    re, _, pfs = _class_sum(m, K, flips, eighths, r - odd_chi, backend)
+    re, _, pfs, scale = _class_sum(m, K, flips, eighths, r - odd_chi, backend)
     if surface.orientable and any(pf.imag for pf in pfs):
         raise NonRealResult("orientable Pfaffian has an imaginary part")
-    terms = _labelled(pfs[:n], r)
+    terms = _labelled(pfs[:n], r, scale)
     if primed:
-        primes = [(label + "'", pf) for label, pf in _labelled(pfs[n:], r)]
+        primes = [(label + "'", pf) for label, pf in _labelled(pfs[n:], r, scale)]
         terms = [t for pair in zip(primes, terms) for t in pair]
     return PartitionResult(abs(re), "practical", exact, tuple(terms))
 

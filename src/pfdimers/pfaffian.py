@@ -45,11 +45,11 @@ elimination mod p with any nonzero pivot gives X + sY, and the root -s
 gives X - sY (a real matrix needs only the first).  Since L*A is integral,
 every prime gives a correct residue, including primes that divide L.  The
 residues are combined by the Chinese remainder theorem until the modulus M
-exceeds 2B + 1, B the Hadamard bound on |X + iY|:
-B^4 <= prod_i sum_j |(L*A)_ij|^2, each |(L*A)_ij|^2 taken as the number of
-edges in its cell times the sum of their squared moduli, so that one B
-holds for every sign pattern.  X and Y are then the residues in
-(-M/2, M/2), and Pf(A) = (X + iY) / L^(n/2).  No step is probabilistic.
+exceeds 2B + 1, B the Hadamard bound on |X + iY|: B^4 <= prod_i sum_j
+|(L*A)_ij|^2, each |(L*A)_ij|^2 taken as the number of edges in its cell
+times the sum of their squared moduli, so one B holds for every sign pattern.
+X and Y are then the residues in (-M/2, M/2).  No step is probabilistic.  A
+route's classes stay X + iY, so that a class sum divides once, by L^(n/2).
 """
 
 from __future__ import annotations
@@ -183,12 +183,13 @@ def build_adjacency(m: CombinatorialMap, K: Orientation,
 # ---------------------------------------------------------------------------
 
 def pfaffian(matrix: Union[SkewMatrix, "_ClassMatrix"]) -> Scalar:
-    """Pfaffian by skew Gaussian elimination, O(n^3), of a ``SkewMatrix`` or
-    of one class of a prepared route."""
+    """Pfaffian by skew Gaussian elimination, O(n^3), of a ``SkewMatrix``, or
+    of one class of a prepared route times its ``scale`` (``_ClassMatrix``)."""
     if isinstance(matrix, SkewMatrix):
         edges = [(i, j, x.real, x.imag) for i, row in enumerate(matrix.entries)
                  for j, x in enumerate(row[i + 1:], i + 1) if x]
-        return _EdgeMatrix(matrix.dimension, edges, matrix.exact).pfaffian(0)
+        r = _EdgeMatrix(matrix.dimension, edges, matrix.exact)
+        return r.pfaffian(0).scale(Fraction(1, r.scale)) if matrix.exact else r.pfaffian(0)
     return matrix.route.pfaffian(matrix.flips)
 
 
@@ -202,13 +203,13 @@ def _class_matrices(m: CombinatorialMap, K: Orientation, flips: Sequence[int],
     gauge = _gauge(m, om) if om else None
     turn = (gauge[1] * n // 2 - sum(gauge[0])) % 4 if gauge else 0
     route = _EdgeMatrix(n, _map_edges(m, K, om, gauge), exact, reduce(or_, masks), turn)
-    return [_ClassMatrix(route, f, n, exact) for f in masks]
+    return [_ClassMatrix(route, f, n, exact, route.scale) for f in masks]
 
 
 class _EdgeMatrix:
     """The skew matrix of edges in parts, prepared for the Pfaffians of its
-    sign patterns times i^turn: ``pfaffian(flips)`` negates the weight of
-    edge e for every bit e of ``flips``; some pattern negates each bit of ``seam``."""
+    sign patterns times i^turn and ``scale``: ``pfaffian(flips)`` negates the
+    weight of edge e for every bit e of ``flips``; some pattern negates each bit of ``seam``."""
 
     def __init__(self, n: int, edges: Sequence[Parts], exact: bool, seam: int = 0,
                  turn: int = 0) -> None:
@@ -219,6 +220,7 @@ class _EdgeMatrix:
         position, self.end = _rcm_order(n, [(a, b) for a, b, _, _ in edges], last)
         self.sign = _perm_sign(position)
         self.exact, self.stop, self.shared, self.turn = exact, n - len(last), {}, turn
+        self.scale = 1
         cells: Dict[Tuple[int, int], int] = {}
         slots = []  # (cell, parts signed for the reordered upper triangle)
         for a, b, re, im in edges:
@@ -231,9 +233,10 @@ class _EdgeMatrix:
             self.slots = [(c, float(r), float(i)) for c, r, i in slots]
         else:
             slots = [(c, Fraction(r), Fraction(i)) for c, r, i in slots]
-            self.lcd = lcm(*{f.denominator for _, r, i in slots for f in (r, i)})
-            self.slots = [(c, r.numerator * (self.lcd // r.denominator),
-                           i.numerator * (self.lcd // i.denominator)) for c, r, i in slots]
+            lcd = lcm(*{f.denominator for _, r, i in slots for f in (r, i)})
+            self.scale = lcd ** (n // 2)
+            self.slots = [(c, r.numerator * (lcd // r.denominator),
+                           i.numerator * (lcd // i.denominator)) for c, r, i in slots]
             count = Counter(c for c, _, _ in slots)
             norms = [0] * n
             for c, r, i in self.slots:
@@ -272,9 +275,7 @@ class _EdgeMatrix:
             y += modulus * ((yp - y) * c % p)
             modulus *= p
         x, y = (v - modulus if v > modulus // 2 else v for v in (x, y))
-        x, y = ((x, y), (-y, x), (-x, -y), (y, -x))[self.turn]
-        scale = self.lcd ** (len(self.end) // 2)
-        return GaussianRational(Fraction(x, scale), Fraction(y, scale))
+        return GaussianRational(*((x, y), (-y, x), (-x, -y), (y, -x))[self.turn])
 
     def _residue(self, re: List[int], im: List[int], p: int, s: int) -> int:
         """Pf mod p with i -> s."""
@@ -318,6 +319,7 @@ class _ClassMatrix(NamedTuple):
     flips: int
     dimension: int
     exact: bool
+    scale: int  # L^(n/2), 1 on float: the class's Pfaffian is scale * Pf
 
 
 def _eliminate(a: list, end: List[int], stop: int, factor, p: int = 0,

@@ -25,6 +25,7 @@ from pfdimers import (
     build_map,
     classify,
     construct_kasteleyn,
+    enumerate_classes,
     enumerate_matchings,
     find_matching,
     graphfile,
@@ -37,9 +38,10 @@ from pfdimers import (
     partition_nonorientable_practical,
     partition_orientable_practical,
     partition_orientable_spin,
+    pfaffian,
 )
 from pfdimers.exactnum import GaussianRational, i_power, rational_str
-from pfdimers.generators import random_lattice, random_map
+from pfdimers.generators import random_lattice, random_map, random_weights
 from pfdimers.homology import (
     basis_from_cycles,
     chain_from_edges,
@@ -685,6 +687,30 @@ def test_basis_of_the_unflipped_map_rejected(flipped, size, method):
                   basis=inst.basis)
 
 
+@pytest.mark.parametrize("method", ["practical", "auto", "pin", "spin"])
+def test_basis_checked_before_the_bounded_matching_search(method):
+    # above the oracle's 36-vertex bound pin and spin searched for D0 first
+    # and raised TooLarge where practical and auto refused the basis
+    inst = lattice(8, 8, "torus")
+    with pytest.raises(ValueError, match="basis does not belong to this map"):
+        partition(flip_charts(inst.map, [0, 5, 6]), method, curves=inst.curves,
+                  basis=inst.basis)
+
+
+def test_chart_swap_set_solved_once_per_map_and_omega(monkeypatch):
+    # spin at omega = 0 on a twisted map needs it for K and for every basis cycle
+    kasteleyn = sys.modules["pfdimers.kasteleyn"]
+    solve, solves = kasteleyn.coboundary_preimage, []
+    monkeypatch.setattr(kasteleyn, "coboundary_preimage",
+                        lambda m, phi: solves.append(phi) or solve(m, phi))
+    m = flip_charts(lattice(6, 6, "torus").map, [0, 5, 6])
+    first = partition_orientable_spin(m)
+    assert first.value == 90176 and len(solves) == 1
+    solves.clear()
+    assert partition_orientable_spin(m) == first
+    assert solves == []
+
+
 @pytest.mark.parametrize("method", ["practical", "auto"])
 @pytest.mark.parametrize("surface, rows, cols", [
     ("torus", 8, 9), ("klein_hexagon", 8, 8), ("torus", 4, 5), ("klein_hexagon", 4, 4)])
@@ -1107,20 +1133,82 @@ def _reference_class_sum(pfs, eighths, root2s):
 @pytest.mark.parametrize("surface, size", [("klein_hexagon", (4, 4)), ("rp2", (3, 4)),
                                            ("torus", (2, 6))])
 def test_class_sum_is_the_eighth_turn_weight_rule(backend, surface, size):
-    rng = random.Random(23)
-    inst = lattice(*size, surface)
-    m, om = inst.map, inst.map.twist_bits()
-    K, flips = construct_kasteleyn(m, om), inst.basis.dual_cochains
-    for _ in range(40):
-        root2s = rng.randint(-1, 6)
-        eighths = [root2s % 2 + 2 * rng.randint(-6, 6) for _ in range(2 ** len(flips))]
-        re, im, pfs = _class_sum(m, K, flips, eighths, root2s, backend, om)
-        ref = _reference_class_sum(pfs, eighths, root2s)
+    # on unit and on rational weights, where exact class Pfaffians are
+    # Gaussian integers over a scale L^(n/2) > 1
+    rng, weigh = random.Random(23), random.Random(5)
+    unit = lattice(*size, surface)
+    for inst in (unit, lattice(*size, surface, weights=random_weights(
+            weigh, unit.map.edge_count, max_num=9))):
+        m, om = inst.map, inst.map.twist_bits()
+        K, flips = construct_kasteleyn(m, om), inst.basis.dual_cochains
+        for _ in range(40):
+            root2s = rng.randint(-1, 6)
+            eighths = [root2s % 2 + 2 * rng.randint(-6, 6) for _ in range(2 ** len(flips))]
+            re, im, pfs, scale = _class_sum(m, K, flips, eighths, root2s, backend, om)
+            assert (scale > 1) == (backend == "exact" and inst is not unit)
+            ref = _reference_class_sum(pfs, eighths, root2s).scale(Fraction(1, scale))
+            if backend == "exact":
+                assert (re, im) == (ref.re, ref.im)
+            else:
+                magnitude = 1 + sum(abs(pf) for pf in pfs)
+                assert abs(complex(re, im) - ref.to_complex()) <= 1e-12 * magnitude
+
+
+def _rational_high_genus_maps(count=40, seed=31):
+    """Random maps with b1 in {7, 8}, an even vertex count and a perfect
+    matching, half of them drawn without twists, rebuilt with random rational
+    weights of which at least one is not an integer, so that L > 1."""
+    rng, maps = random.Random(seed), []
+    while len(maps) < count:
+        m = random_map(rng, max_vertices=6, extra_edges=10, twisted=len(maps) % 2 == 1)
+        weights = random_weights(rng, m.edge_count, max_num=9)
+        if classify(m).b1 in (7, 8) and m.vertex_count % 2 == 0 and \
+                find_matching(m) is not None and any(w.denominator > 1 for w in weights):
+            maps.append(build_map(m.vertex_count, m.rotations, [(e.u, e.v) for e in m.edges],
+                                  [e.twist for e in m.edges], weights))
+    return maps
+
+
+def test_rational_weights_at_high_b1_give_the_oracle_exactly():
+    # the class Pfaffians are summed as Gaussian integers over L^(n/2) and
+    # divided once, with the power of two
+    orientable = 0
+    for m in _rational_high_genus_maps():
+        z = partition_bruteforce(m)
+        routes = [partition_general_pin]
+        if classify(m).orientable:
+            routes.append(partition_orientable_spin)
+            orientable += 1
+        for route in routes:
+            r = route(m)
+            assert r.value == z, route.__name__
+            fresh = route(_fresh(m))
+            assert (fresh.value, fresh.terms) == (r.value, r.terms), route.__name__
+    assert orientable >= 10
+
+
+def test_rational_class_terms_are_the_class_pfaffians():
+    # each term is Pf(A^{K_xi}) itself, not the Gaussian integer L^(n/2) Pf
+    for m in _rational_high_genus_maps(count=4):
+        om = m.twist_bits()
+        K, basis = construct_kasteleyn(m, om), cycle_basis(m)
+        want = [str(pfaffian(build_adjacency(m, Kc, om)))
+                for Kc in enumerate_classes(m, K, basis.dual_cochains)]
+        assert [pf for _, pf in partition_general_pin(m).terms] == want
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_class_pfaffians_reach_the_bucket_loop_as_gaussian_integers(backend):
+    for m in _rational_high_genus_maps(count=4):
+        om = m.twist_bits()
+        K, flips = construct_kasteleyn(m, om), cycle_basis(m).dual_cochains
+        eighths = [len(flips) % 2] * 2 ** len(flips)
+        _, _, pfs, scale = _class_sum(m, K, flips, eighths, len(flips), backend, om)
         if backend == "exact":
-            assert (re, im) == (ref.re, ref.im)
+            assert scale > 1
+            assert all(type(pf.re) is type(pf.im) is int for pf in pfs)
         else:
-            scale = 1 + sum(abs(pf) for pf in pfs)
-            assert abs(complex(re, im) - ref.to_complex()) <= 1e-12 * scale
+            assert scale == 1 and all(type(pf) is complex for pf in pfs)
 
 
 def test_companion_basis_is_built_once_per_map(monkeypatch):

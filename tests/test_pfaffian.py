@@ -682,7 +682,10 @@ def test_gauged_route_pfaffians_match_reference_builder(backend):
         want = [pfaffian(build_adjacency(m, Kc, omega, backend))
                 for Kc in enumerate_classes(m, K, flips)]
         if backend == "exact":
-            assert got == want, label
+            # Gaussian integers Pf(L*A) over the scale L^(n/2)
+            assert all(type(pf.re) is type(pf.im) is int for pf in got), label
+            assert [pf.scale(Fraction(1, cm.scale)) for pf, cm in zip(got, classes)] == want, \
+                label
         else:
             top = max(map(abs, want))
             assert all(abs(g - w) <= 1e-12 * top for g, w in zip(got, want)), label
@@ -692,6 +695,21 @@ def test_gauged_route_pfaffians_match_reference_builder(backend):
             assert c == 0, label
     assert {c for c, _ in seen} == {0, 1, None}
     assert {t for _, t in seen} >= {0, 1, 2, 3}
+
+
+def test_route_scale_is_the_weights_lcd_to_the_half_dimension():
+    # weights 1/2, 2/3, 5 and 1 have L = 6: every class of the 4x4 torus is
+    # Pf(6*A), a Gaussian integer over 6^8
+    inst = lattice(4, 4, "torus", weights=[Fraction(1, 2), Fraction(2, 3), 5, 1] * 8)
+    m, flips = inst.map, inst.basis.dual_cochains
+    K = construct_kasteleyn(m)
+    assert {c.scale for c in _class_matrices(m, K, flips, "float")} == {1}
+    classes = _class_matrices(m, K, flips, "exact")
+    assert {c.scale for c in classes} == {6 ** 8}
+    for c, Kc in zip(classes, enumerate_classes(m, K, flips)):
+        pf = pfaffian(c)
+        assert type(pf.re) is type(pf.im) is int
+        assert pf.scale(Fraction(1, 6 ** 8)) == pfaffian(build_adjacency(m, Kc))
 
 
 def test_exact_gauged_route_takes_one_residue_per_prime(monkeypatch):
