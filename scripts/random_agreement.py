@@ -13,9 +13,11 @@ backend.  It also checks the prepared homology data of every map it draws
 on every face boundary, phi_i(C_j) = delta_ij, and the intersection matrix is
 invertible over GF(2).
 A map keeps what its routes derive (reference matching, basis, Kasteleyn
-orientations, class Pfaffians), so on untwisted orientable maps spin reuses
-pin's Pfaffians.  Every route therefore also runs on its own fresh copy of
-the map (an identity ``relabel``), which keeps nothing yet, and must return
+orientations, class Pfaffians with their term strings, formatted once per
+kept route; classes whose cell values repeat share one elimination), so on
+untwisted orientable maps spin reuses pin's Pfaffians and terms.  Every
+route therefore also runs on its own fresh copy of the map (an identity
+``relabel``), which keeps nothing yet, and must return
 the same value and terms there.  On untwisted orientable maps pin and spin
 must also return identical class terms, and the practical route also runs on
 curve data: one alpha curve per ``cycle_basis`` cycle C, crossing the map on

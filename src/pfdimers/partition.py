@@ -42,9 +42,10 @@ A route reads what it derives from the map alone through ``kept``: D0, the
 cycle basis, the basis that each set of cycles gives, K per omega, the
 practical routes' untwisted copy, and the class Pfaffians keyed by K, the
 flips, omega (None on the practical routes) and the backend, with their
-scale beside them.  So spin and pin share D0, basis and faces on every
-orientable map, and on an untwisted one spin takes pin's Pfaffians: there
-only the Arf-vs-Brown weighting and the oracle check one against the other.
+scale and term strings beside them.  So spin and pin share D0, basis and
+faces on every orientable map, and on an untwisted one spin takes pin's
+Pfaffians and terms: there only the Arf-vs-Brown weighting and the oracle
+check one against the other.
 """
 
 from __future__ import annotations
@@ -195,26 +196,24 @@ def _zero(method: str, exact: bool) -> PartitionResult:
     return PartitionResult(Fraction(0) if exact else 0.0, method, exact)
 
 
-def _labelled(pfs: Sequence, width: int, scale: int) -> List[Tuple[str, str]]:
-    return [(_eps_label(idx, width), str(pf if scale == 1 else pf.scale(Fraction(1, scale))))
-            for idx, pf in enumerate(pfs)]
+def _labelled(strs: Sequence[str], width: int, mark: str = "") -> List[Tuple[str, str]]:
+    return [(_eps_label(idx, width) + mark, pf) for idx, pf in enumerate(strs)]
 
 
 def _class_sum(m: CombinatorialMap, K: Orientation, flips: Sequence[int],
                eighths: Sequence[int], root2s: int, backend: str,
-               omega: Optional[int] = None) -> Tuple[Number, Number, tuple, int]:
+               omega: Optional[int] = None) -> Tuple[Number, Number, tuple, int, tuple]:
     """Real and imaginary parts of sum_xi exp(i*pi*eighths[xi]/4) *
     Pf(A^{K_xi}) / sqrt(2)^root2s over the classes of K flipped by subset sums
     of ``flips``, in ``enumerate_classes`` order, the class Pfaffians times
-    ``scale`` (``pfaffian``), and ``scale``; each eighths[xi] = root2s mod 2."""
-    key = (K.bits, tuple(flips), omega, backend)
+    ``scale`` (``pfaffian``), ``scale`` and their strings; each eighths[xi] = root2s mod 2."""
 
-    def pfaffians(m: CombinatorialMap) -> tuple:  # their scale is kept beside them
-        classes = _class_matrices(m, K, flips, backend, omega)
-        kept(m, ("scale",) + key, lambda m: classes[0].scale)
-        return tuple(pfaffian(c) for c in classes)
+    def classes(m: CombinatorialMap) -> tuple:  # kept as one record per key
+        cms = _class_matrices(m, K, flips, backend, omega)
+        pfs, s = tuple(pfaffian(c) for c in cms), cms[0].scale
+        return pfs, s, tuple(str(pf if s == 1 else pf.scale(Fraction(1, s))) for pf in pfs)
 
-    pfs, scale = kept(m, ("pfaffians",) + key, pfaffians), kept(m, ("scale",) + key, pfaffians)
+    pfs, scale, strs = kept(m, ("classes", K.bits, tuple(flips), omega, backend), classes)
     assert all((e - root2s) % 2 == 0 for e in eighths), "weight off the parity of root2s"
     o = root2s % 2
     re, im = [0] * 4, [0] * 4  # the bucket sums by the power of i
@@ -227,7 +226,7 @@ def _class_sum(m: CombinatorialMap, K: Orientation, flips: Sequence[int],
     if o:  # times 1 + i
         x, y = x - y, x + y
     d = Fraction(scale * 2 ** ((root2s + o) // 2))  # float buckets divide by float(d)
-    return x / d, y / d, pfs, scale
+    return x / d, y / d, pfs, scale, strs
 
 
 def _enhanced_sum(m: CombinatorialMap, method: str, omega: int,
@@ -259,13 +258,13 @@ def _enhanced_sum(m: CombinatorialMap, method: str, omega: int,
     # Weights as in the module docstring, with eps_xi = exp(i*pi*4[eps_xi < 0]/4).
     turn = 2 * dotcount(omega, D0)
     eighths = [beta + 4 * (neg ^ parity(idx & odd)) - turn for idx, beta in enumerate(betas)]
-    re, im, pfs, scale = _class_sum(m, K, basis.dual_cochains, eighths, b1, backend, omega)
+    re, im, _, _, strs = _class_sum(m, K, basis.dual_cochains, eighths, b1, backend, omega)
     tol = 0 if exact else 1e-9 * (1 + abs(complex(re, im)))
     if abs(im) > tol:
         raise NonRealResult(f"{method} sum is not real: {re} + {im}i")
     if re < -tol:
         raise NonRealResult(f"negative {method} sum {re}")
-    return PartitionResult(abs(re), method, exact, tuple(_labelled(pfs, b1, scale)))
+    return PartitionResult(abs(re), method, exact, tuple(_labelled(strs, b1)))
 
 
 def _practical(m: CombinatorialMap, curves: Optional[Sequence[TransverseCurve]],
@@ -324,13 +323,12 @@ def _practical(m: CombinatorialMap, curves: Optional[Sequence[TransverseCurve]],
     later = [sum(basis.gram[i][j] << j for j in range(i + 1, r)) for i in range(r)]
     eighths = [4 * sum((idx & later[i]).bit_count() for i in range(r) if (idx >> i) & 1)
                - 2 * primed * (idx < n) - odd_chi for idx in range(n << primed)]
-    re, _, pfs, scale = _class_sum(m, K, flips, eighths, r - odd_chi, backend)
+    re, _, pfs, _, strs = _class_sum(m, K, flips, eighths, r - odd_chi, backend)
     if surface.orientable and any(pf.imag for pf in pfs):
         raise NonRealResult("orientable Pfaffian has an imaginary part")
-    terms = _labelled(pfs[:n], r, scale)
+    terms = _labelled(strs[:n], r)
     if primed:
-        primes = [(label + "'", pf) for label, pf in _labelled(pfs[n:], r, scale)]
-        terms = [t for pair in zip(primes, terms) for t in pair]
+        terms = [t for pair in zip(_labelled(strs[n:], r, "'"), terms) for t in pair]
     return PartitionResult(abs(re), "practical", exact, tuple(terms))
 
 

@@ -18,6 +18,8 @@ S, and only the cells inside S differ between classes.  So the interior is
 eliminated once per route and arithmetic without them, and each class adds
 its own to a copy of the complement and eliminates that; an interior index
 without a nonzero interior pivot drops the split, but not the order.
+Classes whose cell values repeat an earlier class's, possible only where
+parallel edges with a flipped one share a cell, share its elimination.
 
 A route twisted by omega (weight times i on each omega edge) is gauged if
 omega(e) + c = x_u + x_v (mod 2) on every edge, for vertex bits x and c in
@@ -228,7 +230,7 @@ class _EdgeMatrix:
             if i > j:
                 i, j, re, im = j, i, -re, -im
             slots.append((cells.setdefault((i, j), len(cells)), re, im))
-        self.cells = list(cells)
+        self.cells, self.memo = list(cells), {}  # memo: Pf by cell values
         if not exact:
             self.slots = [(c, float(r), float(i)) for c, r, i in slots]
         else:
@@ -253,6 +255,12 @@ class _EdgeMatrix:
             else:
                 re[c] += r
                 im[c] += i
+        key = (*re, *im)
+        if key not in self.memo:
+            self.memo[key] = self._value(re, im)
+        return self.memo[key]
+
+    def _value(self, re: list, im: list) -> Scalar:  # Pf of the pattern with these cells
         is_complex = any(im)
         if not self.exact:
             values = [complex(r, i) for r, i in zip(re, im)] if is_complex else re

@@ -51,7 +51,7 @@ from pfdimers.homology import (
     reverse_walk,
     vertex_coboundary,
 )
-from pfdimers.kasteleyn import is_kasteleyn
+from pfdimers.kasteleyn import Orientation, is_kasteleyn
 from pfdimers.partition import _class_sum, companion_cycle
 from pfdimers.surface_graph import flip_charts, relabel, untwist
 
@@ -1086,6 +1086,35 @@ def test_spin_after_pin_computes_no_class_pfaffian(monkeypatch, backend):
         assert spin.terms == pin.terms
 
 
+def test_class_terms_are_formatted_once_per_kept_route(monkeypatch):
+    exactnum = sys.modules["pfdimers.exactnum"]
+    to_str, formatted = exactnum.rational_str, []
+    monkeypatch.setattr(exactnum, "rational_str", lambda q: formatted.append(q) or to_str(q))
+    for m in [lattice(4, 4, "torus").map] + _random_orientable_maps(twisted=False, count=2):
+        pin = partition_general_pin(m)
+        assert formatted
+        formatted.clear()
+        spin = partition_orientable_spin(m)
+        assert formatted == []
+        assert spin.terms == pin.terms == partition_orientable_spin(_fresh(m)).terms
+    # the primed practical route: class idx + n is the primed class of idx,
+    # listed before it
+    inst = lattice(4, 4, "klein_hexagon")
+    m, kwargs = inst.map, dict(curves=inst.curves, basis=inst.basis)
+    first = partition(m, "practical", **kwargs)
+    formatted.clear()
+    assert partition(m, "practical", **kwargs) == first and formatted == []
+    assert first.terms == partition(_fresh(m), "practical", **kwargs).terms
+    (key,) = [k for k in m.__dict__["_kept"] if k[0] == "classes"]
+    _, bits, flips, _, _ = key
+    want = [str(pfaffian(build_adjacency(m, Kc))) for Kc in
+            enumerate_classes(m, Orientation(bits, m.edge_count), flips)]
+    n = len(want) // 2
+    labels = [format(idx, f"0{n.bit_length() - 1}b")[::-1] for idx in range(n)]
+    assert first.terms == tuple(t for idx in range(n) for t in
+                                ((labels[idx] + "'", want[n + idx]), (labels[idx], want[idx])))
+
+
 @pytest.mark.parametrize("backend", ["exact", "float"])
 def test_kept_data_is_isolated_by_backend_basis_omega_and_k(monkeypatch, backend):
     calls = _counting_pfaffians(monkeypatch)
@@ -1144,7 +1173,7 @@ def test_class_sum_is_the_eighth_turn_weight_rule(backend, surface, size):
         for _ in range(40):
             root2s = rng.randint(-1, 6)
             eighths = [root2s % 2 + 2 * rng.randint(-6, 6) for _ in range(2 ** len(flips))]
-            re, im, pfs, scale = _class_sum(m, K, flips, eighths, root2s, backend, om)
+            re, im, pfs, scale, _ = _class_sum(m, K, flips, eighths, root2s, backend, om)
             assert (scale > 1) == (backend == "exact" and inst is not unit)
             ref = _reference_class_sum(pfs, eighths, root2s).scale(Fraction(1, scale))
             if backend == "exact":
@@ -1203,7 +1232,7 @@ def test_class_pfaffians_reach_the_bucket_loop_as_gaussian_integers(backend):
         om = m.twist_bits()
         K, flips = construct_kasteleyn(m, om), cycle_basis(m).dual_cochains
         eighths = [len(flips) % 2] * 2 ** len(flips)
-        _, _, pfs, scale = _class_sum(m, K, flips, eighths, len(flips), backend, om)
+        _, _, pfs, scale, _ = _class_sum(m, K, flips, eighths, len(flips), backend, om)
         if backend == "exact":
             assert scale > 1
             assert all(type(pf.re) is type(pf.im) is int for pf in pfs)

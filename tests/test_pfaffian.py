@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,9 @@ from pfdimers import (
     canonical_orientation,
     construct_kasteleyn,
     enumerate_classes,
+    find_matching,
     lattice,
+    partition_general_pin,
     pfaffian,
     pfaffian_expansion,
 )
@@ -806,6 +809,95 @@ def test_gauge_is_not_searched_when_omega_is_zero(monkeypatch):
     inst = lattice(6, 6, "rp2")
     partition(inst.map, "practical", curves=inst.curves, basis=inst.basis)
     assert searched == [inst.map.twist_bits()]
+
+
+# ---------------------------------------------------------------------------
+# Repeated cell values: parallel edges whose flips cancel in a cell give
+# classes one matrix, eliminated once per route and arithmetic
+# ---------------------------------------------------------------------------
+
+def _cell_vector(c):
+    """The (re, im) cell values of a class, summed from its route's edges."""
+    route = c.route
+    re, im = [0] * len(route.cells), [0] * len(route.cells)
+    for e, (cell, r, i) in enumerate(route.slots):
+        sign = -1 if (c.flips >> e) & 1 else 1
+        re[cell] += sign * r
+        im[cell] += sign * i
+    return tuple(re), tuple(im)
+
+
+def _repeating_maps():
+    """Random maps on 4-6 vertices with b1 in {7, 8} and a perfect matching,
+    untwisted and twisted in turn, on which some pin classes repeat an
+    earlier class's cell values."""
+    rng, maps = random.Random(0), []
+    while len(maps) < 4:
+        twisted = len(maps) % 2 == 1
+        m = random_map(rng, max_vertices=6, extra_edges=10, twisted=twisted)
+        om, basis = m.twist_bits(), cycle_basis(m)
+        if m.vertex_count not in (4, 6) or basis.rank not in (7, 8) or \
+                bool(om) != twisted or find_matching(m) is None:
+            continue
+        classes = _class_matrices(m, construct_kasteleyn(m, omega=om), basis.dual_cochains,
+                                  "exact", om)
+        if len(set(map(_cell_vector, classes))) < len(classes):
+            maps.append(m)
+    return maps
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_repeated_cell_values_are_eliminated_once(monkeypatch, backend):
+    module, route_module = sys.modules["pfdimers.pfaffian"], sys.modules["pfdimers.partition"]
+    eliminate, pf = module._eliminate, route_module.pfaffian
+    runs, calls = [], []  # every elimination's arithmetic and input; every class
+
+    def spy(a, end, stop, factor, p=0, scale=0.0):
+        runs.append((p, repr(a), repr(factor)))
+        return eliminate(a, end, stop, factor, p, scale)
+
+    monkeypatch.setattr(module, "_eliminate", spy)
+    monkeypatch.setattr(route_module, "pfaffian",
+                        lambda c: calls.append((c, pf(c))) or calls[-1][1])
+    for m in _repeating_maps():
+        om = m.twist_bits()
+        K, flips = construct_kasteleyn(m, omega=om), cycle_basis(m).dual_cochains
+        runs.clear()
+        calls.clear()
+        partition_general_pin(m, backend=backend)
+        assert len(calls) == 2 ** len(flips)
+        route = calls[0][0].route
+        distinct = {_cell_vector(c) for c, _ in calls}
+        assert len(route.memo) == len(distinct) < len(calls)
+        memoised = list(runs)
+        assert len(set(memoised)) == len(memoised)
+        # each class gives what it gives alone on a fresh route, byte for
+        # byte, and those routes run the same eliminations, the repeated ones again
+        runs.clear()
+        for idx, (c, got) in enumerate(calls):
+            alone = _class_matrices(m, K, flips, backend, om)[idx]
+            assert alone.flips == c.flips
+            want = pfaffian(alone)
+            assert (type(got), repr(got)) == (type(want), repr(want))
+        assert set(runs) == set(memoised) and len(runs) > len(memoised)
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("surface", ["torus", "klein_hexagon", "rp2"])
+def test_lattice_classes_never_repeat(monkeypatch, surface, backend):
+    # torus and klein_hexagon lattices have no parallel edges, and no class
+    # of rp2's repeats another's cell values: every class is eliminated
+    route_module = sys.modules["pfdimers.partition"]
+    pf, routes = route_module.pfaffian, []
+    monkeypatch.setattr(route_module, "pfaffian", lambda c: routes.append(c.route) or pf(c))
+    inst = lattice(4, 4, surface)
+    for method in ("pin", "practical"):
+        routes.clear()
+        partition(inst.map, method, curves=inst.curves, basis=inst.basis, backend=backend)
+        assert len(set(map(id, routes))) == 1
+        assert len(routes[0].memo) == len(routes), method
+        shared = max(Counter(c for c, _, _ in routes[0].slots).values())
+        assert (shared > 1) == (surface == "rp2"), method
 
 
 @pytest.mark.parametrize("call, error, message", [

@@ -96,8 +96,31 @@ def test_random_agreement_names_a_map_with_corrupted_kept_pfaffians(monkeypatch,
         # spin on the same untwisted map reads them, a fresh copy does not
         res = good(m, **kwargs)
         store = m.__dict__["_kept"]
-        for key in [k for k in store if k[0] == "pfaffians"]:
-            store[key] = (-store[key][0],) + store[key][1:]
+        for key in [k for k in store if k[0] == "classes"]:
+            pfs, scale, strs = store[key]
+            store[key] = ((-pfs[0],) + pfs[1:], scale, strs)
+        return res
+
+    monkeypatch.setattr(script, "partition_general_pin", corrupting_pin)
+    monkeypatch.setattr(sys, "argv",
+                        ["random_agreement.py", "--trials", "20", "--seed", "1"])
+    assert script.main() == 1
+    assert capsys.readouterr().out.startswith(
+        "KEPT DATA DIFFERS at trial 0 (torus lattice, 8 vertices, 16 edges): spin (exact) = ")
+
+
+def test_random_agreement_names_a_map_with_corrupted_kept_terms(monkeypatch, capsys):
+    script = _load_script("random_agreement")
+    good = script.partition_general_pin
+
+    def corrupting_pin(m, **kwargs):
+        # alter the first class term string of every set pin keeps on the map;
+        # spin on the same untwisted map prints them, a fresh copy does not
+        res = good(m, **kwargs)
+        store = m.__dict__["_kept"]
+        for key in [k for k in store if k[0] == "classes"]:
+            pfs, scale, strs = store[key]
+            store[key] = (pfs, scale, ("-" + strs[0],) + strs[1:])
         return res
 
     monkeypatch.setattr(script, "partition_general_pin", corrupting_pin)
