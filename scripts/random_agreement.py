@@ -32,10 +32,13 @@ orientable map with the charts of a seeded random vertex set reversed
 ``cycle_basis`` passed in a seeded shuffled order.  The vertex sets and
 orders come from a second generator, so the maps drawn do not depend on
 them.  Every random map (b1 up to 7-8, unit weights) is also rebuilt with
-rational weights from that second generator, and pin, and spin if it is
-orientable, must give that copy's oracle value: its exact class
-Pfaffians are Gaussian integers over a scale L^(n/2), L the least common
-denominator of the weights, which is almost always above 1 there.  Exits
+weights of 40-200 bits from that second generator, integers or, by a coin,
+over denominators up to 9, and pin, and spin if it is orientable, must give
+that copy's oracle value (exactly on the exact backend).  The Hadamard bounds
+of those exact routes lie below, inside and above the range of prime widths,
+so they take one prime of the floor width, one prime sized to the bound, or
+several at the cap.  Their exact class Pfaffians are Gaussian integers over
+a scale L^(n/2), L the least common denominator of the weights.  Exits
 nonzero on the first disagreement or violation, naming the map, the route
 and the backend.
 """
@@ -46,6 +49,7 @@ import argparse
 import random
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -63,7 +67,7 @@ from pfdimers import (  # noqa: E402
     partition_orientable_spin,
     relabel,
 )
-from pfdimers.generators import random_lattice, random_map, random_weights  # noqa: E402
+from pfdimers.generators import random_lattice, random_map  # noqa: E402
 from pfdimers.homology import (  # noqa: E402
     Gf2Span,
     chain_from_edges,
@@ -172,21 +176,23 @@ def main() -> int:
                 print(f"TERMS DIFFER at {where}: pin and spin ({backend})")
                 return 1
         if trial % 2:
-            # rational weights: exact class Pfaffians over a scale L^(n/2) > 1
-            rational = build_map(m.vertex_count, m.rotations, [(e.u, e.v) for e in m.edges],
-                                 [e.twist for e in m.edges],
-                                 random_weights(side, m.edge_count, max_num=9))
-            z_rational = partition_bruteforce(rational)
+            # wide weights: exact routes below, inside and above the prime widths
+            bits, den = side.randint(40, 200), side.choice((1, 9))
+            weights = [Fraction(side.getrandbits(bits) | 1 << bits - 1, side.randint(1, den))
+                       for _ in m.edges]
+            wide = build_map(m.vertex_count, m.rotations, [(e.u, e.v) for e in m.edges],
+                             [e.twist for e in m.edges], weights)
+            z_wide = partition_bruteforce(wide)
             weighted_routes = {"pin": partition_general_pin}
             if orientable:
                 weighted_routes["spin"] = partition_orientable_spin
             for name, route in weighted_routes.items():
                 for backend in ("exact", "float"):
-                    value = route(rational, backend=backend).value
-                    tol = 0 if backend == "exact" else FLOAT_REL_TOL * z_rational
-                    if abs(value - z_rational) > tol:
-                        print(f"DISAGREEMENT at {where}: {name} on rational weights "
-                              f"({backend}) = {value}, oracle = {z_rational}")
+                    value = route(wide, backend=backend).value
+                    tol = 0 if backend == "exact" else FLOAT_REL_TOL * z_wide
+                    if abs(value - z_wide) > tol:
+                        print(f"DISAGREEMENT at {where}: {name} on wide weights "
+                              f"({backend}) = {value}, oracle = {z_wide}")
                         return 1
     print(f"{args.trials} trials agree exactly (float backend within "
           f"{FLOAT_REL_TOL:g} relative)  [{time.perf_counter() - t0:.1f}s]")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import OddVertexCount, TooLarge
-from .homology import coboundary_preimage, is_coboundary, parity
+from .homology import coboundary_preimage, is_coboundary, parity, vertex_coboundary
 from .surface_graph import CombinatorialMap, kept
 
 EXHAUSTIVE_EDGE_BOUND = 20
@@ -218,13 +218,5 @@ def omega_change(m: CombinatorialMap, omega: int, K: Orientation,
     Reverses K exactly on the edges at ``v`` carrying omega = 1; the result is
     admissible for the new cochain.
     """
-    from .homology import vertex_coboundary
-
     dv = vertex_coboundary(m, v)
-    omega2 = omega ^ dv
-    flip = 0
-    for e, edge in enumerate(m.edges):
-        if ((edge.u == v) or (edge.v == v)) and ((omega >> e) & 1):
-            if edge.u != edge.v:
-                flip |= 1 << e
-    return omega2, K.flipped(flip)
+    return omega ^ dv, K.flipped(dv & omega)

@@ -50,8 +50,11 @@ residues are combined by the Chinese remainder theorem until the modulus M
 exceeds 2B + 1, B the Hadamard bound on |X + iY|: B^4 <= prod_i sum_j
 |(L*A)_ij|^2, each |(L*A)_ij|^2 taken as the number of edges in its cell
 times the sum of their squared moduli, so one B holds for every sign pattern.
-X and Y are then the residues in (-M/2, M/2).  No step is probabilistic.  A
-route's classes stay X + iY, so that a class sum divides once, by L^(n/2).
+X and Y are then the residues in (-M/2, M/2).  A route's classes stay
+X + iY, so that a class sum divides once, by L^(n/2).  The primes are Proth
+primes k*2^m + 1 of one width per route, B's bit length + 2 (one prime then
+exceeds 2B + 1) clamped to [_FLOOR, _CAP].  A base a with a^((p-1)/2) = -1
+(mod p) proves p prime and gives s = a^((p-1)/4): no step is probabilistic.
 """
 
 from __future__ import annotations
@@ -245,6 +248,7 @@ class _EdgeMatrix:
                 for v in self.cells[c]:
                     norms[v] += count[c] * (r * r + i * i)
             self.bound = isqrt(isqrt(prod(norms)))
+            self.bits = min(max(_FLOOR, self.bound.bit_length() + 2), _CAP)
 
     def pfaffian(self, flips: int) -> Scalar:
         re, im = [0] * len(self.cells), [0] * len(self.cells)
@@ -270,7 +274,7 @@ class _EdgeMatrix:
         x = y = index = 0
         modulus = 1
         while modulus <= 2 * self.bound + 1:
-            p, s = _modulus(index)
+            p, s = _modulus(self.bits, index)
             index += 1
             if is_complex:
                 u, v = self._residue(re, im, p, s), self._residue(re, im, p, -s)
@@ -463,45 +467,39 @@ def _perm_sign(order: Sequence[int]) -> int:
     return sign
 
 
-_MODULUS_START = 2**80 - 3  # below 3.3e24, where _is_prime is deterministic
-_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MODULI: Dict[int, Tuple[int, int]] = {}
+# prime widths in bits: one prime up to _CAP, then primes at _CAP; of caps 256,
+# 320 and 512, 320 ran the exact 30x30 and 40x40 lattices fastest in total
+_FLOOR, _CAP = 80, 320
+_SMALL_PRIMES = tuple(q for q in range(3, 200, 2) if all(q % d for d in range(3, q, 2)))
+_MODULI: Dict[Tuple[int, int], Tuple[int, int]] = {}
 
 
-def _modulus(index: int) -> Tuple[int, int]:
-    """(p, s): the index-th prime p = 1 (mod 4) below 2**80, counting down,
-    and a root s of s^2 = -1 (mod p).  Memoised in _MODULI."""
-    if index not in _MODULI:
-        p = _modulus(index - 1)[0] - 4 if index else _MODULUS_START
-        while not _is_prime(p):
-            p -= 4
-        c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
-        _MODULI[index] = p, pow(c, (p - 1) // 4, p)
-    return _MODULI[index]
+def _modulus(bits: int, index: int) -> Tuple[int, int]:
+    """(p, s): the index-th Proth prime p = k * 2^m + 1 of ``bits`` bits,
+    m = ceil(bits / 2), counting odd k down from the top, and the root s of
+    s^2 = -1 (mod p) that certifies it.  Memoised in _MODULI."""
+    if (bits, index) not in _MODULI:
+        m = (bits + 1) // 2
+        k = (_modulus(bits, index - 1)[0] >> m) - 2 if index else (1 << bits - m) - 1
+        while not (s := _proth_root(k << m | 1)):
+            k -= 2
+        _MODULI[bits, index] = k << m | 1, s
+    return _MODULI[bits, index]
 
 
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin with the first 13 prime bases: exact for n < 3.3e24."""
-    if n < 2:
-        return False
-    for q in _PRIME_BASES:
-        if n % q == 0:
-            return n == q
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _PRIME_BASES:
-        t = pow(a, d, n)
-        if t in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            t = t * t % n
-            if t == n - 1:
-                break
-        else:
-            return False
-    return True
+def _proth_root(p: int) -> int:
+    """s with s^2 = -1 (mod p) proving p prime, or 0.  Proth (1878): k * 2^m + 1,
+    k odd and k < 2^m, is prime if a^((p-1)/2) = -1 for some a; m >= 2 gives s.
+    A small factor, or t = a^((p-1)/2) not +-1, proves p composite; t = 1 on
+    every base rejects p, which is safe."""
+    m = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = k * 2^m, k odd
+    if m < 2 or p >> m >= 1 << m or any(p % q == 0 for q in _SMALL_PRIMES):
+        return 0
+    for a in _SMALL_PRIMES:
+        t = pow(a, p >> 1, p)
+        if t != 1:
+            return pow(a, p >> 2, p) if t == p - 1 else 0
+    return 0
 
 
 def pfaffian_expansion(matrix: SkewMatrix) -> Scalar:

@@ -37,9 +37,13 @@ from pfdimers.surface_graph import flip_charts
 from pfdimers.pfaffian import (
     EXPANSION_DIM_BOUND,
     SkewMatrix,
+    _CAP,
+    _FLOOR,
+    _SMALL_PRIMES,
+    _EdgeMatrix,
     _class_matrices,
-    _is_prime,
     _modulus,
+    _proth_root,
     build_adjacency,
     determinant,
     skew_matrix,
@@ -123,34 +127,77 @@ def test_exact_matches_fraction_references(n, max_den):
         assert pf == pfaffian_expansion(a)
 
 
-@pytest.mark.parametrize("changes", [
+@pytest.fixture
+def moduli(monkeypatch):
+    """The prime of every residue taken from here on, in order."""
+    primes = []
+    residue = _EdgeMatrix._residue
+
+    def spy(self, re, im, p, s):
+        primes.append(p)
+        return residue(self, re, im, p, s)
+
+    monkeypatch.setattr(_EdgeMatrix, "_residue", spy)
+    return primes
+
+
+def _hadamard_bound(a):
+    norms = [sum(x.abs2() for x in row) for row in a.entries]
+    return math.isqrt(math.isqrt(math.prod(int(v) for v in norms)))
+
+
+@pytest.mark.parametrize("changes, placed", [
     # denominator equal to the first modulus, which then divides the LCD
-    lambda p: [(0, 3, GaussianRational.of(Fraction(1, p), 2))],
+    (lambda p: [(0, 3, GaussianRational.of(Fraction(1, p), 2))], True),
     # first pivot is 0 mod the first modulus but not over Q
-    lambda p: [(0, 1, GaussianRational.of(p, 0))],
-    lambda p: [(0, 1, GaussianRational.of(0, p)), (2, 3, GaussianRational.of(p))],
+    (lambda p: [(0, 1, GaussianRational.of(p, 0))], True),
+    (lambda p: [(0, 1, GaussianRational.of(0, p)), (2, 3, GaussianRational.of(p))], True),
     # an all-zero row
-    lambda p: [(2, j, GaussianRational.of(0)) for j in range(8) if j != 2],
+    (lambda p: [(2, j, GaussianRational.of(0)) for j in range(8) if j != 2], False),
 ], ids=["denominator-is-modulus", "pivot-zero-mod-p", "pivots-zero-mod-p", "zero-row"])
-def test_exact_modular_edge_cases(changes):
-    a = _with_entries(_random_skew(random.Random(5), 8, complex_entries=True),
-                      changes(_modulus(0)[0]))
+def test_exact_modular_edge_cases(changes, placed, moduli):
+    # p is the first prime at the cap width; an entry or denominator of p's
+    # size puts the bound over the cap, so p is the route's first modulus
+    p = _modulus(_CAP, 0)[0]
+    a = _with_entries(_random_skew(random.Random(5), 8, complex_entries=True), changes(p))
     pf = pfaffian(a)
     assert pf == pfaffian_expansion(a)
     assert pf * pf == determinant(a)
+    if placed:
+        assert moduli[0] == p
 
 
-def test_large_entries_negative_parts():
+def test_large_entries_negative_parts(moduli):
     a = _random_skew(random.Random(3), 30, complex_entries=True, size=10**12)
-    # the Hadamard bound needs at least three moduli
-    norms = [sum(x.abs2() for x in row) for row in a.entries]
-    bound = math.isqrt(math.isqrt(math.prod(int(v) for v in norms)))
-    assert 2 * bound + 1 >= _modulus(0)[0] * _modulus(1)[0]
     pf = pfaffian(a)
+    # the Hadamard bound needs more than one modulus
+    assert len(set(moduli)) > 1
     assert pf.re < 0 and pf.im < 0
     assert pf * pf == determinant(a)
     approx = pfaffian(a.to_float())
     assert abs(pf.to_complex() - approx) <= 1e-9 * abs(approx)
+
+
+def test_prime_width_follows_the_hadamard_bound(moduli):
+    # a 10x10 lattice's bound is far below the floor: one prime of _FLOOR bits
+    inst = lattice(10, 10, "torus")
+    partition(inst.map, "practical", curves=inst.curves, basis=inst.basis)
+    assert len(set(moduli)) == 1 and moduli[0].bit_length() == _FLOOR
+    # a bound between the floor and the cap: one prime of bound + 2 bits
+    a = _random_skew(random.Random(4), 8, complex_entries=True, size=2**40)
+    bits = _hadamard_bound(a).bit_length() + 2
+    assert _FLOOR < bits < _CAP
+    moduli.clear()
+    pf = pfaffian(a)
+    assert len(set(moduli)) == 1 and moduli[0].bit_length() == bits
+    assert pf * pf == determinant(a)
+    # a bound over the cap: several primes, all of _CAP bits
+    a = _random_skew(random.Random(4), 12, complex_entries=True, size=10**30)
+    assert _hadamard_bound(a).bit_length() + 2 > _CAP
+    moduli.clear()
+    pf = pfaffian(a)
+    assert len(set(moduli)) > 1 and {p.bit_length() for p in moduli} == {_CAP}
+    assert pf * pf == determinant(a)
 
 
 def test_even_torus_has_one_vanishing_class():
@@ -174,29 +221,49 @@ _STRONG_PSEUDOPRIMES = [
 ]
 
 
-def test_is_prime_against_trial_division():
-    def trial(n):
-        return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+def _trial(n):
+    return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
 
-    # includes the Carmichael numbers 561, 1105, 1729, 2465, 2821, 6601, 8911
-    assert all(_is_prime(n) == trial(n) for n in range(10_000))
+
+def _certified(n):
+    s = _proth_root(n)
+    assert not s or s * s % n == n - 1, n
+    return bool(s)
+
+
+def test_proth_certificate_against_trial_division():
+    # any n: certified only if prime (includes the Carmichael numbers 561,
+    # 1105, 1729, 2465, 2821, 6601, 8911, which are not Proth numbers)
+    assert all(_trial(n) for n in range(10_000) if _certified(n))
+    # every Proth number k * 2^m + 1 < 2^20, k odd, k < 2^m, m >= 2: the
+    # composites are rejected, and of the primes only the trial divisors
+    proth = {k << m | 1 for m in range(2, 20) for k in range(1, 1 << m, 2)
+             if k << m | 1 < 1 << 20}
+    assert {n for n in proth if _certified(n)} == \
+        {n for n in proth if _trial(n) and n > _SMALL_PRIMES[-1]}
     for factors in _STRONG_PSEUDOPRIMES:
-        assert not _is_prime(math.prod(factors)), factors
+        assert not _certified(math.prod(factors)), factors
+
+
+_WIDTHS = (_FLOOR, 81, 255, _CAP)
 
 
 def test_moduli_are_primes_one_mod_four():
-    # 16 covers every modulus the tests in this file use
-    moduli = [_modulus(k) for k in range(16)]
-    assert len({p for p, _ in moduli}) == len(moduli)
-    for p, s in moduli:
-        assert _is_prime(p)
-        assert p % 4 == 1
-        assert s * s % p == p - 1
+    # 16 per width covers every modulus the tests in this file use
+    for bits in _WIDTHS:
+        moduli = [_modulus(bits, k) for k in range(16)]
+        assert len({p for p, _ in moduli}) == len(moduli)
+        for p, s in moduli:
+            assert p.bit_length() == bits
+            assert (p - 1) % (1 << (bits + 1) // 2) == 0  # k * 2^m + 1, m = ceil(bits / 2)
+            assert p % 4 == 1
+            assert s * s % p == p - 1
+            assert _proth_root(p) == s
 
 
 def test_moduli_are_primes_sympy():
     isprime = pytest.importorskip("sympy").isprime
-    assert all(isprime(_modulus(k)[0]) for k in range(16))
+    assert all(isprime(_modulus(bits, k)[0]) for bits in _WIDTHS for k in range(16))
 
 
 def test_row_column_negation_negates_pf():
@@ -596,13 +663,15 @@ def test_split_falls_back_when_an_interior_index_only_meets_the_seam(exact):
         assert all(abs(g - w) <= 1e-12 * max(map(abs, want)) for g, w in zip(got, want))
 
 
-def test_split_falls_back_on_an_interior_pivot_zero_mod_p():
-    # the interior pair (2, 3) weighs the first prime p: its pivot is 0 mod p
-    # although Pf = 11 * p - 2 * 3 + 5 * 7 is not
-    p = _modulus(0)[0]
+def test_split_falls_back_on_an_interior_pivot_zero_mod_p(moduli):
+    # the interior pair (2, 3) weighs the first prime p at the cap width,
+    # which puts the bound over the cap: its pivot is 0 mod the route's first
+    # prime although Pf = 11 * p - 2 * 3 + 5 * 7 is not
+    p = _modulus(_CAP, 0)[0]
     pairs = [(0, 1, 11), (2, 3, p), (0, 2, 2), (1, 3, 3), (0, 3, 5), (1, 2, 7)]
     edges = [(a, b, w, 0) for a, b, w in pairs]
     route, got, want = _split_route(edges, 0b1, True)
+    assert moduli[0] == p
     assert route.stop == 4
     assert got == want
     assert got[0] == GaussianRational.of(11 * p - 2 * 3 + 5 * 7)
