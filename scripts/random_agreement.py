@@ -25,11 +25,14 @@ C's left push-off and carrying C or its reverse, by a coin from the seeded
 generator, as its companion; and again on those curves in a seeded shuffled
 order, with ``cycle_basis`` passed as the basis.  On lattices with two or
 more curves the practical route also runs on the curves reversed, with the
-lattice's basis passed.  Spin runs on the map it is given, twisted or not:
-on every orientable map with twists, and on a copy of every other
-orientable map with the charts of a seeded random vertex set reversed
-(``flip_charts``), spin and pin run again, and so does spin with that map's
-``cycle_basis`` passed in a seeded shuffled order.  The vertex sets and
+lattice's basis passed.  Spin and practical run on the map they are
+given, twisted or not: on every orientable map with twists, and on a copy
+of every other orientable map with the charts of a seeded random vertex set
+reversed (``flip_charts``), spin, pin and practical run again, and so do
+spin and practical with that copy's ``cycle_basis`` passed in a seeded
+shuffled order, and practical on one alpha curve per cycle of that basis,
+crossing the copy on the cycle's left push-off with the cycle as its
+companion.  The vertex sets and
 orders come from a second generator, so the maps drawn do not depend on
 them.  Every random map (b1 up to 7-8, unit weights) is also rebuilt with
 weights of 40-200 bits from that second generator, integers or, by a coin,
@@ -152,6 +155,17 @@ def main() -> int:
                         flip_charts(g, flipped), basis=reordered, backend=b)
                 routes["pin with twists"] = lambda g, b: partition_general_pin(
                     flip_charts(g, flipped), backend=b)
+                # each basis cycle of the copy is its own alpha curve's companion
+                on_copy = [TransverseCurve("alpha", crossing_cochain(twisted_copy, c), c)
+                           for c in cycles]
+                routes["practical with twists"] = lambda g, b: partition_orientable_practical(
+                    flip_charts(g, flipped), backend=b)
+                routes["practical with twists on a shuffled cycle basis"] = \
+                    lambda g, b: partition_orientable_practical(
+                        flip_charts(g, flipped), basis=reordered, backend=b)
+                routes["practical with twists on basis-cycle curves"] = \
+                    lambda g, b: partition_orientable_practical(
+                        flip_charts(g, flipped), curves=on_copy, backend=b)
         if len(curves) >= 2:
             routes["practical on reversed curves"] = lambda g, b: practical(
                 g, curves=curves[::-1], basis=basis, backend=b)

@@ -28,9 +28,11 @@ flipped along the alpha curves.  Its basis is the curves' companions in
 route order, alpha curves first, each walked in the direction whose
 push-off the curve is (``companion_cycle``); an orientable map without a
 curve per basis class, or with curves that lack their companions, takes
-its given or cycle basis.  Either way K is flipped to an odd mismatch count
-on every basis cycle, and the flips are the push-offs of the first 2g basis
-cycles, which are the alpha curves where curves give the basis.  Class xi
+its given or cycle basis.  Either way, on the map as given, K admissible at
+omega = 0 (orientable) or the twist cochain is flipped to an odd mismatch
+count on every basis cycle, and the flips are the first 2g basis cycles'
+left push-offs in the omega charts, m's reversed on the chart-swap set: in
+m, a cycle that starts in that set flips along its reversal's.  Class xi
 weighs the sign (-1)^(number of its intersecting basis pairs) times an
 unprimed weight: 1 on orientable surfaces, 1 - i = exp(-i*pi/4) * sqrt(2)
 with odd Euler characteristic, -i with even Euler characteristic, where the
@@ -39,9 +41,8 @@ alone.  So e_xi = 4 (intersecting basis pairs) - 2 [unprimed, even chi] -
 [odd chi] and s = 2g - [odd chi].
 
 A route reads what it derives from the map alone through ``kept``: D0, the
-cycle basis, the basis that each set of cycles gives, K per omega, the
-practical routes' untwisted copy, and the class Pfaffians keyed by K, the
-flips, omega (None on the practical routes) and the backend, with their
+cycle basis, the basis that each set of cycles gives, K per omega, and the
+class Pfaffians keyed by K, the flips, omega and the backend, with their
 scale and term strings beside them.  So spin and pin share D0, basis and
 faces on every orientable map, and on an untwisted one spin takes pin's
 Pfaffians and terms: there only the Arf-vs-Brown weighting and the oracle
@@ -77,7 +78,7 @@ from .homology import (
     reverse_walk,
     walk_chain,
 )
-from .kasteleyn import Orientation, construct_kasteleyn
+from .kasteleyn import Orientation, _omega_flip_set, construct_kasteleyn
 from .oracle import VERTEX_BOUND, find_matching, partition_bruteforce
 from .pfaffian import _class_matrices, _exact, pfaffian
 from .spin_quadratic import (
@@ -94,7 +95,6 @@ from .surface_graph import (
     classify,
     is_orientable,
     kept,
-    untwist,
 )
 
 Number = Union[Fraction, float]
@@ -202,7 +202,7 @@ def _labelled(strs: Sequence[str], width: int, mark: str = "") -> List[Tuple[str
 
 def _class_sum(m: CombinatorialMap, K: Orientation, flips: Sequence[int],
                eighths: Sequence[int], root2s: int, backend: str,
-               omega: Optional[int] = None) -> Tuple[Number, Number, tuple, int, tuple]:
+               omega: int) -> Tuple[Number, Number, tuple, int, tuple]:
     """Real and imaginary parts of sum_xi exp(i*pi*eighths[xi]/4) *
     Pf(A^{K_xi}) / sqrt(2)^root2s over the classes of K flipped by subset sums
     of ``flips``, in ``enumerate_classes`` order, the class Pfaffians times
@@ -304,16 +304,20 @@ def _practical(m: CombinatorialMap, curves: Optional[Sequence[TransverseCurve]],
     if own is not None:
         basis = own
     elif surface.orientable:
-        # The basis cycles are their own companions: on an untwisted map the
-        # dimers leaving C on its left are, mod 2, those its left push-off
-        # crosses, so q_B(C) = 2(n_K(C) + 1) mod 4 for every matching.
+        # The basis cycles are their own companions: in the omega = 0 charts
+        # the dimers leaving C on its left are, mod 2, those its left push-off
+        # there crosses, so q_B(C) = 2(n_K(C) + 1) mod 4 for every matching.
         basis = _basis(m, basis)
     else:  # too few companions, or dependent ones
         raise CurveNotRealizable("curves do not give a homology basis")
-    # An alpha curve is its companion's push-off, as a basis cycle's flip is
-    # its own; the primed classes also flip along the first beta curve.
-    flips = basis.pd_cochains[:r] + ((curves[r].cross,) if primed else ())
-    om = m.twist_bits()
+    # In the omega charts, m's reversed on the swap set, a walk from that set
+    # pushes off to the left of its reversal in m; the primed classes also
+    # flip along the first beta curve.
+    om = 0 if surface.orientable else m.twist_bits()
+    swap = _omega_flip_set(m, om)
+    flips = [crossing_cochain(m, reverse_walk(w)) if m.half_vertex(w[0]) in swap else pd
+             for w, pd in zip(basis.cycles, basis.pd_cochains[:r])]
+    flips += [curves[r].cross] if primed else []
     K = normalize_orientation(m, kept(m, ("K", om), construct_kasteleyn, om), basis)
     # Class idx + 2^r is the primed class of idx.  Class xi weighs as in the
     # module docstring, its intersecting basis pairs i < j counted through
@@ -323,7 +327,7 @@ def _practical(m: CombinatorialMap, curves: Optional[Sequence[TransverseCurve]],
     later = [sum(basis.gram[i][j] << j for j in range(i + 1, r)) for i in range(r)]
     eighths = [4 * sum((idx & later[i]).bit_count() for i in range(r) if (idx >> i) & 1)
                - 2 * primed * (idx < n) - odd_chi for idx in range(n << primed)]
-    re, _, pfs, _, strs = _class_sum(m, K, flips, eighths, r - odd_chi, backend)
+    re, _, pfs, _, strs = _class_sum(m, K, flips, eighths, r - odd_chi, backend, om)
     if surface.orientable and any(pf.imag for pf in pfs):
         raise NonRealResult("orientable Pfaffian has an imaginary part")
     terms = _labelled(strs[:n], r)
@@ -343,11 +347,6 @@ def partition_orientable_practical(m: CombinatorialMap, *,
     """Single |sum of signed Pfaffians| over the 2^(2g) seed flips."""
     if not is_orientable(m):
         raise WrongSurfaceType("map is not orientable")
-    if m.twist_bits():
-        # at omega = 0 on m itself, with m's push-offs as flips, this formula gave wrong Z
-        if basis is not None:
-            _basis(m, basis)
-        m, curves, basis = kept(m, "untwist", untwist), None, None
     return _practical(m, curves, basis, backend)
 
 

@@ -51,7 +51,7 @@ from pfdimers.homology import (
     reverse_walk,
     vertex_coboundary,
 )
-from pfdimers.kasteleyn import Orientation, is_kasteleyn
+from pfdimers.kasteleyn import Orientation, _omega_flip_set, is_kasteleyn
 from pfdimers.partition import _class_sum, companion_cycle
 from pfdimers.surface_graph import flip_charts, relabel, untwist
 
@@ -203,9 +203,9 @@ def test_practical_values_and_terms_pinned(surface, rows, cols, value, terms):
 
 
 def test_practical_reference_flips_pinned():
-    # maps without a curve per basis class flip K by the Poincare-dual
-    # cochains: the untwisted copy of a twisted torus, which drops its
-    # curves, and random orientable maps
+    # the torus curves on a twisted copy of the torus give the torus's value
+    # and terms; maps without a curve per basis class, here random orientable
+    # maps, flip K by the Poincare-dual cochains
     torus = lattice(4, 4, "torus")
     r = partition_orientable_practical(flip_charts(torus.map, [0, 5, 6]),
                                        curves=torus.curves)
@@ -235,11 +235,60 @@ def test_planar_8x8_above_the_oracle_bound(backend):
 
 @pytest.mark.parametrize("size", [8, 12])
 def test_twisted_torus_above_the_oracle_bound(size):
-    # the untwisted copy drops its curves and flips by the pd_cochains
+    # without curves the twisted torus flips by its own basis cycles'
+    # push-offs in the omega = 0 charts, and its terms are the torus's
     inst = lattice(size, size, "torus")
     r = partition(flip_charts(inst.map, [0, 5, 6]), "auto")
     want = partition(inst.map, "practical", curves=inst.curves, basis=inst.basis)
     assert (r.value, r.method, r.terms) == (want.value, "practical", want.terms)
+
+
+def _reversed_labels(terms):
+    return tuple(sorted((label[::-1], pf) for label, pf in terms))
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_practical_flips_by_the_push_off_side_in_the_omega_charts(backend):
+    # K is admissible in the omega = 0 charts, where a basis cycle that starts
+    # in the chart-swap set pushes off to its right in m; its left push-off
+    # in m gave a wrong Z there
+    maps = _random_orientable_maps(twisted=True, count=12, seed=31)
+    assert {classify(m).genus for m in maps} == {1, 2, 3}
+    in_swap = 0
+    for m in maps:
+        z, cycles = partition_bruteforce(m), cycle_basis(m).cycles
+        swap = _omega_flip_set(m, 0)
+        in_swap += sum(m.half_vertex(w[0]) in swap for w in cycles)
+        for basis in (None, basis_from_cycles(m, cycles[::-1])):
+            r = partition(m, "practical", basis=basis, backend=backend)
+            if backend == "exact":
+                assert r.value == z
+            else:
+                assert abs(r.value - z) <= 1e-9 * max(z, 1)
+    assert in_swap
+
+
+def test_practical_uses_the_basis_passed_on_a_twisted_map():
+    # the untwisted copy took its own basis and dropped the one passed
+    m = next(m for m in _random_orientable_maps(twisted=True, count=12, seed=31)
+             if classify(m).genus == 2)
+    given = partition(m, "practical")
+    backwards = partition(m, "practical",
+                          basis=basis_from_cycles(m, cycle_basis(m).cycles[::-1]))
+    assert backwards.value == given.value == partition_bruteforce(m)
+    assert tuple(sorted(backwards.terms)) == _reversed_labels(given.terms)
+
+
+def test_practical_uses_the_curves_passed_on_a_twisted_map():
+    # the untwisted copy dropped the curves; the 4x6 torus keeps its 10 and
+    # 01 classes apart, so their order shows in the labels
+    inst = lattice(4, 6, "torus")
+    m = flip_charts(inst.map, [0, 5, 6])
+    given = partition(m, "practical", curves=inst.curves)
+    backwards = partition(m, "practical", curves=inst.curves[::-1])
+    assert dict(given.terms)["10"] != dict(given.terms)["01"]
+    assert backwards.value == given.value == 3108
+    assert tuple(sorted(backwards.terms)) == _reversed_labels(given.terms)
 
 
 def test_orientable_practical_never_calls_the_oracle(monkeypatch):
@@ -679,8 +728,8 @@ def test_basis_of_another_map_rejected(other, method):
 @pytest.mark.parametrize("size", [4, 6])
 @pytest.mark.parametrize("flipped", [[0, 5, 6], [0, 2, 3, 7]])
 def test_basis_of_the_unflipped_map_rejected(flipped, size, method):
-    # the torus's basis walks the charts that flip_charts reversed; spin and
-    # practical ran on an untwisted copy and dropped it without a word
+    # the torus's basis walks the charts that flip_charts reversed; every
+    # route checks it on the map as given
     inst = lattice(size, size, "torus")
     with pytest.raises(ValueError, match="basis does not belong to this map"):
         partition(flip_charts(inst.map, flipped), method, curves=inst.curves,
@@ -883,9 +932,15 @@ def test_one_ordering_per_route_call_and_pfaffian_per_class(monkeypatch, backend
             for inst in (torus, klein, rp2) for method in ("auto", "pin")]
     runs += [(torus.map, "spin", None, None), (twisted, "auto", None, None),
              (twisted, "spin", None, None)]
+    results = []
     for m, method, curves, basis in runs:
         calls.clear(), pf_dims.clear(), class_counts.clear()
-        partition(m, method, curves=curves, basis=basis, backend=backend)
+        results.append(partition(m, method, curves=curves, basis=basis, backend=backend))
+        if m is torus.map and method == "spin":
+            # the torus auto run kept this K, these flips, omega = 0 and backend
+            assert (calls, pf_dims, class_counts) == ([], [], [])
+            assert results[-1].terms == results[0].terms
+            continue
         assert len(calls) == 1, (method, len(calls))
         assert pf_dims == [m.vertex_count] * sum(class_counts) != [], method
 
@@ -1043,8 +1098,8 @@ def test_unknown_backend_is_rejected_by_build_adjacency():
 
 
 # ---------------------------------------------------------------------------
-# What a map keeps: reference matching, basis, K, untwisted copy, BFS tree and
-# class Pfaffians are derived once per map object
+# What a map keeps: reference matching, basis, K, BFS tree and class Pfaffians
+# are derived once per map object
 # ---------------------------------------------------------------------------
 
 def _counting_pfaffians(monkeypatch):
@@ -1136,13 +1191,14 @@ def test_kept_data_is_isolated_by_backend_basis_omega_and_k(monkeypatch, backend
         calls.clear()
         assert [partition_general_pin(m, **kwargs) for kwargs in runs] == results
         assert calls == []
-        # and by K, which the practical routes normalise along their companions
+        # and by K, which the practical routes normalise along their companions;
+        # the unflipped K with these flips is the pin run's on inst.basis
         K, flips = construct_kasteleyn(m), inst.basis.dual_cochains
-        args = ([0] * 2 ** len(flips), 0, backend)
-        for Kc in (K, K.flipped(flips[0])):
+        args = ([0] * 2 ** len(flips), 0, backend, m.twist_bits())
+        for Kc, want in ((K, 0), (K.flipped(flips[0]), 2 ** len(flips))):
             calls.clear()
             pfs = _class_sum(m, Kc, flips, *args)[2]
-            assert len(calls) == 2 ** len(flips)
+            assert len(calls) == want
             assert pfs == _class_sum(_fresh(m), Kc, flips, *args)[2]
 
 
@@ -1273,16 +1329,23 @@ def test_equal_maps_do_not_share_kept_data(monkeypatch):
         assert len(calls) == 4
 
 
+def _counting_untwists(monkeypatch):
+    """Count ``untwist`` calls through every pfdimers module that binds it."""
+    untwisted, calls = untwist, []
+    for module in [mod for name, mod in sys.modules.items() if name.startswith("pfdimers")]:
+        if getattr(module, "untwist", None) is untwisted:
+            monkeypatch.setattr(module, "untwist",
+                                lambda m: calls.append(m) or untwisted(m))
+    return calls
+
+
 @pytest.mark.parametrize("backend", ["exact", "float"])
 def test_bfs_and_untwist_run_once_per_map(monkeypatch, backend):
     import pfdimers.surface_graph as surface_graph
 
-    route_module = sys.modules["pfdimers.partition"]
-    bfs, untwisted = surface_graph._bfs, route_module.untwist
-    bfs_calls, untwist_calls = [], []
+    bfs, bfs_calls = surface_graph._bfs, []
     monkeypatch.setattr(surface_graph, "_bfs", lambda m: bfs_calls.append(m) or bfs(m))
-    monkeypatch.setattr(route_module, "untwist",
-                        lambda m: untwist_calls.append(m) or untwisted(m))
+    untwist_calls = _counting_untwists(monkeypatch)
     # both built after the patch, so each map's own search is counted too
     torus = lattice(6, 6, "torus")
     twisted = _random_orientable_maps(twisted=True, count=1)[0]
@@ -1291,17 +1354,16 @@ def test_bfs_and_untwist_run_once_per_map(monkeypatch, backend):
             partition(m, method, curves=curves, basis=basis, backend=backend)
     assert {id(torus.map), id(twisted)} <= {id(m) for m in bfs_calls}
     assert len({id(m) for m in bfs_calls}) == len(bfs_calls)
-    assert [id(m) for m in untwist_calls] == [id(twisted)]
+    # every route runs on the map as given
+    assert untwist_calls == []
 
 
-def test_spin_and_pin_never_untwist(monkeypatch):
-    route_module = sys.modules["pfdimers.partition"]
-    untwisted, calls = route_module.untwist, []
-    monkeypatch.setattr(route_module, "untwist", lambda m: calls.append(m) or untwisted(m))
+def test_no_route_untwists(monkeypatch):
+    calls = _counting_untwists(monkeypatch)
     m = _random_orientable_maps(twisted=True, count=1, seed=23)[0]
-    for method, want in (("spin", 0), ("pin", 0), ("auto", 1)):
+    for method in ("spin", "pin", "auto", "practical"):
         partition(m, method)
-        assert len(calls) == want, method
+        assert calls == [], method
 
 
 @pytest.mark.parametrize("call, message", [
