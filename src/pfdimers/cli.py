@@ -20,10 +20,10 @@ from fractions import Fraction
 from . import graphfile
 from .errors import MalformedFile, PfdimersError
 from .exactnum import rational_str
-from .generators import lattice
+from .generators import SURFACES, lattice
 from .homology import cycle_basis
 from .kasteleyn import construct_kasteleyn, curvature_report
-from .oracle import _weighted_matchings, find_matching, homology_buckets
+from .oracle import VERTEX_BOUND, _weighted_matchings, find_matching, homology_buckets
 from .partition import (_eps_label, _oracle, partition, partition_general_pin,
                         partition_orientable_spin)
 from .spin_quadratic import arf, basis_enhancement, brown, normalize_qB, shifted_browns
@@ -178,7 +178,7 @@ def _close(a, b) -> bool:
     return abs(float(a) - float(b)) <= 1e-9 * (1 + abs(float(b)))
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pfdimers", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -190,8 +190,7 @@ def main(argv=None) -> int:
             p.add_argument("--backend", choices=("exact", "float"), default="exact")
 
     p = sub.add_parser("gen", help="generate a lattice instance")
-    p.add_argument("--surface", required=True,
-                   choices=("planar", "torus", "klein_hexagon", "rp2"))
+    p.add_argument("--surface", required=True, choices=SURFACES)
     p.add_argument("--size", required=True, help="MxN, e.g. 5x6")
     p.add_argument("--out", default="-")
     p.set_defaults(fn=cmd_gen)
@@ -212,16 +211,19 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("oracle", help="brute-force matching enumeration")
     add_common(p, with_backend=False)
-    p.add_argument("--max-vertices", type=int, default=36)
+    p.add_argument("--max-vertices", type=int, default=VERTEX_BOUND)
     p.add_argument("--buckets", action="store_true")
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("verify", help="cross-method agreement on one file")
     add_common(p)
-    p.add_argument("--max-vertices", type=int, default=36)
+    p.add_argument("--max-vertices", type=int, default=VERTEX_BOUND)
     p.set_defaults(fn=cmd_verify)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     with warnings.catch_warnings():
         warnings.showwarning = lambda message, category, *_: print(  # no source line
             f"{category.__name__}: {message}", file=sys.stderr)

@@ -52,10 +52,6 @@ class LatticeInstance:
     curves: Tuple[TransverseCurve, ...]
     basis: Optional[HomologyBasis]
 
-    @property
-    def omega(self) -> int:
-        return self.map.twist_bits()
-
 
 class _Builder:
     """Accumulates edges with direction slots, then emits rotations."""

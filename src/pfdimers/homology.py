@@ -16,8 +16,10 @@ row meets only the pivots it hits, so a basis costs about one pass over the
 face boundaries.  A basis builder adds the face boundaries, then each
 accepted cycle chain C_j with right-hand side ``1 << j``; back-substitution
 on bit i gives the dual cocycle phi_i (zero on faces, phi_i(C_j) =
-delta_ij).  The pivots are the top bits of the span and the solution that is
-zero off them is unique, so phi_i does not depend on the elimination order.
+delta_ij).  ``kasteleyn.construct_kasteleyn`` adds the same face rows with
+their curvature constants and takes K from one back-substitution.  The
+pivots are the top bits of the span and the solution that is zero off them
+is unique, so neither phi_i nor K depends on the elimination order.
 Coboundaries need no elimination: ``surface_graph.tree_side`` solves
 phi = delta(S) along the BFS tree.
 """

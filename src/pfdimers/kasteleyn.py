@@ -2,7 +2,7 @@
 
 An orientation stores one direction bit per edge: bit 0 directs edge ``e``
 from the anchor of half-edge ``2e`` to the anchor of ``2e+1`` (the stored
-endpoint order), bit 1 reverses it.  The canonical start orientation directs
+endpoint order), bit 1 reverses it.  The canonical orientation directs
 every non-loop edge from its lower-indexed endpoint.
 
 The curvature of a face is computed on one lift of its boundary walk: writing
@@ -12,6 +12,9 @@ curvature is ``n + m + 1 (mod 2)``.  An orientation is admissible when every
 face has curvature zero; such orientations exist iff the vertex count is
 even, and their equivalence classes (modulo flipping all edges at a vertex)
 form a torsor under the group of cocycle classes.
+
+Curvature is affine in the orientation bits, so ``construct_kasteleyn``
+solves "curvature 0 on every face" as one GF(2) system.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import OddVertexCount, TooLarge
-from .homology import coboundary_preimage, is_coboundary, parity, vertex_coboundary
+from .homology import Gf2Span, coboundary_preimage, is_coboundary, parity, vertex_coboundary
 from .surface_graph import CombinatorialMap, kept
 
 EXHAUSTIVE_EDGE_BOUND = 20
@@ -132,53 +135,20 @@ def is_kasteleyn(m: CombinatorialMap, K: Orientation,
 
 def construct_kasteleyn(m: CombinatorialMap,
                         omega: Optional[int] = None) -> Orientation:
-    """Zero-curvature orientation by local repairs.
+    """Zero-curvature orientation: one GF(2) solve of the face system.
 
-    Starts from the canonical orientation; curved faces come in pairs, and
-    reversing the edges along a dual path between two curved faces repairs
-    both without disturbing anything else.  Each repair joins the lowest
-    curved face to the nearest other one; repairs only clear curvature, so
-    one forward scan over the faces finds every source.
+    Face f asks parity(K.bits & fold_f) = const_f.  The face boundaries sum
+    to zero, so the one dependent row is consistent exactly when the vertex
+    count is even.  K is the solution that is zero off the echelon's pivots,
+    a function of the map and omega alone.
     """
     if m.vertex_count % 2:
         raise OddVertexCount("no admissible orientation on an odd vertex count")
-    K = canonical_orientation(m)
     table = _face_parities(m, omega)
-    curv = [parity(K.bits & fold) ^ const for fold, const in table]
-    assert sum(curv) % 2 == 0
-
-    # dual adjacency through edges with two distinct incident faces
-    dual_adj: List[List[Tuple[int, int]]] = [[] for _ in range(len(m.faces))]
-    for e, (f1, f2) in enumerate(m.faces.edge_face_incidence(m.edge_count)):
-        if f1 != f2:
-            dual_adj[f1].append((f2, e))
-            dual_adj[f2].append((f1, e))
-
-    for src, curved in enumerate(curv):
-        if not curved:
-            continue
-        prev = {src: (-1, -1)}
-        queue = [src]
-        target = -1
-        for f in queue:
-            if f != src and curv[f]:
-                target = f
-                break
-            for g, e in dual_adj[f]:
-                if g not in prev:
-                    prev[g] = (f, e)
-                    queue.append(g)
-        assert target >= 0, ("the dual graph of a connected cellular map is "
-                             "connected and curved faces come in even number")
-        flip = 0
-        f = target
-        while f != src:
-            g, e = prev[f]
-            flip ^= 1 << e
-            f = g
-        K = K.flipped(flip)
-        curv[src] = curv[target] = 0
-
+    span = Gf2Span()
+    for fold, const in table:
+        span.add(fold, const)
+    K = Orientation(span.solve(), m.edge_count)
     assert not any(parity(K.bits & fold) ^ const for fold, const in table)
     return K
 

@@ -274,6 +274,8 @@ def _practical(m: CombinatorialMap, curves: Optional[Sequence[TransverseCurve]],
     are the companions in route order; no dimer configuration is needed.  A
     non-orientable map needs a companion on every curve."""
     exact = _exact(backend)
+    if curves is None and not is_orientable(m):  # before odd V's zero: auto takes pin
+        raise CurveNotRealizable("practical route needs curve data")
     if m.vertex_count % 2:
         return _zero("practical", exact)
     if basis is not None:
@@ -430,9 +432,8 @@ def partition(m: CombinatorialMap, method: str = "auto", *,
             if is_orientable(m):
                 return partition_orientable_practical(m, curves=curves, basis=basis,
                                                       backend=backend)
-            if curves is None:
-                raise CurveNotRealizable("practical route needs curve data")
-            if curves or method == "practical":  # auto reads [] as no curve data
+            # auto reads [] as no curve data; None meets _practical's check
+            if curves is None or curves or method == "practical":
                 return partition_nonorientable_practical(m, curves, basis=basis,
                                                          backend=backend)
         except CurveNotRealizable:

@@ -9,10 +9,11 @@ from fractions import Fraction
 import pytest
 
 from pfdimers import build_map, graphfile, lattice
-from pfdimers.cli import main
+from pfdimers.cli import _parser, main
 from pfdimers.errors import MalformedFile
 from pfdimers.exactnum import rational_str
-from pfdimers.generators import LatticeInstance
+from pfdimers.generators import SURFACES, LatticeInstance
+from pfdimers.oracle import VERTEX_BOUND
 from pfdimers.partition import partition
 
 
@@ -143,6 +144,15 @@ def test_cli_verify(tmp_path):
     path = tmp_path / "rp2.graph"
     main(["gen", "--surface", "rp2", "--size", "2x3", "--out", str(path)])
     assert main(["verify", str(path)]) == 0
+
+
+def test_parser_reads_the_library_constants():
+    parser = _parser()
+    for command in ("oracle", "verify"):
+        assert parser.parse_args([command]).max_vertices == VERTEX_BOUND
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    surface = next(a for a in commands["gen"]._actions if a.dest == "surface")
+    assert surface.choices == SURFACES
 
 
 def test_cli_orient_and_invariants(tmp_path, capsys):

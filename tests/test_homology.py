@@ -277,7 +277,7 @@ PINNED_CHOICES = {
         (34952, 4026531840),
         (4026531840, 4369),
         ((4026531840, 34952), (34952, 4026531840)),
-        "00:256 10:144 01:144 11:0",
+        "00:0 10:144 01:144 11:256",
     ),
     "klein_hexagon": (
         (4026531840, 3221225472),

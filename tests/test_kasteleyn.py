@@ -202,57 +202,43 @@ def test_construct_runs_on_random_maps():
         assert is_kasteleyn(m, K)
 
 
-def _rescan_kasteleyn(m):
-    """The repair loop that ``construct_kasteleyn`` replaced: it rebuilds
-    the list of curved faces before every repair."""
-    K = canonical_orientation(m)
-    curv = face_curvatures(m, K)
-    dual_adj = [[] for _ in range(len(m.faces))]
-    for e, (f1, f2) in enumerate(m.faces.edge_face_incidence(m.edge_count)):
-        if f1 != f2:
-            dual_adj[f1].append((f2, e))
-            dual_adj[f2].append((f1, e))
-    while True:
-        curved = [f for f, c in enumerate(curv) if c]
-        if not curved:
-            return K
-        src = curved[0]
-        prev = {src: (-1, -1)}
-        queue = [src]
-        target = -1
-        qi = 0
-        while qi < len(queue):
-            f = queue[qi]
-            qi += 1
-            if f != src and curv[f]:
-                target = f
-                break
-            for g, e in dual_adj[f]:
-                if g not in prev:
-                    prev[g] = (f, e)
-                    queue.append(g)
-        flip = 0
-        f = target
-        while f != src:
-            g, e = prev[f]
-            flip ^= 1 << e
-            f = g
-        K = K.flipped(flip)
-        curv[src] ^= 1
-        curv[target] ^= 1
+def test_construct_depends_on_the_map_and_omega_alone(monkeypatch):
+    # K is the face system's solution that is zero off the echelon's pivots:
+    # neither the elimination order nor the face order can move it
+    import pfdimers.kasteleyn as kasteleyn
+    from test_homology import _InsertionOrderSpan
 
-
-def test_construct_makes_the_rescan_loop_choices():
     maps = [lattice(a, b, s).map for s in ("planar", "torus", "klein_hexagon", "rp2")
             for a, b in ((2, 2), (4, 4), (6, 8), (12, 12))]
     rng = random.Random(5)
     lattices = len(maps)
-    while len(maps) < lattices + 200:
-        m = random_map(rng, 8, 5)
+    while len(maps) < lattices + 300:
+        m = random_map(rng, 8, 5, twisted=len(maps) % 2 == 0)
         if m.vertex_count % 2 == 0:
             maps.append(m)
+    cases = []
     for m in maps:
-        assert construct_kasteleyn(m).bits == _rescan_kasteleyn(m).bits
+        om = m.twist_bits()
+        moved, _ = omega_change(m, om, construct_kasteleyn(m, om), m.vertex_count - 1)
+        cases += [(m, om), (m, moved)]
+
+    def orientations():
+        return [construct_kasteleyn(m, om) for m, om in cases]
+
+    Ks = orientations()
+    for (m, om), K in zip(cases, Ks):
+        assert is_kasteleyn(m, K, om)
+        span = kasteleyn.Gf2Span()
+        for fold, const in kasteleyn._face_parities(m, om):
+            span.add(fold, const)
+        assert K.bits & ~sum(1 << pb for pb in span.pivots) == 0
+    table = kasteleyn._face_parities
+    monkeypatch.setattr(kasteleyn, "_face_parities", lambda m, om: table(m, om)[::-1])
+    assert orientations() == Ks
+    monkeypatch.setattr(kasteleyn, "Gf2Span", _InsertionOrderSpan)
+    assert orientations() == Ks
+    monkeypatch.setattr(kasteleyn, "_face_parities", table)
+    assert orientations() == Ks
 
 
 def test_construct_builds_the_face_table_once(monkeypatch):

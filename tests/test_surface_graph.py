@@ -84,6 +84,16 @@ def test_face_steps_partition_edge_sides():
             assert dot(om, f.odd_edge_mask()) == 0
 
 
+def test_edge_face_incidence(sphere_loop, rp2_loop):
+    # both sides of an edge, with multiplicity: a twisted loop meets its one
+    # face twice, an untwisted loop separates two faces
+    assert sphere_loop.faces.edge_face_incidence(1) == ((0, 1),)
+    assert rp2_loop.faces.edge_face_incidence(1) == ((0, 0),)
+    m = lattice(2, 2, "torus").map
+    assert m.faces.edge_face_incidence(m.edge_count) == (
+        (0, 1), (2, 3), (0, 1), (2, 3), (1, 3), (1, 3), (0, 2), (0, 2))
+
+
 def test_classify_examples(sphere_square):
     assert classify(sphere_square).name == "sphere"
     assert classify(lattice(5, 6, "torus").map).name == "torus"
