@@ -40,7 +40,7 @@ over denominators up to 9, and pin, and spin if it is orientable, must give
 that copy's oracle value (exactly on the exact backend).  The Hadamard bounds
 of those exact routes lie below, inside and above the range of prime widths,
 so they take one prime of the floor width, one prime sized to the bound, or
-several at the cap.  Their exact class Pfaffians are Gaussian integers over
+the fewest primes of one width at most the cap.  Their exact class Pfaffians are Gaussian integers over
 a scale L^(n/2), L the least common denominator of the weights.  Exits
 nonzero on the first disagreement or violation, naming the map, the route
 and the backend.

@@ -12,12 +12,13 @@ one class of its nonzero entries.
 
 The classes of a route differ only in the signs of the flipped edges, whose
 endpoints form the seam S.  With several classes and an even |S| <= n/2, S
-goes last in the order, after the RCM order of the interior.  Pf(A) is the
-product of the interior pivots and the Pfaffian of the Schur complement on
-S, and only the cells inside S differ between classes.  So the interior is
-eliminated once per route and arithmetic without them, and each class adds
-its own to a copy of the complement and eliminates that; an interior index
-without a nonzero interior pivot drops the split, but not the order.
+goes last in the order, after the RCM order of the interior, sorted by the
+position of each index's first interior neighbour.  Pf(A) is the product of
+the interior pivots and the Pfaffian of the Schur complement on S, and only
+the cells inside S differ between classes.  So the interior is eliminated
+once per route and arithmetic without them, and each class adds its own to
+a copy of the complement and eliminates that; an interior index without a
+nonzero interior pivot drops the split, but not the order.
 Classes whose cell values repeat an earlier class's, possible only where
 parallel edges with a flipped one share a cell, share its elimination.
 
@@ -31,13 +32,19 @@ One kernel, ``_eliminate``, does the skew elimination in both arithmetics.
 It keeps the upper triangle, swaps two indices to bring the pivot next to
 the pivot row (flipping the sign), and stops each row update at the
 envelope of the two pivot rows, which grows with fill-in; split, an
-interior row also updates its S columns, its panel.  In a band of width w
-this costs O(n w^2); lattices have w at most about twice the side.  Where a
-pivot row is zero in the updated row's column (on bipartite graphs one
-always is), the update takes one product per entry.  Mod p the pivot is the
-first nonzero entry of the row; in floats (real ones for a real class) it
-is the largest, with a warning below the conditioning threshold, and
-``FloatOutOfRange`` when the product of the pivots leaves the double range.
+interior row also updates its S columns, its panel, and the S rows, up to
+the panel end of the pivot rows, which grows the same way.  In a band of
+width w this costs O(n w^2); lattices have w at most about twice the side.
+Where a pivot row is zero in the updated row's column, the update takes one
+product per entry.  On a bipartite pattern whose interior and S each hold
+as many indices of both colours, the order alternates the colours and every
+update, pivot search and swap steps by 2: a pivot pairs two colours, a swap
+two indices of one, and a_ij += (a_qi a_kj - a_ki a_qj) / pivot reaches only
+j = i + 1 (mod 2), so the entries within one colour stay 0 unread.  Mod p
+the pivot is the first nonzero entry of the row; in floats (real ones for a
+real class) it is the largest, with a warning below the conditioning
+threshold, and ``FloatOutOfRange`` when the product of the pivots leaves
+the double range.
 
 The exact backend is multimodular.  With L the least common denominator of
 the weights' parts, Pf(L*A) = L^(n/2) Pf(A) = X + iY with integers X, Y.
@@ -52,9 +59,10 @@ exceeds 2B + 1, B the Hadamard bound on |X + iY|: B^4 <= prod_i sum_j
 times the sum of their squared moduli, so one B holds for every sign pattern.
 X and Y are then the residues in (-M/2, M/2).  A route's classes stay
 X + iY, so that a class sum divides once, by L^(n/2).  The primes are Proth
-primes k*2^m + 1 of one width per route, B's bit length + 2 (one prime then
-exceeds 2B + 1) clamped to [_FLOOR, _CAP].  A base a with a^((p-1)/2) = -1
-(mod p) proves p prime and gives s = a^((p-1)/4): no step is probabilistic.
+primes k*2^m + 1 of one width w >= _FLOOR per route, the fewest r of at
+most _CAP bits whose product exceeds 2B + 1, and the least w for that r:
+r(w - 1) >= B's bit length + 1.  A base a with a^((p-1)/2) = -1 (mod p)
+proves p prime and gives s = a^((p-1)/4): no step is probabilistic.
 """
 
 from __future__ import annotations
@@ -222,7 +230,8 @@ class _EdgeMatrix:
             raise OddDimension(f"dimension {n} is odd")
         ends = sorted({v for e, (a, b, _, _) in enumerate(edges) if seam >> e & 1 for v in (a, b)})
         last = dict.fromkeys(ends if 2 * len(ends) <= n and not len(ends) % 2 else ())
-        position, self.end = _rcm_order(n, [(a, b) for a, b, _, _ in edges], last)
+        position, self.end, self.panel, self.step = _rcm_order(
+            n, [(a, b) for a, b, _, _ in edges], last)
         self.sign = _perm_sign(position)
         self.exact, self.stop, self.shared, self.turn = exact, n - len(last), {}, turn
         self.scale = 1
@@ -248,7 +257,10 @@ class _EdgeMatrix:
                 for v in self.cells[c]:
                     norms[v] += count[c] * (r * r + i * i)
             self.bound = isqrt(isqrt(prod(norms)))
-            self.bits = min(max(_FLOOR, self.bound.bit_length() + 2), _CAP)
+            # r primes of w bits exceed 2^(r(w - 1)) >= 2^need > 2B + 1
+            need = self.bound.bit_length() + 1
+            r = -(-need // (_CAP - 1))
+            self.bits = max(_FLOOR, -(-need // r) + 1)
 
     def pfaffian(self, flips: int) -> Scalar:
         re, im = [0] * len(self.cells), [0] * len(self.cells)
@@ -299,7 +311,8 @@ class _EdgeMatrix:
         if stop < n and key not in self.shared:
             a = self._upper(values, zero)
             a[stop:] = [[zero] * n for _ in range(stop, n)]  # cells of each pattern
-            factor = _eliminate(a, list(self.end), stop, self.sign, p, scale)
+            factor = _eliminate(a, list(self.end), stop, self.sign, p, scale, self.step,
+                                list(self.panel))
             if factor:
                 self.shared[key] = factor, [row[stop:] for row in a[stop:]]
             else:  # no interior pivot, or a float underflow: keep the order, unsplit
@@ -308,14 +321,15 @@ class _EdgeMatrix:
                     self.end[i] = max(self.end[i], j + 1)
         if stop == n:
             return _eliminate(self._upper(values, zero), list(self.end), n, self.sign,
-                              p, scale)
+                              p, scale, self.step)
         factor, block = self.shared[key]
         block = [row[:] for row in block]
         for (i, j), x in zip(self.cells, values):
             if i >= stop:
                 row, j = block[i - stop], j - stop
                 row[j] = (row[j] + x) % p if p else row[j] + x
-        return _eliminate(block, [n - stop] * (n - stop), n - stop, factor, p, scale)
+        return _eliminate(block, [n - stop] * (n - stop), n - stop, factor, p, scale,
+                          self.step)
 
     def _upper(self, values: list, zero) -> list:
         n = len(self.end)
@@ -335,39 +349,42 @@ class _ClassMatrix(NamedTuple):
 
 
 def _eliminate(a: list, end: List[int], stop: int, factor, p: int = 0,
-               scale: float = 0.0):
+               scale: float = 0.0, step: int = 1, panel: List[int] = ()):
     """factor * Pf by skew elimination mod p, or over floats if p is 0.
 
     Row i of ``a`` holds the upper-triangle entries a[i][j], j > i, and is
     zero from column end[i] on; both are overwritten.  ``scale`` is the
     largest entry modulus, for the float conditioning warning.  Pivots are
     taken only before ``stop``, where end[i] <= stop; if stop < n, factor times
-    them returns unchecked (0 if one is missing), a[stop:] the Schur complement.
+    them returns unchecked (0 if one is missing), a[stop:] the Schur complement,
+    and row i < stop is zero from column panel[i] >= stop on (overwritten).
+    With ``step`` 2 only entries a[i][j] with odd j - i are read and written.
     """
     n = len(a)
     result = factor
+    split = stop < n
     for k in range(0, stop, 2):
         rk = a[k]
         q = k + 1
         if p:
-            piv = next((j for j in range(q, end[k]) if rk[j]), 0)
+            piv = next((j for j in range(q, end[k], step) if rk[j]), 0)
             if not piv:
                 return 0
         else:
-            mags = list(map(abs, rk[q:end[k]]))
+            mags = list(map(abs, rk[q:end[k]:step]))
             best = max(mags, default=0.0)
             if best == 0.0:
                 return 0j
             if best < PIVOT_THRESHOLD * scale:
                 warnings.warn("pivot below conditioning threshold",
                               IllConditionedWarning)
-            piv = q + mags.index(best)
+            piv = q + step * mags.index(best)
         rq = a[q]
         if piv != q:
             # swap indices q and piv in the upper storage: Pf changes sign
             result = -result
             rk[q], rk[piv] = rk[piv], rk[q]
-            for j in range(q + 1, piv):
+            for j in range(q + 1, piv, step):
                 rj = a[j]
                 rq[j], rj[piv] = -rj[piv], -rq[j]
                 if rj[piv]:
@@ -377,25 +394,32 @@ def _eliminate(a: list, end: List[int], stop: int, factor, p: int = 0,
             t = piv + 1
             rq[t:], rp[t:] = rp[t:], rq[t:]
             end[q], end[piv] = max(end[piv], t), max(end[q], t)
+            if split:
+                panel[q], panel[piv] = panel[piv], panel[q]
         pivot = rk[q]
         result = result * pivot % p if p else result * pivot
-        # envelope: rows k and q vanish from column h on, up to their panels
+        # envelope: rows k and q vanish from column h on, and in the panel from ph on
         h = max(end[k], end[q])
-        wide = stop < n and (any(rk[stop:]) or any(rq[stop:]))
-        if p and (wide or h > q + 1):  # some row is updated
+        ph = max(panel[k], panel[q]) if split else stop
+        if p and (ph > stop or h > q + 1):  # some row is updated
             inv = pow(pivot, -1, p)
         # Schur complement: a_ij += (a_qi * a_kj - a_ki * a_qj) / pivot
-        for i in chain(range(q + 1, h), range(stop, n)) if wide else range(q + 1, h):
+        for i in chain(range(q + 1, h), range(stop, ph)) if ph > stop else range(q + 1, h):
             f, g = rq[i], rk[i]
             if f or g:
                 ri = a[i]
                 f, g = (f * inv % p, g * inv % p) if p else (f / pivot, g / pivot)
-                t, u = i + 1, h if i < stop else n
-                ri[t:u] = _combine(ri[t:u], rk[t:u], rq[t:u], f, g, p)
-                if wide and i < stop:
-                    ri[stop:] = _combine(ri[stop:], rk[stop:], rq[stop:], f, g, p)
+                t = i + 1
+                if i >= stop:
+                    _combine(ri, rk, rq, slice(t, ph, step), f, g, p)
+                    continue
+                _combine(ri, rk, rq, slice(t, h, step), f, g, p)
                 if end[i] < h:
                     end[i] = h
+                if ph > stop:  # the panel columns of t's parity
+                    _combine(ri, rk, rq, slice(stop + (t - stop) % step, ph, step), f, g, p)
+                    if panel[i] < ph:
+                        panel[i] = ph
     if p:
         return result % p
     if stop == n and not (cmath.isfinite(result) and result):
@@ -403,23 +427,31 @@ def _eliminate(a: list, end: List[int], stop: int, factor, p: int = 0,
     return result
 
 
-def _combine(c: list, b: list, d: list, f, g, p: int) -> list:
-    """c + f*b - g*d entrywise, mod p if p; one product when f or g is 0."""
+def _combine(row: list, b: list, d: list, cols: slice, f, g, p: int) -> None:
+    """row += f*b - g*d in the columns ``cols``, mod p if p; one product when f or g is 0."""
+    c = row[cols]
     if f and g:
-        return ([(x + f * y - g * z) % p for x, y, z in zip(c, b, d)] if p else
-                [x + f * y - g * z for x, y, z in zip(c, b, d)])
-    f, b = (f, b) if f else (-g, d)
-    return [(x + f * y) % p for x, y in zip(c, b)] if p else [x + f * y for x, y in zip(c, b)]
+        b, d = b[cols], d[cols]
+        row[cols] = ([(x + f * y - g * z) % p for x, y, z in zip(c, b, d)] if p else
+                     [x + f * y - g * z for x, y, z in zip(c, b, d)])
+        return
+    f, b = (f, b[cols]) if f else (-g, d[cols])
+    row[cols] = [(x + f * y) % p for x, y in zip(c, b)] if p else [x + f * y for x, y in zip(c, b)]
 
 
-def _rcm_order(n: int, pairs: Sequence[Tuple[int, int]],
-               last: Collection[int] = ()) -> Tuple[List[int], List[int]]:
+def _rcm_order(n: int, pairs: Sequence[Tuple[int, int]], last: Collection[int] = ()
+               ) -> Tuple[List[int], List[int], List[int], int]:
     """Position of every index in the reverse Cuthill-McKee order of the
-    pattern joined by ``pairs``, then ``last``, and the envelope: one past the
-    last joined column of each row, not counting ``last`` outside it (>= i + 1).
-
-    Every component is searched breadth-first from an index of least degree,
-    neighbours by increasing degree; isolated indices are components too.
+    pattern joined by ``pairs``, then ``last`` by the position of each
+    index's first interior neighbour; the envelope: one past the last joined
+    column of each row, not counting ``last`` outside it (>= i + 1); the
+    panel ends: the same inside ``last`` (>= n - |last|, n on its rows); and
+    the step.  Every component is searched breadth-first from an index of
+    least degree, neighbours by increasing degree; isolated indices are
+    components too.  The search 2-colours the pattern: if it is bipartite
+    and the interior and ``last`` each hold as many indices of both colours,
+    they alternate, the first interior index's on even positions, and the
+    step is 2, else 1.
     """
     adj: List[set] = [set() for _ in range(n)]
     # sorted, so that ties in degree break the same way for any edge order
@@ -428,27 +460,68 @@ def _rcm_order(n: int, pairs: Sequence[Tuple[int, int]],
         adj[b].add(a)
     degree = [len(s) for s in adj]
     seen = [v in last for v in range(n)]
+    colour, bipartite = [-1] * n, True
     order: List[int] = []
     for start in sorted(range(n), key=degree.__getitem__):
         if seen[start]:
             continue
         seen[start] = True
+        colour[start] = 0
         head = len(order)
         order.append(start)
         while head < len(order):
-            for w in sorted(adj[order[head]], key=degree.__getitem__):
+            v = order[head]
+            c = colour[v]
+            for w in sorted(adj[v], key=degree.__getitem__):
                 if not seen[w]:
                     seen[w] = True
                     order.append(w)
+                    colour[w] = 1 - c
+                elif colour[w] == c:
+                    bipartite = False
+                elif colour[w] < 0:  # an index of last
+                    colour[w] = 1 - c
             head += 1
+    reached = [v for v in last if colour[v] >= 0]
+    for v in reached:  # grows: the joins inside last, and the indices only they reach
+        for w in adj[v]:
+            if colour[w] < 0:
+                colour[w] = 1 - colour[v]
+                reached.append(w)
+            elif colour[w] == colour[v]:
+                bipartite = False
+    inner, stop = order[::-1], n - len(last)
+    first = colour[inner[0]] if inner else 0
+    ones = sum(colour[v] for v in last)  # of colour 1 in last
+    step = 2 if (bipartite and len(reached) == len(last) and 2 * ones == len(last)
+                 and 2 * (colour.count(1) - ones) == stop) else 1
     position = [0] * n
-    for i, o in enumerate(order[::-1] + list(last)):
+    for i, o in enumerate(_alternate(inner, colour, first) if step == 2 else inner):
         position[o] = i
-    end = [0] * n
+    if last:
+        seam = sorted(last, key=lambda v: min([position[w] for w in adj[v] if w not in last],
+                                              default=n))
+        for i, o in enumerate(_alternate(seam, colour, first) if step == 2 else seam, stop):
+            position[o] = i
+    end, panel = [0] * n, [stop] * stop + [n] * (n - stop)
     for o, i in enumerate(position):
         end[i] = max([i + 1] + [position[w] + 1 for w in adj[o]
                                 if o in last or w not in last])
-    return position, end
+    for o in last:
+        for w in adj[o]:
+            i = position[w]
+            if i < stop:
+                panel[i] = max(panel[i], position[o] + 1)
+    return position, end, panel, step
+
+
+def _alternate(part: List[int], colour: List[int], first: int) -> List[int]:
+    """``part`` with its indices of colour ``first`` on even positions and the
+    others on odd ones, each in their order; as many of both."""
+    mixed = part[:]
+    mixed[::2] = [v for v in part if colour[v] == first]
+    mixed[1::2] = [v for v in part if colour[v] != first]
+    return mixed
 
 
 def _perm_sign(order: Sequence[int]) -> int:
@@ -467,8 +540,9 @@ def _perm_sign(order: Sequence[int]) -> int:
     return sign
 
 
-# prime widths in bits: one prime up to _CAP, then primes at _CAP; of caps 256,
-# 320 and 512, 320 ran the exact 30x30 and 40x40 lattices fastest in total
+# prime widths in bits: the fewest primes of at most _CAP bits, all of one
+# width; of caps 256, 320 and 512, 320 ran the exact 30x30 and 40x40
+# lattices fastest in total when every prime above one took the cap
 _FLOOR, _CAP = 80, 320
 _SMALL_PRIMES = tuple(q for q in range(3, 200, 2) if all(q % d for d in range(3, q, 2)))
 _MODULI: Dict[Tuple[int, int], Tuple[int, int]] = {}

@@ -114,13 +114,13 @@ def test_cli_warnings_print_without_their_source_line(tmp_path):
     import warnings
 
     path = tmp_path / "torus.graph"
-    assert main(["gen", "--surface", "torus", "--size", "4x4", "--out", str(path)]) == 0
+    assert main(["gen", "--surface", "torus", "--size", "4x6", "--out", str(path)]) == 0
     shown = warnings.showwarning
     out = subprocess.run(
         [sys.executable, "-m", "pfdimers.cli", "partition", str(path),
          "--backend", "float", "--format", "kv"],
         capture_output=True, text=True)
-    assert (out.returncode, out.stdout.splitlines()[0]) == (0, "Z 271.99999999999994")
+    assert (out.returncode, out.stdout.splitlines()[0]) == (0, "Z 3107.9999999999995")
     assert out.stderr == "IllConditionedWarning: pivot below conditioning threshold\n"
     assert main(["verify", str(path), "--backend", "float"]) == 0
     assert warnings.showwarning is shown  # library calls keep the default display

@@ -146,20 +146,40 @@ def _hadamard_bound(a):
     return math.isqrt(math.isqrt(math.prod(int(v) for v in norms)))
 
 
+def _edges(a):
+    return [(i, j, x.real, x.imag) for i, row in enumerate(a.entries)
+            for j, x in enumerate(row[i + 1:], i + 1) if x]
+
+
+def _at_the_cap(edges_of):
+    """The least power of two c whose exact route on ``edges_of(c)`` takes
+    primes of _CAP bits, so that its first modulus is _modulus(_CAP, 0)."""
+    for c in (2 ** j for j in range(4 * _CAP)):
+        edges = edges_of(c)
+        if _EdgeMatrix(1 + max(max(a, b) for a, b, _, _ in edges), edges, True).bits == _CAP:
+            return c
+    raise AssertionError("no power of two puts the route's primes at the cap")
+
+
 @pytest.mark.parametrize("changes, placed", [
     # denominator equal to the first modulus, which then divides the LCD
-    (lambda p: [(0, 3, GaussianRational.of(Fraction(1, p), 2))], True),
-    # first pivot is 0 mod the first modulus but not over Q
-    (lambda p: [(0, 1, GaussianRational.of(p, 0))], True),
-    (lambda p: [(0, 1, GaussianRational.of(0, p)), (2, 3, GaussianRational.of(p))], True),
+    (lambda p, c: [(0, 3, GaussianRational.of(Fraction(c, p), 2))], True),
+    # first pivot is 0 mod the first modulus but not over Q; the reverse
+    # Cuthill-McKee order of a full pattern reverses it, so 6 and 7 come first
+    (lambda p, c: [(6, 7, GaussianRational.of(c * p, 0))], True),
+    (lambda p, c: [(6, 7, GaussianRational.of(0, c * p)), (4, 5, GaussianRational.of(c * p))],
+     True),
     # an all-zero row
-    (lambda p: [(2, j, GaussianRational.of(0)) for j in range(8) if j != 2], False),
+    (lambda p, c: [(2, j, GaussianRational.of(0)) for j in range(8) if j != 2], False),
 ], ids=["denominator-is-modulus", "pivot-zero-mod-p", "pivots-zero-mod-p", "zero-row"])
 def test_exact_modular_edge_cases(changes, placed, moduli):
-    # p is the first prime at the cap width; an entry or denominator of p's
-    # size puts the bound over the cap, so p is the route's first modulus
+    # p is the first prime of _CAP bits; an entry or denominator of size c * p,
+    # c the least power of two whose bound puts the route's primes at the
+    # cap, makes p the route's first modulus
     p = _modulus(_CAP, 0)[0]
-    a = _with_entries(_random_skew(random.Random(5), 8, complex_entries=True), changes(p))
+    base = _random_skew(random.Random(5), 8, complex_entries=True)
+    c = _at_the_cap(lambda c: _edges(_with_entries(base, changes(p, c)))) if placed else 1
+    a = _with_entries(base, changes(p, c))
     pf = pfaffian(a)
     assert pf == pfaffian_expansion(a)
     assert pf * pf == determinant(a)
@@ -191,12 +211,17 @@ def test_prime_width_follows_the_hadamard_bound(moduli):
     pf = pfaffian(a)
     assert len(set(moduli)) == 1 and moduli[0].bit_length() == bits
     assert pf * pf == determinant(a)
-    # a bound over the cap: several primes, all of _CAP bits
+    # a bound over the cap: the fewest primes of one width at most _CAP whose
+    # product exceeds 2^need > 2B + 1, of the least such width
     a = _random_skew(random.Random(4), 12, complex_entries=True, size=10**30)
-    assert _hadamard_bound(a).bit_length() + 2 > _CAP
+    need = _hadamard_bound(a).bit_length() + 1
+    assert need + 1 > _CAP
     moduli.clear()
     pf = pfaffian(a)
-    assert len(set(moduli)) > 1 and {p.bit_length() for p in moduli} == {_CAP}
+    count, width = len(set(moduli)), moduli[0].bit_length()
+    assert count > 1 and {p.bit_length() for p in moduli} == {width}
+    assert (count - 1) * (_CAP - 1) < need <= count * (_CAP - 1)
+    assert count * (width - 2) < need <= count * (width - 1)
     assert pf * pf == determinant(a)
 
 
@@ -664,17 +689,22 @@ def test_split_falls_back_when_an_interior_index_only_meets_the_seam(exact):
 
 
 def test_split_falls_back_on_an_interior_pivot_zero_mod_p(moduli):
-    # the interior pair (2, 3) weighs the first prime p at the cap width,
-    # which puts the bound over the cap: its pivot is 0 mod the route's first
-    # prime although Pf = 11 * p - 2 * 3 + 5 * 7 is not
+    # the interior pair (2, 3) weighs c * p, p the first prime of _CAP bits
+    # and c the least power of two that puts the route's primes at the cap:
+    # its pivot is 0 mod the route's first prime although
+    # Pf = 11 * c * p - 2 * 3 + 5 * 7 is not
     p = _modulus(_CAP, 0)[0]
-    pairs = [(0, 1, 11), (2, 3, p), (0, 2, 2), (1, 3, 3), (0, 3, 5), (1, 2, 7)]
-    edges = [(a, b, w, 0) for a, b, w in pairs]
-    route, got, want = _split_route(edges, 0b1, True)
+
+    def edges_of(c):
+        pairs = [(0, 1, 11), (2, 3, c * p), (0, 2, 2), (1, 3, 3), (0, 3, 5), (1, 2, 7)]
+        return [(a, b, w, 0) for a, b, w in pairs]
+
+    c = _at_the_cap(edges_of)
+    route, got, want = _split_route(edges_of(c), 0b1, True)
     assert moduli[0] == p
     assert route.stop == 4
     assert got == want
-    assert got[0] == GaussianRational.of(11 * p - 2 * 3 + 5 * 7)
+    assert got[0] == GaussianRational.of(11 * c * p - 2 * 3 + 5 * 7)
 
 
 def test_split_block_entries_reduced_mod_p():
@@ -921,9 +951,9 @@ def test_repeated_cell_values_are_eliminated_once(monkeypatch, backend):
     eliminate, pf = module._eliminate, route_module.pfaffian
     runs, calls = [], []  # every elimination's arithmetic and input; every class
 
-    def spy(a, end, stop, factor, p=0, scale=0.0):
+    def spy(a, end, stop, factor, p=0, scale=0.0, *shape):
         runs.append((p, repr(a), repr(factor)))
-        return eliminate(a, end, stop, factor, p, scale)
+        return eliminate(a, end, stop, factor, p, scale, *shape)
 
     monkeypatch.setattr(module, "_eliminate", spy)
     monkeypatch.setattr(route_module, "pfaffian",
@@ -994,3 +1024,125 @@ def test_float_bipartite_pfaffian_takes_the_largest_pivot():
             rows[i][k + j], rows[k + j][i] = block[i][j], -block[i][j]
     a = skew_matrix(rows, exact=False)
     assert bipartite_pfaffian(a) == pytest.approx(pfaffian(a), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Structural zeros: on a bipartite pattern with balanced colours the kernel
+# updates only entries between positions of different parity, and a split
+# interior row updates its panel only up to its panel end
+# ---------------------------------------------------------------------------
+
+def _auto_route(monkeypatch, inst):
+    """The prepared route of exact ``partition(..., "auto")`` on a lattice instance."""
+    route_module = sys.modules["pfdimers.partition"]
+    pf, routes = route_module.pfaffian, []
+    monkeypatch.setattr(route_module, "pfaffian", lambda c: routes.append(c.route) or pf(c))
+    partition(inst.map, "auto", curves=inst.curves, basis=inst.basis)
+    monkeypatch.setattr(route_module, "pfaffian", pf)
+    assert len(set(map(id, routes))) == 1
+    return routes[0]
+
+
+_STRIDED = [("planar", 4, 4), ("planar", 5, 6), ("torus", 4, 4), ("torus", 6, 8),
+            ("torus", 20, 20), ("klein_hexagon", 4, 6), ("klein_hexagon", 5, 10),
+            ("rp2", 5, 4), ("rp2", 4, 5)]
+_UNSTRIDED = [("torus", 5, 6), ("rp2", 10, 10), ("klein_hexagon", 20, 20)]
+
+
+@pytest.mark.parametrize("surface, rows, cols, step",
+                         [(*c, 2) for c in _STRIDED] + [(*c, 1) for c in _UNSTRIDED])
+def test_lattice_route_steps(monkeypatch, surface, rows, cols, step):
+    route = _auto_route(monkeypatch, lattice(rows, cols, surface))
+    assert route.step == step
+    if step == 2:  # every cell joins positions of different parity
+        assert all((i + j) % 2 for i, j in route.cells)
+
+
+def _unstrided(monkeypatch):
+    """Make every route prepared from here on take step 1 in the same order."""
+    module = sys.modules["pfdimers.pfaffian"]
+    rcm = module._rcm_order
+    monkeypatch.setattr(module, "_rcm_order", lambda *args: (*rcm(*args)[:3], 1))
+
+
+def _class_pfaffians(m, K, flips, omega=None):
+    return [pfaffian(c) for c in _class_matrices(m, K, flips, "exact", omega)]
+
+
+def test_strided_class_pfaffians_equal_step_one_on_lattices(monkeypatch):
+    cases = []
+    for surface, rows, cols in _STRIDED + _UNSTRIDED:
+        inst = lattice(rows, cols, surface)
+        m = inst.map
+        flips = [cv.cross for cv in inst.curves] or list(cycle_basis(m).pd_cochains)
+        cases.append((f"{surface} {rows}x{cols}", m, construct_kasteleyn(m), flips))
+    strided = [_class_pfaffians(m, K, flips) for _, m, K, flips in cases]
+    _unstrided(monkeypatch)
+    for (label, m, K, flips), want in zip(cases, strided):
+        assert _class_pfaffians(m, K, flips) == want, label
+
+
+def test_strided_class_pfaffians_equal_step_one_on_random_maps(monkeypatch):
+    rng, cases = random.Random(2), []
+    while len(cases) < 300:
+        m = random_map(rng, max_vertices=12, extra_edges=4, twisted=len(cases) % 2 == 1)
+        if m.vertex_count % 2 == 0:
+            om = m.twist_bits()
+            cases.append((m, construct_kasteleyn(m, omega=om), cycle_basis(m).dual_cochains, om))
+    routes = [_class_matrices(m, K, flips, "exact", om)[0].route for m, K, flips, om in cases]
+    assert sum(r.step == 2 for r in routes) >= 40
+    assert sum(r.step == 2 and r.stop < len(r.end) for r in routes) >= 3
+    strided = [_class_pfaffians(*case) for case in cases]
+    _unstrided(monkeypatch)
+    assert [_class_pfaffians(*case) for case in cases] == strided
+
+
+def test_unbalanced_bipartite_patterns_take_step_one():
+    # K_{1,3} beside an edge: one colour holds 2 indices, the other 4, and Pf = 0
+    edges = [(0, 1, 2, 0), (0, 2, 3, 0), (0, 3, 5, 0), (4, 5, 7, 0)]
+    route = _EdgeMatrix(6, edges, True)
+    assert route.step == 1 and route.pfaffian(0) == GaussianRational.of(0)
+    # the 3x4 grid, balanced, with a seam whose ends hold 2 indices of one
+    # colour and 4 of the other: the interior is unbalanced too, so it has
+    # no perfect matching and the split falls back
+    grid = [(r * 4 + c, r * 4 + c + 1) for r in range(3) for c in range(3)]
+    grid += [(r * 4 + c, r * 4 + c + 4) for r in range(2) for c in range(4)]
+    edges = [(a, b, 1 + (a * 7 + b * 3) % 5, 0) for a, b in grid]
+    seam = sum(1 << e for e, (a, b, _, _) in enumerate(edges)
+               if (a, b) in {(0, 1), (0, 4), (9, 10), (10, 11)})
+    assert _EdgeMatrix(12, edges, True).step == 2
+    route, got, want = _split_route(edges, seam, True)
+    assert route.step == 1 and route.stop == 12
+    assert got == want
+    rows = [[GaussianRational.of(0)] * 12 for _ in range(12)]
+    for a, b, w, _ in edges:
+        rows[a][b], rows[b][a] = GaussianRational.of(w), GaussianRational.of(-w)
+    assert got[0] == pfaffian_expansion(SkewMatrix(tuple(map(tuple, rows)), exact=True))
+    assert not got[0].is_zero()
+
+
+def _combine_writes(monkeypatch, inst, backend):
+    """Entries ``_combine`` writes during ``partition(..., "auto")``."""
+    module = sys.modules["pfdimers.pfaffian"]
+    combine, writes = module._combine, [0]
+
+    def counting(row, b, d, cols, f, g, p):
+        writes[0] += len(range(*cols.indices(len(row))))
+        return combine(row, b, d, cols, f, g, p)
+
+    monkeypatch.setattr(module, "_combine", counting)
+    partition(inst.map, "auto", curves=inst.curves, basis=inst.basis, backend=backend)
+    monkeypatch.setattr(module, "_combine", combine)
+    return writes[0]
+
+
+def test_structural_zeros_are_not_written(monkeypatch):
+    # the kernel wrote 534963 entries on float torus 20x20, 36% of them
+    # nonzero, and 117712 on klein_hexagon 20x20, before it skipped the
+    # entries between two indices of one colour and the panel past its end
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        torus = _combine_writes(monkeypatch, lattice(20, 20, "torus"), "float")
+        klein = _combine_writes(monkeypatch, lattice(20, 20, "klein_hexagon"), "float")
+    assert torus <= 534963 // 2
+    assert klein < 117712
