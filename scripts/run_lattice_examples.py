@@ -35,6 +35,7 @@ from pfdimers import (  # noqa: E402
     pfaffian,
     relabel,
 )
+from pfdimers.surface_graph import tree_side  # noqa: E402
 
 FLOAT_REL_TOL = 1e-9
 
@@ -43,22 +44,6 @@ def timed(fn, *args, **kw):
     t0 = time.perf_counter()
     val = fn(*args, **kw)
     return val, time.perf_counter() - t0
-
-
-def bipartite_check(m):
-    colour = [None] * m.vertex_count
-    colour[0] = 0
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for h in m.rotations[v]:
-            w = m.arc_target(h)
-            if colour[w] is None:
-                colour[w] = colour[v] ^ 1
-                stack.append(w)
-            elif colour[w] == colour[v]:
-                return None
-    return colour
 
 
 def main() -> int:
@@ -97,7 +82,7 @@ def main() -> int:
             print(f"  FLOAT DISAGREEMENT: {z.value!r} vs {values['practical']}")
             status = 1
 
-        colour = bipartite_check(m)
+        colour = tree_side(m, (1 << m.edge_count) - 1)  # x_u + x_v = 1 on every edge
         if colour is not None and m.vertex_count % 2 == 0:
             order = [v for v in range(m.vertex_count) if colour[v] == 0] + \
                 [v for v in range(m.vertex_count) if colour[v] == 1]

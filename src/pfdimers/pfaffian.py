@@ -11,8 +11,9 @@ one class of a prepared route, a ``_ClassMatrix``, or a ``SkewMatrix`` as
 one class of its nonzero entries.
 
 The classes of a route differ only in the signs of the flipped edges, whose
-endpoints form the seam S.  With several classes and an even |S| <= n/2, S
-goes last in the order, after the RCM order of the interior, sorted by the
+endpoints form the seam S.  With several classes, an even |S| <= n/2 and,
+on a bipartite pattern, an interior holding as many indices of both colours,
+S goes last in the order, after the RCM order of the interior, sorted by the
 position of each index's first interior neighbour.  Pf(A) is the product of
 the interior pivots and the Pfaffian of the Schur complement on S, and only
 the cells inside S differ between classes.  So the interior is eliminated
@@ -36,11 +37,12 @@ interior row also updates its S columns, its panel, and the S rows, up to
 the panel end of the pivot rows, which grows the same way.  In a band of
 width w this costs O(n w^2); lattices have w at most about twice the side.
 Where a pivot row is zero in the updated row's column, the update takes one
-product per entry.  On a bipartite pattern whose interior and S each hold
-as many indices of both colours, the order alternates the colours and every
-update, pivot search and swap steps by 2: a pivot pairs two colours, a swap
-two indices of one, and a_ij += (a_qi a_kj - a_ki a_qj) / pivot reaches only
-j = i + 1 (mod 2), so the entries within one colour stay 0 unread.  Mod p
+product per entry.  On a bipartite pattern with as many indices of both
+colours (so, split, the interior and S each hold as many too), the order
+alternates the colours in both parts and every update, pivot search and
+swap steps by 2: a pivot pairs two colours, a swap two indices of one, and
+a_ij += (a_qi a_kj - a_ki a_qj) / pivot reaches only j = i + 1 (mod 2), so
+the entries within one colour stay 0 unread.  Mod p
 the pivot is the first nonzero entry of the row; in floats (real ones for a
 real class) it is the largest, with a warning below the conditioning
 threshold, and ``FloatOutOfRange`` when the product of the pivots leaves
@@ -76,7 +78,7 @@ from functools import reduce
 from itertools import chain
 from math import isqrt, lcm, prod
 from operator import or_
-from typing import Collection, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import (
     FloatOutOfRange,
@@ -229,11 +231,10 @@ class _EdgeMatrix:
         if n % 2:
             raise OddDimension(f"dimension {n} is odd")
         ends = sorted({v for e, (a, b, _, _) in enumerate(edges) if seam >> e & 1 for v in (a, b)})
-        last = dict.fromkeys(ends if 2 * len(ends) <= n and not len(ends) % 2 else ())
-        position, self.end, self.panel, self.step = _rcm_order(
-            n, [(a, b) for a, b, _, _ in edges], last)
+        position, self.end, self.panel, self.step, self.stop = _rcm_order(
+            n, [(a, b) for a, b, _, _ in edges], ends)
         self.sign = _perm_sign(position)
-        self.exact, self.stop, self.shared, self.turn = exact, n - len(last), {}, turn
+        self.exact, self.shared, self.turn = exact, {}, turn
         self.scale = 1
         cells: Dict[Tuple[int, int], int] = {}
         slots = []  # (cell, parts signed for the reordered upper triangle)
@@ -439,19 +440,22 @@ def _combine(row: list, b: list, d: list, cols: slice, f, g, p: int) -> None:
     row[cols] = [(x + f * y) % p for x, y in zip(c, b)] if p else [x + f * y for x, y in zip(c, b)]
 
 
-def _rcm_order(n: int, pairs: Sequence[Tuple[int, int]], last: Collection[int] = ()
-               ) -> Tuple[List[int], List[int], List[int], int]:
-    """Position of every index in the reverse Cuthill-McKee order of the
-    pattern joined by ``pairs``, then ``last`` by the position of each
-    index's first interior neighbour; the envelope: one past the last joined
-    column of each row, not counting ``last`` outside it (>= i + 1); the
-    panel ends: the same inside ``last`` (>= n - |last|, n on its rows); and
-    the step.  Every component is searched breadth-first from an index of
-    least degree, neighbours by increasing degree; isolated indices are
-    components too.  The search 2-colours the pattern: if it is bipartite
-    and the interior and ``last`` each hold as many indices of both colours,
-    they alternate, the first interior index's on even positions, and the
-    step is 2, else 1.
+def _rcm_order(n: int, pairs: Sequence[Tuple[int, int]], ends: Sequence[int] = ()
+               ) -> Tuple[List[int], List[int], List[int], int, int]:
+    """Position of every index, the envelope, the panel ends, the step and
+    the stop of the pattern joined by ``pairs`` with seam ``ends``.  One
+    breadth-first search orders and 2-colours every index, each component
+    from an index of least degree, neighbours by increasing degree; isolated
+    indices are components too.  The interior takes the reversed search
+    order; the ends go last, from stop = n - |ends| on, by the position of
+    each one's first interior neighbour, if there is an even number of them,
+    at most n/2, and on a bipartite pattern the interior holds as many
+    indices of both colours; else stop is n.  The step is 2 if the pattern is
+    bipartite with n/2 indices of each colour, and both parts then alternate
+    the colours, the first interior index's on even positions; else 1.  The
+    envelope: one past the last joined column of each row, not counting the
+    ends outside them (>= i + 1); the panel ends: the same inside them
+    (>= stop, n on their rows).
     """
     adj: List[set] = [set() for _ in range(n)]
     # sorted, so that ties in degree break the same way for any edge order
@@ -459,42 +463,30 @@ def _rcm_order(n: int, pairs: Sequence[Tuple[int, int]], last: Collection[int] =
         adj[a].add(b)
         adj[b].add(a)
     degree = [len(s) for s in adj]
-    seen = [v in last for v in range(n)]
-    colour, bipartite = [-1] * n, True
-    order: List[int] = []
+    colour, bipartite, head = [-1] * n, True, 0
+    order: List[int] = []  # the search reaches every index once, components in turn
     for start in sorted(range(n), key=degree.__getitem__):
-        if seen[start]:
+        if colour[start] >= 0:
             continue
-        seen[start] = True
         colour[start] = 0
-        head = len(order)
         order.append(start)
         while head < len(order):
             v = order[head]
-            c = colour[v]
             for w in sorted(adj[v], key=degree.__getitem__):
-                if not seen[w]:
-                    seen[w] = True
+                if colour[w] < 0:
+                    colour[w] = 1 - colour[v]
                     order.append(w)
-                    colour[w] = 1 - c
-                elif colour[w] == c:
+                elif colour[w] == colour[v]:
                     bipartite = False
-                elif colour[w] < 0:  # an index of last
-                    colour[w] = 1 - c
             head += 1
-    reached = [v for v in last if colour[v] >= 0]
-    for v in reached:  # grows: the joins inside last, and the indices only they reach
-        for w in adj[v]:
-            if colour[w] < 0:
-                colour[w] = 1 - colour[v]
-                reached.append(w)
-            elif colour[w] == colour[v]:
-                bipartite = False
-    inner, stop = order[::-1], n - len(last)
+    ones, stop = colour.count(1), n - len(ends)
+    inner_ones = ones - sum(colour[v] for v in ends)
+    if len(ends) % 2 or 2 * stop < n or bipartite and 2 * inner_ones != stop:
+        stop = n
+    last = dict.fromkeys(ends if stop < n else ())
+    inner = [v for v in reversed(order) if v not in last]
     first = colour[inner[0]] if inner else 0
-    ones = sum(colour[v] for v in last)  # of colour 1 in last
-    step = 2 if (bipartite and len(reached) == len(last) and 2 * ones == len(last)
-                 and 2 * (colour.count(1) - ones) == stop) else 1
+    step = 2 if bipartite and 2 * ones == n else 1
     position = [0] * n
     for i, o in enumerate(_alternate(inner, colour, first) if step == 2 else inner):
         position[o] = i
@@ -512,7 +504,7 @@ def _rcm_order(n: int, pairs: Sequence[Tuple[int, int]], last: Collection[int] =
             i = position[w]
             if i < stop:
                 panel[i] = max(panel[i], position[o] + 1)
-    return position, end, panel, step
+    return position, end, panel, step, stop
 
 
 def _alternate(part: List[int], colour: List[int], first: int) -> List[int]:

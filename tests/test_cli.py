@@ -61,6 +61,17 @@ def test_malformed_file_messages():
         graphfile.load(io.StringIO("edge 0 0 1 0 1\n"))
     with pytest.raises(MalformedFile):
         graphfile.load(io.StringIO("vertices 2\nedge 5 0 1 0 1\n"))
+    with pytest.raises(MalformedFile, match=r"line 2: cannot parse 'edge x 0 1 0 1'"):
+        graphfile.load(io.StringIO("vertices 2\nedge x 0 1 0 1\n"))
+
+
+def test_comment_and_blank_lines_are_skipped():
+    plain = ["vertices 2", "edge 0 0 1 0 1", "rotation 0 0.0", "rotation 1 0.1"]
+    noted = ["# a dimer", "", plain[0], "   # indented", *plain[1:3], "  ",
+             plain[3] + "  # trailing"]
+    a, b = (graphfile.load(io.StringIO("\n".join(lines) + "\n")).map for lines in (plain, noted))
+    assert a.vertex_count == b.vertex_count == 2
+    assert a.edges == b.edges and a.rotations == b.rotations and len(a.edges) == 1
 
 
 def test_graph_file_weights_past_the_int_str_digit_limit(tmp_path, capsys):

@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+
 from pfdimers.exactnum import GaussianRational
 
 
@@ -22,3 +24,8 @@ def test_real_imag_and_truthiness_read_like_complex():
         assert (float(z.real), float(z.imag)) == (c.real, c.imag)
         assert bool(z) == bool(c) == (not z.is_zero())
     assert not GaussianRational.of(0) and GaussianRational.of(0, 1)
+
+
+def test_division_by_zero_raises():
+    with pytest.raises(ZeroDivisionError, match="division by zero Gaussian rational"):
+        GaussianRational.of(1, 2) / GaussianRational.of(0)

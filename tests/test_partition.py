@@ -55,6 +55,8 @@ from pfdimers.kasteleyn import Orientation, _omega_flip_set, is_kasteleyn
 from pfdimers.partition import _class_sum, companion_cycle
 from pfdimers.surface_graph import flip_charts, relabel, untwist
 
+import closed_forms
+
 
 def test_planar_5x6_single_pfaffian():
     inst = lattice(5, 6, "planar")
@@ -242,6 +244,23 @@ def test_twisted_torus_above_the_oracle_bound(size):
     r = partition(flip_charts(inst.map, [0, 5, 6]), "auto")
     want = partition(inst.map, "practical", curves=inst.curves, basis=inst.basis)
     assert (r.value, r.method, r.terms) == (want.value, "practical", want.terms)
+
+
+@pytest.mark.parametrize("surface, rows, cols",
+                         [("torus", k, k) for k in (10, 16, 20, 30)]
+                         + [("planar", 10, 10), ("planar", 20, 20), ("planar", 21, 20)])
+def test_exact_auto_equals_the_closed_form(surface, rows, cols):
+    inst = lattice(rows, cols, surface)
+    r = partition(inst.map, "auto", curves=inst.curves, basis=inst.basis)
+    assert r.value == getattr(closed_forms, surface)(rows, cols)
+
+
+@pytest.mark.parametrize("surface", ["torus", "planar"])
+def test_float_auto_near_the_closed_form_at_40x40(surface):
+    inst = lattice(40, 40, surface)
+    r = partition(inst.map, "auto", curves=inst.curves, basis=inst.basis, backend="float")
+    want = getattr(closed_forms, surface)(40, 40)
+    assert abs(r.value - want) <= 1e-12 * want
 
 
 def _reversed_labels(terms):
@@ -523,6 +542,25 @@ def test_wrong_invariants_or_signs_raise_non_real(monkeypatch, method, surface,
     monkeypatch.setattr(module, "matching_sign", lambda *args: -sign(*args))
     with pytest.raises(NonRealResult, match="negative"):
         partition(m, method, backend=backend)
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_a_quarter_turned_pin_sum_is_not_real(monkeypatch, backend):
+    # beta + 2 keeps the parity of b1 and turns every weight by i: Z i
+    module = sys.modules["pfdimers.partition"]
+    brown = module.brown
+    monkeypatch.setattr(module, "brown", lambda q: brown(q) + 2)
+    with pytest.raises(NonRealResult, match="pin sum is not real"):
+        partition(lattice(4, 4, "torus").map, "pin", backend=backend)
+
+
+def test_an_imaginary_orientable_class_pfaffian_is_refused(monkeypatch):
+    module = sys.modules["pfdimers.partition"]
+    pf = module.pfaffian
+    monkeypatch.setattr(module, "pfaffian", lambda c: pf(c) + GaussianRational.of(0, 1))
+    inst = lattice(4, 4, "torus")
+    with pytest.raises(NonRealResult, match="orientable Pfaffian has an imaginary part"):
+        partition(inst.map, "practical", curves=inst.curves, basis=inst.basis)
 
 
 def test_normalize_orientation_parities():

@@ -18,6 +18,7 @@ from pfdimers import (
     LoopEdge,
     NotBlockForm,
     OddDimension,
+    TooLarge,
     bipartite_pfaffian,
     build_map,
     canonical_orientation,
@@ -82,6 +83,11 @@ def _with_entries(a, changes):
 def test_two_by_two():
     a = _exact([[0, 3], [-3, 0]])
     assert pfaffian(a) == GaussianRational.of(3)
+
+
+def test_to_float_keeps_a_float_matrix():
+    a = skew_matrix([[0j, 1.5 + 0j], [-1.5 + 0j, 0j]], False)
+    assert a.to_float() is a
 
 
 def test_block_four_by_four():
@@ -1004,7 +1010,11 @@ def test_lattice_classes_never_repeat(monkeypatch, surface, backend):
      ValueError, "not skew-symmetric"),
     (lambda: pfaffian_expansion(skew_matrix([[GaussianRational.of(0)] * 3] * 3, True)),
      OddDimension, "dimension 3 is odd"),
-], ids=["not-skew", "expansion-odd"])
+    (lambda: pfaffian_expansion(skew_matrix([[0j] * 14] * 14, False)),
+     TooLarge, "dimension 14 exceeds expansion bound 12"),
+    (lambda: bipartite_pfaffian(skew_matrix([[0j] * 3] * 3, False)),
+     OddDimension, "dimension 3 is odd"),
+], ids=["not-skew", "expansion-odd", "expansion-too-large", "bipartite-odd"])
 def test_matrix_rejections_name_their_fault(call, error, message):
     with pytest.raises(error, match=message):
         call()
@@ -1062,7 +1072,12 @@ def _unstrided(monkeypatch):
     """Make every route prepared from here on take step 1 in the same order."""
     module = sys.modules["pfdimers.pfaffian"]
     rcm = module._rcm_order
-    monkeypatch.setattr(module, "_rcm_order", lambda *args: (*rcm(*args)[:3], 1))
+
+    def step_one(*args):
+        position, end, panel, _, *rest = rcm(*args)
+        return (position, end, panel, 1, *rest)
+
+    monkeypatch.setattr(module, "_rcm_order", step_one)
 
 
 def _class_pfaffians(m, K, flips, omega=None):
@@ -1097,28 +1112,53 @@ def test_strided_class_pfaffians_equal_step_one_on_random_maps(monkeypatch):
     assert [_class_pfaffians(*case) for case in cases] == strided
 
 
-def test_unbalanced_bipartite_patterns_take_step_one():
+def test_unbalanced_bipartite_patterns_take_step_one(monkeypatch):
     # K_{1,3} beside an edge: one colour holds 2 indices, the other 4, and Pf = 0
     edges = [(0, 1, 2, 0), (0, 2, 3, 0), (0, 3, 5, 0), (4, 5, 7, 0)]
     route = _EdgeMatrix(6, edges, True)
     assert route.step == 1 and route.pfaffian(0) == GaussianRational.of(0)
     # the 3x4 grid, balanced, with a seam whose ends hold 2 indices of one
     # colour and 4 of the other: the interior is unbalanced too, so it has
-    # no perfect matching and the split falls back
+    # no perfect matching, and the route is prepared unsplit with step 2
     grid = [(r * 4 + c, r * 4 + c + 1) for r in range(3) for c in range(3)]
     grid += [(r * 4 + c, r * 4 + c + 4) for r in range(2) for c in range(4)]
     edges = [(a, b, 1 + (a * 7 + b * 3) % 5, 0) for a, b in grid]
     seam = sum(1 << e for e, (a, b, _, _) in enumerate(edges)
                if (a, b) in {(0, 1), (0, 4), (9, 10), (10, 11)})
-    assert _EdgeMatrix(12, edges, True).step == 2
-    route, got, want = _split_route(edges, seam, True)
-    assert route.step == 1 and route.stop == 12
-    assert got == want
+    route = _EdgeMatrix(12, edges, True, seam)
+    assert route.stop == 12 and route.step == 2
+    module = sys.modules["pfdimers.pfaffian"]
+    eliminate, sizes = module._eliminate, []
+
+    def spy(a, end, stop, *rest):
+        sizes.append((len(a), stop))
+        return eliminate(a, end, stop, *rest)
+
+    monkeypatch.setattr(module, "_eliminate", spy)
+    got = route.pfaffian(0)
+    assert sizes and set(sizes) == {(12, 12)}
     rows = [[GaussianRational.of(0)] * 12 for _ in range(12)]
     for a, b, w, _ in edges:
         rows[a][b], rows[b][a] = GaussianRational.of(w), GaussianRational.of(-w)
-    assert got[0] == pfaffian_expansion(SkewMatrix(tuple(map(tuple, rows)), exact=True))
-    assert not got[0].is_zero()
+    assert got == pfaffian_expansion(SkewMatrix(tuple(map(tuple, rows)), exact=True))
+    assert not got.is_zero()
+
+
+def test_a_seam_of_its_own_component_takes_step_two_split(monkeypatch):
+    # the 2x4 grid beside an edge (8, 9) whose two ends are the seam: the
+    # search colours that component too, so the pattern is balanced
+    grid = [(r * 4 + c, r * 4 + c + 1) for r in range(2) for c in range(3)]
+    grid += [(c, c + 4) for c in range(4)] + [(8, 9)]
+    edges = [(a, b, 1 + (a * 5 + b * 3) % 7, 0) for a, b in grid]
+    seam = 1 << len(grid) - 1
+    route = _EdgeMatrix(10, edges, True, seam)
+    assert route.step == 2 and route.stop == 8
+    got = [route.pfaffian(f) for f in (0, seam)]
+    _unstrided(monkeypatch)
+    plain = _EdgeMatrix(10, edges, True)
+    assert plain.step == 1 and plain.stop == 10
+    assert got == [plain.pfaffian(f) for f in (0, seam)]
+    assert route.stop == 8 and not got[0].is_zero()  # the split held
 
 
 def _combine_writes(monkeypatch, inst, backend):
@@ -1146,3 +1186,9 @@ def test_structural_zeros_are_not_written(monkeypatch):
         klein = _combine_writes(monkeypatch, lattice(20, 20, "klein_hexagon"), "float")
     assert torus <= 534963 // 2
     assert klein < 117712
+
+
+def test_exact_torus_order_searches_through_the_seam(monkeypatch):
+    # exact auto on torus 20x20 wrote 185252 entries when the interior's
+    # search stopped at the seam's ends and 141611 when it passes through them
+    assert _combine_writes(monkeypatch, lattice(20, 20, "torus"), "exact") <= 150000

@@ -65,6 +65,11 @@ def test_matching_sign_rejects_non_matchings(sphere_square):
         matching_sign(sphere_square, canonical_orientation(sphere_square), 1)
 
 
+def test_matching_sign_rejects_a_loop(sphere_loop):
+    with pytest.raises(NotAMatching, match="a loop cannot carry a dimer"):
+        matching_sign(sphere_loop, canonical_orientation(sphere_loop), 1)
+
+
 def test_sign_product_over_difference_cycles():
     # product of two matching signs = product over the loops of D + D' of
     # -(-1)^(mismatch count)
