@@ -35,15 +35,18 @@ crossing the copy on the cycle's left push-off with the cycle as its
 companion.  The vertex sets and
 orders come from a second generator, so the maps drawn do not depend on
 them.  Every random map (b1 up to 7-8, unit weights) is also rebuilt with
-weights of 40-200 bits from that second generator, integers or, by a coin,
-over denominators up to 9, and pin, and spin if it is orientable, must give
-that copy's oracle value (exactly on the exact backend).  The Hadamard bounds
-of those exact routes lie below, inside and above the range of prime widths,
-so they take one prime of the floor width, one prime sized to the bound, or
-the fewest primes of one width at most the cap.  Their exact class Pfaffians are Gaussian integers over
-a scale L^(n/2), L the least common denominator of the weights.  Exits
-nonzero on the first disagreement or violation, naming the map, the route
-and the backend.
+wide weights from that second generator, and pin, and spin if it is
+orientable, must give that copy's oracle value (exactly on the exact
+backend).  The copies with a perfect matching aim in turn below, inside and
+above the range of prime widths: integer weights of 1-3 bits, whose exact
+routes take one prime of the floor width; weights of 40-80 bits, integers
+or, by a coin, over denominators up to 9, one prime sized to the Hadamard
+bound; and weights so wide that the bound passes the cap, the fewest primes
+of one width at most the cap.  A run in which one of the three does not
+occur exits 1, so a run needs three such copies, about a dozen trials.
+Their exact class Pfaffians are Gaussian integers over a scale L^(n/2), L
+the least common denominator of the weights.  Exits nonzero on the first
+disagreement or violation, naming the map, the route and the backend.
 """
 
 from __future__ import annotations
@@ -79,9 +82,31 @@ from pfdimers.homology import (  # noqa: E402
     is_cocycle,
     reverse_walk,
 )
+from pfdimers.pfaffian import _CAP, _FLOOR, _EdgeMatrix  # noqa: E402
 from pfdimers.surface_graph import flip_charts  # noqa: E402
 
 FLOAT_REL_TOL = 1e-9
+REGIMES = ("floor", "sized", "above")  # one prime of _FLOOR bits, one of bound + 2, several
+
+
+def width_regime(m):
+    """Which prime widths an exact route on m's weights takes: its Hadamard
+    bound depends on the weights' moduli alone, not on K, omega or a class."""
+    edges = [(e.u, e.v, e.weight, 0) for e in m.edges]
+    width = _EdgeMatrix(m.vertex_count, edges, True).bound.bit_length() + 2
+    return REGIMES[(width > _FLOOR) + (width > _CAP)]
+
+
+def wide_weight_shape(side, regime, n):
+    """Bit width and denominator bound of weights that put an exact route on
+    n <= 6 vertices in ``regime``: a few bits keep the bound far below 2^28;
+    40-80 bits, over denominators up to 9, inside the cap; and w bits with
+    w n / 2 > 320 put it over the cap, B >= 2^((w - 1) n / 2)."""
+    if regime == "floor":
+        return side.randint(1, 3), 1
+    if regime == "sized":
+        return side.randint(40, 80), side.choice((1, 9))
+    return side.randint(660 // n, 800 // n), side.choice((1, 9))
 
 
 def prepared_violation(m, basis):
@@ -104,6 +129,7 @@ def main() -> int:
     args = ap.parse_args()
     rng, side = random.Random(args.seed), random.Random(args.seed)
     t0 = time.perf_counter()
+    regimes = dict.fromkeys(REGIMES, 0)
 
     for trial in range(args.trials):
         if trial % 2 == 0:
@@ -190,13 +216,17 @@ def main() -> int:
                 print(f"TERMS DIFFER at {where}: pin and spin ({backend})")
                 return 1
         if trial % 2:
-            # wide weights: exact routes below, inside and above the prime widths
-            bits, den = side.randint(40, 200), side.choice((1, 9))
+            # wide weights: exact routes below, inside and above the prime
+            # widths in turn, counting the copies with a perfect matching
+            target = REGIMES[sum(regimes.values()) % len(REGIMES)]
+            bits, den = wide_weight_shape(side, target, max(m.vertex_count, 2))
             weights = [Fraction(side.getrandbits(bits) | 1 << bits - 1, side.randint(1, den))
                        for _ in m.edges]
             wide = build_map(m.vertex_count, m.rotations, [(e.u, e.v) for e in m.edges],
                              [e.twist for e in m.edges], weights)
             z_wide = partition_bruteforce(wide)
+            if z_wide:  # the routes eliminate
+                regimes[width_regime(wide)] += 1
             weighted_routes = {"pin": partition_general_pin}
             if orientable:
                 weighted_routes["spin"] = partition_orientable_spin
@@ -208,8 +238,13 @@ def main() -> int:
                         print(f"DISAGREEMENT at {where}: {name} on wide weights "
                               f"({backend}) = {value}, oracle = {z_wide}")
                         return 1
+    widths = ", ".join(f"{count} {name}" for name, count in regimes.items())
+    if not all(regimes.values()):
+        print(f"MISSED A PRIME WIDTH: wide-weight routes {widths}")
+        return 1
     print(f"{args.trials} trials agree exactly (float backend within "
-          f"{FLOAT_REL_TOL:g} relative)  [{time.perf_counter() - t0:.1f}s]")
+          f"{FLOAT_REL_TOL:g} relative; wide-weight routes {widths})  "
+          f"[{time.perf_counter() - t0:.1f}s]")
     return 0
 
 

@@ -3,8 +3,9 @@
 ``GaussianRational`` models numbers p + q*i with rational p, q.  It is the
 scalar of the exact backend: the entries of exact skew-adjacency matrices,
 where real weights stay rational and twisted edges contribute factors of i,
-and their Pfaffians.  It reads like ``complex`` (``real``, ``imag`` and
-truthiness), so code that only reads a scalar serves both backends.
+and their Pfaffians.  It reads like ``complex`` (``real``, ``imag``,
+``conjugate()`` and truthiness), so code that only reads a scalar serves
+both backends.
 """
 
 from __future__ import annotations
@@ -61,6 +62,9 @@ class GaussianRational:
 
     def __bool__(self) -> bool:
         return bool(self.re or self.im)
+
+    def conjugate(self) -> "GaussianRational":
+        return GaussianRational(self.re, -self.im)
 
     def abs2(self) -> Fraction:
         return self.re * self.re + self.im * self.im

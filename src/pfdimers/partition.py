@@ -19,7 +19,9 @@ same sum at omega = 0 with beta = 4 * Arf on the orientable map as given,
 twists and all.  Both take one O(b1^3) split per route plus the shift law
 (``shifted_browns``) for the betas.  So e_xi = beta + 4 [eps_xi < 0] -
 2 omega(D0) and s = b1: the Brown invariant of a nondegenerate Z4-valued
-form has the parity of its rank (Brown 1972; Kirby and Taylor 1990).
+form has the parity of its rank (Brown 1972; Kirby and Taylor 1990).  On a
+non-orientable map the class Pfaffians come in complex-conjugate pairs, up
+to one sign, so a pin route eliminates half of them (``_class_sum``).
 
 ``_practical`` carries the two practical formulas (Cimasoni and Reshetikhin
 2007 on orientable surfaces; Tesler 2000 and this paper on non-orientable
@@ -54,7 +56,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import (
     CurveNotRealizable,
@@ -64,6 +66,7 @@ from .errors import (
     NotSimple,
     WrongSurfaceType,
 )
+from .exactnum import GaussianRational
 from .generators import TransverseCurve
 from .homology import (
     HomologyBasis,
@@ -95,6 +98,7 @@ from .surface_graph import (
     classify,
     is_orientable,
     kept,
+    tree_side,
 )
 
 Number = Union[Fraction, float]
@@ -200,18 +204,50 @@ def _labelled(strs: Sequence[str], width: int, mark: str = "") -> List[Tuple[str
     return [(_eps_label(idx, width) + mark, pf) for idx, pf in enumerate(strs)]
 
 
+class ClassSum(NamedTuple):
+    """A class sum's real and imaginary parts, the class Pfaffians times
+    ``scale`` in class order, ``scale`` and the Pfaffians' strings."""
+    re: Number
+    im: Number
+    pfs: tuple
+    scale: int
+    strs: tuple
+
+
 def _class_sum(m: CombinatorialMap, K: Orientation, flips: Sequence[int],
                eighths: Sequence[int], root2s: int, backend: str,
-               omega: int) -> Tuple[Number, Number, tuple, int, tuple]:
-    """Real and imaginary parts of sum_xi exp(i*pi*eighths[xi]/4) *
-    Pf(A^{K_xi}) / sqrt(2)^root2s over the classes of K flipped by subset sums
-    of ``flips``, in ``enumerate_classes`` order, the class Pfaffians times
-    ``scale`` (``pfaffian``), ``scale`` and their strings; each eighths[xi] = root2s mod 2."""
+               omega: int, partner: int = 0) -> ClassSum:
+    """sum_xi exp(i*pi*eighths[xi]/4) * Pf(A^{K_xi}) / sqrt(2)^root2s over the
+    classes of K flipped by subset sums of ``flips``, in ``enumerate_classes``
+    order, each eighths[xi] = root2s mod 2, with the class Pfaffians times
+    ``scale`` (``pfaffian``).
+
+    A ``partner`` xi0 != 0 claims that omega is the flip of class xi0 plus a
+    vertex coboundary delta(x), with x from ``tree_side`` (no x is a bug).
+    Conjugating A^{K_xi} negates its omega edges, which flips K by class xi0
+    and by delta(x), so Pf(A^{K_(xi ^ xi0)}) = (-1)^|x| conj Pf(A^{K_xi}):
+    class xi ^ xi0 > xi takes that value, with +0 zero parts on floats as
+    ``pfaffian`` gives them, and only the other half is eliminated.  The
+    practical flips never reach omega's class, so those routes pass none."""
 
     def classes(m: CombinatorialMap) -> tuple:  # kept as one record per key
         cms = _class_matrices(m, K, flips, backend, omega)
-        pfs, s = tuple(pfaffian(c) for c in cms), cms[0].scale
-        return pfs, s, tuple(str(pf if s == 1 else pf.scale(Fraction(1, s))) for pf in pfs)
+        sign = 1
+        if partner:
+            x = tree_side(m, omega ^ cms[partner].flips)
+            assert x is not None, "omega is not the partner's flip plus a coboundary"
+            sign = (-1) ** sum(x)
+        zero = GaussianRational(0, 0) if _exact(backend) else 0j  # clears a -0.0 part
+        pfs = []
+        for idx, c in enumerate(cms):
+            pair = idx ^ partner
+            if pair >= idx:
+                pfs.append(pfaffian(c))
+            else:
+                pf = pfs[pair].conjugate()
+                pfs.append((pf if sign > 0 else -pf) + zero)
+        s = cms[0].scale
+        return tuple(pfs), s, tuple(str(pf if s == 1 else pf.scale(Fraction(1, s))) for pf in pfs)
 
     pfs, scale, strs = kept(m, ("classes", K.bits, tuple(flips), omega, backend), classes)
     assert all((e - root2s) % 2 == 0 for e in eighths), "weight off the parity of root2s"
@@ -226,7 +262,7 @@ def _class_sum(m: CombinatorialMap, K: Orientation, flips: Sequence[int],
     if o:  # times 1 + i
         x, y = x - y, x + y
     d = Fraction(scale * 2 ** ((root2s + o) // 2))  # float buckets divide by float(d)
-    return x / d, y / d, pfs, scale, strs
+    return ClassSum(x / d, y / d, pfs, scale, strs)
 
 
 def _enhanced_sum(m: CombinatorialMap, method: str, omega: int,
@@ -258,13 +294,19 @@ def _enhanced_sum(m: CombinatorialMap, method: str, omega: int,
     # Weights as in the module docstring, with eps_xi = exp(i*pi*4[eps_xi < 0]/4).
     turn = 2 * dotcount(omega, D0)
     eighths = [beta + 4 * (neg ^ parity(idx & odd)) - turn for idx, beta in enumerate(betas)]
-    re, im, _, _, strs = _class_sum(m, K, basis.dual_cochains, eighths, b1, backend, omega)
+    # omega - sum_i omega(C_i) phi_i vanishes on the basis cycles, so it is a
+    # coboundary: omega is the flip of class xi0 = (omega(C_i))_i plus one,
+    # and the classes pair up by conjugation (``_class_sum``); xi0 = 0 iff
+    # m is orientable
+    partner = sum(dot(omega, chain) << i for i, chain in enumerate(basis.chains))
+    total = _class_sum(m, K, basis.dual_cochains, eighths, b1, backend, omega, partner)
+    re, im = total.re, total.im
     tol = 0 if exact else 1e-9 * (1 + abs(complex(re, im)))
     if abs(im) > tol:
         raise NonRealResult(f"{method} sum is not real: {re} + {im}i")
     if re < -tol:
         raise NonRealResult(f"negative {method} sum {re}")
-    return PartitionResult(abs(re), method, exact, tuple(_labelled(strs, b1)))
+    return PartitionResult(abs(re), method, exact, tuple(_labelled(total.strs, b1)))
 
 
 def _practical(m: CombinatorialMap, curves: Optional[Sequence[TransverseCurve]],
@@ -329,13 +371,13 @@ def _practical(m: CombinatorialMap, curves: Optional[Sequence[TransverseCurve]],
     later = [sum(basis.gram[i][j] << j for j in range(i + 1, r)) for i in range(r)]
     eighths = [4 * sum((idx & later[i]).bit_count() for i in range(r) if (idx >> i) & 1)
                - 2 * primed * (idx < n) - odd_chi for idx in range(n << primed)]
-    re, _, pfs, _, strs = _class_sum(m, K, flips, eighths, r - odd_chi, backend, om)
-    if surface.orientable and any(pf.imag for pf in pfs):
+    total = _class_sum(m, K, flips, eighths, r - odd_chi, backend, om)
+    if surface.orientable and any(pf.imag for pf in total.pfs):
         raise NonRealResult("orientable Pfaffian has an imaginary part")
-    terms = _labelled(strs[:n], r)
+    terms = _labelled(total.strs[:n], r)
     if primed:
-        terms = [t for pair in zip(_labelled(strs[n:], r, "'"), terms) for t in pair]
-    return PartitionResult(abs(re), "practical", exact, tuple(terms))
+        terms = [t for pair in zip(_labelled(total.strs[n:], r, "'"), terms) for t in pair]
+    return PartitionResult(abs(total.re), "practical", exact, tuple(terms))
 
 
 # ---------------------------------------------------------------------------

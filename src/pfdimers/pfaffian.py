@@ -63,7 +63,9 @@ X and Y are then the residues in (-M/2, M/2).  A route's classes stay
 X + iY, so that a class sum divides once, by L^(n/2).  The primes are Proth
 primes k*2^m + 1 of one width w >= _FLOOR per route, the fewest r of at
 most _CAP bits whose product exceeds 2B + 1, and the least w for that r:
-r(w - 1) >= B's bit length + 1.  A base a with a^((p-1)/2) = -1 (mod p)
+r(w - 1) >= B's bit length + 1.  So a bound below 2^28 takes one prime
+below 2^30, a single CPython digit, and a wider one below the cap one
+prime of its bit length + 2 bits.  A base a with a^((p-1)/2) = -1 (mod p)
 proves p prime and gives s = a^((p-1)/4): no step is probabilistic.
 """
 
@@ -283,7 +285,7 @@ class _EdgeMatrix:
             values = [complex(r, i) for r, i in zip(re, im)] if is_complex else re
             scale = max(map(abs, values), default=0.0)
             pf = complex(self._pf(values, 0j if is_complex else 0.0, 0, 0, scale))
-            return pf * _UNITS[self.turn] if self.turn else pf
+            return (pf * _UNITS[self.turn] if self.turn else pf) + 0j  # no part is -0.0
         x = y = index = 0
         modulus = 1
         while modulus <= 2 * self.bound + 1:
@@ -534,8 +536,10 @@ def _perm_sign(order: Sequence[int]) -> int:
 
 # prime widths in bits: the fewest primes of at most _CAP bits, all of one
 # width; of caps 256, 320 and 512, 320 ran the exact 30x30 and 40x40
-# lattices fastest in total when every prime above one took the cap
-_FLOOR, _CAP = 80, 320
+# lattices fastest in total when every prime above one took the cap.  A
+# prime of _FLOOR = 30 bits is one CPython digit, where pow(x, -1, p) runs
+# about five times as fast as at 80 bits.
+_FLOOR, _CAP = 30, 320
 _SMALL_PRIMES = tuple(q for q in range(3, 200, 2) if all(q % d for d in range(3, q, 2)))
 _MODULI: Dict[Tuple[int, int], Tuple[int, int]] = {}
 

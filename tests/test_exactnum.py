@@ -23,6 +23,7 @@ def test_real_imag_and_truthiness_read_like_complex():
         assert (z.real, z.imag) == (z.re, z.im)
         assert (float(z.real), float(z.imag)) == (c.real, c.imag)
         assert bool(z) == bool(c) == (not z.is_zero())
+        assert z.conjugate().to_complex() == c.conjugate()
     assert not GaussianRational.of(0) and GaussianRational.of(0, 1)
 
 

@@ -47,6 +47,7 @@ from pfdimers.homology import (
     chain_from_edges,
     crossing_cochain,
     cycle_basis,
+    dot,
     edges_of,
     reverse_walk,
     vertex_coboundary,
@@ -954,7 +955,8 @@ def test_faces_traced_once_per_route_call_and_load(monkeypatch):
 @pytest.mark.parametrize("backend", ["exact", "float"])
 def test_one_ordering_per_route_call_and_pfaffian_per_class(monkeypatch, backend):
     # routes order a route's edges once and evaluate every class through the
-    # ``pfaffian`` name of ``partition``, where the benchmark tracer sees it
+    # ``pfaffian`` name of ``partition``, where the benchmark tracer sees it;
+    # a non-orientable pin route evaluates one class of each conjugate pair
     from pfdimers.surface_graph import flip_charts
 
     module = sys.modules["pfdimers.pfaffian"]
@@ -992,7 +994,8 @@ def test_one_ordering_per_route_call_and_pfaffian_per_class(monkeypatch, backend
             # constructed one, so spin keeps no record of the torus auto run
             assert (len(calls), pf_dims, class_counts) == (1, [16] * 4, [4])
         assert len(calls) == 1, (method, len(calls))
-        assert pf_dims == [m.vertex_count] * sum(class_counts) != [], method
+        paired = method == "pin" and not classify(m).orientable
+        assert pf_dims == [m.vertex_count] * (sum(class_counts) >> paired) != [], method
 
 
 @pytest.mark.parametrize("weight", [10**160, Fraction(1, 10**160)], ids=["1e160", "1e-160"])
@@ -1236,7 +1239,9 @@ def test_kept_data_is_isolated_by_backend_basis_omega_and_k(monkeypatch, backend
         for kwargs in runs:
             calls.clear()
             results.append(partition_general_pin(m, **kwargs))
-            assert len(calls) == 2 ** classify(m).b1, kwargs
+            # on the klein bottle, one class of each conjugate pair
+            surface = classify(m)
+            assert len(calls) == 2 ** (surface.b1 - (not surface.orientable)), kwargs
             fresh = partition_general_pin(_fresh(m), **kwargs)
             assert (results[-1].value, results[-1].terms) == (fresh.value, fresh.terms)
         calls.clear()
@@ -1248,9 +1253,9 @@ def test_kept_data_is_isolated_by_backend_basis_omega_and_k(monkeypatch, backend
         args = ([0] * 2 ** len(flips), 0, backend, m.twist_bits())
         for Kc, want in ((K, 0), (K.flipped(flips[0]), 2 ** len(flips))):
             calls.clear()
-            pfs = _class_sum(m, Kc, flips, *args)[2]
+            pfs = _class_sum(m, Kc, flips, *args).pfs
             assert len(calls) == want
-            assert pfs == _class_sum(_fresh(m), Kc, flips, *args)[2]
+            assert pfs == _class_sum(_fresh(m), Kc, flips, *args).pfs
 
 
 def _reference_class_sum(pfs, eighths, root2s):
@@ -1280,14 +1285,15 @@ def test_class_sum_is_the_eighth_turn_weight_rule(backend, surface, size):
         for _ in range(40):
             root2s = rng.randint(-1, 6)
             eighths = [root2s % 2 + 2 * rng.randint(-6, 6) for _ in range(2 ** len(flips))]
-            re, im, pfs, scale, _ = _class_sum(m, K, flips, eighths, root2s, backend, om)
-            assert (scale > 1) == (backend == "exact" and inst is not unit)
-            ref = _reference_class_sum(pfs, eighths, root2s).scale(Fraction(1, scale))
+            total = _class_sum(m, K, flips, eighths, root2s, backend, om)
+            assert (total.scale > 1) == (backend == "exact" and inst is not unit)
+            ref = _reference_class_sum(total.pfs, eighths, root2s).scale(
+                Fraction(1, total.scale))
             if backend == "exact":
-                assert (re, im) == (ref.re, ref.im)
+                assert (total.re, total.im) == (ref.re, ref.im)
             else:
-                magnitude = 1 + sum(abs(pf) for pf in pfs)
-                assert abs(complex(re, im) - ref.to_complex()) <= 1e-12 * magnitude
+                magnitude = 1 + sum(abs(pf) for pf in total.pfs)
+                assert abs(complex(total.re, total.im) - ref.to_complex()) <= 1e-12 * magnitude
 
 
 def _rational_high_genus_maps(count=40, seed=31):
@@ -1339,12 +1345,62 @@ def test_class_pfaffians_reach_the_bucket_loop_as_gaussian_integers(backend):
         om = m.twist_bits()
         K, flips = construct_kasteleyn(m, om), cycle_basis(m).dual_cochains
         eighths = [len(flips) % 2] * 2 ** len(flips)
-        _, _, pfs, scale, _ = _class_sum(m, K, flips, eighths, len(flips), backend, om)
+        total = _class_sum(m, K, flips, eighths, len(flips), backend, om)
         if backend == "exact":
-            assert scale > 1
-            assert all(type(pf.re) is type(pf.im) is int for pf in pfs)
+            assert total.scale > 1
+            assert all(type(pf.re) is type(pf.im) is int for pf in total.pfs)
         else:
-            assert scale == 1 and all(type(pf) is complex for pf in pfs)
+            assert total.scale == 1 and all(type(pf) is complex for pf in total.pfs)
+
+
+def _nonorientable_maps(count=300, seed=13):
+    """Random non-orientable maps on 2-6 vertices with b1 <= 8 and a perfect
+    matching."""
+    rng, maps = random.Random(seed), []
+    while len(maps) < count:
+        m = random_map(rng, max_vertices=6, extra_edges=8, twisted=True)
+        surface = classify(m)
+        if not surface.orientable and surface.b1 <= 8 and m.vertex_count % 2 == 0 and \
+                find_matching(m) is not None:
+            maps.append(m)
+    return maps
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_conjugate_partners_serve_half_the_pin_classes(monkeypatch, backend):
+    # omega = flip(xi0) + delta(x) with xi0 omega's values on the basis cycles,
+    # so Pf(A^{K_(xi ^ xi0)}) = (-1)^|x| conj Pf(A^{K_xi}): a non-orientable
+    # pin route evaluates the first class of each pair, and serves the other
+    # as what a fresh route's ``pfaffian`` gives it, type, sign and zero parts
+    from pfdimers.pfaffian import _class_matrices, _gauge
+
+    calls = _counting_pfaffians(monkeypatch)
+    lattices = [(lattice(4, 4, "klein_hexagon"), True), (lattice(6, 6, "rp2"), True),
+                (lattice(4, 5, "rp2"), False), (lattice(4, 6, "klein_hexagon"), False)]
+    for inst, gauged in lattices:
+        assert (_gauge(inst.map, inst.map.twist_bits()) is not None) == gauged
+    maps = _nonorientable_maps()
+    assert {classify(m).b1 for m in maps} >= set(range(1, 9))
+    signs = set()
+    for m in [inst.map for inst, _ in lattices] + maps:
+        om, basis = m.twist_bits(), cycle_basis(m)
+        calls.clear()
+        partition_general_pin(m, backend=backend)
+        assert len(calls) == 2 ** (basis.rank - 1)
+        (pfs, _, _), = [v for k, v in m.__dict__["_kept"].items() if k[0] == "classes"]
+        fresh = _class_matrices(_fresh(m), construct_kasteleyn(m, om), basis.dual_cochains,
+                                backend, om)
+        evaluated = {c.flips for c in calls}
+        served = [idx for idx, c in enumerate(fresh) if c.flips not in evaluated]
+        assert len(served) == len(evaluated)
+        for idx in served:
+            want = pfaffian(fresh[idx])
+            assert (type(pfs[idx]), repr(pfs[idx])) == (type(want), repr(want)), idx
+        xi0 = sum(dot(om, chain) << i for i, chain in enumerate(basis.chains))
+        assert xi0 in served
+        if pfs[0]:  # class 0 and its partner xi0
+            signs.add(pfs[xi0] == pfs[0].conjugate())
+    assert signs == {True, False}  # both signs (-1)^|x| occur
 
 
 def test_companion_basis_is_built_once_per_map(monkeypatch):

@@ -32,7 +32,7 @@ from pfdimers import (
 )
 from pfdimers.exactnum import GR_ZERO, GaussianRational
 from pfdimers.generators import random_map, random_weights
-from pfdimers.homology import is_coboundary, vertex_coboundary
+from pfdimers.homology import dot, is_coboundary, vertex_coboundary
 from pfdimers.partition import partition
 from pfdimers.surface_graph import flip_charts
 from pfdimers.pfaffian import (
@@ -205,10 +205,18 @@ def test_large_entries_negative_parts(moduli):
 
 
 def test_prime_width_follows_the_hadamard_bound(moduli):
-    # a 10x10 lattice's bound is far below the floor: one prime of _FLOOR bits
-    inst = lattice(10, 10, "torus")
-    partition(inst.map, "practical", curves=inst.curves, basis=inst.basis)
-    assert len(set(moduli)) == 1 and moduli[0].bit_length() == _FLOOR
+    # a 4x4 lattice's bound is below the floor: one prime of _FLOOR bits, a
+    # single CPython digit
+    for size, floor in ((4, True), (10, False)):
+        inst = lattice(size, size, "torus")
+        moduli.clear()
+        partition(inst.map, "practical", curves=inst.curves, basis=inst.basis)
+        # no parallel edges: the bound of every class is the adjacency matrix's
+        bits = _hadamard_bound(build_adjacency(inst.map, construct_kasteleyn(inst.map)))\
+            .bit_length() + 2
+        assert (bits <= _FLOOR) == floor
+        # a 10x10 lattice's bound is over it: one prime of bound + 2 bits
+        assert len(set(moduli)) == 1 and moduli[0].bit_length() == max(bits, _FLOOR)
     # a bound between the floor and the cap: one prime of bound + 2 bits
     a = _random_skew(random.Random(4), 8, complex_entries=True, size=2**40)
     bits = _hadamard_bound(a).bit_length() + 2
@@ -932,10 +940,18 @@ def _cell_vector(c):
     return tuple(re), tuple(im)
 
 
+def _evaluated(m, basis):
+    """The classes pin evaluates on m: on a non-orientable map, the first of
+    each conjugate pair (idx, idx ^ xi0), xi0 omega's values on the basis cycles."""
+    om = m.twist_bits()
+    xi0 = sum(dot(om, chain) << i for i, chain in enumerate(basis.chains))
+    return [idx for idx in range(2 ** basis.rank) if idx ^ xi0 >= idx]
+
+
 def _repeating_maps():
     """Random maps on 4-6 vertices with b1 in {7, 8} and a perfect matching,
-    untwisted and twisted in turn, on which some pin classes repeat an
-    earlier class's cell values."""
+    untwisted and twisted in turn, on which some classes that pin evaluates
+    repeat an earlier one's cell values."""
     rng, maps = random.Random(0), []
     while len(maps) < 4:
         twisted = len(maps) % 2 == 1
@@ -946,6 +962,7 @@ def _repeating_maps():
             continue
         classes = _class_matrices(m, construct_kasteleyn(m, omega=om), basis.dual_cochains,
                                   "exact", om)
+        classes = [classes[idx] for idx in _evaluated(m, basis)]
         if len(set(map(_cell_vector, classes))) < len(classes):
             maps.append(m)
     return maps
@@ -955,7 +972,7 @@ def _repeating_maps():
 def test_repeated_cell_values_are_eliminated_once(monkeypatch, backend):
     module, route_module = sys.modules["pfdimers.pfaffian"], sys.modules["pfdimers.partition"]
     eliminate, pf = module._eliminate, route_module.pfaffian
-    runs, calls = [], []  # every elimination's arithmetic and input; every class
+    runs, calls = [], []  # every elimination's arithmetic and input; every class evaluated
 
     def spy(a, end, stop, factor, p=0, scale=0.0, *shape):
         runs.append((p, repr(a), repr(factor)))
@@ -966,11 +983,13 @@ def test_repeated_cell_values_are_eliminated_once(monkeypatch, backend):
                         lambda c: calls.append((c, pf(c))) or calls[-1][1])
     for m in _repeating_maps():
         om = m.twist_bits()
-        K, flips = construct_kasteleyn(m, omega=om), cycle_basis(m).dual_cochains
+        basis = cycle_basis(m)
+        K, flips, evaluated = construct_kasteleyn(m, omega=om), basis.dual_cochains, \
+            _evaluated(m, basis)
         runs.clear()
         calls.clear()
         partition_general_pin(m, backend=backend)
-        assert len(calls) == 2 ** len(flips)
+        assert len(calls) == len(evaluated) == 2 ** (len(flips) - bool(om))
         route = calls[0][0].route
         distinct = {_cell_vector(c) for c, _ in calls}
         assert len(route.memo) == len(distinct) < len(calls)
@@ -979,7 +998,7 @@ def test_repeated_cell_values_are_eliminated_once(monkeypatch, backend):
         # each class gives what it gives alone on a fresh route, byte for
         # byte, and those routes run the same eliminations, the repeated ones again
         runs.clear()
-        for idx, (c, got) in enumerate(calls):
+        for idx, (c, got) in zip(evaluated, calls):
             alone = _class_matrices(m, K, flips, backend, om)[idx]
             assert alone.flips == c.flips
             want = pfaffian(alone)

@@ -149,3 +149,12 @@ def test_random_agreement_names_a_map_where_k_is_not_normalized(monkeypatch, cap
     assert capsys.readouterr().out == (
         "DISAGREEMENT at trial 16 (klein_hexagon lattice, 8 vertices, 16 edges): "
         "practical (exact) = 29111/600, oracle = 30271/600\n")
+
+
+def test_random_agreement_fails_a_run_that_misses_a_prime_width(monkeypatch, capsys):
+    # four trials draw two wide-weight copies: one of the three widths never occurs
+    script = _load_script("random_agreement")
+    monkeypatch.setattr(sys, "argv", ["random_agreement.py", "--trials", "4", "--seed", "0"])
+    assert script.main() == 1
+    assert capsys.readouterr().out == (
+        "MISSED A PRIME WIDTH: wide-weight routes 1 floor, 1 sized, 0 above\n")
