@@ -44,6 +44,9 @@ or, by a coin, over denominators up to 9, one prime sized to the Hadamard
 bound; and weights so wide that the bound passes the cap, the fewest primes
 of one width at most the cap.  A run in which one of the three does not
 occur exits 1, so a run needs three such copies, about a dozen trials.
+Every map drawn is also rebuilt with dyadic float weights k/2^j from a third
+generator, and every route that ran on it must give that copy's oracle value
+exactly on the exact backend, which reads a float weight at its binary value.
 Their exact class Pfaffians are Gaussian integers over a scale L^(n/2), L
 the least common denominator of the weights.  Exits nonzero on the first
 disagreement or violation, naming the map, the route and the backend.
@@ -109,6 +112,12 @@ def wide_weight_shape(side, regime, n):
     return side.randint(660 // n, 800 // n), side.choice((1, 9))
 
 
+def reweighted(m, weights):
+    """m with these edge weights."""
+    return build_map(m.vertex_count, m.rotations, [(e.u, e.v) for e in m.edges],
+                     [e.twist for e in m.edges], weights)
+
+
 def prepared_violation(m, basis):
     """What is wrong with a basis's dual cocycles or intersection form, or None."""
     for i, phi in enumerate(basis.dual_cochains):
@@ -128,6 +137,7 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
     rng, side = random.Random(args.seed), random.Random(args.seed)
+    dyadic_rng = random.Random(f"dyadic {args.seed}")
     t0 = time.perf_counter()
     regimes = dict.fromkeys(REGIMES, 0)
 
@@ -215,15 +225,24 @@ def main() -> int:
                     results["spin"].terms != results["pin"].terms:
                 print(f"TERMS DIFFER at {where}: pin and spin ({backend})")
                 return 1
+        # dyadic float weights k/2^j: exact on both sides, read as integers
+        # over a power of two
+        dyadic = reweighted(m, [dyadic_rng.randint(1, 15) / 2 ** dyadic_rng.randint(0, 6)
+                                for _ in m.edges])
+        z_dyadic = partition_bruteforce(dyadic)
+        for name, route in routes.items():
+            value = route(dyadic, "exact").value
+            if value != z_dyadic:
+                print(f"DISAGREEMENT at {where}: {name} on dyadic float weights "
+                      f"(exact) = {value}, oracle = {z_dyadic}")
+                return 1
         if trial % 2:
             # wide weights: exact routes below, inside and above the prime
             # widths in turn, counting the copies with a perfect matching
             target = REGIMES[sum(regimes.values()) % len(REGIMES)]
             bits, den = wide_weight_shape(side, target, max(m.vertex_count, 2))
-            weights = [Fraction(side.getrandbits(bits) | 1 << bits - 1, side.randint(1, den))
-                       for _ in m.edges]
-            wide = build_map(m.vertex_count, m.rotations, [(e.u, e.v) for e in m.edges],
-                             [e.twist for e in m.edges], weights)
+            wide = reweighted(m, [Fraction(side.getrandbits(bits) | 1 << bits - 1,
+                                           side.randint(1, den)) for _ in m.edges])
             z_wide = partition_bruteforce(wide)
             if z_wide:  # the routes eliminate
                 regimes[width_regime(wide)] += 1

@@ -131,9 +131,10 @@ def cmd_partition(args) -> int:
 
 def cmd_oracle(args) -> int:
     inst = _load(args)
-    z, n = Fraction(0), 0
-    for _, w in _weighted_matchings(inst.map, args.max_vertices):
+    z, n, scale = 0, 0, 1
+    for _, w, scale in _weighted_matchings(inst.map, args.max_vertices):
         z, n = z + w, n + 1
+    z = Fraction(z, scale)
     pairs = [("Z", z), ("matchings", n), ("method", "oracle")]
     plain = [f"Z = {_text(z)} ({n} matchings)"]
     if args.buckets and n:

@@ -13,15 +13,31 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Union
+from math import lcm
+from typing import Iterable, List, Tuple, Union
 
 Rational = Union[int, Fraction]
 
 
 def rational_str(q: Rational) -> str:
-    """``str(q)``, through ``Decimal``, which has no int-to-str digit limit."""
-    num = str(Decimal(q.numerator))
-    return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
+    """``str(q)`` of its numerator and denominator (so an int subclass prints
+    as an int); past the int-to-str digit limit through ``Decimal``, which has
+    none."""
+    try:
+        num, den = str(q.numerator), q.denominator
+        return num if den == 1 else f"{num}/{den}"
+    except ValueError:
+        num = str(Decimal(q.numerator))
+        return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
+
+
+def over_lcd(values: Iterable[Union[int, Fraction, float]]) -> Tuple[List[int], int]:
+    """Integers x_k and the least common denominator L of ``values``, with
+    values[k] = x_k / L: each value is read once, through ``as_integer_ratio()``,
+    which int, Fraction and float all provide."""
+    ratios = [v.as_integer_ratio() for v in values]
+    lcd = lcm(*{d for _, d in ratios})
+    return [x * (lcd // d) for x, d in ratios], lcd
 
 
 @dataclass(frozen=True)

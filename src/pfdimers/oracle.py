@@ -1,12 +1,15 @@
 """Brute-force ground truth: enumerate perfect matchings directly, in one
-search that multiplies in each dimer's weight along the way."""
+search that multiplies in each dimer's weight along the way.  The weights
+are integers over one common denominator L, so the search multiplies ints,
+and an exact sum over matchings of n/2 dimers divides once, by L^(n/2)."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Dict, Iterator, Optional, Tuple
 
 from .errors import TooLarge
+from .exactnum import over_lcd
 from .homology import HomologyBasis
 from .surface_graph import CombinatorialMap
 
@@ -14,31 +17,33 @@ VERTEX_BOUND = 36
 
 
 def _weighted_matchings(m: CombinatorialMap,
-                        max_vertices: int) -> Iterator[Tuple[int, Union[int, Fraction]]]:
-    """Yield (edge bitmask, exact weight product) for every perfect matching,
-    each exactly once; loops never match.  Each weight is made exact once,
-    integral ones as ints, whose products are cheap.  An odd map has no
-    matching at any size, so parity is checked before the bound."""
+                        max_vertices: int) -> Iterator[Tuple[int, int, int]]:
+    """Yield (edge bitmask, L^(n/2) times the weight product, L^(n/2)) for
+    every perfect matching, each exactly once, with L the least common
+    denominator of the weights of m's non-loop edges; loops never match.
+    Each weight is read once, as an integer over L, so the search multiplies
+    ints.  An odd map has no matching at any size, so parity is checked
+    before the bound."""
     n = m.vertex_count
     if n % 2:
         return
     if n > max_vertices:
         raise TooLarge(f"{n} vertices exceeds oracle bound {max_vertices}")
+    edges = [(e, edge.u, edge.v) for e, edge in enumerate(m.edges) if edge.u != edge.v]
+    weights, lcd = over_lcd(m.edges[e].weight for e, _, _ in edges)
+    scale = lcd ** (n // 2)
     incident = [[] for _ in range(n)]
-    for e, edge in enumerate(m.edges):
-        if edge.u != edge.v:
-            w = Fraction(edge.weight)
-            w = w.numerator if w.denominator == 1 else w
-            incident[edge.u].append((e, edge.v, w))
-            incident[edge.v].append((e, edge.u, w))
+    for (e, u, v), w in zip(edges, weights):
+        incident[u].append((e, v, w))
+        incident[v].append((e, u, w))
 
     matched = [False] * n
 
-    def rec(v: int, acc: int, weight: Union[int, Fraction]):
+    def rec(v: int, acc: int, weight: int):
         while v < n and matched[v]:
             v += 1
         if v == n:
-            yield acc, weight
+            yield acc, weight, scale
             return
         matched[v] = True
         for e, u, w in incident[v]:
@@ -57,7 +62,7 @@ def enumerate_matchings(m: CombinatorialMap,
 
     Branches on the lowest-index unmatched vertex; loops never match.
     """
-    for D, _ in _weighted_matchings(m, max_vertices):
+    for D, _, _ in _weighted_matchings(m, max_vertices):
         yield D
 
 
@@ -71,7 +76,10 @@ def find_matching(m: CombinatorialMap,
 def partition_bruteforce(m: CombinatorialMap,
                          max_vertices: int = VERTEX_BOUND) -> Fraction:
     """Exact weighted sum over all perfect matchings."""
-    return sum((w for _, w in _weighted_matchings(m, max_vertices)), Fraction(0))
+    total, scale = 0, 1
+    for _, w, scale in _weighted_matchings(m, max_vertices):
+        total += w
+    return Fraction(total, scale)
 
 
 def count_matchings(m: CombinatorialMap, max_vertices: int = VERTEX_BOUND) -> int:
@@ -85,8 +93,9 @@ def homology_buckets(m: CombinatorialMap, D0: int, basis: HomologyBasis,
     Coordinates are taken in the given basis; the buckets sum to the full
     partition function.
     """
-    buckets: Dict[Tuple[int, ...], Fraction] = {}
-    for D, w in _weighted_matchings(m, max_vertices):
+    sums: Dict[Tuple[int, ...], int] = {}
+    scale = 1
+    for D, w, scale in _weighted_matchings(m, max_vertices):
         key = basis.coordinates(D ^ D0)
-        buckets[key] = buckets.get(key, Fraction(0)) + w
-    return buckets
+        sums[key] = sums.get(key, 0) + w
+    return {key: Fraction(w, scale) for key, w in sums.items()}

@@ -56,7 +56,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import (
     CurveNotRealizable,
@@ -200,8 +200,13 @@ def _zero(method: str, exact: bool) -> PartitionResult:
     return PartitionResult(Fraction(0) if exact else 0.0, method, exact)
 
 
+_LABELS: Dict[int, Tuple[str, ...]] = {}  # the 2^width class labels, built once per width
+
+
 def _labelled(strs: Sequence[str], width: int, mark: str = "") -> List[Tuple[str, str]]:
-    return [(_eps_label(idx, width) + mark, pf) for idx, pf in enumerate(strs)]
+    if width not in _LABELS:
+        _LABELS[width] = tuple(_eps_label(idx, width) for idx in range(1 << width))
+    return [(label + mark, s) for label, s in zip(_LABELS[width], strs)]
 
 
 class ClassSum(NamedTuple):
@@ -247,7 +252,11 @@ def _class_sum(m: CombinatorialMap, K: Orientation, flips: Sequence[int],
                 pf = pfs[pair].conjugate()
                 pfs.append((pf if sign > 0 else -pf) + zero)
         s = cms[0].scale
-        return tuple(pfs), s, tuple(str(pf if s == 1 else pf.scale(Fraction(1, s))) for pf in pfs)
+        if s == 1:
+            return tuple(pfs), s, tuple(map(str, pfs))
+        # one Fraction per nonzero part, the parts a term prints
+        return tuple(pfs), s, tuple(str(GaussianRational(
+            Fraction(pf.re, s) if pf.re else 0, Fraction(pf.im, s) if pf.im else 0)) for pf in pfs)
 
     pfs, scale, strs = kept(m, ("classes", K.bits, tuple(flips), omega, backend), classes)
     assert all((e - root2s) % 2 == 0 for e in eighths), "weight off the parity of root2s"
@@ -261,7 +270,9 @@ def _class_sum(m: CombinatorialMap, K: Orientation, flips: Sequence[int],
     y = (im[0] - im[2]) + (re[1] - re[3])
     if o:  # times 1 + i
         x, y = x - y, x + y
-    d = Fraction(scale * 2 ** ((root2s + o) // 2))  # float buckets divide by float(d)
+    d = scale * 2 ** ((root2s + o) // 2)
+    if _exact(backend):  # integer buckets: one division each
+        return ClassSum(Fraction(x, d), Fraction(y, d), pfs, scale, strs)
     return ClassSum(x / d, y / d, pfs, scale, strs)
 
 

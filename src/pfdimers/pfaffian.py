@@ -78,7 +78,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import chain
-from math import isqrt, lcm, prod
+from math import isqrt, prod
 from operator import or_
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -90,7 +90,7 @@ from .errors import (
     OddDimension,
     TooLarge,
 )
-from .exactnum import GaussianRational
+from .exactnum import GaussianRational, over_lcd
 from .kasteleyn import Orientation, enumerate_classes
 from .surface_graph import CombinatorialMap, tree_side
 
@@ -151,7 +151,8 @@ def _map_edges(m: CombinatorialMap, K: Orientation, omega: Optional[int],
                gauge: Optional[Tuple[Sequence[int], int]] = None) -> List[Parts]:
     """(tail, head, re, im) of every edge under K, in the weight's type: the
     parts of its weight times i on omega = 1 edges, and with a gauge (x, c)
-    times i^(x_u + x_v - c)."""
+    times i^(x_u + x_v - c).  A negated weight is the weight on the reversed
+    edge, so no weight is negated."""
     om = m.twist_bits() if omega is None else omega
     x, c = gauge or ([0] * m.vertex_count, 0)
     edges = []
@@ -160,8 +161,9 @@ def _map_edges(m: CombinatorialMap, K: Orientation, omega: Optional[int],
             raise LoopEdge(f"edge {e} is a loop; remove loops before building")
         a, b = K.arrow(m, e)
         k = ((om >> e) & 1) + x[edge.u] + x[edge.v] - c  # the power of i, -1..3
-        w = -edge.weight if k & 2 else edge.weight
-        edges.append((a, b, 0, w) if k & 1 else (a, b, w, 0))
+        if k & 2:
+            a, b = b, a
+        edges.append((a, b, 0, edge.weight) if k & 1 else (a, b, edge.weight, 0))
     return edges
 
 
@@ -237,24 +239,21 @@ class _EdgeMatrix:
             n, [(a, b) for a, b, _, _ in edges], ends)
         self.sign = _perm_sign(position)
         self.exact, self.shared, self.turn = exact, {}, turn
-        self.scale = 1
+        if exact:  # every part an integer over L
+            parts, lcd = over_lcd(x for _, _, re, im in edges for x in (re, im))
+            self.scale = lcd ** (n // 2)
+        else:
+            parts, self.scale = [float(x) for _, _, re, im in edges for x in (re, im)], 1
         cells: Dict[Tuple[int, int], int] = {}
-        slots = []  # (cell, parts signed for the reordered upper triangle)
-        for a, b, re, im in edges:
+        self.slots = []  # (cell, parts signed for the reordered upper triangle)
+        for (a, b, _, _), re, im in zip(edges, parts[::2], parts[1::2]):
             i, j = position[a], position[b]
             if i > j:
                 i, j, re, im = j, i, -re, -im
-            slots.append((cells.setdefault((i, j), len(cells)), re, im))
+            self.slots.append((cells.setdefault((i, j), len(cells)), re, im))
         self.cells, self.memo = list(cells), {}  # memo: Pf by cell values
-        if not exact:
-            self.slots = [(c, float(r), float(i)) for c, r, i in slots]
-        else:
-            slots = [(c, Fraction(r), Fraction(i)) for c, r, i in slots]
-            lcd = lcm(*{f.denominator for _, r, i in slots for f in (r, i)})
-            self.scale = lcd ** (n // 2)
-            self.slots = [(c, r.numerator * (lcd // r.denominator),
-                           i.numerator * (lcd // i.denominator)) for c, r, i in slots]
-            count = Counter(c for c, _, _ in slots)
+        if exact:
+            count = Counter(c for c, _, _ in self.slots)
             norms = [0] * n
             for c, r, i in self.slots:
                 for v in self.cells[c]:

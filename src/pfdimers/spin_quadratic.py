@@ -94,7 +94,11 @@ def ell_omega(m: CombinatorialMap, D: int, walk: Walk,
     """Vertices of the walk whose dimer leaves it on the positive side."""
     check_simple_walk(m, walk)
     check_matching(m, D)
-    swap = _omega_flip_set(m, omega)
+    return _ell(m, D, walk, _omega_flip_set(m, omega))
+
+
+def _ell(m: CombinatorialMap, D: int, walk: Walk, swap: frozenset) -> int:
+    """``ell_omega`` of a checked walk and matching, given the chart-swap set."""
     dimer_half = {}
     for e in edges_of(D):
         edge = m.edges[e]
@@ -118,10 +122,18 @@ def ell_omega(m: CombinatorialMap, D: int, walk: Walk,
 def quad_enhancement(m: CombinatorialMap, K: Orientation, D: int, walk: Walk,
                      omega: Optional[int] = None) -> int:
     """Evaluate the enhancement of (K, D, omega) on a simple closed walk."""
-    om = m.twist_bits() if omega is None else omega
     check_simple_walk(m, walk)
+    check_matching(m, D)
+    return _quad(m, K, D, walk, omega, _omega_flip_set(m, omega))
+
+
+def _quad(m: CombinatorialMap, K: Orientation, D: int, walk: Walk,
+          omega: Optional[int], swap: frozenset) -> int:
+    """``quad_enhancement`` of a checked walk and matching, given the
+    chart-swap set."""
+    om = m.twist_bits() if omega is None else omega
     n = n_mismatch(K, walk)
-    ell = ell_omega(m, D, walk, omega)
+    ell = _ell(m, D, walk, swap)
     on_d = off_d = 0
     for h in walk:
         e = h // 2
@@ -173,7 +185,12 @@ def extend_enhancement(basis_values: Sequence[int],
 def basis_enhancement(m: CombinatorialMap, K: Orientation, D: int,
                       basis: HomologyBasis,
                       omega: Optional[int] = None) -> QuadraticEnhancement:
-    vals = tuple(quad_enhancement(m, K, D, w, omega) for w in basis.cycles)
+    """The enhancement's values on the basis cycles.  D is checked once; the
+    cycles were checked where the basis was built (``cycle_basis``,
+    ``basis_from_cycles``)."""
+    check_matching(m, D)
+    swap = _omega_flip_set(m, omega)
+    vals = tuple(_quad(m, K, D, w, omega, swap) for w in basis.cycles)
     return QuadraticEnhancement(vals, basis.gram)
 
 

@@ -27,7 +27,7 @@ from pfdimers.generators import random_map, random_weights
 from pfdimers.homology import cycle_basis, edges_of
 from pfdimers.oracle import _weighted_matchings
 from pfdimers.partition import dotcount
-from pfdimers.pfaffian import build_adjacency, pfaffian
+from pfdimers.pfaffian import _class_matrices, build_adjacency, pfaffian
 
 
 def test_single_edge_one_matching():
@@ -234,6 +234,61 @@ def test_oracle_equals_the_per_matching_reference_on_decimal_weights():
     inst = graphfile.load(io.StringIO(text))
     assert {type(e.weight) for e in inst.map.edges} == {float}
     _assert_oracle_matches_reference(inst.map, inst.basis)
+
+
+def _reweighted(m, weights):
+    return build_map(m.vertex_count, m.rotations, [(e.u, e.v) for e in m.edges],
+                     [e.twist for e in m.edges], weights)
+
+
+@pytest.mark.parametrize("kind", ["rational", "binary float", "past 4300 digits"])
+def test_integer_oracle_equals_the_fraction_product_reference(kind):
+    # the oracle multiplies integers over one common denominator L and
+    # divides once by L^(n/2); the reference multiplies Fractions per matching
+    rng = random.Random(29)
+    draw = {
+        "rational": lambda: Fraction(rng.randint(1, 40), rng.randint(1, 40)),
+        # exponents far apart make L a high power of 2
+        "binary float": lambda: rng.choice([0.1, 2.5, 1e-3, 0.7, 3.0]) * 2.0 ** rng.randint(-60, 60),
+        "past 4300 digits": lambda: rng.choice([10**4301 + rng.randint(1, 99),
+                                                Fraction(rng.randint(1, 9), 7**5090 + 2),
+                                                Fraction(rng.randint(1, 9), 4)]),
+    }[kind]
+    surfaces = [("torus", 2, 4), ("rp2", 2, 4), ("klein_hexagon", 2, 4), ("planar", 3, 4)]
+    for surface, a, b in surfaces:
+        inst = lattice(a, b, surface)
+        m = _reweighted(inst.map, [draw() for _ in inst.map.edges])
+        _assert_oracle_matches_reference(m, inst.basis or cycle_basis(m))
+    for _ in range(12):
+        base = random_map(rng, 8, 8)
+        _assert_oracle_matches_reference(_reweighted(base, [draw() for _ in base.edges]),
+                                         cycle_basis(base))
+
+
+def _spy_on_fractions(monkeypatch, seen):
+    """Record the name of every Fraction construction, product and negation."""
+    for name in ("__new__", "__mul__", "__rmul__", "__neg__"):
+        method = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name, lambda *args, _method=method, _name=name, **kw:
+                            seen.append(_name) or _method(*args, **kw))
+
+
+def test_oracle_and_exact_route_preparation_build_no_fractions(monkeypatch):
+    # a gauged route: its edges take every power of i, so some weights negate
+    rng = random.Random(31)
+    inst = lattice(4, 4, "klein_hexagon")
+    m = _reweighted(inst.map, random_weights(rng, inst.map.edge_count, max_num=9))
+    om = m.twist_bits()
+    K = construct_kasteleyn(m, om)
+    z = partition_bruteforce(m)
+    seen = []
+    _spy_on_fractions(monkeypatch, seen)
+    assert partition_bruteforce(m) == z
+    assert seen == ["__new__"]  # the one division, by L^(n/2)
+    seen.clear()
+    classes = _class_matrices(m, K, inst.basis.dual_cochains, "exact", om)
+    assert seen == []
+    assert classes[0].scale > 1  # the weights have denominators
 
 
 def test_oracle_equals_the_per_matching_reference_on_random_maps():

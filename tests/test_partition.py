@@ -1329,6 +1329,33 @@ def test_rational_weights_at_high_b1_give_the_oracle_exactly():
     assert orientable >= 10
 
 
+def _binary_float(rng):
+    return rng.choice((0.1, 0.7, 2.5, 1e-3, 3.0)) * 2.0 ** rng.randint(-40, 40)
+
+
+@pytest.mark.parametrize("surface", ["planar", "torus", "klein_hexagon", "rp2"])
+def test_exact_routes_on_float_weights_give_the_oracle(surface):
+    # a float weight is exact at its binary value: the routes, like the
+    # oracle, read it as an integer over the weights' common denominator
+    rng = random.Random(37)
+    for a, b in [(2, 4), (3, 4), (4, 4)]:
+        count = lattice(a, b, surface).map.edge_count
+        inst = lattice(a, b, surface, weights=[_binary_float(rng) for _ in range(count)])
+        z = partition_bruteforce(inst.map)
+        methods = ["auto", "pin"] + (["spin"] if surface in ("planar", "torus") else [])
+        for method in methods:
+            r = partition(inst.map, method, curves=inst.curves or None, basis=inst.basis)
+            assert r.value == z, (a, b, method)
+
+
+def test_exact_pin_on_float_weights_at_high_b1_gives_the_oracle():
+    rng = random.Random(41)
+    for m in _rational_high_genus_maps(count=6):
+        m = build_map(m.vertex_count, m.rotations, [(e.u, e.v) for e in m.edges],
+                      [e.twist for e in m.edges], [_binary_float(rng) for _ in m.edges])
+        assert partition_general_pin(m).value == partition_bruteforce(m)
+
+
 def test_rational_class_terms_are_the_class_pfaffians():
     # each term is Pf(A^{K_xi}) itself, not the Gaussian integer L^(n/2) Pf
     for m in _rational_high_genus_maps(count=4):

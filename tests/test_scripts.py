@@ -87,6 +87,24 @@ def test_random_agreement_names_a_map_where_pin_and_spin_terms_differ(monkeypatc
         "pin and spin (exact)\n")
 
 
+def test_random_agreement_names_a_map_where_dyadic_weights_disagree(monkeypatch, capsys):
+    script = _load_script("random_agreement")
+    good = script.partition_bruteforce
+
+    def off_on_float_weights(m):
+        # the oracle one off on the copies with float weights alone
+        z = good(m)
+        return z + 1 if any(type(e.weight) is float for e in m.edges) else z
+
+    monkeypatch.setattr(script, "partition_bruteforce", off_on_float_weights)
+    monkeypatch.setattr(sys, "argv",
+                        ["random_agreement.py", "--trials", "20", "--seed", "1"])
+    assert script.main() == 1
+    assert capsys.readouterr().out.startswith(
+        "DISAGREEMENT at trial 0 (torus lattice, 8 vertices, 16 edges): "
+        "pin on dyadic float weights (exact) = ")
+
+
 def test_random_agreement_names_a_map_with_corrupted_kept_pfaffians(monkeypatch, capsys):
     script = _load_script("random_agreement")
     good = script.partition_general_pin

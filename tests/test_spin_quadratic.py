@@ -12,6 +12,7 @@ from pfdimers import (
     DegenerateForm,
     NotAMatching,
     NotOrientableForm,
+    NotSimple,
     arf,
     basis_enhancement,
     brown,
@@ -138,6 +139,25 @@ def test_ell_zero_when_dimers_on_cycle():
     basis_walk = _boundary_walk(m)
     D = find_matching(m)
     assert ell_omega(m, D, basis_walk) == 0
+
+
+def test_walk_and_matching_checks_once_per_basis():
+    # the public evaluators check the walk and the matching on every call;
+    # basis_enhancement checks D once and takes the basis cycles as checked
+    m = lattice(4, 4, "torus").map
+    K, basis, D = construct_kasteleyn(m, 0), cycle_basis(m), find_matching(m)
+    walk = basis.cycles[0]
+    for evaluate in (lambda walk, D: ell_omega(m, D, walk),
+                     lambda walk, D: quad_enhancement(m, K, D, walk)):
+        evaluate(walk, D)
+        with pytest.raises(NotSimple):
+            evaluate(walk + walk, D)
+        with pytest.raises(NotAMatching):
+            evaluate(walk, D & (D - 1))
+    with pytest.raises(NotAMatching):
+        basis_enhancement(m, K, D & (D - 1), basis)
+    q = basis_enhancement(m, K, D, basis)
+    assert q.basis_values == tuple(quad_enhancement(m, K, D, w) for w in basis.cycles)
 
 
 def _boundary_walk(m):
