@@ -18,7 +18,11 @@ kept route; classes whose cell values repeat share one elimination), so on
 untwisted orientable maps spin reuses pin's Pfaffians and terms.  Every
 route therefore also runs on its own fresh copy of the map (an identity
 ``relabel``), which keeps nothing yet, and must return
-the same value and terms there.  On untwisted orientable maps pin and spin
+the same value and terms there.  The first exact route at a cochain omega
+also keeps the map's class table, which serves the classes of later exact
+routes at that omega up to a vertex coboundary, so the exact routes also run
+in reverse order on a second copy of the map and must return what they
+returned in order.  On untwisted orientable maps pin and spin
 must also return identical class terms, and the practical route also runs on
 curve data: one alpha curve per ``cycle_basis`` cycle C, crossing the map on
 C's left push-off and carrying C or its reverse, by a coin from the seeded
@@ -213,6 +217,16 @@ def main() -> int:
                     print(f"KEPT DATA DIFFERS at {where}: {name} ({backend}) = "
                           f"{results[name].value}, on a fresh copy {fresh.value}")
                     return 1
+            # an exact route takes the classes that the first exact route at its
+            # omega keeps in the map's class table: on a second copy, the routes
+            # in reverse order give the same results
+            if backend == "exact":
+                copy = relabel(m, range(m.vertex_count))
+                for name, route in reversed(routes.items()):
+                    res = route(copy, backend)
+                    if (res.value, res.terms) != (results[name].value, results[name].terms):
+                        print(f"ORDER CHANGES RESULT at {where}: {name}")
+                        return 1
             for name, res in results.items():
                 tol = 0 if backend == "exact" else FLOAT_REL_TOL * z_ref
                 if abs(res.value - z_ref) > tol:

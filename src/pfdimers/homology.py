@@ -61,20 +61,21 @@ class Gf2Span:
         for r in rows:
             self.add(r)
 
-    def _reduce(self, row: int, rhs: int) -> Tuple[int, int]:
+    def reduce(self, row: int, rhs: int = 0) -> Tuple[int, int]:
+        """(row, rhs) reduced until row's top bit is no pivot; in the span, (0, rhs + its rows')."""
         while (hit := self.pivots.get(row.bit_length() - 1)) is not None:
             row, rhs = row ^ hit[0], rhs ^ hit[1]
         return row, rhs
 
     def add(self, row: int, rhs: int = 0) -> bool:
         """Insert ``row``; True if it enlarged the span, else it is dropped."""
-        row, rhs = self._reduce(row, rhs)
+        row, rhs = self.reduce(row, rhs)
         if row:
             self.pivots[row.bit_length() - 1] = (row, rhs)
         return bool(row)
 
     def contains(self, row: int) -> bool:
-        return self._reduce(row, 0)[0] == 0
+        return self.reduce(row, 0)[0] == 0
 
     @property
     def rank(self) -> int:
@@ -218,6 +219,11 @@ def crossing_cochain(m: CombinatorialMap, walk: Walk) -> int:
     curve returns on the other side and closes across the walk's first edge.
     """
     check_simple_walk(m, walk)
+    return _push_off(m, walk)
+
+
+def _push_off(m: CombinatorialMap, walk: Walk) -> int:
+    """``crossing_cochain`` of a walk known to be a simple closed walk."""
     bits = 0
     side = 0  # 0: left of the walk in the current chart
     L = len(walk)
@@ -348,7 +354,7 @@ def _basis(m: CombinatorialMap, cycles: Sequence[Walk], chains: Sequence[int],
            span: Gf2Span) -> HomologyBasis:
     """Pairing data of a basis; chain ``j`` went into ``span`` with rhs
     ``1 << j`` after the face boundaries, so ``span.solve(i)`` is phi_i."""
-    pd = [crossing_cochain(m, w) for w in cycles]
+    pd = [_push_off(m, w) for w in cycles]  # the cycles are simple
     gram = tuple(tuple(dot(p, ch) for ch in chains) for p in pd)
     assert all(gram[i][j] == gram[j][i] for i in range(len(gram)) for j in range(i)), \
         "intersection pairing asymmetry"

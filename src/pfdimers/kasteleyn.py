@@ -153,16 +153,20 @@ def construct_kasteleyn(m: CombinatorialMap,
     return K
 
 
+def _class_masks(flips: Sequence[int]) -> List[int]:
+    """Every subset sum of ``flips``, subset ``I`` at index ``sum(2**i, i in I)``."""
+    masks = [0]
+    for f in flips:  # the subsets with flip i follow those of the flips before it
+        masks += [mask ^ f for mask in masks]
+    return masks
+
+
 def enumerate_classes(m: CombinatorialMap, K: Orientation,
                       dual_cochains: Sequence[int]) -> List[Orientation]:
     """One representative per orientation class: flip K by every subset sum
     of the given cocycles.  Subset ``I`` sits at index ``sum(2**i, i in I)``.
     """
-    masks = [0]
-    for idx in range(1, 1 << len(dual_cochains)):
-        low = idx & -idx  # the mask of idx is that of idx - low, plus one cocycle
-        masks.append(masks[idx ^ low] ^ dual_cochains[low.bit_length() - 1])
-    return [K.flipped(mask) for mask in masks]
+    return [K.flipped(mask) for mask in _class_masks(dual_cochains)]
 
 
 def equivalent(m: CombinatorialMap, K1: Orientation, K2: Orientation) -> bool:

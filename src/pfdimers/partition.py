@@ -48,7 +48,11 @@ class Pfaffians keyed by K, the flips, omega and the backend, with their
 scale and term strings beside them.  So spin and pin share D0, basis and
 faces on every orientable map, and on an untwisted one spin takes pin's
 Pfaffians and terms: there only the Arf-vs-Brown weighting and the oracle
-check one against the other.
+check one against the other.  The first exact route at an omega keeps its
+class table: K, flips, class Pfaffians, scale.  A later exact class that is,
+read on the route's own basis chains, a table class flipped by delta(x) has
+A^{K_xi} = D A D, D = diag((-1)^x): it takes the table's Pfaffian times
+det D = (-1)^|x| (``_served``).  Floats keep no table (own pivot rounding).
 """
 
 from __future__ import annotations
@@ -56,6 +60,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import xor
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -69,19 +75,20 @@ from .errors import (
 from .exactnum import GaussianRational
 from .generators import TransverseCurve
 from .homology import (
+    Gf2Span,
     HomologyBasis,
     Walk,
+    _push_off,
     basis_from_cycles,
     chain_from_edges,
     check_simple_walk,
-    crossing_cochain,
     cycle_basis,
     dot,
     parity,
     reverse_walk,
     walk_chain,
 )
-from .kasteleyn import Orientation, _omega_flip_set, construct_kasteleyn
+from .kasteleyn import Orientation, _class_masks, _omega_flip_set, construct_kasteleyn
 from .oracle import VERTEX_BOUND, find_matching, partition_bruteforce
 from .pfaffian import _class_matrices, _exact, pfaffian
 from .spin_quadratic import (
@@ -158,7 +165,7 @@ def companion_cycle(m: CombinatorialMap, curve: TransverseCurve) -> Walk:
             # edge, so that the push-off closes across that edge
             k = 1 + [h // 2 for h in way].index(curve.crossing_edge)
             push = reverse_walk(way[k:] + way[:k])
-        if crossing_cochain(m, push) == curve.cross:
+        if _push_off(m, push) == curve.cross:  # a simple walk: checked above
             return way
     raise CurveNotRealizable("companion does not run along its curve")
 
@@ -219,8 +226,27 @@ class ClassSum(NamedTuple):
     strs: tuple
 
 
+def _served(m: CombinatorialMap, table: tuple, K: Orientation, flips: Sequence[int],
+            chains: Sequence[int]) -> List[int]:
+    """Per class of K flipped by subset sums of ``flips``: 2 xi + |x| mod 2 if
+    it is table class xi flipped by delta(x), else -1.  Each generator, K plus
+    the table's K and each flip, is a cocycle, so on the basis ``chains`` it
+    sums table flips and generators before it, plus delta(x) from ``tree_side``."""
+    gens, span, codes = [*table[1], K.bits ^ table[0], *flips], Gf2Span(), []
+    t, n = len(table[1]), len(gens)  # a right-hand side: generator bits, cochain sum above
+    for k, phi in enumerate(gens):
+        span.add(v := sum(dot(phi, z) << j for j, z in enumerate(chains)), phi << n | 1 << k)
+        if k >= t:
+            rhs = span.reduce(v)[1]
+            x = tree_side(m, phi ^ rhs >> n)
+            assert x is not None, "a generator is off its class by no coboundary"
+            codes.append((rhs & (1 << n) - 1) << 1 | sum(x) & 1)
+    base, *steps = codes  # both parts are linear, so classes sum their codes
+    return [c if c < 2 << t else -1 for c in (base ^ s for s in _class_masks(steps))]
+
+
 def _class_sum(m: CombinatorialMap, K: Orientation, flips: Sequence[int],
-               eighths: Sequence[int], root2s: int, backend: str,
+               chains: Sequence[int], eighths: Sequence[int], root2s: int, backend: str,
                omega: int, partner: int = 0) -> ClassSum:
     """sum_xi exp(i*pi*eighths[xi]/4) * Pf(A^{K_xi}) / sqrt(2)^root2s over the
     classes of K flipped by subset sums of ``flips``, in ``enumerate_classes``
@@ -233,29 +259,38 @@ def _class_sum(m: CombinatorialMap, K: Orientation, flips: Sequence[int],
     and by delta(x), so Pf(A^{K_(xi ^ xi0)}) = (-1)^|x| conj Pf(A^{K_xi}):
     class xi ^ xi0 > xi takes that value, with +0 zero parts on floats as
     ``pfaffian`` gives them, and only the other half is eliminated.  The
-    practical flips never reach omega's class, so those routes pass none."""
+    practical flips never reach omega's class, so those routes pass none.
+    The class table of omega is read on ``chains``, a basis of H1(m; Z/2)."""
 
     def classes(m: CombinatorialMap) -> tuple:  # kept as one record per key
-        cms = _class_matrices(m, K, flips, backend, omega)
+        held = kept(m, ("table", omega), lambda _: []) if _exact(backend) else None
+        table = held[0] if held else None  # (K bits, flips, pfs, scale)
+        codes = _served(m, table, K, flips, chains) if table else [-1] * (1 << len(flips))
         sign = 1
         if partner:
-            x = tree_side(m, omega ^ cms[partner].flips)
+            x = tree_side(m, reduce(xor, (f for i, f in enumerate(flips) if partner >> i & 1),
+                                    omega))
             assert x is not None, "omega is not the partner's flip plus a coboundary"
             sign = (-1) ** sum(x)
         zero = GaussianRational(0, 0) if _exact(backend) else 0j  # clears a -0.0 part
-        pfs = []
-        for idx, c in enumerate(cms):
-            pair = idx ^ partner
-            if pair >= idx:
-                pfs.append(pfaffian(c))
-            else:
-                pf = pfs[pair].conjugate()
+        pfs, cms = [], None
+        for idx, code in enumerate(codes):
+            if idx ^ partner < idx:
+                pf = pfs[idx ^ partner].conjugate()
                 pfs.append((pf if sign > 0 else -pf) + zero)
-        s = cms[0].scale
+            elif code >= 0:
+                pf = table[2][code >> 1]
+                pfs.append(-pf if code & 1 else pf)
+            else:
+                cms = cms or _class_matrices(m, K, flips, backend, omega)
+                pfs.append(pfaffian(cms[idx]))
+        pfs, s = tuple(pfs), table[3] if table else cms[0].scale
+        if held == []:  # the first exact route at omega
+            held.append((K.bits, tuple(flips), pfs, s))
         if s == 1:
-            return tuple(pfs), s, tuple(map(str, pfs))
+            return pfs, s, tuple(map(str, pfs))
         # one Fraction per nonzero part, the parts a term prints
-        return tuple(pfs), s, tuple(str(GaussianRational(
+        return pfs, s, tuple(str(GaussianRational(
             Fraction(pf.re, s) if pf.re else 0, Fraction(pf.im, s) if pf.im else 0)) for pf in pfs)
 
     pfs, scale, strs = kept(m, ("classes", K.bits, tuple(flips), omega, backend), classes)
@@ -310,7 +345,8 @@ def _enhanced_sum(m: CombinatorialMap, method: str, omega: int,
     # and the classes pair up by conjugation (``_class_sum``); xi0 = 0 iff
     # m is orientable
     partner = sum(dot(omega, chain) << i for i, chain in enumerate(basis.chains))
-    total = _class_sum(m, K, basis.dual_cochains, eighths, b1, backend, omega, partner)
+    total = _class_sum(m, K, basis.dual_cochains, basis.chains, eighths, b1, backend, omega,
+                       partner)
     re, im = total.re, total.im
     tol = 0 if exact else 1e-9 * (1 + abs(complex(re, im)))
     if abs(im) > tol:
@@ -370,7 +406,7 @@ def _practical(m: CombinatorialMap, curves: Optional[Sequence[TransverseCurve]],
     # flip along the first beta curve.
     om = 0 if surface.orientable else m.twist_bits()
     swap = _omega_flip_set(m, om)
-    flips = [crossing_cochain(m, reverse_walk(w)) if m.half_vertex(w[0]) in swap else pd
+    flips = [_push_off(m, reverse_walk(w)) if m.half_vertex(w[0]) in swap else pd
              for w, pd in zip(basis.cycles, basis.pd_cochains[:r])]
     flips += [curves[r].cross] if primed else []
     K = normalize_orientation(m, kept(m, ("K", om), construct_kasteleyn, om), basis)
@@ -382,7 +418,7 @@ def _practical(m: CombinatorialMap, curves: Optional[Sequence[TransverseCurve]],
     later = [sum(basis.gram[i][j] << j for j in range(i + 1, r)) for i in range(r)]
     eighths = [4 * sum((idx & later[i]).bit_count() for i in range(r) if (idx >> i) & 1)
                - 2 * primed * (idx < n) - odd_chi for idx in range(n << primed)]
-    total = _class_sum(m, K, flips, eighths, r - odd_chi, backend, om)
+    total = _class_sum(m, K, flips, basis.chains, eighths, r - odd_chi, backend, om)
     if surface.orientable and any(pf.imag for pf in total.pfs):
         raise NonRealResult("orientable Pfaffian has an imaginary part")
     terms = _labelled(total.strs[:n], r)

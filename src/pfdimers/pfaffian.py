@@ -91,7 +91,7 @@ from .errors import (
     TooLarge,
 )
 from .exactnum import GaussianRational, over_lcd
-from .kasteleyn import Orientation, enumerate_classes
+from .kasteleyn import Orientation, _class_masks
 from .surface_graph import CombinatorialMap, tree_side
 
 EXPANSION_DIM_BOUND = 12
@@ -217,7 +217,7 @@ def _class_matrices(m: CombinatorialMap, K: Orientation, flips: Sequence[int],
     """The classes of K flipped by subset sums of ``flips``, in
     ``enumerate_classes`` order, from one preparation of K's edges."""
     exact, n = _exact(backend), m.vertex_count
-    masks = [Kc.bits ^ K.bits for Kc in enumerate_classes(m, K, flips)]
+    masks = _class_masks(flips)
     om = m.twist_bits() if omega is None else omega
     gauge = _gauge(m, om) if om else None
     turn = (gauge[1] * n // 2 - sum(gauge[0])) % 4 if gauge else 0

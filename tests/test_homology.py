@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -29,6 +30,7 @@ from pfdimers.homology import (
     chain_from_edges,
     check_simple_walk,
     coboundary_preimage,
+    crossing_cochain,
     dot,
     face_boundary_chains,
     is_cycle,
@@ -406,3 +408,37 @@ def test_bases_equal_under_insertion_order_echelon(monkeypatch):
 def test_check_simple_walk_rejections(walk, error, message):
     with pytest.raises(error, match=message):
         check_simple_walk(lattice(4, 4, "torus").map, walk)
+
+
+@pytest.mark.parametrize("walk, error, message", [
+    ((0,), NotAClosedWalk, "step 0 ends at"),  # one arc between two vertices
+    ((0, 1), NotSimple, "reuses an edge"),
+], ids=["open", "edge-reused"])
+def test_crossing_cochain_still_checks_its_walk(walk, error, message):
+    with pytest.raises(error, match=message):
+        crossing_cochain(lattice(4, 4, "torus").map, walk)
+
+
+@pytest.mark.parametrize("surface", ["torus", "klein_hexagon", "rp2"])
+def test_basis_duals_and_companion_push_offs_check_no_walk_again(monkeypatch, surface):
+    # cycle_basis builds simple cycles and basis_from_cycles checks each
+    # once; neither dual step, nor companion_cycle's push-offs, checks again
+    from pfdimers import homology
+    from pfdimers.partition import companion_cycle
+    from pfdimers.surface_graph import relabel
+
+    partition_module = sys.modules["pfdimers.partition"]
+    inst, calls = lattice(4, 4, surface), []
+    for module in (homology, partition_module):
+        good = module.check_simple_walk
+        monkeypatch.setattr(module, "check_simple_walk",
+                            lambda m, w, good=good, name=module.__name__:
+                            calls.append(name) or good(m, w))
+    cycle_basis(inst.map)
+    assert calls == []
+    basis_from_cycles(relabel(inst.map, range(inst.map.vertex_count)), inst.basis.cycles)
+    assert calls == ["pfdimers.homology"] * inst.basis.rank
+    for cv in inst.curves:
+        calls.clear()
+        assert companion_cycle(inst.map, cv) == cv.companion
+        assert calls == ["pfdimers.partition"]

@@ -43,6 +43,7 @@ from pfdimers import (
 from pfdimers.exactnum import GaussianRational, i_power, rational_str
 from pfdimers.generators import random_lattice, random_map, random_weights
 from pfdimers.homology import (
+    Gf2Span,
     basis_from_cycles,
     chain_from_edges,
     crossing_cochain,
@@ -52,7 +53,7 @@ from pfdimers.homology import (
     reverse_walk,
     vertex_coboundary,
 )
-from pfdimers.kasteleyn import Orientation, _omega_flip_set, is_kasteleyn
+from pfdimers.kasteleyn import Orientation, _class_masks, _omega_flip_set, is_kasteleyn
 from pfdimers.partition import _class_sum, companion_cycle
 from pfdimers.surface_graph import flip_charts, relabel, untwist
 
@@ -961,7 +962,7 @@ def test_one_ordering_per_route_call_and_pfaffian_per_class(monkeypatch, backend
 
     module = sys.modules["pfdimers.pfaffian"]
     route_module = sys.modules["pfdimers.partition"]
-    rcm, pf, classes = module._rcm_order, route_module.pfaffian, module.enumerate_classes
+    rcm, pf, classes = module._rcm_order, route_module.pfaffian, module._class_masks
     calls, pf_dims, class_counts = [], [], []
 
     def counting(*args):
@@ -979,16 +980,28 @@ def test_one_ordering_per_route_call_and_pfaffian_per_class(monkeypatch, backend
 
     monkeypatch.setattr(module, "_rcm_order", counting)
     monkeypatch.setattr(route_module, "pfaffian", counting_pf)
-    monkeypatch.setattr(module, "enumerate_classes", counting_classes)
+    monkeypatch.setattr(module, "_class_masks", counting_classes)
     torus, klein, rp2 = (lattice(4, 4, s) for s in ("torus", "klein_hexagon", "rp2"))
     twisted = flip_charts(torus.map, [0, 5, 6])
     runs = [(inst.map, method, inst.curves or None, inst.basis)
             for inst in (torus, klein, rp2) for method in ("auto", "pin")]
     runs += [(torus.map, "spin", None, None), (twisted, "auto", None, None),
              (twisted, "spin", None, None)]
+    served = []
     for m, method, curves, basis in runs:
         calls.clear(), pf_dims.clear(), class_counts.clear()
+        om = 0 if classify(m).orientable and method != "pin" else m.twist_bits()
+        later = backend == "exact" and ("table", om) in m.__dict__.get("_kept", {})
         partition(m, method, curves=curves, basis=basis, backend=backend)
+        assert len(calls) <= 1, (method, len(calls))
+        if later:
+            # an exact route after the auto run at its omega takes the classes
+            # that the auto run's class table reaches, and eliminates the rest
+            want = _off_table_lower_classes(m, om, basis or cycle_basis(m))
+            assert pf_dims == [m.vertex_count] * want, method
+            assert len(calls) == len(class_counts) == (want > 0), method
+            served.append((m, method, want))
+            continue
         if m is torus.map and method == "spin":
             # practical's K is normalised by the companions and spin's is the
             # constructed one, so spin keeps no record of the torus auto run
@@ -996,6 +1009,25 @@ def test_one_ordering_per_route_call_and_pfaffian_per_class(monkeypatch, backend
         assert len(calls) == 1, (method, len(calls))
         paired = method == "pin" and not classify(m).orientable
         assert pf_dims == [m.vertex_count] * (sum(class_counts) >> paired) != [], method
+    # the torus and twisted auto runs reach every class; the non-orientable
+    # practical flips span a hyperplane, so pin eliminates some of the others
+    assert [(method, want > 0) for m, method, want in served] == (backend == "exact") * [
+        ("pin", False), ("pin", True), ("pin", True), ("spin", False), ("spin", False)]
+
+
+def _off_table_lower_classes(m, omega, basis):
+    """The count of classes that an exact pin or spin route at omega on
+    ``basis`` eliminates beside m's class table of omega: the lower class of
+    each conjugate pair whose shift from the table's K, read on the basis
+    chains, is off the span of the table's flips."""
+    Kt, tflips = m.__dict__["_kept"][("table", omega)][0][:2]
+
+    def on(phi):
+        return sum(dot(phi, z) << j for j, z in enumerate(basis.chains))
+
+    span, K, partner = Gf2Span(map(on, tflips)), construct_kasteleyn(m, omega).bits, on(omega)
+    return sum(idx ^ partner >= idx and not span.contains(on(K ^ Kt ^ mask))
+               for idx, mask in enumerate(_class_masks(basis.dual_cochains)))
 
 
 @pytest.mark.parametrize("weight", [10**160, Fraction(1, 10**160)], ids=["1e160", "1e-160"])
@@ -1167,6 +1199,10 @@ def _fresh(m):
     return relabel(m, range(m.vertex_count))
 
 
+def _class_records(m):
+    return sum(key[0] == "classes" for key in m.__dict__.get("_kept", {}))
+
+
 def _random_orientable_maps(twisted, count=4, seed=7):
     rng, maps = random.Random(seed), []
     while len(maps) < count:
@@ -1238,10 +1274,15 @@ def test_kept_data_is_isolated_by_backend_basis_omega_and_k(monkeypatch, backend
         results = []
         for kwargs in runs:
             calls.clear()
+            records = _class_records(m)
             results.append(partition_general_pin(m, **kwargs))
-            # on the klein bottle, one class of each conjugate pair
+            # each run keeps a record of its own; on the klein bottle, one
+            # class of each conjugate pair; exact pin on inst.basis takes
+            # every class from the table of the default-basis run before it
+            assert _class_records(m) == records + 1, kwargs
             surface = classify(m)
-            assert len(calls) == 2 ** (surface.b1 - (not surface.orientable)), kwargs
+            served = backend == "exact" and "basis" in kwargs
+            assert len(calls) == (not served) * 2 ** (surface.b1 - (not surface.orientable)), kwargs
             fresh = partition_general_pin(_fresh(m), **kwargs)
             assert (results[-1].value, results[-1].terms) == (fresh.value, fresh.terms)
         calls.clear()
@@ -1250,8 +1291,8 @@ def test_kept_data_is_isolated_by_backend_basis_omega_and_k(monkeypatch, backend
         # and by K, which the practical routes normalise along their companions;
         # the unflipped K with these flips is the pin run's on inst.basis
         K, flips = construct_kasteleyn(m), inst.basis.dual_cochains
-        args = ([0] * 2 ** len(flips), 0, backend, m.twist_bits())
-        for Kc, want in ((K, 0), (K.flipped(flips[0]), 2 ** len(flips))):
+        args = (inst.basis.chains, [0] * 2 ** len(flips), 0, backend, m.twist_bits())
+        for Kc, want in ((K, 0), (K.flipped(flips[0]), (backend == "float") * 2 ** len(flips))):
             calls.clear()
             pfs = _class_sum(m, Kc, flips, *args).pfs
             assert len(calls) == want
@@ -1281,11 +1322,11 @@ def test_class_sum_is_the_eighth_turn_weight_rule(backend, surface, size):
     for inst in (unit, lattice(*size, surface, weights=random_weights(
             weigh, unit.map.edge_count, max_num=9))):
         m, om = inst.map, inst.map.twist_bits()
-        K, flips = construct_kasteleyn(m, om), inst.basis.dual_cochains
+        K, flips, chains = construct_kasteleyn(m, om), inst.basis.dual_cochains, inst.basis.chains
         for _ in range(40):
             root2s = rng.randint(-1, 6)
             eighths = [root2s % 2 + 2 * rng.randint(-6, 6) for _ in range(2 ** len(flips))]
-            total = _class_sum(m, K, flips, eighths, root2s, backend, om)
+            total = _class_sum(m, K, flips, chains, eighths, root2s, backend, om)
             assert (total.scale > 1) == (backend == "exact" and inst is not unit)
             ref = _reference_class_sum(total.pfs, eighths, root2s).scale(
                 Fraction(1, total.scale))
@@ -1370,9 +1411,10 @@ def test_rational_class_terms_are_the_class_pfaffians():
 def test_class_pfaffians_reach_the_bucket_loop_as_gaussian_integers(backend):
     for m in _rational_high_genus_maps(count=4):
         om = m.twist_bits()
-        K, flips = construct_kasteleyn(m, om), cycle_basis(m).dual_cochains
+        K, basis = construct_kasteleyn(m, om), cycle_basis(m)
+        flips = basis.dual_cochains
         eighths = [len(flips) % 2] * 2 ** len(flips)
-        total = _class_sum(m, K, flips, eighths, len(flips), backend, om)
+        total = _class_sum(m, K, flips, basis.chains, eighths, len(flips), backend, om)
         if backend == "exact":
             assert total.scale > 1
             assert all(type(pf.re) is type(pf.im) is int for pf in total.pfs)

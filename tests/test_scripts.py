@@ -169,6 +169,46 @@ def test_random_agreement_names_a_map_where_k_is_not_normalized(monkeypatch, cap
         "practical (exact) = 29111/600, oracle = 30271/600\n")
 
 
+def test_random_agreement_names_a_route_served_with_the_wrong_sign(monkeypatch, capsys):
+    # every class served from the class table takes sign +1, not (-1)^|x|
+    partition_module = sys.modules["pfdimers.partition"]
+    good = partition_module._served
+
+    def unsigned(*args):
+        return [code & ~1 if code >= 0 else code for code in good(*args)]
+
+    monkeypatch.setattr(partition_module, "_served", unsigned)
+    script = _load_script("random_agreement")
+    monkeypatch.setattr(sys, "argv",
+                        ["random_agreement.py", "--trials", "20", "--seed", "1"])
+    assert script.main() == 1
+    assert capsys.readouterr().out == (
+        "KEPT DATA DIFFERS at trial 3 (untwisted random map, 6 vertices, 15 edges): "
+        "practical (exact) = 3, on a fresh copy 13\n")
+
+
+def test_random_agreement_names_a_route_whose_result_follows_the_call_order(
+        monkeypatch, capsys):
+    # a route that the table serves in part negates its served classes: in
+    # order each route is served whole or not at all, in reverse order pin
+    # and practical on the klein bottle are served in part
+    partition_module = sys.modules["pfdimers.partition"]
+    good = partition_module._served
+
+    def negated_in_part(*args):
+        codes = good(*args)
+        return [code ^ 1 if code >= 0 and -1 in codes else code for code in codes]
+
+    monkeypatch.setattr(partition_module, "_served", negated_in_part)
+    script = _load_script("random_agreement")
+    monkeypatch.setattr(sys, "argv",
+                        ["random_agreement.py", "--trials", "20", "--seed", "1"])
+    assert script.main() == 1
+    assert capsys.readouterr().out == (
+        "ORDER CHANGES RESULT at trial 4 (klein_hexagon lattice, 8 vertices, 16 edges): "
+        "practical\n")
+
+
 def test_random_agreement_fails_a_run_that_misses_a_prime_width(monkeypatch, capsys):
     # four trials draw two wide-weight copies: one of the three widths never occurs
     script = _load_script("random_agreement")
