@@ -18,11 +18,11 @@ kept route; classes whose cell values repeat share one elimination), so on
 untwisted orientable maps spin reuses pin's Pfaffians and terms.  Every
 route therefore also runs on its own fresh copy of the map (an identity
 ``relabel``), which keeps nothing yet, and must return
-the same value and terms there.  The first exact route at a cochain omega
-also keeps the map's class table, which serves the classes of later exact
-routes at that omega up to a vertex coboundary, so the exact routes also run
-in reverse order on a second copy of the map and must return what they
-returned in order.  On untwisted orientable maps pin and spin
+the same value and terms there.  Exact routes at a cochain omega also
+share the map's known class Pfaffians of omega: a class takes a known one
+up to a vertex coboundary, or the conjugate of one across omega, so the
+exact routes also run in reverse order on a second copy of the map and must
+return what they returned in order.  On untwisted orientable maps pin and spin
 must also return identical class terms, and the practical route also runs on
 curve data: one alpha curve per ``cycle_basis`` cycle C, crossing the map on
 C's left push-off and carrying C or its reverse, by a coin from the seeded
@@ -53,7 +53,8 @@ generator, and every route that ran on it must give that copy's oracle value
 exactly on the exact backend, which reads a float weight at its binary value.
 Their exact class Pfaffians are Gaussian integers over a scale L^(n/2), L
 the least common denominator of the weights.  Exits nonzero on the first
-disagreement or violation, naming the map, the route and the backend.
+disagreement or violation, naming the map, the route and the backend, or on
+the first route that raises, naming the map and the route.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ import argparse
 import random
 import sys
 import time
+import traceback
 from fractions import Fraction
 from pathlib import Path
 
@@ -135,11 +137,41 @@ def prepared_violation(m, basis):
     return None
 
 
+class RouteRaised(Exception):
+    """A route raised where it should have returned a value."""
+
+
+def guarded(where, routes):
+    """The routes, each raising ``RouteRaised``, naming the map and itself,
+    in place of what it raises."""
+
+    def guard(name, route):
+        def run(*args, **kwargs):
+            try:
+                return route(*args, **kwargs)
+            except Exception as exc:
+                raise RouteRaised(f"ROUTE RAISES at {where}: {name}: "
+                                  f"{type(exc).__name__}: {exc}") from exc
+        return run
+
+    return {name: guard(name, route) for name, route in routes.items()}
+
+
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--trials", type=int, default=200)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    try:
+        return sweep(args)
+    except RouteRaised as exc:
+        traceback.print_exc()  # to stderr
+        print(exc)
+        return 1
+
+
+def sweep(args) -> int:
+    """The sweep of the module docstring: 0 if every check passes, else 1."""
     rng, side = random.Random(args.seed), random.Random(args.seed)
     dyadic_rng = random.Random(f"dyadic {args.seed}")
     t0 = time.perf_counter()
@@ -209,6 +241,7 @@ def main() -> int:
         if len(curves) >= 2:
             routes["practical on reversed curves"] = lambda g, b: practical(
                 g, curves=curves[::-1], basis=basis, backend=b)
+        routes = guarded(where, routes)
         for backend in ("exact", "float"):
             results = {name: route(m, backend) for name, route in routes.items()}
             for name, route in routes.items():
@@ -217,9 +250,9 @@ def main() -> int:
                     print(f"KEPT DATA DIFFERS at {where}: {name} ({backend}) = "
                           f"{results[name].value}, on a fresh copy {fresh.value}")
                     return 1
-            # an exact route takes the classes that the first exact route at its
-            # omega keeps in the map's class table: on a second copy, the routes
-            # in reverse order give the same results
+            # an exact route takes the classes that earlier exact routes at its
+            # omega made known on the map: on a second copy, the routes in
+            # reverse order give the same results
             if backend == "exact":
                 copy = relabel(m, range(m.vertex_count))
                 for name, route in reversed(routes.items()):
@@ -263,7 +296,7 @@ def main() -> int:
             weighted_routes = {"pin": partition_general_pin}
             if orientable:
                 weighted_routes["spin"] = partition_orientable_spin
-            for name, route in weighted_routes.items():
+            for name, route in guarded(where, weighted_routes).items():
                 for backend in ("exact", "float"):
                     value = route(wide, backend=backend).value
                     tol = 0 if backend == "exact" else FLOAT_REL_TOL * z_wide

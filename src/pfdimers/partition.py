@@ -19,9 +19,7 @@ same sum at omega = 0 with beta = 4 * Arf on the orientable map as given,
 twists and all.  Both take one O(b1^3) split per route plus the shift law
 (``shifted_browns``) for the betas.  So e_xi = beta + 4 [eps_xi < 0] -
 2 omega(D0) and s = b1: the Brown invariant of a nondegenerate Z4-valued
-form has the parity of its rank (Brown 1972; Kirby and Taylor 1990).  On a
-non-orientable map the class Pfaffians come in complex-conjugate pairs, up
-to one sign, so a pin route eliminates half of them (``_class_sum``).
+form has the parity of its rank (Brown 1972; Kirby and Taylor 1990).
 
 ``_practical`` carries the two practical formulas (Cimasoni and Reshetikhin
 2007 on orientable surfaces; Tesler 2000 and this paper on non-orientable
@@ -48,11 +46,18 @@ class Pfaffians keyed by K, the flips, omega and the backend, with their
 scale and term strings beside them.  So spin and pin share D0, basis and
 faces on every orientable map, and on an untwisted one spin takes pin's
 Pfaffians and terms: there only the Arf-vs-Brown weighting and the oracle
-check one against the other.  The first exact route at an omega keeps its
-class table: K, flips, class Pfaffians, scale.  A later exact class that is,
-read on the route's own basis chains, a table class flipped by delta(x) has
-A^{K_xi} = D A D, D = diag((-1)^x): it takes the table's Pfaffian times
-det D = (-1)^|x| (``_served``).  Floats keep no table (own pivot rounding).
+check one against the other.
+
+One rule serves class Pfaffians (``_class_sum``).  Every K admissible at
+omega is a known K flipped by a cocycle phi = s(c) + delta(x), c its class
+on a basis of H1(m; Z/2) and s a linear section (``_reading``).  A^{K +
+delta(x)} = D A^K D, D = diag((-1)^x), multiplies Pf by det D = (-1)^|x|,
+and conj Pf(A^K) = Pf(A^{K + omega}), as conjugation negates the omega
+edges.  So a class takes the Pfaffian known at c, or the conjugate of the
+one known at c plus omega's class, up to (-1)^|x|, else it is eliminated:
+a non-orientable pin route eliminates one class of each conjugate pair.
+Exact routes at omega share what is known on m (``_Known``); a float route
+knows only its own, since its rounding follows its own seam.
 """
 
 from __future__ import annotations
@@ -60,8 +65,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from operator import xor
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -226,67 +229,63 @@ class ClassSum(NamedTuple):
     strs: tuple
 
 
-def _served(m: CombinatorialMap, table: tuple, K: Orientation, flips: Sequence[int],
-            chains: Sequence[int]) -> List[int]:
-    """Per class of K flipped by subset sums of ``flips``: 2 xi + |x| mod 2 if
-    it is table class xi flipped by delta(x), else -1.  Each generator, K plus
-    the table's K and each flip, is a cocycle, so on the basis ``chains`` it
-    sums table flips and generators before it, plus delta(x) from ``tree_side``."""
-    gens, span, codes = [*table[1], K.bits ^ table[0], *flips], Gf2Span(), []
-    t, n = len(table[1]), len(gens)  # a right-hand side: generator bits, cochain sum above
-    for k, phi in enumerate(gens):
-        span.add(v := sum(dot(phi, z) << j for j, z in enumerate(chains)), phi << n | 1 << k)
-        if k >= t:
-            rhs = span.reduce(v)[1]
-            x = tree_side(m, phi ^ rhs >> n)
-            assert x is not None, "a generator is off its class by no coboundary"
-            codes.append((rhs & (1 << n) - 1) << 1 | sum(x) & 1)
-    base, *steps = codes  # both parts are linear, so classes sum their codes
-    return [c if c < 2 << t else -1 for c in (base ^ s for s in _class_masks(steps))]
+class _Known:
+    """Known class Pfaffians at one omega: the known K's bits, the chains that
+    classes are read on, the section, the scale and (parity, Pf) per class."""
+
+    def __init__(self, m: CombinatorialMap, K: Orientation, chains: Sequence[int]) -> None:
+        self.bits, self.chains, self.section, self.scale = K.bits, chains, Gf2Span(), None
+        self.slots: List[Optional[tuple]] = [None] * (1 << len(chains))
+
+
+def _reading(m: CombinatorialMap, known: _Known, phi: int) -> int:
+    """2 c + |x| mod 2 for a cocycle phi of class c on the known chains, phi =
+    s(c) + delta(x) with s the section; off its span, phi joins it (x = 0)."""
+    c = sum(dot(phi, z) << j for j, z in enumerate(known.chains))
+    rest, s = known.section.reduce(c)
+    if rest:
+        known.section.add(rest, s ^ phi)
+        return c << 1
+    x = tree_side(m, phi ^ s) if phi ^ s else ()
+    assert x is not None, "a cocycle is off its class by no coboundary"
+    return c << 1 | sum(x) & 1
 
 
 def _class_sum(m: CombinatorialMap, K: Orientation, flips: Sequence[int],
                chains: Sequence[int], eighths: Sequence[int], root2s: int, backend: str,
-               omega: int, partner: int = 0) -> ClassSum:
+               omega: int) -> ClassSum:
     """sum_xi exp(i*pi*eighths[xi]/4) * Pf(A^{K_xi}) / sqrt(2)^root2s over the
     classes of K flipped by subset sums of ``flips``, in ``enumerate_classes``
     order, each eighths[xi] = root2s mod 2, with the class Pfaffians times
     ``scale`` (``pfaffian``).
 
-    A ``partner`` xi0 != 0 claims that omega is the flip of class xi0 plus a
-    vertex coboundary delta(x), with x from ``tree_side`` (no x is a bug).
-    Conjugating A^{K_xi} negates its omega edges, which flips K by class xi0
-    and by delta(x), so Pf(A^{K_(xi ^ xi0)}) = (-1)^|x| conj Pf(A^{K_xi}):
-    class xi ^ xi0 > xi takes that value, with +0 zero parts on floats as
-    ``pfaffian`` gives them, and only the other half is eliminated.  The
-    practical flips never reach omega's class, so those routes pass none.
-    The class table of omega is read on ``chains``, a basis of H1(m; Z/2)."""
+    Each class, the known K flipped by a cocycle of reading (c, p)
+    (``_reading``), takes (-1)^(p + q) Pf for the slot (q, Pf) known at c,
+    else (-1)^(p + q + w) conj Pf for the one at c + c', (c', w) omega's
+    reading, with +0 zero parts on floats as ``pfaffian`` gives them, else
+    it is eliminated and known at c.  ``chains`` is a basis of H1(m; Z/2)."""
 
     def classes(m: CombinatorialMap) -> tuple:  # kept as one record per key
-        held = kept(m, ("table", omega), lambda _: []) if _exact(backend) else None
-        table = held[0] if held else None  # (K bits, flips, pfs, scale)
-        codes = _served(m, table, K, flips, chains) if table else [-1] * (1 << len(flips))
-        sign = 1
-        if partner:
-            x = tree_side(m, reduce(xor, (f for i, f in enumerate(flips) if partner >> i & 1),
-                                    omega))
-            assert x is not None, "omega is not the partner's flip plus a coboundary"
-            sign = (-1) ** sum(x)
-        zero = GaussianRational(0, 0) if _exact(backend) else 0j  # clears a -0.0 part
-        pfs, cms = [], None
-        for idx, code in enumerate(codes):
-            if idx ^ partner < idx:
-                pf = pfs[idx ^ partner].conjugate()
-                pfs.append((pf if sign > 0 else -pf) + zero)
-            elif code >= 0:
-                pf = table[2][code >> 1]
-                pfs.append(-pf if code & 1 else pf)
-            else:
-                cms = cms or _class_matrices(m, K, flips, backend, omega)
-                pfs.append(pfaffian(cms[idx]))
-        pfs, s = tuple(pfs), table[3] if table else cms[0].scale
-        if held == []:  # the first exact route at omega
-            held.append((K.bits, tuple(flips), pfs, s))
+        exact = _exact(backend)
+        known = kept(m, ("known", omega), _Known, K, chains) if exact else _Known(m, K, chains)
+        base, *steps = [_reading(m, known, phi) for phi in (K.bits ^ known.bits, *flips)]
+        # omega's reading, read only at a nonzero class: at class 0 a conjugate's slot is its own
+        w = _reading(m, known, omega) if any(dot(omega, z) for z in known.chains) else 0
+        zero = GaussianRational(0, 0) if exact else 0j  # clears a -0.0 part
+        slots, pfs, cms = known.slots, [], None
+        for idx, mask in enumerate(_class_masks(steps)):
+            slot = slots[(r := base ^ mask) >> 1]
+            if slot is None and (slot := slots[(r ^ w) >> 1]) is not None:
+                slot = (slot[0] ^ w & 1, slot[1].conjugate())
+            if slot is not None:
+                pfs.append((-slot[1] if (r ^ slot[0]) & 1 else slot[1]) + zero)
+                continue
+            if cms is None:
+                cms = _class_matrices(m, K, flips, backend, omega)
+                known.scale = cms[0].scale
+            pfs.append(pf := pfaffian(cms[idx]))
+            slots[r >> 1] = (r & 1, pf)
+        pfs, s = tuple(pfs), known.scale
         if s == 1:
             return pfs, s, tuple(map(str, pfs))
         # one Fraction per nonzero part, the parts a term prints
@@ -340,13 +339,7 @@ def _enhanced_sum(m: CombinatorialMap, method: str, omega: int,
     # Weights as in the module docstring, with eps_xi = exp(i*pi*4[eps_xi < 0]/4).
     turn = 2 * dotcount(omega, D0)
     eighths = [beta + 4 * (neg ^ parity(idx & odd)) - turn for idx, beta in enumerate(betas)]
-    # omega - sum_i omega(C_i) phi_i vanishes on the basis cycles, so it is a
-    # coboundary: omega is the flip of class xi0 = (omega(C_i))_i plus one,
-    # and the classes pair up by conjugation (``_class_sum``); xi0 = 0 iff
-    # m is orientable
-    partner = sum(dot(omega, chain) << i for i, chain in enumerate(basis.chains))
-    total = _class_sum(m, K, basis.dual_cochains, basis.chains, eighths, b1, backend, omega,
-                       partner)
+    total = _class_sum(m, K, basis.dual_cochains, basis.chains, eighths, b1, backend, omega)
     re, im = total.re, total.im
     tol = 0 if exact else 1e-9 * (1 + abs(complex(re, im)))
     if abs(im) > tol:

@@ -5,6 +5,34 @@ from __future__ import annotations
 import pytest
 
 from pfdimers import build_map, lattice
+from pfdimers.kasteleyn import _class_masks
+from pfdimers.surface_graph import tree_side
+
+
+def kept_records(m, kind):
+    """The records of one kind that routes keep on m, by full key, in the
+    order kept: "classes", one per route, (K bits, flips, omega, backend) ->
+    (pfs, scale, strs); "known", one per omega, the known class Pfaffians."""
+    return {key: v for key, v in m.__dict__.get("_kept", {}).items() if key[0] == kind}
+
+
+def rule_eliminations(m, omega):
+    """Per exact route at omega kept on m, in call order, the flip masks of
+    the classes that the serving rule eliminates, walked in class order: a
+    class is served when ``tree_side`` finds a coboundary between it and a
+    known class, or a known class flipped by omega; else it is eliminated
+    and known."""
+    known, out = [], []
+    for _, bits, flips, om, backend in kept_records(m, "classes"):
+        if (om, backend) != (omega, "exact"):
+            continue
+        out.append([])
+        for mask in _class_masks(flips):
+            if all(tree_side(m, bits ^ mask ^ k ^ shift) is None
+                   for shift in (0, omega) for k in known):
+                known.append(bits ^ mask)
+                out[-1].append(mask)
+    return out
 
 
 @pytest.fixture

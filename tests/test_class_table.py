@@ -1,9 +1,11 @@
-"""The exact class table: routes on one map share class Pfaffians by class.
+"""Known class Pfaffians: routes on one map share class Pfaffians by class.
 
-The first exact route at a cochain omega keeps its class Pfaffians as the
-map's table of omega; a later exact route at that omega takes every class
-that is a table class flipped by a vertex coboundary delta(x), with the sign
-det D = (-1)^|x| of D = diag((-1)^x), and eliminates only the others.
+Every exact route at a cochain omega reads and extends the map's known
+class Pfaffians of omega.  A class that is a known class flipped by a vertex
+coboundary delta(x) takes its Pfaffian times det D = (-1)^|x|, D =
+diag((-1)^x); one that is a known class flipped by omega and delta(x) takes
+the conjugate of its Pfaffian times (-1)^|x|; the others are eliminated
+and become known.
 """
 
 from __future__ import annotations
@@ -22,11 +24,16 @@ from pfdimers import (
     partition_general_pin,
     partition_orientable_practical,
     partition_orientable_spin,
+    pfaffian,
 )
 from pfdimers.generators import random_map, random_weights
-from pfdimers.homology import Gf2Span, basis_from_cycles, cycle_basis, dot
-from pfdimers.kasteleyn import _class_masks
+from pfdimers.homology import basis_from_cycles, cycle_basis, dot
+from pfdimers.kasteleyn import Orientation
+from pfdimers.partition import _class_sum
+from pfdimers.pfaffian import _class_matrices
 from pfdimers.surface_graph import relabel
+
+from conftest import kept_records, rule_eliminations
 
 ROUTES = ("pin", "practical", "spin")
 ORDERS = [("pin", "practical", "spin"), ("practical", "pin", "spin")]
@@ -123,49 +130,68 @@ def test_practical_after_pin_serves_the_primed_classes(monkeypatch):
     assert (served.value, served.terms) == (alone.value, alone.terms)
 
 
+@pytest.mark.parametrize("surface, size", [("klein_hexagon", 4), ("rp2", 6)])
+def test_pin_after_practical_takes_every_class_on_any_basis(monkeypatch, surface, size):
+    # practical's classes and their conjugates across omega reach every class
+    calls = _counting_pfaffians(monkeypatch)
+    inst = lattice(size, size, surface)
+    m = inst.map
+    partition(m, "practical", curves=inst.curves, basis=inst.basis)
+    for basis in (inst.basis, cycle_basis(m)):
+        calls.clear()
+        pin = partition_general_pin(m, basis=basis)
+        assert calls == []
+        alone = partition_general_pin(_fresh(m), basis=basis)
+        assert (repr(pin.value), pin.terms) == (repr(alone.value), alone.terms)
+
+
 @pytest.mark.parametrize("surface, size", [("klein_hexagon", (4, 4)), ("klein_hexagon", (4, 6)),
                                            ("rp2", (4, 4)), ("rp2", (3, 4))])
 def test_a_route_off_the_tables_span_eliminates_exactly_the_missing_classes(
         monkeypatch, surface, size):
     # a non-orientable practical route flips along a hyperplane of the
-    # classes; pin after it finds the other half outside the table
+    # classes, and its conjugates reach the others: pin after it eliminates
+    # none.  After practical's K alone, on a second copy, pin eliminates the
+    # classes that neither K nor its conjugate reaches, one on the klein
+    # bottle (b1 = 2) and none on the projective plane (b1 = 1)
     calls = _counting_pfaffians(monkeypatch)
     inst = lattice(*size, surface)
     m, om = inst.map, inst.map.twist_bits()
     partition(m, "practical", curves=inst.curves, basis=inst.basis)
-    Kt, tflips = m.__dict__["_kept"][("table", om)][0][:2]
-    calls.clear()
-    pin = partition_general_pin(m, basis=inst.basis)
-    # outside: the class's shift from the table's K is off the span of the
-    # table's flips, read on pin's basis chains; pin evaluates the lower class
-    # of each conjugate pair
-    K, flips, chains = construct_kasteleyn(m, om).bits, inst.basis.dual_cochains, inst.basis.chains
-    span = Gf2Span([sum(dot(f, z) << j for j, z in enumerate(chains)) for f in tflips])
-    partner = sum(dot(om, z) << i for i, z in enumerate(inst.basis.chains))
-    masks = _class_masks(flips)
-    want = {mask for idx, mask in enumerate(masks) if idx < idx ^ partner and not span.contains(
-        sum(dot(K ^ mask ^ Kt, z) << j for j, z in enumerate(chains)))}
-    assert {c.flips for c in calls} == want and len(calls) == len(want)
-    # at 4x4 some missing classes are the lower of their pair; at 4x6 and 3x4
-    # the missing ones are all conjugates of served ones
-    assert bool(want) == (size == (4, 4))
-    alone = partition_general_pin(_fresh(m), basis=inst.basis)
-    assert (pin.value, pin.terms) == (alone.value, alone.terms)
+    (_, bits, _, _, _), = kept_records(m, "classes")
+    other = _fresh(m)
+    _class_sum(other, Orientation(bits, m.edge_count), [], inst.basis.chains, [0], 0, "exact", om)
+    for g, eliminated in ((m, 0), (other, int(surface == "klein_hexagon"))):
+        calls.clear()
+        pin = partition_general_pin(g, basis=inst.basis)
+        want = rule_eliminations(g, om)[-1]
+        assert sorted(c.flips for c in calls) == sorted(want) and len(want) == eliminated
+        alone = partition_general_pin(_fresh(m), basis=inst.basis)
+        assert (pin.value, pin.terms) == (alone.value, alone.terms)
 
 
 def test_the_first_route_keeps_its_own_pfaffians_as_the_table(monkeypatch):
+    # the first route at omega is the known K, chains and flips, so its
+    # classes read without ``tree_side``, and so does omega, whose class
+    # practical never reaches and which pin's dual cochains sum to here
     module = sys.modules["pfdimers.partition"]
-    served = []
-    monkeypatch.setattr(module, "_served", lambda *args: served.append(args))
+    search, searched = module.tree_side, []
+    monkeypatch.setattr(module, "tree_side", lambda m, phi: searched.append(phi) or search(m, phi))
     inst = lattice(4, 4, "klein_hexagon")
     m, om = inst.map, inst.map.twist_bits()
+    partition(_fresh(m), "practical", curves=inst.curves, basis=inst.basis)
+    assert searched == []
     partition_general_pin(m, basis=inst.basis)
-    assert served == []  # no coordinate work on the first route
-    store = m.__dict__["_kept"]
-    [classes] = [v for k, v in store.items() if k[0] == "classes"]
-    bits, flips, pfs, scale = store[("table", om)][0]
-    assert (bits, flips) == (construct_kasteleyn(m, om).bits, inst.basis.dual_cochains)
-    assert pfs is classes[0] and scale == classes[1]
+    assert searched == []
+    (pfs, scale, _), = kept_records(m, "classes").values()
+    known, = kept_records(m, "known").values()
+    assert (known.bits, known.chains, known.scale) == (
+        construct_kasteleyn(m, om).bits, inst.basis.chains, scale)
+    # the dual cochains are the section, so class idx is known at idx with
+    # parity 0, the lower class of each conjugate pair
+    xi0 = sum(dot(om, z) << j for j, z in enumerate(inst.basis.chains))
+    assert known.slots == [(0, pfs[idx]) if idx < idx ^ xi0 else None for idx in range(len(pfs))]
+    assert all(slot[1] is pfs[idx] for idx, slot in enumerate(known.slots) if slot)
 
 
 @pytest.mark.parametrize("surface", ["torus", "klein_hexagon", "rp2"])
@@ -178,7 +204,33 @@ def test_float_routes_neither_read_nor_write_the_table(surface):
     alone = partition(_fresh(m), "practical", curves=inst.curves, basis=inst.basis,
                       backend="float")
     assert (repr(after.value), after.terms) == (repr(alone.value), alone.terms)
-    assert [k for k in m.__dict__["_kept"] if k[0] == "table"] == [("table", m.twist_bits())]
+    assert list(kept_records(m, "known")) == [("known", m.twist_bits())]
     fresh = _fresh(m)
     partition(fresh, "pin", basis=inst.basis, backend="float")
-    assert not [k for k in fresh.__dict__["_kept"] if k[0] == "table"]
+    assert not kept_records(fresh, "known")
+
+
+def test_every_kept_class_pfaffian_is_its_own_class_pfaffian():
+    # a class served up to (-1)^|x|, or as a conjugate across omega, holds
+    # what its own class matrix gives on a fresh map, type and zero parts
+    # too; the random maps serve odd signs and non-real conjugates
+    rng = random.Random(31)
+    cases = [(inst.map, inst.curves or None, inst.basis, order)
+             for inst in (lattice(4, 4, "torus"), lattice(4, 4, "klein_hexagon"),
+                          lattice(6, 6, "rp2")) for order in ORDERS]
+    cases += [(random_map(rng, max_vertices=6, extra_edges=8, twisted=i % 2 == 1), None, None,
+               ("pin", "pin on a shuffled basis", "practical", "spin")) for i in range(40)]
+    for m, curves, basis, order in cases:
+        g = _fresh(m)
+        cycles = cycle_basis(g).cycles
+        shuffled = basis_from_cycles(g, random.Random(g.edge_count).sample(cycles, len(cycles)))
+        for backend in ("exact", "float"):
+            for name in order:
+                _outcome(lambda h: partition(
+                    h, name.split()[0], curves=curves, backend=backend,
+                    basis=shuffled if name.endswith("basis") else basis), g)
+        for (_, bits, flips, om, backend), (pfs, _, _) in kept_records(g, "classes").items():
+            want = [pfaffian(c) for c in _class_matrices(
+                _fresh(g), Orientation(bits, g.edge_count), flips, backend, om)]
+            assert [(type(pf), repr(pf)) for pf in pfs] == \
+                [(type(pf), repr(pf)) for pf in want], (order, backend)

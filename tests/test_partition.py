@@ -43,7 +43,6 @@ from pfdimers import (
 from pfdimers.exactnum import GaussianRational, i_power, rational_str
 from pfdimers.generators import random_lattice, random_map, random_weights
 from pfdimers.homology import (
-    Gf2Span,
     basis_from_cycles,
     chain_from_edges,
     crossing_cochain,
@@ -53,11 +52,12 @@ from pfdimers.homology import (
     reverse_walk,
     vertex_coboundary,
 )
-from pfdimers.kasteleyn import Orientation, _class_masks, _omega_flip_set, is_kasteleyn
+from pfdimers.kasteleyn import Orientation, _omega_flip_set, is_kasteleyn
 from pfdimers.partition import _class_sum, companion_cycle
 from pfdimers.surface_graph import flip_charts, relabel, untwist
 
 import closed_forms
+from conftest import kept_records, rule_eliminations
 
 
 def test_planar_5x6_single_pfaffian():
@@ -991,13 +991,13 @@ def test_one_ordering_per_route_call_and_pfaffian_per_class(monkeypatch, backend
     for m, method, curves, basis in runs:
         calls.clear(), pf_dims.clear(), class_counts.clear()
         om = 0 if classify(m).orientable and method != "pin" else m.twist_bits()
-        later = backend == "exact" and ("table", om) in m.__dict__.get("_kept", {})
+        later = backend == "exact" and ("known", om) in kept_records(m, "known")
         partition(m, method, curves=curves, basis=basis, backend=backend)
         assert len(calls) <= 1, (method, len(calls))
         if later:
             # an exact route after the auto run at its omega takes the classes
-            # that the auto run's class table reaches, and eliminates the rest
-            want = _off_table_lower_classes(m, om, basis or cycle_basis(m))
+            # that the known ones or their conjugates reach, and eliminates the rest
+            want = len(rule_eliminations(m, om)[-1])
             assert pf_dims == [m.vertex_count] * want, method
             assert len(calls) == len(class_counts) == (want > 0), method
             served.append((m, method, want))
@@ -1010,24 +1010,9 @@ def test_one_ordering_per_route_call_and_pfaffian_per_class(monkeypatch, backend
         paired = method == "pin" and not classify(m).orientable
         assert pf_dims == [m.vertex_count] * (sum(class_counts) >> paired) != [], method
     # the torus and twisted auto runs reach every class; the non-orientable
-    # practical flips span a hyperplane, so pin eliminates some of the others
-    assert [(method, want > 0) for m, method, want in served] == (backend == "exact") * [
-        ("pin", False), ("pin", True), ("pin", True), ("spin", False), ("spin", False)]
-
-
-def _off_table_lower_classes(m, omega, basis):
-    """The count of classes that an exact pin or spin route at omega on
-    ``basis`` eliminates beside m's class table of omega: the lower class of
-    each conjugate pair whose shift from the table's K, read on the basis
-    chains, is off the span of the table's flips."""
-    Kt, tflips = m.__dict__["_kept"][("table", omega)][0][:2]
-
-    def on(phi):
-        return sum(dot(phi, z) << j for j, z in enumerate(basis.chains))
-
-    span, K, partner = Gf2Span(map(on, tflips)), construct_kasteleyn(m, omega).bits, on(omega)
-    return sum(idx ^ partner >= idx and not span.contains(on(K ^ Kt ^ mask))
-               for idx, mask in enumerate(_class_masks(basis.dual_cochains)))
+    # practical flips span a hyperplane, whose conjugates reach the others
+    assert [(method, want) for m, method, want in served] == (backend == "exact") * [
+        ("pin", 0), ("pin", 0), ("pin", 0), ("spin", 0), ("spin", 0)]
 
 
 @pytest.mark.parametrize("weight", [10**160, Fraction(1, 10**160)], ids=["1e160", "1e-160"])
@@ -1200,7 +1185,7 @@ def _fresh(m):
 
 
 def _class_records(m):
-    return sum(key[0] == "classes" for key in m.__dict__.get("_kept", {}))
+    return len(kept_records(m, "classes"))
 
 
 def _random_orientable_maps(twisted, count=4, seed=7):
@@ -1250,7 +1235,7 @@ def test_class_terms_are_formatted_once_per_kept_route(monkeypatch):
     formatted.clear()
     assert partition(m, "practical", **kwargs) == first and formatted == []
     assert first.terms == partition(_fresh(m), "practical", **kwargs).terms
-    (key,) = [k for k in m.__dict__["_kept"] if k[0] == "classes"]
+    (key,) = kept_records(m, "classes")
     _, bits, flips, _, _ = key
     want = [str(pfaffian(build_adjacency(m, Kc))) for Kc in
             enumerate_classes(m, Orientation(bits, m.edge_count), flips)]
@@ -1278,7 +1263,7 @@ def test_kept_data_is_isolated_by_backend_basis_omega_and_k(monkeypatch, backend
             results.append(partition_general_pin(m, **kwargs))
             # each run keeps a record of its own; on the klein bottle, one
             # class of each conjugate pair; exact pin on inst.basis takes
-            # every class from the table of the default-basis run before it
+            # every class from what the default-basis run before it made known
             assert _class_records(m) == records + 1, kwargs
             surface = classify(m)
             served = backend == "exact" and "basis" in kwargs
@@ -1289,10 +1274,12 @@ def test_kept_data_is_isolated_by_backend_basis_omega_and_k(monkeypatch, backend
         assert [partition_general_pin(m, **kwargs) for kwargs in runs] == results
         assert calls == []
         # and by K, which the practical routes normalise along their companions;
-        # the unflipped K with these flips is the pin run's on inst.basis
+        # the unflipped K with these flips is the pin run's on inst.basis; a
+        # float route on the klein bottle pairs its classes by conjugation
         K, flips = construct_kasteleyn(m), inst.basis.dual_cochains
         args = (inst.basis.chains, [0] * 2 ** len(flips), 0, backend, m.twist_bits())
-        for Kc, want in ((K, 0), (K.flipped(flips[0]), (backend == "float") * 2 ** len(flips))):
+        evaluated = (backend == "float") * 2 ** (len(flips) - (not surface.orientable))
+        for Kc, want in ((K, 0), (K.flipped(flips[0]), evaluated)):
             calls.clear()
             pfs = _class_sum(m, Kc, flips, *args).pfs
             assert len(calls) == want
@@ -1456,7 +1443,7 @@ def test_conjugate_partners_serve_half_the_pin_classes(monkeypatch, backend):
         calls.clear()
         partition_general_pin(m, backend=backend)
         assert len(calls) == 2 ** (basis.rank - 1)
-        (pfs, _, _), = [v for k, v in m.__dict__["_kept"].items() if k[0] == "classes"]
+        (pfs, _, _), = kept_records(m, "classes").values()
         fresh = _class_matrices(_fresh(m), construct_kasteleyn(m, om), basis.dual_cochains,
                                 backend, om)
         evaluated = {c.flips for c in calls}

@@ -1015,14 +1015,14 @@ def test_lattice_classes_never_repeat(monkeypatch, surface, backend):
     pf, routes = route_module.pfaffian, []
     monkeypatch.setattr(route_module, "pfaffian", lambda c: routes.append(c.route) or pf(c))
     for method in ("pin", "practical"):
-        inst = lattice(4, 4, surface)  # a fresh map: no class table serves the route
+        inst = lattice(4, 4, surface)  # a fresh map: no known class serves the route
         routes.clear()
         partition(inst.map, method, curves=inst.curves, basis=inst.basis, backend=backend)
         assert len(set(map(id, routes))) == 1
         assert len(routes[0].memo) == len(routes), method
         shared = max(Counter(c for c, _, _ in routes[0].slots).values())
         assert (shared > 1) == (surface == "rp2"), method
-    # on one map, exact practical after pin takes every class from pin's table
+    # on one map, exact practical after pin takes every class that pin made known
     inst = lattice(4, 4, surface)
     partition(inst.map, "pin", basis=inst.basis, backend=backend)
     routes.clear()

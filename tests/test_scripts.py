@@ -7,6 +7,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from conftest import kept_records
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -113,10 +115,8 @@ def test_random_agreement_names_a_map_with_corrupted_kept_pfaffians(monkeypatch,
         # negate the first class Pfaffian of every set pin keeps on the map;
         # spin on the same untwisted map reads them, a fresh copy does not
         res = good(m, **kwargs)
-        store = m.__dict__["_kept"]
-        for key in [k for k in store if k[0] == "classes"]:
-            pfs, scale, strs = store[key]
-            store[key] = ((-pfs[0],) + pfs[1:], scale, strs)
+        for key, (pfs, scale, strs) in kept_records(m, "classes").items():
+            m.__dict__["_kept"][key] = ((-pfs[0],) + pfs[1:], scale, strs)
         return res
 
     monkeypatch.setattr(script, "partition_general_pin", corrupting_pin)
@@ -135,10 +135,8 @@ def test_random_agreement_names_a_map_with_corrupted_kept_terms(monkeypatch, cap
         # alter the first class term string of every set pin keeps on the map;
         # spin on the same untwisted map prints them, a fresh copy does not
         res = good(m, **kwargs)
-        store = m.__dict__["_kept"]
-        for key in [k for k in store if k[0] == "classes"]:
-            pfs, scale, strs = store[key]
-            store[key] = (pfs, scale, ("-" + strs[0],) + strs[1:])
+        for key, (pfs, scale, strs) in kept_records(m, "classes").items():
+            m.__dict__["_kept"][key] = (pfs, scale, ("-" + strs[0],) + strs[1:])
         return res
 
     monkeypatch.setattr(script, "partition_general_pin", corrupting_pin)
@@ -170,14 +168,10 @@ def test_random_agreement_names_a_map_where_k_is_not_normalized(monkeypatch, cap
 
 
 def test_random_agreement_names_a_route_served_with_the_wrong_sign(monkeypatch, capsys):
-    # every class served from the class table takes sign +1, not (-1)^|x|
+    # readings lose their parity bit: every served class takes sign +1, not (-1)^|x|
     partition_module = sys.modules["pfdimers.partition"]
-    good = partition_module._served
-
-    def unsigned(*args):
-        return [code & ~1 if code >= 0 else code for code in good(*args)]
-
-    monkeypatch.setattr(partition_module, "_served", unsigned)
+    good = partition_module._reading
+    monkeypatch.setattr(partition_module, "_reading", lambda *args: good(*args) & ~1)
     script = _load_script("random_agreement")
     monkeypatch.setattr(sys, "argv",
                         ["random_agreement.py", "--trials", "20", "--seed", "1"])
@@ -187,26 +181,19 @@ def test_random_agreement_names_a_route_served_with_the_wrong_sign(monkeypatch, 
         "practical (exact) = 3, on a fresh copy 13\n")
 
 
-def test_random_agreement_names_a_route_whose_result_follows_the_call_order(
-        monkeypatch, capsys):
-    # a route that the table serves in part negates its served classes: in
-    # order each route is served whole or not at all, in reverse order pin
-    # and practical on the klein bottle are served in part
-    partition_module = sys.modules["pfdimers.partition"]
-    good = partition_module._served
+def test_random_agreement_names_a_route_served_without_conjugation(monkeypatch, capsys):
+    # a class known only across omega takes the Pfaffian there unconjugated;
+    # the sweep names the exact route whose sum is then not real
+    from pfdimers.exactnum import GaussianRational
 
-    def negated_in_part(*args):
-        codes = good(*args)
-        return [code ^ 1 if code >= 0 and -1 in codes else code for code in codes]
-
-    monkeypatch.setattr(partition_module, "_served", negated_in_part)
+    monkeypatch.setattr(GaussianRational, "conjugate", lambda pf: pf)
     script = _load_script("random_agreement")
     monkeypatch.setattr(sys, "argv",
                         ["random_agreement.py", "--trials", "20", "--seed", "1"])
     assert script.main() == 1
     assert capsys.readouterr().out == (
-        "ORDER CHANGES RESULT at trial 4 (klein_hexagon lattice, 8 vertices, 16 edges): "
-        "practical\n")
+        "ROUTE RAISES at trial 5 (random map, 2 vertices, 6 edges): "
+        "pin: NonRealResult: pin sum is not real: 3 + 3i\n")
 
 
 def test_random_agreement_fails_a_run_that_misses_a_prime_width(monkeypatch, capsys):
