@@ -49,15 +49,15 @@ Pfaffians and terms: there only the Arf-vs-Brown weighting and the oracle
 check one against the other.
 
 One rule serves class Pfaffians (``_class_sum``).  Every K admissible at
-omega is a known K flipped by a cocycle phi = s(c) + delta(x), c its class
-on a basis of H1(m; Z/2) and s a linear section (``_reading``).  A^{K +
+omega is a known K flipped by a cocycle phi, read as its class c on a basis
+of H1(m; Z/2) and its parity on m's odd join (``_reading``).  A^{K +
 delta(x)} = D A^K D, D = diag((-1)^x), multiplies Pf by det D = (-1)^|x|,
-and conj Pf(A^K) = Pf(A^{K + omega}), as conjugation negates the omega
-edges.  So a class takes the Pfaffian known at c, or the conjugate of the
-one known at c plus omega's class, up to (-1)^|x|, else it is eliminated:
-a non-orientable pin route eliminates one class of each conjugate pair.
-Exact routes at omega share what is known on m (``_Known``); a float route
-knows only its own, since its rounding follows its own seam.
+delta(x)'s parity on the join, and conj Pf(A^K) = Pf(A^{K + omega}), as
+conjugation negates the omega edges.  So a class takes the Pfaffian known at
+c, or the conjugate of the one at c plus omega's class, signed by parities,
+else it is eliminated: a non-orientable pin route eliminates one class of
+each conjugate pair.  Exact routes at omega share what is known on m
+(``_Known``); a float route knows only its own: its rounding follows its seam.
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ from .errors import (
 from .exactnum import GaussianRational
 from .generators import TransverseCurve
 from .homology import (
-    Gf2Span,
     HomologyBasis,
     Walk,
     _push_off,
@@ -108,7 +107,7 @@ from .surface_graph import (
     classify,
     is_orientable,
     kept,
-    tree_side,
+    odd_join,
 )
 
 Number = Union[Fraction, float]
@@ -231,24 +230,17 @@ class ClassSum(NamedTuple):
 
 class _Known:
     """Known class Pfaffians at one omega: the known K's bits, the chains that
-    classes are read on, the section, the scale and (parity, Pf) per class."""
+    classes are read on, m's odd join, the scale and (parity, Pf) per class."""
 
     def __init__(self, m: CombinatorialMap, K: Orientation, chains: Sequence[int]) -> None:
-        self.bits, self.chains, self.section, self.scale = K.bits, chains, Gf2Span(), None
-        self.slots: List[Optional[tuple]] = [None] * (1 << len(chains))
+        self.bits, self.chains, self.join = K.bits, chains, kept(m, "join", odd_join)
+        self.scale, self.slots = None, [None] * (1 << len(chains))
 
 
-def _reading(m: CombinatorialMap, known: _Known, phi: int) -> int:
-    """2 c + |x| mod 2 for a cocycle phi of class c on the known chains, phi =
-    s(c) + delta(x) with s the section; off its span, phi joins it (x = 0)."""
-    c = sum(dot(phi, z) << j for j, z in enumerate(known.chains))
-    rest, s = known.section.reduce(c)
-    if rest:
-        known.section.add(rest, s ^ phi)
-        return c << 1
-    x = tree_side(m, phi ^ s) if phi ^ s else ()
-    assert x is not None, "a cocycle is off its class by no coboundary"
-    return c << 1 | sum(x) & 1
+def _reading(known: _Known, phi: int) -> int:
+    """2 c + p for a cocycle phi of class c on the known chains and parity p on
+    the odd join; phi + delta(x) reads 2 c + (p + |x| mod 2) for V even."""
+    return sum(dot(phi, z) << j for j, z in enumerate(known.chains)) << 1 | dot(phi, known.join)
 
 
 def _class_sum(m: CombinatorialMap, K: Orientation, flips: Sequence[int],
@@ -268,9 +260,7 @@ def _class_sum(m: CombinatorialMap, K: Orientation, flips: Sequence[int],
     def classes(m: CombinatorialMap) -> tuple:  # kept as one record per key
         exact = _exact(backend)
         known = kept(m, ("known", omega), _Known, K, chains) if exact else _Known(m, K, chains)
-        base, *steps = [_reading(m, known, phi) for phi in (K.bits ^ known.bits, *flips)]
-        # omega's reading, read only at a nonzero class: at class 0 a conjugate's slot is its own
-        w = _reading(m, known, omega) if any(dot(omega, z) for z in known.chains) else 0
+        base, *steps, w = [_reading(known, phi) for phi in (K.bits ^ known.bits, *flips, omega)]
         zero = GaussianRational(0, 0) if exact else 0j  # clears a -0.0 part
         slots, pfs, cms = known.slots, [], None
         for idx, mask in enumerate(_class_masks(steps)):

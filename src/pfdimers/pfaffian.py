@@ -221,7 +221,7 @@ def _class_matrices(m: CombinatorialMap, K: Orientation, flips: Sequence[int],
     om = m.twist_bits() if omega is None else omega
     gauge = _gauge(m, om) if om else None
     turn = (gauge[1] * n // 2 - sum(gauge[0])) % 4 if gauge else 0
-    route = _EdgeMatrix(n, _map_edges(m, K, om, gauge), exact, reduce(or_, masks), turn)
+    route = _EdgeMatrix(n, _map_edges(m, K, om, gauge), exact, reduce(or_, flips, 0), turn)
     return [_ClassMatrix(route, f, n, exact, route.scale) for f in masks]
 
 

@@ -28,8 +28,8 @@ Faces are traced once per map: ``m.faces`` runs ``trace_faces`` on first use
 and keeps the result, and every consumer (Euler characteristic, homology
 basis, Kasteleyn curvature, companion cycles) reads it there.  Orientability
 is kept the same way (``m.orientable``), without tracing faces, and
-``kept`` keeps the rest derived from the map alone: its BFS tree, and the
-partition routes' D0, basis, K and class Pfaffians.
+``kept`` keeps the rest derived from the map alone: its BFS tree and odd
+join, and the partition routes' D0, basis, K and class Pfaffians.
 ``tree_side`` alone solves phi = delta(x) for vertex bits x; each caller
 picks a side, x or its complement.  A map
 made from another one (``flip_charts``, ``untwist``, ``relabel``,
@@ -347,6 +347,18 @@ def tree_side(m: CombinatorialMap, phi: int) -> Optional[Tuple[int, ...]]:
     if any(x[edge.u] ^ x[edge.v] != (phi >> e) & 1 for e, edge in enumerate(m.edges)):
         return None
     return x
+
+
+def odd_join(m: CombinatorialMap) -> int:
+    """The BFS-tree edges with an odd number of vertices below, as an edge mask:
+    with V even each vertex meets it oddly, so delta(x) has parity |x| on it."""
+    order, parent_arc = kept(m, "bfs", _bfs)
+    odd, join = [1] * m.vertex_count, 0
+    for w in reversed(order[1:]):
+        if odd[w]:  # w's odd subtree: its edge joins, its parent's parity flips
+            odd[m.half_vertex(parent_arc[w])] ^= 1
+            join |= 1 << parent_arc[w] // 2
+    return join
 
 
 def flip_charts(m: CombinatorialMap, vertices: Iterable[int]) -> CombinatorialMap:

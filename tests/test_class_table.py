@@ -5,7 +5,9 @@ class Pfaffians of omega.  A class that is a known class flipped by a vertex
 coboundary delta(x) takes its Pfaffian times det D = (-1)^|x|, D =
 diag((-1)^x); one that is a known class flipped by omega and delta(x) takes
 the conjugate of its Pfaffian times (-1)^|x|; the others are eliminated
-and become known.
+and become known.  A cocycle is read as its class and its parity on the
+odd join, the BFS-tree edges with an odd number of vertices below them: with
+V even that parity is |x| on delta(x).
 """
 
 from __future__ import annotations
@@ -27,11 +29,11 @@ from pfdimers import (
     pfaffian,
 )
 from pfdimers.generators import random_map, random_weights
-from pfdimers.homology import basis_from_cycles, cycle_basis, dot
-from pfdimers.kasteleyn import Orientation
-from pfdimers.partition import _class_sum
+from pfdimers.homology import basis_from_cycles, cycle_basis, dot, vertex_coboundary
+from pfdimers.kasteleyn import Orientation, _class_masks
+from pfdimers.partition import _class_sum, _Known, _reading
 from pfdimers.pfaffian import _class_matrices
-from pfdimers.surface_graph import relabel
+from pfdimers.surface_graph import odd_join, relabel, spanning_tree
 
 from conftest import kept_records, rule_eliminations
 
@@ -170,28 +172,100 @@ def test_a_route_off_the_tables_span_eliminates_exactly_the_missing_classes(
         assert (pin.value, pin.terms) == (alone.value, alone.terms)
 
 
-def test_the_first_route_keeps_its_own_pfaffians_as_the_table(monkeypatch):
-    # the first route at omega is the known K, chains and flips, so its
-    # classes read without ``tree_side``, and so does omega, whose class
-    # practical never reaches and which pin's dual cochains sum to here
-    module = sys.modules["pfdimers.partition"]
-    search, searched = module.tree_side, []
-    monkeypatch.setattr(module, "tree_side", lambda m, phi: searched.append(phi) or search(m, phi))
+def test_the_first_route_keeps_its_own_pfaffians_as_the_table():
+    # the first route at omega is the known K, chains and flips, so class idx
+    # is known at idx, with its flip mask's parity on the odd join, for the
+    # lower class of each conjugate pair
     inst = lattice(4, 4, "klein_hexagon")
     m, om = inst.map, inst.map.twist_bits()
-    partition(_fresh(m), "practical", curves=inst.curves, basis=inst.basis)
-    assert searched == []
     partition_general_pin(m, basis=inst.basis)
-    assert searched == []
     (pfs, scale, _), = kept_records(m, "classes").values()
     known, = kept_records(m, "known").values()
-    assert (known.bits, known.chains, known.scale) == (
-        construct_kasteleyn(m, om).bits, inst.basis.chains, scale)
-    # the dual cochains are the section, so class idx is known at idx with
-    # parity 0, the lower class of each conjugate pair
+    assert (known.bits, known.chains, known.scale, known.join) == (
+        construct_kasteleyn(m, om).bits, inst.basis.chains, scale, odd_join(m))
     xi0 = sum(dot(om, z) << j for j, z in enumerate(inst.basis.chains))
-    assert known.slots == [(0, pfs[idx]) if idx < idx ^ xi0 else None for idx in range(len(pfs))]
+    masks = _class_masks(inst.basis.dual_cochains)
+    assert known.slots == [(dot(masks[idx], known.join), pfs[idx]) if idx < idx ^ xi0 else None
+                           for idx in range(len(pfs))]
     assert all(slot[1] is pfs[idx] for idx, slot in enumerate(known.slots) if slot)
+
+
+def _delta(m, y):
+    """delta(y) for the vertex set y."""
+    bits = 0
+    for v in y:
+        bits ^= vertex_coboundary(m, v)
+    return bits
+
+
+def _even_maps():
+    rng = random.Random(7)
+    maps = [lattice(*size, surface).map for surface in ("planar", "torus", "klein_hexagon", "rp2")
+            for size in ((2, 2), (3, 4), (4, 4), (6, 6))]
+    maps += [random_map(rng, max_vertices=6, extra_edges=8, twisted=i % 2 == 1)
+             for i in range(60)]
+    return [m for m in maps if m.vertex_count % 2 == 0]
+
+
+def test_the_odd_join_reads_every_coboundary_by_its_vertex_parity():
+    # every vertex meets the join an odd number of times, so dot(delta(y),
+    # join) = |y| mod 2; a join one tree edge short fails at that edge's ends
+    rng = random.Random(5)
+    for m in _even_maps():
+        n, join = m.vertex_count, odd_join(m)
+        tree, _ = spanning_tree(m)
+        ys = [[v] for v in range(n)] + [rng.sample(range(n), rng.randint(0, n)) for _ in range(20)]
+
+        def misread(j):
+            return [y for y in ys if dot(_delta(m, y), j) != len(y) % 2]
+
+        assert join & ~sum(1 << e for e in tree) == 0
+        assert misread(join) == []
+        for e in tree:
+            if join >> e & 1:
+                assert misread(join & ~(1 << e))
+        # a reading is linear, and delta(y) moves only its parity, by |y|
+        basis = cycle_basis(m)
+        known = _Known(m, Orientation(0, m.edge_count), basis.chains)
+        state = {k: list(v) if k == "slots" else v for k, v in vars(known).items()}
+        for i, phi in enumerate(basis.dual_cochains):
+            assert _reading(known, phi) >> 1 == 1 << i
+        cocycles = _class_masks(basis.dual_cochains)
+        for _ in range(10):
+            a, b = (rng.choice(cocycles) ^ _delta(m, rng.sample(range(n), rng.randint(0, n)))
+                    for _ in range(2))
+            assert _reading(known, a ^ b) == _reading(known, a) ^ _reading(known, b)
+            y = rng.sample(range(n), rng.randint(0, n))
+            assert _reading(known, a ^ _delta(m, y)) == _reading(known, a) ^ len(y) & 1
+        assert vars(known) == state
+
+
+def test_practical_after_pin_on_an_untwisted_random_map_solves_no_coboundary(monkeypatch):
+    # pin at omega = 0 makes every class known, and practical reads its
+    # classes off the chains and the odd join: no class matrix, no tree_side
+    calls, searched = _counting_pfaffians(monkeypatch), []
+    search = sys.modules["pfdimers.surface_graph"].tree_side
+    for module in [mod for name, mod in sys.modules.items()
+                   if name.startswith("pfdimers") and hasattr(mod, "tree_side")]:
+        monkeypatch.setattr(module, "tree_side",
+                            lambda m, phi: searched.append(phi) or search(m, phi))
+    rng, served = random.Random(7), []
+    for i in range(30):
+        m = random_map(rng, max_vertices=6, extra_edges=8, twisted=i % 2 == 1)
+        if i % 2 or m.vertex_count % 2:
+            continue
+        assert m.orientable  # kept: searched once per map, here
+        partition_general_pin(m)
+        if not kept_records(m, "known"):  # no perfect matching: pin sums no class
+            continue
+        calls.clear()
+        searched.clear()
+        res = partition_orientable_practical(m)
+        assert (calls, searched) == ([], []), i
+        alone = partition_orientable_practical(_fresh(m))
+        assert (repr(res.value), res.terms) == (repr(alone.value), alone.terms)
+        served.append(i)
+    assert {2, 4, 20, 22, 24, 26, 28} <= set(served)
 
 
 @pytest.mark.parametrize("surface", ["torus", "klein_hexagon", "rp2"])

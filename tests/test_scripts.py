@@ -196,6 +196,51 @@ def test_random_agreement_names_a_route_served_without_conjugation(monkeypatch, 
         "pin: NonRealResult: pin sum is not real: 3 + 3i\n")
 
 
+def test_random_agreement_names_a_route_whose_result_follows_the_call_order(monkeypatch, capsys):
+    # a slot that a practical route makes known reads doubled in every other
+    # route.  In order, pin makes every class known before practical runs;
+    # on the reversed copy a practical route runs first, and spin reads its slots
+    partition_module = sys.modules["pfdimers.partition"]
+    good_practical, good_known, running = partition_module._practical, partition_module._Known, []
+
+    def flagged(*args):
+        running.append(True)
+        try:
+            return good_practical(*args)
+        finally:
+            running.pop()
+
+    class Tagged(list):
+        """Slots that remember which classes a practical route wrote."""
+
+        def __init__(self, slots):
+            super().__init__(slots)
+            self.tagged = set()
+
+        def __setitem__(self, c, slot):
+            if running:
+                self.tagged.add(c)
+            super().__setitem__(c, slot)
+
+        def __getitem__(self, c):
+            slot = super().__getitem__(c)
+            return (slot[0], slot[1] + slot[1]) if c in self.tagged and not running else slot
+
+    class TaggingKnown(good_known):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.slots = Tagged(self.slots)
+
+    monkeypatch.setattr(partition_module, "_practical", flagged)
+    monkeypatch.setattr(partition_module, "_Known", TaggingKnown)
+    script = _load_script("random_agreement")
+    monkeypatch.setattr(sys, "argv",
+                        ["random_agreement.py", "--trials", "20", "--seed", "1"])
+    assert script.main() == 1
+    assert capsys.readouterr().out == (
+        "ORDER CHANGES RESULT at trial 0 (torus lattice, 8 vertices, 16 edges): spin\n")
+
+
 def test_random_agreement_fails_a_run_that_misses_a_prime_width(monkeypatch, capsys):
     # four trials draw two wide-weight copies: one of the three widths never occurs
     script = _load_script("random_agreement")
