@@ -9,7 +9,10 @@ The intersection pairing pushes the first cycle slightly to its left into a
 closed curve transverse to the graph and records which edges that curve
 crosses; the resulting crossing cochain represents the Poincare dual of the
 cycle's class, and pairing it with any 1-cycle gives the mod-2 intersection
-number.
+number.  The curve crosses, at each corner of the walk, the half-edges
+strictly between its arrival and its departure on one side; ``_sides`` is
+that one corner walk, and the enhancement's l (``spin_quadratic``) counts
+the dimers among the same half-edges.
 
 Every GF(2) solve goes through one echelon, ``Gf2Span``, keyed by pivot: a
 row meets only the pivots it hits, so a basis costs about one pass over the
@@ -190,21 +193,23 @@ def dual_flip(orientation, phi: int):
 # Crossing cochain of a pushed-off cycle; intersection numbers
 # ---------------------------------------------------------------------------
 
-def _strict_interval(m: CombinatorialMap, v: int, h_from: int, h_to: int, clockwise: bool) -> List[int]:
-    """Half-edges strictly between ``h_from`` and ``h_to`` around ``v``.
+def _sides(m: CombinatorialMap, walk: Walk, clockwise: Sequence[bool]) -> List[int]:
+    """Half-edges strictly inside each corner of a simple closed walk.
 
-    Walks the rotation starting after ``h_from``, clockwise (reverse rotation
-    order) or counterclockwise, until ``h_to`` is reached.
+    Step i's corner is at the vertex it arrives at, from the arrival half
+    ``walk[i] ^ 1`` to the departure ``walk[i + 1]``, read clockwise (reverse
+    rotation order, the walker's left in a counterclockwise chart) where
+    ``clockwise[i]`` is true, else counterclockwise.  The walk is closed, so
+    each corner's departure lies in the rotation its read starts in.
     """
-    out = []
-    h = m.rotation_prev(h_from) if clockwise else m.rotation_next(h_from)
-    guard = 0
-    while h != h_to:
-        out.append(h)
-        h = m.rotation_prev(h) if clockwise else m.rotation_next(h)
-        guard += 1
-        if guard > len(m.rotations[v]) + 1:  # pragma: no cover
-            raise NotAClosedWalk("interval walk failed; corrupt rotation")
+    out: List[int] = []
+    L = len(walk)
+    for i, h in enumerate(walk):
+        step = m.rotation_prev if clockwise[i] else m.rotation_next
+        h_out, hc = walk[(i + 1) % L], step(h ^ 1)
+        while hc != h_out:
+            out.append(hc)
+            hc = step(hc)
     return out
 
 
@@ -223,21 +228,16 @@ def crossing_cochain(m: CombinatorialMap, walk: Walk) -> int:
 
 
 def _push_off(m: CombinatorialMap, walk: Walk) -> int:
-    """``crossing_cochain`` of a walk known to be a simple closed walk."""
-    bits = 0
-    side = 0  # 0: left of the walk in the current chart
-    L = len(walk)
-    for i, h in enumerate(walk):
-        e = h // 2
-        side ^= m.edges[e].twist
-        v = m.arc_target(h)
-        h_in = h ^ 1
-        h_out = walk[(i + 1) % L]
-        crossed = _strict_interval(m, v, h_in, h_out, clockwise=(side == 0))
-        for hc in crossed:
-            bits ^= 1 << (hc // 2)
-    if side:  # orientation-reversing walk: close up across the first edge
-        bits ^= 1 << (walk[0] // 2)
+    """``crossing_cochain`` of a walk known to be a simple closed walk: the
+    pushed curve crosses the corners on the left of the current chart, which
+    is the clockwise side while the twists crossed so far are even."""
+    side, clockwise = 0, []
+    for h in walk:
+        side ^= m.edges[h >> 1].twist
+        clockwise.append(not side)
+    bits = side << (walk[0] >> 1)  # orientation-reversing: close across the first edge
+    for hc in _sides(m, walk, clockwise):
+        bits ^= 1 << (hc >> 1)
     return bits
 
 

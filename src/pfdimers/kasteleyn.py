@@ -46,8 +46,7 @@ class Orientation:
 
     def disagrees_with_arc(self, h: int) -> int:
         """1 if the arc ``h`` runs against this orientation."""
-        e, side = divmod(h, 2)
-        return ((self.bits >> e) & 1) ^ side
+        return (self.bits >> (h >> 1) ^ h) & 1
 
 
 def canonical_orientation(m: CombinatorialMap) -> Orientation:

@@ -15,7 +15,11 @@ read with the opposite sign.  The chirality is fixed: a matched edge in the
 clockwise sector from the incoming to the outgoing half-edge (the walker's
 left in a counterclockwise chart) is on the positive side.  The
 cross-validated partition functions pin this choice, and
-``test_chirality_regression`` freezes it.
+``test_chirality_regression`` freezes it.  So l(C) is read off the same
+corner half-edges as the push-off of C (``homology._sides``): those strictly
+between arrival and departure, clockwise off the swap set and
+counterclockwise on it; l counts the dimers among them.  With w = omega & C,
+t(D on C) - t(C off D) = 2|w & D| - |w|.
 
 Enhancements are stored through their values on a homology basis together
 with the mod-2 intersection matrix; values on arbitrary classes follow from
@@ -37,10 +41,11 @@ from .homology import (
     Gf2Span,
     HomologyBasis,
     Walk,
-    _strict_interval,
+    _sides,
     check_simple_walk,
     dot,
     edges_of,
+    walk_chain,
 )
 from .kasteleyn import Orientation, _omega_flip_set
 from .pfaffian import _perm_sign
@@ -78,20 +83,16 @@ def n_mismatch(K: Orientation, walk: Walk) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The local side test and the enhancement formula
+# The enhancement formula
 # ---------------------------------------------------------------------------
-
-def _positive_side(m: CombinatorialMap, v: int, h_in: int, h_out: int,
-                   h_dimer: int, swapped: bool) -> bool:
-    """Does the matched half-edge leave on the positive side of the walk
-    corner at ``v`` (arrive via ``h_in``, depart via ``h_out``)?"""
-    left = h_dimer in _strict_interval(m, v, h_in, h_out, clockwise=True)
-    return left ^ swapped
-
 
 def ell_omega(m: CombinatorialMap, D: int, walk: Walk,
               omega: Optional[int] = None) -> int:
-    """Vertices of the walk whose dimer leaves it on the positive side."""
+    """Vertices of the walk whose dimer leaves it on the positive side: the
+    dimers among the half-edges that the push-off reads at the walk's corners
+    (``homology._sides``), read clockwise off the chart-swap set and
+    counterclockwise on it.  A dimer on the walk bounds its corner, so it is
+    never among them."""
     check_simple_walk(m, walk)
     check_matching(m, D)
     return _ell(m, D, walk, _omega_flip_set(m, omega))
@@ -99,24 +100,8 @@ def ell_omega(m: CombinatorialMap, D: int, walk: Walk,
 
 def _ell(m: CombinatorialMap, D: int, walk: Walk, swap: frozenset) -> int:
     """``ell_omega`` of a checked walk and matching, given the chart-swap set."""
-    dimer_half = {}
-    for e in edges_of(D):
-        edge = m.edges[e]
-        dimer_half[edge.u] = 2 * e
-        dimer_half[edge.v] = 2 * e + 1
-    on_walk = set(h // 2 for h in walk)
-    count = 0
-    L = len(walk)
-    for i, h in enumerate(walk):
-        v = m.arc_target(h)
-        hd = dimer_half[v]
-        if hd // 2 in on_walk:
-            continue
-        h_in = h ^ 1
-        h_out = walk[(i + 1) % L]
-        if _positive_side(m, v, h_in, h_out, hd, v in swap):
-            count += 1
-    return count
+    corners = _sides(m, walk, [m.arc_target(h) not in swap for h in walk])
+    return sum((D >> (hc >> 1)) & 1 for hc in corners)
 
 
 def quad_enhancement(m: CombinatorialMap, K: Orientation, D: int, walk: Walk,
@@ -130,19 +115,10 @@ def quad_enhancement(m: CombinatorialMap, K: Orientation, D: int, walk: Walk,
 def _quad(m: CombinatorialMap, K: Orientation, D: int, walk: Walk,
           omega: Optional[int], swap: frozenset) -> int:
     """``quad_enhancement`` of a checked walk and matching, given the
-    chart-swap set."""
-    om = m.twist_bits() if omega is None else omega
-    n = n_mismatch(K, walk)
-    ell = _ell(m, D, walk, swap)
-    on_d = off_d = 0
-    for h in walk:
-        e = h // 2
-        if (om >> e) & 1:
-            if (D >> e) & 1:
-                on_d += 1
-            else:
-                off_d += 1
-    return (2 * (n + ell + 1) + on_d - off_d) % 4
+    chart-swap set; t(D on C) - t(C off D) = 2|w & D| - |w| for w = omega & C."""
+    w = walk_chain(walk) & (m.twist_bits() if omega is None else omega)
+    return (2 * (n_mismatch(K, walk) + _ell(m, D, walk, swap) + 1 + (w & D).bit_count())
+            - w.bit_count()) % 4
 
 
 # ---------------------------------------------------------------------------

@@ -75,8 +75,8 @@ class CombinatorialMap:
         return len(self.edges)
 
     def half_vertex(self, h: int) -> int:
-        e, side = divmod(h, 2)
-        return self.edges[e].u if side == 0 else self.edges[e].v
+        edge = self.edges[h >> 1]
+        return edge.v if h & 1 else edge.u
 
     def arc_target(self, h: int) -> int:
         return self.half_vertex(h ^ 1)

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, product
+from operator import xor
 
 import pytest
 from hypothesis import given, settings
@@ -31,11 +33,23 @@ from pfdimers import (
     normalize_qB,
     quad_enhancement,
 )
+from pfdimers.errors import BadDimensions
 from pfdimers.exactnum import GaussianRational
 from pfdimers.generators import random_map
-from pfdimers.homology import dot, reverse_walk, vertex_coboundary
+from pfdimers.homology import (
+    _sides,
+    chain_from_edges,
+    coboundary_preimage,
+    dot,
+    edges_of,
+    fundamental_cycle,
+    reverse_walk,
+    vertex_coboundary,
+    walk_chain,
+)
 from pfdimers.kasteleyn import Orientation, omega_change
 from pfdimers.spin_quadratic import ell_omega, gauss_sum, shifted_browns
+from pfdimers.surface_graph import odd_join, spanning_tree
 
 
 def _single_edge():
@@ -371,6 +385,101 @@ def test_q_invariant_under_omega_change():
     om2, K2 = omega_change(m, om, K, v)
     q2 = basis_enhancement(m, K2, D, basis, om2)
     assert q1.basis_values == q2.basis_values
+
+
+def _corner_sweep():
+    """(map, its matchings): lattices 2x2-4x4 of the four surfaces, then
+    random maps of up to 8 vertices and 10 chords (parallel edges and
+    twists included) with a perfect matching."""
+    for kind in ("planar", "torus", "klein_hexagon", "rp2"):
+        for rows, cols in product(range(2, 5), repeat=2):
+            try:
+                m = lattice(rows, cols, kind).map
+            except BadDimensions:  # klein_hexagon's odd column counts
+                continue
+            ms = list(enumerate_matchings(m))
+            if ms:
+                yield m, ms
+    rng = random.Random(17)
+    for _ in range(120):
+        m = random_map(rng, max_vertices=8, extra_edges=10)
+        ms = list(enumerate_matchings(m))
+        if ms:
+            yield m, ms
+
+
+def _fundamental_walks(m):
+    """Every fundamental cycle of the BFS tree, walked both ways."""
+    tree, parent = spanning_tree(m)
+    walks = [fundamental_cycle(m, e, parent)
+             for e in range(m.edge_count) if e not in set(tree)]
+    return walks + [reverse_walk(w) for w in walks]
+
+
+def _ell_per_corner(m, D, walk, swap):
+    """l by the per-corner side test: a vertex counts when its dimer is off
+    the walk and lies in the clockwise sector from arrival to departure,
+    read with the opposite sign on the chart-swap set."""
+    dimer_half = {}
+    for e in edges_of(D):
+        dimer_half[m.edges[e].u], dimer_half[m.edges[e].v] = 2 * e, 2 * e + 1
+    on_walk = {h // 2 for h in walk}
+    count = 0
+    for i, h in enumerate(walk):
+        v, hd, h_out = m.arc_target(h), dimer_half[m.arc_target(h)], walk[(i + 1) % len(walk)]
+        if hd // 2 in on_walk:
+            continue
+        sector, hc = [], m.rotation_prev(h ^ 1)
+        while hc != h_out:
+            sector.append(hc)
+            hc = m.rotation_prev(hc)
+        count += (hd in sector) ^ (v in swap)
+    return count
+
+
+def test_ell_counts_match_the_per_corner_rule():
+    # l as a count, not only its parity, with omega = twist and every
+    # twist + delta(v): the swap set is then one vertex, which each corner
+    # through it must read counterclockwise
+    checked = 0
+    for m, ms in _corner_sweep():
+        tw = m.twist_bits()
+        for om in [tw] + [tw ^ vertex_coboundary(m, v) for v in range(m.vertex_count)]:
+            swap = set(coboundary_preimage(m, om ^ tw))
+            for D in ms[::max(1, len(ms) // 3)]:
+                for walk in _fundamental_walks(m):
+                    assert ell_omega(m, D, walk, om) == _ell_per_corner(m, D, walk, swap)
+                    checked += 1
+    assert checked > 10000
+
+
+def test_qB_closed_form_needs_no_matching():
+    # q_B(C) = 2(n_K(C) + 1) - |w| + 2 J.(P_C + w + pd_C) for every perfect
+    # matching, with w = omega & C, P_C the edges of C's omega-side corner
+    # half-edges, pd_C its push-off and J the odd join: the invariants table
+    # reads no D
+    rng = random.Random(19)
+    checked = 0
+    for m, ms in _corner_sweep():
+        if m.vertex_count % 2:
+            continue
+        basis, tw, J = cycle_basis(m), m.twist_bits(), odd_join(m)
+        K = construct_kasteleyn(m)
+        for om in (tw, tw ^ reduce(xor, (vertex_coboundary(m, v) for v in range(m.vertex_count)
+                                         if rng.getrandbits(1)), 0)):
+            swap = set(coboundary_preimage(m, om ^ tw))
+            table = []
+            for C, pd in zip(basis.cycles, basis.pd_cochains):
+                w = walk_chain(C) & om
+                P = chain_from_edges(hc >> 1 for hc in
+                                     _sides(m, C, [m.arc_target(h) not in swap for h in C]))
+                table.append((2 * (n_mismatch(K, C) + 1) - w.bit_count()
+                              + 2 * dot(J, P ^ w ^ pd)) % 4)
+            for D in ms[::max(1, len(ms) // 8)]:
+                qB = normalize_qB(m, basis_enhancement(m, K, D, basis, om), D, basis)
+                assert qB.basis_values == tuple(table)
+                checked += len(table)
+    assert checked > 2000
 
 
 def test_gauss_modulus_always_exact():
