@@ -12,7 +12,7 @@ backend.  It also checks the prepared homology data of every map it draws
 (its own basis, if any, and ``cycle_basis``): each dual cocycle phi_i is zero
 on every face boundary, phi_i(C_j) = delta_ij, and the intersection matrix is
 invertible over GF(2).
-A map keeps what its routes derive (reference matching, basis, Kasteleyn
+A map keeps what its routes derive (odd join, basis, Kasteleyn
 orientations, class Pfaffians with their term strings, formatted once per
 kept route; classes whose cell values repeat share one elimination), so on
 untwisted orientable maps spin reuses pin's Pfaffians and terms.  Every
@@ -267,7 +267,7 @@ def sweep(args) -> int:
                           f"{res.value}, oracle = {z_ref}")
                     return 1
             # on an untwisted orientable map spin is the pin sum at omega = 0:
-            # same K, basis, D0 and flips, so the same class Pfaffians
+            # same K, basis, odd join and flips, so the same class Pfaffians
             if "spin" in results and not m.twist_bits() and \
                     results["spin"].terms != results["pin"].terms:
                 print(f"TERMS DIFFER at {where}: pin and spin ({backend})")

@@ -26,8 +26,8 @@ from .kasteleyn import construct_kasteleyn, curvature_report
 from .oracle import VERTEX_BOUND, _weighted_matchings, find_matching, homology_buckets
 from .partition import (_eps_label, _oracle, partition, partition_general_pin,
                         partition_orientable_spin)
-from .spin_quadratic import arf, basis_enhancement, brown, normalize_qB, shifted_browns
-from .surface_graph import classify, is_orientable, kept
+from .spin_quadratic import _enhancement, arf, brown, normalize_qB, shifted_browns
+from .surface_graph import classify, is_orientable, odd_join
 
 
 def _load(args):
@@ -88,15 +88,15 @@ def cmd_invariants(args) -> int:
     inst = _load(args)
     m = inst.map
     basis = inst.basis if inst.basis is not None else cycle_basis(m)
-    D0 = find_matching(m)
-    if D0 is None:
+    if not partition_general_pin(m, basis=basis).value:  # weights > 0: Z = 0 iff no matching
         print("no perfect matching; invariants undefined", file=sys.stderr)
         return 2
     K = construct_kasteleyn(m)
     surface = classify(m)
     pairs = [("b1", basis.rank), ("surface", surface.name.replace(" ", "_"))]
     plain = [f"surface: {surface.name}, b1 = {basis.rank}"]
-    qB = normalize_qB(m, basis_enhancement(m, K, D0, basis), D0, basis)
+    J = odd_join(m)  # q_B is the same for it as for every matching
+    qB = normalize_qB(m, _enhancement(m, K, J, basis), J, basis)
     browns = shifted_browns(qB, brown(qB))
     if surface.orientable:
         arf(qB)  # its NotOrientableForm checks hold for all classes; arf = brown / 4
@@ -153,8 +153,6 @@ def cmd_verify(args) -> int:
     inst = _load(args)
     m = inst.map
     results = {}
-    if m.vertex_count <= args.max_vertices:  # pin and spin read the kept D0
-        kept(m, "D0", find_matching, args.max_vertices)
     results["pin"] = partition_general_pin(m, basis=inst.basis, backend=args.backend)
     orientable = is_orientable(m)
     if orientable or inst.curves and all(cv.companion is not None for cv in inst.curves):

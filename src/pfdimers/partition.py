@@ -19,7 +19,9 @@ same sum at omega = 0 with beta = 4 * Arf on the orientable map as given,
 twists and all.  Both take one O(b1^3) split per route plus the shift law
 (``shifted_browns``) for the betas.  So e_xi = beta + 4 [eps_xi < 0] -
 2 omega(D0) and s = b1: the Brown invariant of a nondegenerate Z4-valued
-form has the parity of its rank (Brown 1972; Kirby and Taylor 1990).
+form has the parity of its rank (Brown 1972; Kirby and Taylor 1990).  Bar
+eps_0, D0 enters as parities that hold for any edge set meeting every vertex
+oddly: without a D0 the routes read m's odd join, sum +-Z and take |Re|.
 
 ``_practical`` carries the two practical formulas (Cimasoni and Reshetikhin
 2007 on orientable surfaces; Tesler 2000 and this paper on non-orientable
@@ -40,13 +42,13 @@ primed classes, also flipped along the first beta curve, weigh the sign
 alone.  So e_xi = 4 (intersecting basis pairs) - 2 [unprimed, even chi] -
 [odd chi] and s = 2g - [odd chi].
 
-A route reads what it derives from the map alone through ``kept``: D0, the
-cycle basis, the basis that each set of cycles gives, K per omega, and the
-class Pfaffians keyed by K, the flips, omega and the backend, with their
-scale and term strings beside them.  So spin and pin share D0, basis and
-faces on every orientable map, and on an untwisted one spin takes pin's
-Pfaffians and terms: there only the Arf-vs-Brown weighting and the oracle
-check one against the other.
+A route reads what it derives from the map alone through ``kept``: the odd
+join, the cycle basis, the basis that each set of cycles gives, K per omega,
+and the class Pfaffians keyed by K, the flips, omega and the backend, with
+their scale and term strings beside them.  So spin and pin share the join,
+basis and faces on every orientable map, and on an untwisted one spin takes
+pin's Pfaffians and terms: there only the Arf-vs-Brown weighting and the
+oracle check one against the other.
 
 One rule serves class Pfaffians (``_class_sum``).  Every K admissible at
 omega is a known K flipped by a cocycle phi, read as its class c on a basis
@@ -91,12 +93,12 @@ from .homology import (
     walk_chain,
 )
 from .kasteleyn import Orientation, _class_masks, _omega_flip_set, construct_kasteleyn
-from .oracle import VERTEX_BOUND, find_matching, partition_bruteforce
+from .oracle import VERTEX_BOUND, partition_bruteforce
 from .pfaffian import _class_matrices, _exact, pfaffian
 from .spin_quadratic import (
     QuadraticEnhancement,
+    _enhancement,
     arf,
-    basis_enhancement,
     brown,
     matching_sign,
     n_mismatch,
@@ -303,19 +305,18 @@ def _class_sum(m: CombinatorialMap, K: Orientation, flips: Sequence[int],
 def _enhanced_sum(m: CombinatorialMap, method: str, omega: int,
                   D0: Optional[int], basis: Optional[HomologyBasis], backend: str,
                   invariant: Callable[[QuadraticEnhancement], int]) -> PartitionResult:
-    """2^(-b1/2) * i^(-omega(D0)) * sum over classes xi of
-    exp(i*pi*invariant(q_xi)/4) * eps_xi * Pf(A^{K_xi}) for an omega that
-    represents w1 on m, with m's kept D0 when none is given."""
+    """|2^(-b1/2) * i^(-omega(R)) * sum_xi exp(i*pi*invariant(q_xi)/4) * eps_xi *
+    Pf(A^{K_xi})| for an omega representing w1 on m, R the D0 given, else m's
+    odd join; a non-real sum raises, and with D0, which fixes its sign, a negative one."""
     exact = _exact(backend)
     if m.vertex_count % 2:
         return _zero(method, exact)
-    basis = _basis(m, basis)  # checked first: D0's search may exceed its bound
-    D0 = kept(m, "D0", find_matching) if D0 is None else D0
-    if D0 is None:
-        return _zero(method, exact)
+    basis = _basis(m, basis)
     b1 = basis.rank
     K = kept(m, ("K", omega), construct_kasteleyn, omega)
-    q0 = basis_enhancement(m, K, D0, basis, omega)
+    neg = D0 is not None and matching_sign(m, K, D0) < 0  # checks D0 before q0 reads it
+    R = kept(m, "join", odd_join) if D0 is None else D0
+    q0 = _enhancement(m, K, R, basis, omega)
     # Class idx flips K by the dual cocycles phi_i, i in idx; as
     # phi_i(C_j) = delta_ij, its enhancement is q0 shifted by the bits of idx.
     betas = shifted_browns(q0, invariant(q0))
@@ -323,18 +324,17 @@ def _enhanced_sum(m: CombinatorialMap, method: str, omega: int,
         raise NonRealResult(f"{method} invariants {sorted(set(betas))} differ in "
                             f"parity from b1 = {b1}")
     # Flipping the orientation of one dimer swaps one pair of the matching
-    # permutation, so class idx has eps_0 * (-1)^(sum of |phi_i & D0|, i in idx).
-    odd = sum(parity(phi & D0) << i for i, phi in enumerate(basis.dual_cochains))
-    neg = int(matching_sign(m, K, D0) < 0)
+    # permutation, so class idx has eps_0 * (-1)^(sum of |phi_i & R|, i in idx).
+    odd = sum(parity(phi & R) << i for i, phi in enumerate(basis.dual_cochains))
     # Weights as in the module docstring, with eps_xi = exp(i*pi*4[eps_xi < 0]/4).
-    turn = 2 * dotcount(omega, D0)
+    turn = 2 * dotcount(omega, R)
     eighths = [beta + 4 * (neg ^ parity(idx & odd)) - turn for idx, beta in enumerate(betas)]
     total = _class_sum(m, K, basis.dual_cochains, basis.chains, eighths, b1, backend, omega)
     re, im = total.re, total.im
     tol = 0 if exact else 1e-9 * (1 + abs(complex(re, im)))
     if abs(im) > tol:
         raise NonRealResult(f"{method} sum is not real: {re} + {im}i")
-    if re < -tol:
+    if D0 is not None and re < -tol:
         raise NonRealResult(f"negative {method} sum {re}")
     return PartitionResult(abs(re), method, exact, tuple(_labelled(total.strs, b1)))
 

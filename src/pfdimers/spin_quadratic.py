@@ -158,15 +158,19 @@ def extend_enhancement(basis_values: Sequence[int],
                                 tuple(tuple(r) for r in gram))
 
 
-def basis_enhancement(m: CombinatorialMap, K: Orientation, D: int,
-                      basis: HomologyBasis,
+def basis_enhancement(m: CombinatorialMap, K: Orientation, D: int, basis: HomologyBasis,
                       omega: Optional[int] = None) -> QuadraticEnhancement:
     """The enhancement's values on the basis cycles.  D is checked once; the
-    cycles were checked where the basis was built (``cycle_basis``,
-    ``basis_from_cycles``)."""
+    cycles were, where the basis was built (``cycle_basis``, ``basis_from_cycles``)."""
     check_matching(m, D)
+    return _enhancement(m, K, D, basis, omega)
+
+
+def _enhancement(m: CombinatorialMap, K: Orientation, R: int, basis: HomologyBasis,
+                 omega: Optional[int] = None) -> QuadraticEnhancement:
+    """``basis_enhancement`` of an unchecked R that meets every vertex oddly."""
     swap = _omega_flip_set(m, omega)
-    vals = tuple(_quad(m, K, D, w, omega, swap) for w in basis.cycles)
+    vals = tuple(_quad(m, K, R, w, omega, swap) for w in basis.cycles)
     return QuadraticEnhancement(vals, basis.gram)
 
 

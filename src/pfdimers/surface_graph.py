@@ -29,7 +29,7 @@ and keeps the result, and every consumer (Euler characteristic, homology
 basis, Kasteleyn curvature, companion cycles) reads it there.  Orientability
 is kept the same way (``m.orientable``), without tracing faces, and
 ``kept`` keeps the rest derived from the map alone: its BFS tree and odd
-join, and the partition routes' D0, basis, K and class Pfaffians.
+join, and the partition routes' basis, K and class Pfaffians.
 ``tree_side`` alone solves phi = delta(x) for vertex bits x; each caller
 picks a side, x or its complement.  A map
 made from another one (``flip_charts``, ``untwist``, ``relabel``,

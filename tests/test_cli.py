@@ -348,16 +348,18 @@ def test_cli_verify_obeys_max_vertices(tmp_path, capsys, backend):
 
 @pytest.mark.parametrize("backend", ["exact", "float"])
 def test_cli_verify_max_vertices_reaches_the_reference_matching(tmp_path, capsys, backend):
-    # 38 vertices: under --max-vertices 40 the pin and spin routes take their
-    # reference matching from the oracle with that bound; above it they raise
+    # 38 vertices: pin and spin read the odd join in place of a reference
+    # matching, so they run above the oracle bound; --max-vertices 40 bounds
+    # the oracle alone and adds it
     path = tmp_path / "p.graph"
     main(["gen", "--surface", "planar", "--size", "2x19", "--out", str(path)])
-    assert main(["verify", str(path), "--backend", backend]) == 2
-    assert "TooLarge: 38 vertices exceeds oracle bound 36" in capsys.readouterr().err
+    want = "6765" if backend == "exact" else "6765.0"
+    assert main(["verify", str(path), "--backend", backend, "--format", "kv"]) == 0
+    pairs = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
+    assert pairs == {"pin": want, "practical": want, "spin": want, "agree": "yes"}
     assert main(["verify", str(path), "--backend", backend, "--max-vertices", "40",
                  "--format", "kv"]) == 0
     pairs = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
-    want = "6765" if backend == "exact" else "6765.0"
     assert pairs == {"oracle": want, "pin": want, "practical": want, "spin": want,
                      "agree": "yes"}
 
@@ -494,9 +496,8 @@ def _tree_with_three_leaves():
 
 @pytest.mark.parametrize("backend", ["exact", "float"])
 def test_cli_verify_max_vertices_on_a_map_without_a_matching(tmp_path, capsys, backend):
-    # the bounded search's "no matching" is kept on the map, so pin and spin
-    # give Z = 0 instead of searching again under the default bound, on a
-    # twisted copy too
+    # pin and spin search no matching: above the oracle bound they give
+    # Z = 0 from their class Pfaffians, on a twisted copy too
     from pfdimers.generators import LatticeInstance
     from pfdimers.surface_graph import flip_charts
 
@@ -506,8 +507,9 @@ def test_cli_verify_max_vertices_on_a_map_without_a_matching(tmp_path, capsys, b
         path = tmp_path / "tree.graph"
         with open(path, "w") as fh:
             graphfile.dump(LatticeInstance(m, "sphere", (), None), fh)
-        assert main(["verify", str(path), "--backend", backend]) == 2
-        assert "TooLarge: 38 vertices exceeds oracle bound 36" in capsys.readouterr().err
+        assert main(["verify", str(path), "--backend", backend, "--format", "kv"]) == 0
+        pairs = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
+        assert pairs == {"pin": zero, "practical": zero, "spin": zero, "agree": "yes"}
         assert main(["verify", str(path), "--backend", backend, "--max-vertices", "40",
                      "--format", "kv"]) == 0
         pairs = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
@@ -519,8 +521,7 @@ def test_cli_verify_max_vertices_on_a_map_without_a_matching(tmp_path, capsys, b
 
 @pytest.mark.parametrize("backend", ["exact", "float"])
 def test_cli_verify_max_vertices_on_a_twisted_orientable_map(tmp_path, capsys, backend):
-    # spin runs on the twisted map itself, with the reference matching kept
-    # there by the search under --max-vertices
+    # spin runs on the twisted map itself, and the oracle under --max-vertices
     from dataclasses import replace
 
     from pfdimers.surface_graph import flip_charts

@@ -313,11 +313,15 @@ def test_practical_uses_the_curves_passed_on_a_twisted_map():
     assert tuple(sorted(backwards.terms)) == _reversed_labels(given.terms)
 
 
-def test_orientable_practical_never_calls_the_oracle(monkeypatch):
+def test_no_route_calls_the_oracle(monkeypatch, tmp_path, capsys):
+    # pin and spin read the odd join where no D0 is given, so no route, nor
+    # verify or invariants above the oracle bound, enumerates matchings
+    from pfdimers.cli import main
+
     def refuse(*args, **kwargs):
         raise AssertionError("oracle reached")
 
-    monkeypatch.setattr(sys.modules["pfdimers.partition"], "find_matching", refuse)
+    monkeypatch.setattr(sys.modules["pfdimers.oracle"], "_weighted_matchings", refuse)
     torus = lattice(4, 4, "torus")
     maps = [(lattice(4, 5, "planar").map, None), (torus.map, torus.curves),
             (torus.map, None), (flip_charts(torus.map, [0, 5, 6]), None)]
@@ -326,6 +330,71 @@ def test_orientable_practical_never_calls_the_oracle(monkeypatch):
     for m, curves in maps:
         for method in ("practical", "auto"):
             assert partition(m, method, curves=curves).method == "practical"
+    big = [lattice(8, 8, "torus"), lattice(6, 8, "klein_hexagon"), lattice(8, 6, "rp2")]
+    big.append(replace(big[0], map=flip_charts(big[0].map, [0, 5, 6])))
+    for m, curves in [(inst.map, inst.curves) for inst in big] + maps[4:]:
+        methods = ("pin", "practical", "auto") + (("spin",) if m.orientable else ())
+        values = {partition(m, method, curves=curves).value for method in methods}
+        assert len(values) == 1, (m.vertex_count, values)
+        z = values.pop()
+        for method in methods:
+            zf = partition(m, method, curves=curves, backend="float").value
+            assert zf == pytest.approx(z, rel=1e-9), (m.vertex_count, method)
+    for inst in big:
+        path = tmp_path / "big.graph"
+        with open(path, "w") as fh:
+            graphfile.dump(inst, fh)
+        for command in ("verify", "invariants"):
+            assert main([command, str(path), "--format", "kv"]) == 0
+        assert "agree yes" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("surface", ["torus", "klein_hexagon", "rp2", "twisted torus"])
+def test_pin_equals_spin_and_practical_above_the_oracle_bound(surface):
+    # pin and spin search no matching, so they agree with practical where the
+    # oracle cannot run; each route runs on its own copy of the map
+    rng = random.Random(11)
+    name = surface.split()[-1]
+    for k in (8, 12, 16):
+        weights = random_weights(rng, lattice(k, k, name).map.edge_count, max_num=9)
+
+        def make():
+            inst = lattice(k, k, name, weights=weights)
+            twisted = surface == "twisted torus"
+            return replace(inst, map=flip_charts(inst.map, [0, 5, 6])) if twisted else inst
+
+        assert any(w.denominator > 1 for w in weights)
+        copies = [make() for _ in range(3)]
+        z = None
+        for backend in ("exact", "float"):
+            runs = {"pin": partition(copies[0].map, "pin", backend=backend),
+                    "practical": partition(copies[1].map, "practical",
+                                           curves=copies[1].curves, backend=backend)}
+            if name == "torus":
+                runs["spin"] = partition(copies[2].map, "spin", backend=backend)
+            z = runs["pin"].value if z is None else z
+            for method, r in runs.items():
+                assert r.value == (z if backend == "exact" else pytest.approx(z, rel=1e-9)), \
+                    (k, method, backend)
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_pin_and_spin_sum_zero_class_terms_without_a_perfect_matching(backend):
+    # Z = 0 from the 2^b1 class Pfaffians, all 0; a searched D0 once gave no
+    # terms at all
+    rng, seen = random.Random(8), {True: 0, False: 0}
+    zero = "0" if backend == "exact" else "0j"
+    while min(seen.values()) < 3:
+        m = random_map(rng, 8, 6, twisted=sum(seen.values()) % 2 == 1)
+        b1 = classify(m).b1
+        if m.vertex_count % 2 or b1 < 2 or find_matching(m) is not None:
+            continue
+        seen[m.orientable] += 1
+        labels = [format(idx, f"0{b1}b")[::-1] for idx in range(1 << b1)]
+        for method in ("pin", "spin") if m.orientable else ("pin",):
+            r = partition(m, method, backend=backend)
+            assert (r.value, r.method) == (0, method)
+            assert r.terms == tuple((label, zero) for label in labels)
 
 
 @pytest.mark.parametrize("backend", ["exact", "float"])
@@ -530,20 +599,27 @@ def test_auto_falls_back_to_pin():
     ("spin", "torus", "arf")])
 def test_wrong_invariants_or_signs_raise_non_real(monkeypatch, method, surface,
                                                   name, backend):
-    # beta + 1 has the wrong parity for b1 (no Gaussian-rational weight);
-    # Arf + 1 and a negated matching sign turn the sum into -Z
+    # beta + 1 has the wrong parity for b1 (no Gaussian-rational weight) on
+    # every path.  Arf + 1 and a negated matching sign turn the sum into -Z,
+    # which only a passed D0 tells from Z: the odd join's sum is +-Z
     module = sys.modules["pfdimers.partition"]
     m = lattice(4, 4, surface).map
     assert partition(m, method, backend=backend).value > 0
+    route = partial(partition_general_pin if method == "pin" else partition_orientable_spin,
+                    m, D0=find_matching(m), backend=backend)
+    assert route().value == partition(m, method, backend=backend).value
     invariant = getattr(module, name)
     with monkeypatch.context() as patch:
         patch.setattr(module, name, lambda q: invariant(q) + 1)
+        if name == "brown":
+            with pytest.raises(NonRealResult, match="differ in parity"):
+                partition(m, method, backend=backend)
         with pytest.raises(NonRealResult):
-            partition(m, method, backend=backend)
+            route()
     sign = module.matching_sign
     monkeypatch.setattr(module, "matching_sign", lambda *args: -sign(*args))
     with pytest.raises(NonRealResult, match="negative"):
-        partition(m, method, backend=backend)
+        route()
 
 
 @pytest.mark.parametrize("backend", ["exact", "float"])
@@ -641,7 +717,8 @@ def test_invariance_under_matching_change():
             continue
         z1 = partition_general_pin(m, D0=ms[0]).value
         z2 = partition_general_pin(m, D0=ms[-1]).value
-        assert z1 == z2
+        z0 = partition_general_pin(m).value  # the odd join in place of D0
+        assert z1 == z2 == z0
         done += 1
     assert done >= 5
 
