@@ -26,6 +26,7 @@ from .kasteleyn import construct_kasteleyn, curvature_report
 from .oracle import VERTEX_BOUND, _weighted_matchings, find_matching, homology_buckets
 from .partition import (_eps_label, _oracle, partition, partition_general_pin,
                         partition_orientable_spin)
+from .pfaffian import _class_matrices, pfaffian
 from .spin_quadratic import _enhancement, arf, brown, normalize_qB, shifted_browns
 from .surface_graph import classify, is_orientable, odd_join
 
@@ -88,10 +89,12 @@ def cmd_invariants(args) -> int:
     inst = _load(args)
     m = inst.map
     basis = inst.basis if inst.basis is not None else cycle_basis(m)
-    if not partition_general_pin(m, basis=basis).value:  # weights > 0: Z = 0 iff no matching
+    K = None if m.vertex_count % 2 else construct_kasteleyn(m)
+    # each class Pfaffian sums signed matchings, and Z > 0 (weights > 0) sums
+    # the classes: one is nonzero iff m has a perfect matching
+    if K is None or not any(map(pfaffian, _class_matrices(m, K, basis.dual_cochains, "exact"))):
         print("no perfect matching; invariants undefined", file=sys.stderr)
         return 2
-    K = construct_kasteleyn(m)
     surface = classify(m)
     pairs = [("b1", basis.rank), ("surface", surface.name.replace(" ", "_"))]
     plain = [f"surface: {surface.name}, b1 = {basis.rank}"]

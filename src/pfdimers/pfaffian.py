@@ -36,8 +36,10 @@ envelope of the two pivot rows, which grows with fill-in; split, an
 interior row also updates its S columns, its panel, and the S rows, up to
 the panel end of the pivot rows, which grows the same way.  In a band of
 width w this costs O(n w^2); lattices have w at most about twice the side.
-Where a pivot row is zero in the updated row's column, the update takes one
-product per entry.  On a bipartite pattern with as many indices of both
+A row update, a_ij += f a_kj - g a_qj with f = a_qi / pivot and g = a_ki /
+pivot, writes the row in place, one entry per step of a plain loop; where f
+or g is 0 (a pivot row is zero in the row's column) it takes one product
+per entry.  On a bipartite pattern with as many indices of both
 colours (so, split, the interior and S each hold as many too), the order
 alternates the colours in both parts and every update, pivot search and
 swap steps by 2: a pivot pairs two colours, a swap two indices of one, and
@@ -369,8 +371,10 @@ def _eliminate(a: list, end: List[int], stop: int, factor, p: int = 0,
         rk = a[k]
         q = k + 1
         if p:
-            piv = next((j for j in range(q, end[k], step) if rk[j]), 0)
-            if not piv:
+            piv, e = q, end[k]
+            while piv < e and not rk[piv]:
+                piv += step
+            if piv >= e:
                 return 0
         else:
             mags = list(map(abs, rk[q:end[k]:step]))
@@ -413,13 +417,13 @@ def _eliminate(a: list, end: List[int], stop: int, factor, p: int = 0,
                 f, g = (f * inv % p, g * inv % p) if p else (f / pivot, g / pivot)
                 t = i + 1
                 if i >= stop:
-                    _combine(ri, rk, rq, slice(t, ph, step), f, g, p)
+                    _combine(ri, rk, rq, range(t, ph, step), f, g, p)
                     continue
-                _combine(ri, rk, rq, slice(t, h, step), f, g, p)
+                _combine(ri, rk, rq, range(t, h, step), f, g, p)
                 if end[i] < h:
                     end[i] = h
                 if ph > stop:  # the panel columns of t's parity
-                    _combine(ri, rk, rq, slice(stop + (t - stop) % step, ph, step), f, g, p)
+                    _combine(ri, rk, rq, range(stop + (t - stop) % step, ph, step), f, g, p)
                     if panel[i] < ph:
                         panel[i] = ph
     if p:
@@ -429,16 +433,23 @@ def _eliminate(a: list, end: List[int], stop: int, factor, p: int = 0,
     return result
 
 
-def _combine(row: list, b: list, d: list, cols: slice, f, g, p: int) -> None:
-    """row += f*b - g*d in the columns ``cols``, mod p if p; one product when f or g is 0."""
-    c = row[cols]
+def _combine(row: list, b: list, d: list, cols: range, f, g, p: int) -> None:
+    """row += f*b - g*d in place in columns ``cols``, mod p if p; one product if f or g is 0."""
     if f and g:
-        b, d = b[cols], d[cols]
-        row[cols] = ([(x + f * y - g * z) % p for x, y, z in zip(c, b, d)] if p else
-                     [x + f * y - g * z for x, y, z in zip(c, b, d)])
+        if p:
+            for j in cols:
+                row[j] = (row[j] + f * b[j] - g * d[j]) % p
+        else:
+            for j in cols:
+                row[j] = row[j] + f * b[j] - g * d[j]
         return
-    f, b = (f, b[cols]) if f else (-g, d[cols])
-    row[cols] = [(x + f * y) % p for x, y in zip(c, b)] if p else [x + f * y for x, y in zip(c, b)]
+    f, b = (f, b) if f else (-g, d)
+    if p:
+        for j in cols:
+            row[j] = (row[j] + f * b[j]) % p
+    else:
+        for j in cols:
+            row[j] = row[j] + f * b[j]
 
 
 def _rcm_order(n: int, pairs: Sequence[Tuple[int, int]], ends: Sequence[int] = ()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import random
 import re
 import subprocess
 import sys
@@ -12,9 +13,11 @@ from pfdimers import build_map, graphfile, lattice
 from pfdimers.cli import _parser, main
 from pfdimers.errors import MalformedFile
 from pfdimers.exactnum import rational_str
-from pfdimers.generators import SURFACES, LatticeInstance
-from pfdimers.oracle import VERTEX_BOUND
+from pfdimers.generators import SURFACES, LatticeInstance, random_map
+from pfdimers.oracle import VERTEX_BOUND, find_matching
 from pfdimers.partition import partition
+from pfdimers.pfaffian import pfaffian
+from pfdimers.surface_graph import classify
 
 
 def _roundtrip(inst):
@@ -424,6 +427,31 @@ def test_cli_invariants_without_a_matching_exit_2(tmp_path, capsys):
         graphfile.dump(LatticeInstance(star, "planar", (), None), fh)
     assert main(["invariants", str(path)]) == 2
     assert "no perfect matching" in capsys.readouterr().err
+
+
+def test_invariants_stop_at_the_first_nonzero_class_pfaffian(tmp_path, monkeypatch):
+    # a nonzero class Pfaffian proves a matching; the whole pin route, which
+    # decided it before, takes all 2^b1 on an orientable map
+    rng = random.Random(4)
+    while True:
+        m = random_map(rng, max_vertices=6, extra_edges=8, twisted=False)
+        b1 = classify(m).b1
+        if m.vertex_count % 2 == 0 and b1 >= 4 and find_matching(m) is not None:
+            break
+    path = tmp_path / "m.graph"
+    with open(path, "w") as fh:
+        graphfile.dump(LatticeInstance(m, classify(m).name, (), None), fh)
+    calls = []
+
+    def counting(matrix):
+        calls.append(matrix)
+        return pfaffian(matrix)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("pfdimers") and getattr(module, "pfaffian", None) is pfaffian:
+            monkeypatch.setattr(module, "pfaffian", counting)
+    assert main(["invariants", str(path)]) == 0
+    assert 0 < len(calls) < 2 ** b1
 
 
 def test_cli_reversed_klein_companion_gives_the_true_z(tmp_path, capsys):

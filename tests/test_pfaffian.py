@@ -5,6 +5,7 @@ import random
 import sys
 import warnings
 from collections import Counter
+from itertools import chain
 from fractions import Fraction
 
 import pytest
@@ -1192,7 +1193,7 @@ def _combine_writes(monkeypatch, inst, backend):
     combine, writes = module._combine, [0]
 
     def counting(row, b, d, cols, f, g, p):
-        writes[0] += len(range(*cols.indices(len(row))))
+        writes[0] += len(cols)
         return combine(row, b, d, cols, f, g, p)
 
     monkeypatch.setattr(module, "_combine", counting)
@@ -1217,3 +1218,82 @@ def test_exact_torus_order_searches_through_the_seam(monkeypatch):
     # exact auto on torus 20x20 wrote 185252 entries when the interior's
     # search stopped at the seam's ends and 141611 when it passes through them
     assert _combine_writes(monkeypatch, lattice(20, 20, "torus"), "exact") <= 150000
+
+
+def _slice_combine(row, b, d, cols, f, g, p):
+    """The row update by slices and list comprehensions: the reference for
+    the in-place ``_combine``, with the same expressions in the same order."""
+    cols = slice(cols.start, cols.stop, cols.step)
+    c = row[cols]
+    if f and g:
+        b, d = b[cols], d[cols]
+        row[cols] = ([(x + f * y - g * z) % p for x, y, z in zip(c, b, d)] if p else
+                     [x + f * y - g * z for x, y, z in zip(c, b, d)])
+        return
+    f, b = (f, b[cols]) if f else (-g, d[cols])
+    row[cols] = [(x + f * y) % p for x, y in zip(c, b)] if p else [x + f * y for x, y in zip(c, b)]
+
+
+_P30, _P53 = _modulus(30, 0)[0], _modulus(53, 0)[0]
+_ARITHMETIC = {  # p, zero and a random nonzero entry
+    "real": (0, 0.0, lambda rng: rng.uniform(-1, 1)),
+    "complex": (0, 0j, lambda rng: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))),
+    "p30": (_P30, 0, lambda rng: rng.randrange(1, _P30)),
+    "p53": (_P53, 0, lambda rng: rng.randrange(1, _P53)),
+}
+
+
+def _kernel_input(rng, n, stop, step, zero, draw):
+    """A random upper triangle for ``_eliminate`` with its envelope and panel
+    ends: row i < stop is nonzero only before a random end[i] <= stop and,
+    from stop on, before a random panel[i]; the rows from stop on are full
+    right of the diagonal.  With step 2 only entries with odd j - i are set.
+    A third of the entries in reach are zero."""
+    a = [[zero] * n for _ in range(n)]
+    end, panel = [], []
+    for i in range(n):
+        e, ph = (rng.randint(i + 1, stop), rng.randint(stop, n)) if i < stop else (n, n)
+        end.append(e)
+        panel.append(ph)
+        for j in chain(range(i + 1, e), range(max(stop, i + 1), ph)):
+            if (step == 1 or (j - i) % 2) and rng.randrange(3):
+                a[i][j] = draw(rng)
+    return a, end, panel if stop < n else ()
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["unsplit", "split"])
+@pytest.mark.parametrize("step", [1, 2])
+@pytest.mark.parametrize("arithmetic", list(_ARITHMETIC))
+def test_in_place_combine_equals_slice_reference(monkeypatch, arithmetic, step, split):
+    module = sys.modules["pfdimers.pfaffian"]
+    p, zero, draw = _ARITHMETIC[arithmetic]
+    in_place, kinds = module._combine, set()
+
+    def reference(row, b, d, cols, f, g, q):
+        kinds.add("fg" if f and g else "f" if f else "g")
+        _slice_combine(row, b, d, cols, f, g, q)
+
+    rng = random.Random(f"{arithmetic} {step} {split}")
+    for n in (6, 10, 16, 16, 22):
+        stop = n - 2 * rng.randint(1, n // 4) if split else n
+        a, end, panel = _kernel_input(rng, n, stop, step, zero, draw)
+        runs = []
+        for combine in (in_place, reference):
+            monkeypatch.setattr(module, "_combine", combine)
+            b, e, ph = [row[:] for row in a], list(end), list(panel)
+            result = module._eliminate(b, e, stop, 1, p, 0.0, step, ph)
+            runs.append(repr((result, b, e, ph)))
+        assert runs[0] == runs[1]
+    # every update ran; on an alternating pattern f or g is always 0
+    assert kinds == ({"f", "g"} if step == 2 else {"fg", "f", "g"})
+
+
+@pytest.mark.parametrize("step", [1, 2])
+def test_mod_p_pivot_scan_reaches_the_envelope_and_stops_there(step):
+    module = sys.modules["pfdimers.pfaffian"]
+    # Pf = a03 * a12 when a03 and a12 are the only nonzero entries
+    a = [[0, 0, 0, 5], [0, 0, 7, 0], [0] * 4, [0] * 4]
+    assert module._eliminate(a, [4, 3, 3, 4], 4, 1, _P30, step=step) == 35
+    # row 0 is zero before its envelope end 3, so the entry at column 3 is not read
+    a = [[0, 0, 0, 5], [0, 0, 7, 0], [0] * 4, [0] * 4]
+    assert module._eliminate(a, [3, 3, 3, 4], 4, 1, _P30, step=step) == 0
