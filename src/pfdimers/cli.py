@@ -90,9 +90,10 @@ def cmd_invariants(args) -> int:
     m = inst.map
     basis = inst.basis if inst.basis is not None else cycle_basis(m)
     K = None if m.vertex_count % 2 else construct_kasteleyn(m)
-    # each class Pfaffian sums signed matchings, and Z > 0 (weights > 0) sums
-    # the classes: one is nonzero iff m has a perfect matching
-    if K is None or not any(map(pfaffian, _class_matrices(m, K, basis.dual_cochains, "exact"))):
+    # Z > 0 sums the class Pfaffians, each a signed matching sum, so one is nonzero
+    # iff m has a perfect matching; a nonzero residue mod a prime proves it nonzero
+    classes = [] if K is None else _class_matrices(m, K, basis.dual_cochains, "exact")
+    if not any(c.route.floor_residue(c.flips) for c in classes) and not any(map(pfaffian, classes)):
         print("no perfect matching; invariants undefined", file=sys.stderr)
         return 2
     surface = classify(m)

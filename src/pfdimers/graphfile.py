@@ -30,7 +30,7 @@ from __future__ import annotations
 import re
 from decimal import Decimal
 from fractions import Fraction
-from typing import Dict, List, TextIO
+from typing import Dict, Iterator, List, TextIO
 
 from .errors import MalformedFile, NotAClosedWalk, NotSimple
 from .exactnum import rational_str
@@ -65,15 +65,16 @@ def _parse_weight(tok: str) -> object:
         raise MalformedFile(f"bad weight {tok!r}") from exc
 
 
-def _parse_half(tok: str, edge_count: int) -> int:
-    try:
-        eid, side = tok.split(".")
-        e, s = int(eid), int(side)
-    except ValueError as exc:
-        raise MalformedFile(f"bad half-edge token {tok!r}") from exc
-    if not (0 <= e < edge_count and s in (0, 1)):
-        raise MalformedFile(f"half-edge {tok!r} out of range")
-    return 2 * e + s
+def _parse_halves(toks: List[str], edge_count: int) -> Iterator[int]:
+    for tok in toks:
+        eid, _, side = tok.partition(".")
+        try:
+            e, s = int(eid), int(side)  # a token without one dot fails here
+        except ValueError as exc:
+            raise MalformedFile(f"bad half-edge token {tok!r}") from exc
+        if not (0 <= e < edge_count and s in (0, 1)):
+            raise MalformedFile(f"half-edge {tok!r} out of range")
+        yield 2 * e + s
 
 
 def _curve_kind(toks: List[str]) -> str:
@@ -86,7 +87,7 @@ def _curve_kind(toks: List[str]) -> str:
 # has none): its token count, None for any, and what its line keeps.
 _ONCE = {
     "vertices": (2, lambda toks: int(toks[1])),
-    "edge": (6, lambda toks: (*map(int, toks[2:5]), _parse_weight(toks[5]))),
+    "edge": (6, lambda toks: (int(toks[2]), int(toks[3]), int(toks[4]), _parse_weight(toks[5]))),
     "rotation": (None, lambda toks: toks[2:]),
     "curve": (3, _curve_kind),
     "cross": (None, lambda toks: [int(t) for t in toks[2:]]),
@@ -100,10 +101,9 @@ def load(stream: TextIO) -> LatticeInstance:
     once: Dict[str, Dict[int, object]] = {key: {} for key in _ONCE}
 
     for lineno, raw in enumerate(stream, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        toks = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if not toks:
             continue
-        toks = line.split()
         key = toks[0]
         if key not in _ONCE:
             raise MalformedFile(f"unknown directive {key!r}")
@@ -118,6 +118,7 @@ def load(stream: TextIO) -> LatticeInstance:
         except MalformedFile:
             raise
         except (IndexError, ValueError) as exc:
+            line = raw.split("#", 1)[0].strip()
             raise MalformedFile(f"line {lineno}: cannot parse {line!r}") from exc
 
     (vertices, edge_rows, rotation_rows, curve_kind, curve_cross, curve_edge,
@@ -131,7 +132,7 @@ def load(stream: TextIO) -> LatticeInstance:
     endpoints = [(edge_rows[e][0], edge_rows[e][1]) for e in range(ne)]
     twists = [edge_rows[e][2] for e in range(ne)]
     weights = [edge_rows[e][3] for e in range(ne)]
-    rotations = [[_parse_half(t, ne) for t in rotation_rows.pop(v, [])] for v in range(nv)]
+    rotations = [tuple(_parse_halves(rotation_rows.pop(v, []), ne)) for v in range(nv)]
     if rotation_rows:
         raise MalformedFile(f"rotation for vertex {min(rotation_rows)} outside 0..{nv - 1}")
     graph = build_map(nv, rotations, endpoints, twists, weights)
@@ -150,7 +151,7 @@ def load(stream: TextIO) -> LatticeInstance:
             raise MalformedFile(f"crossing_edge {idx} names an edge id outside 0..{ne - 1}")
         comp = None
         if idx in curve_companion:
-            comp = tuple(_parse_half(t, ne) for t in curve_companion[idx])
+            comp = tuple(_parse_halves(curve_companion[idx], ne))
         curves.append(TransverseCurve(kind, cross, comp,
                                       crossing_edge=curve_edge.get(idx),
                                       ordered_crossings=tuple(curve_cross[idx])

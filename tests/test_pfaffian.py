@@ -1297,3 +1297,139 @@ def test_mod_p_pivot_scan_reaches_the_envelope_and_stops_there(step):
     # row 0 is zero before its envelope end 3, so the entry at column 3 is not read
     a = [[0, 0, 0, 5], [0, 0, 7, 0], [0] * 4, [0] * 4]
     assert module._eliminate(a, [3, 3, 3, 4], 4, 1, _P30, step=step) == 0
+
+
+def _reference_rcm_order(n, pairs, ends=()):
+    """The layout one list per step: the reference for ``_rcm_order``."""
+    module = sys.modules["pfdimers.pfaffian"]
+    adj = [set() for _ in range(n)]
+    for a, b in sorted({(min(a, b), max(a, b)) for a, b in pairs}):
+        adj[a].add(b)
+        adj[b].add(a)
+    degree = [len(s) for s in adj]
+    colour, bipartite, head = [-1] * n, True, 0
+    order = []
+    for start in sorted(range(n), key=degree.__getitem__):
+        if colour[start] >= 0:
+            continue
+        colour[start] = 0
+        order.append(start)
+        while head < len(order):
+            v = order[head]
+            for w in sorted(adj[v], key=degree.__getitem__):
+                if colour[w] < 0:
+                    colour[w] = 1 - colour[v]
+                    order.append(w)
+                elif colour[w] == colour[v]:
+                    bipartite = False
+            head += 1
+    ones, stop = colour.count(1), n - len(ends)
+    inner_ones = ones - sum(colour[v] for v in ends)
+    if len(ends) % 2 or 2 * stop < n or bipartite and 2 * inner_ones != stop:
+        stop = n
+    last = dict.fromkeys(ends if stop < n else ())
+    inner = [v for v in reversed(order) if v not in last]
+    first = colour[inner[0]] if inner else 0
+    step = 2 if bipartite and 2 * ones == n else 1
+    position = [0] * n
+    for i, o in enumerate(module._alternate(inner, colour, first) if step == 2 else inner):
+        position[o] = i
+    if last:
+        seam = sorted(last, key=lambda v: min([position[w] for w in adj[v] if w not in last],
+                                              default=n))
+        for i, o in enumerate(module._alternate(seam, colour, first) if step == 2 else seam,
+                              stop):
+            position[o] = i
+    end, panel = [0] * n, [stop] * stop + [n] * (n - stop)
+    for o, i in enumerate(position):
+        end[i] = max([i + 1] + [position[w] + 1 for w in adj[o]
+                                if o in last or w not in last])
+    for o in last:
+        for w in adj[o]:
+            i = position[w]
+            if i < stop:
+                panel[i] = max(panel[i], position[o] + 1)
+    return position, end, panel, step, stop
+
+
+def _random_pattern(rng, n, bipartite, isolated):
+    """Random pairs on n indices, across a random 2-colouring if bipartite,
+    leaving ``isolated`` indices out of every pair."""
+    live = rng.sample(range(n), n - isolated)
+    colour = {v: rng.randrange(2) for v in live}
+    pairs = []
+    for _ in range(rng.randint(1, 3 * n)):
+        a, b = rng.sample(live, 2)
+        if not bipartite or colour[a] != colour[b]:
+            pairs.append((a, b) if rng.randrange(2) else (b, a))
+    return pairs
+
+
+def test_rcm_order_equals_the_reference_on_random_patterns():
+    module = sys.modules["pfdimers.pfaffian"]
+    rng, kinds = random.Random(40), Counter()
+    for trial in range(600):
+        n = rng.randrange(4, 31, 2)
+        pairs = _random_pattern(rng, n, trial % 2 == 0, rng.choice((0, 0, 1, 2)))
+        flipped = [pr for pr in pairs if rng.randrange(4) == 0] if trial % 3 else []
+        ends = sorted({v for pr in flipped for v in pr})
+        got = module._rcm_order(n, pairs, ends)
+        assert got == _reference_rcm_order(n, pairs, ends), (n, pairs, ends)
+        kinds[got[3], got[4] < n, len(set(v for pr in pairs for v in pr)) < n] += 1
+    # both steps, split and unsplit, with and without isolated indices
+    assert {(s, split) for s, split, _ in kinds} == {(1, False), (1, True), (2, False), (2, True)}
+    assert {iso for _, _, iso in kinds} == {False, True}
+
+
+def test_rcm_order_equals_the_reference_on_lattice_routes():
+    module = sys.modules["pfdimers.pfaffian"]
+    for surface in ("planar", "torus", "klein_hexagon", "rp2"):
+        for rows, cols in ((4, 4), (5, 6), (10, 10)):
+            inst = lattice(rows, cols, surface)
+            m = inst.map
+            pairs = [(e.u, e.v) for e in m.edges]
+            flips = [cv.cross for cv in inst.curves] or list(cycle_basis(m).pd_cochains)
+            seam = 0
+            for f in flips:
+                seam |= f
+            ends = sorted({v for e, pr in enumerate(pairs) if seam >> e & 1 for v in pr})
+            for e in ((), ends):
+                got = module._rcm_order(m.vertex_count, pairs, e)
+                assert got == _reference_rcm_order(m.vertex_count, pairs, e), surface
+
+
+def _pivot_row_after(row):
+    """Row 0 of a 4x4 float skew matrix with the given (a01, a02, a03) and
+    a12 = 2, a13 = -1, a23 = 5, after an elimination that gave its Pfaffian."""
+    module = sys.modules["pfdimers.pfaffian"]
+    a = [[0.0, *row], [0.0, 0.0, 2.0, -1.0], [0.0, 0.0, 0.0, 5.0], [0.0] * 4]
+    pf = row[0] * 5.0 - row[1] * -1.0 + row[2] * 2.0
+    scale = max(map(abs, chain.from_iterable(a)))
+    got = module._eliminate(a, [4, 4, 4, 4], 4, 1.0, 0, scale)
+    assert got == pytest.approx(pf, rel=1e-15)
+    return a[0][1:]
+
+
+def test_float_pivot_is_the_nearest_entry_within_a_quarter_of_the_largest():
+    # 1 >= 3/4: the nearest entry is the pivot, and nothing is swapped
+    assert _pivot_row_after([1.0, 3.0, 0.0]) == [1.0, 3.0, 0.0]
+    assert _pivot_row_after([-0.75, 3.0, -1.0]) == [-0.75, 3.0, -1.0]
+    # 0.5 < 3/4: the largest is swapped in
+    assert _pivot_row_after([0.5, 3.0, 0.0]) == [3.0, 0.5, 0.0]
+    # the nearest entry within a quarter, not the largest
+    assert _pivot_row_after([0.1, 1.0, 3.0]) == [1.0, 0.1, 3.0]
+
+
+def test_float_pivot_rule_cuts_rp2_writes(monkeypatch):
+    # the largest entry as pivot wrote 167351 entries on float rp2 20x20,
+    # the nearest within a quarter of it 120907
+    assert _combine_writes(monkeypatch, lattice(20, 20, "rp2"), "float") <= 130000
+
+
+def test_a_nan_row_still_raises_float_out_of_range():
+    # no entry compares at least a quarter of a NaN largest: the pivot stays
+    # next to the pivot row, and the NaN product leaves the double range
+    module = sys.modules["pfdimers.pfaffian"]
+    a = [[0.0, math.nan, 1.0, 0.0], [0.0, 0.0, 2.0, -1.0], [0.0, 0.0, 0.0, 5.0], [0.0] * 4]
+    with pytest.raises(FloatOutOfRange, match="nan"):
+        module._eliminate(a, [4, 4, 4, 4], 4, 1.0, 0, 5.0)
