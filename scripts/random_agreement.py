@@ -52,9 +52,17 @@ Every map drawn is also rebuilt with dyadic float weights k/2^j from a third
 generator, and every route that ran on it must give that copy's oracle value
 exactly on the exact backend, which reads a float weight at its binary value.
 Their exact class Pfaffians are Gaussian integers over a scale L^(n/2), L
-the least common denominator of the weights.  Exits nonzero on the first
-disagreement or violation, naming the map, the route and the backend, or on
-the first route that raises, naming the map and the route.
+the least common denominator of the weights.  After the trials, a split
+phase draws one torus or klein_hexagon lattice of 8x8-12x12 with random
+rational weights per SPLIT_EVERY trials from its own generator.  At that
+size auto, pin and spin split off a seam with two flips or more, so their
+Pfaffians run the flip levels, which on the trials' maps of at most 14
+vertices only a few practical routes do.  There auto, pin and, on the
+torus, spin run on fresh copies of the lattice and must equal exact auto
+exactly on the exact backend and within 1e-9 relative on the float one.
+Exits nonzero on the first disagreement or violation, naming the map or
+lattice, the route and the backend, or on the first route that raises,
+naming the map and the route.
 """
 
 from __future__ import annotations
@@ -75,6 +83,7 @@ from pfdimers import (  # noqa: E402
     build_map,
     classify,
     cycle_basis,
+    partition,
     partition_bruteforce,
     partition_general_pin,
     partition_nonorientable_practical,
@@ -82,7 +91,7 @@ from pfdimers import (  # noqa: E402
     partition_orientable_spin,
     relabel,
 )
-from pfdimers.generators import random_lattice, random_map  # noqa: E402
+from pfdimers.generators import lattice, random_lattice, random_map, random_weights  # noqa: E402
 from pfdimers.homology import (  # noqa: E402
     Gf2Span,
     chain_from_edges,
@@ -96,6 +105,7 @@ from pfdimers.surface_graph import flip_charts  # noqa: E402
 
 FLOAT_REL_TOL = 1e-9
 REGIMES = ("floor", "sized", "above")  # one prime of _FLOOR bits, one of bound + 2, several
+SPLIT_EVERY = 5  # trials per lattice of the split phase
 
 
 def width_regime(m):
@@ -308,9 +318,39 @@ def sweep(args) -> int:
     if not all(regimes.values()):
         print(f"MISSED A PRIME WIDTH: wide-weight routes {widths}")
         return 1
+    lattices = -(-args.trials // SPLIT_EVERY)
+    if split_phase(random.Random(f"split {args.seed}"), lattices):
+        return 1
     print(f"{args.trials} trials agree exactly (float backend within "
-          f"{FLOAT_REL_TOL:g} relative; wide-weight routes {widths})  "
-          f"[{time.perf_counter() - t0:.1f}s]")
+          f"{FLOAT_REL_TOL:g} relative; wide-weight routes {widths}; "
+          f"{lattices} split lattices)  [{time.perf_counter() - t0:.1f}s]")
+    return 0
+
+
+def split_phase(rng, lattices) -> int:
+    """The split phase of the module docstring: 0 if every route agrees,
+    else 1, naming the lattice and the route."""
+    for k in range(lattices):
+        surface = rng.choice(("torus", "klein_hexagon"))
+        rows, cols = rng.randint(8, 12), 2 * rng.randint(4, 6)
+        count = lattice(rows, cols, surface).map.edge_count
+        inst = lattice(rows, cols, surface, weights=random_weights(rng, count))
+        m, curves, basis = inst.map, inst.curves, inst.basis
+        routes = {"auto": lambda g, b: partition(g, "auto", curves=curves, basis=basis,
+                                                 backend=b),
+                  "pin": lambda g, b: partition_general_pin(g, basis=basis, backend=b)}
+        if surface == "torus":
+            routes["spin"] = lambda g, b: partition_orientable_spin(g, basis=basis, backend=b)
+        where = f"split lattice {k} ({surface} {rows}x{cols})"
+        routes = guarded(where, routes)
+        z = routes["auto"](relabel(m, range(m.vertex_count)), "exact").value
+        for name, route in routes.items():
+            for backend in ("exact", "float"):
+                value = route(relabel(m, range(m.vertex_count)), backend).value
+                if abs(value - z) > (0 if backend == "exact" else FLOAT_REL_TOL * z):
+                    print(f"SPLIT DISAGREEMENT at {where}: {name} ({backend}) = {value}, "
+                          f"exact auto = {z}")
+                    return 1
     return 0
 
 

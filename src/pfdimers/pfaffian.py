@@ -11,17 +11,18 @@ one class of a prepared route, a ``_ClassMatrix``, or a ``SkewMatrix`` as
 one class of its nonzero entries.
 
 The classes of a route differ only in the signs of the flipped edges, whose
-endpoints form the seam S.  With several classes, an even |S| <= n/2 and,
-on a bipartite pattern, an interior holding as many indices of both colours,
-S goes last in the order, after the RCM order of the interior, sorted by the
-position of each index's first interior neighbour.  Pf(A) is the product of
-the interior pivots and the Pfaffian of the Schur complement on S, and only
-the cells inside S differ between classes.  So the interior is eliminated
-once per route and arithmetic without them, and each class adds its own to
-a copy of the complement and eliminates that; an interior index without a
-nonzero interior pivot drops the split, but not the order.
-Classes whose cell values repeat an earlier class's, possible only where
-parallel edges with a flipped one share a cell, share its elimination.
+endpoints form the seam S, last in the order where it can be (``_rcm_order``).
+Pf(A) is the product of the interior pivots and the Pfaffian of the Schur
+complement on S, and only the cells in S differ between classes.  So the
+interior is eliminated once per route and arithmetic, and the complement in
+flip levels: an end of S ranks by the lowest flip among its edges, the last
+flip's ends go first, and each level but the last is even (balanced at step
+2), so that its rows hold cells of its flip and later ones only.  Classes
+come with the last flip slowest, so each level adds its cells to the block
+kept before it and eliminates its pivots once per value of those cells.  A
+missing pivot drops the split in the interior, keeping the order, and merges
+a level into the next.  Classes whose cell values repeat an earlier class's
+(parallel edges with a flipped one share a cell) share its elimination.
 
 A route twisted by omega (weight times i on each omega edge) is gauged if
 omega(e) + c = x_u + x_v (mod 2) on every edge, for vertex bits x and c in
@@ -50,8 +51,9 @@ real class) it is the nearest entry of at least 1/PIVOT_RATIO = 1/4 of the
 row's largest, threshold pivoting as in sparse direct solvers: a near pivot
 swaps less and fills in less (a quarter fewer writes than the largest on the
 benchmark lattices, with Z within 1e-13 of exact up to 40x40).  A largest
-entry below the conditioning threshold warns, and ``FloatOutOfRange`` is
-raised when the product of the pivots leaves the double range.
+entry below the conditioning threshold warns (before a split's stop it is
+missing), and ``FloatOutOfRange`` is raised when the product of the pivots
+leaves the double range.
 
 The exact backend is multimodular.  With L the least common denominator of
 the weights' parts, Pf(L*A) = L^(n/2) Pf(A) = X + iY with integers X, Y.
@@ -81,10 +83,8 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import chain
 from math import isqrt, prod
-from operator import or_
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -223,26 +223,26 @@ def _class_matrices(m: CombinatorialMap, K: Orientation, flips: Sequence[int],
     """The classes of K flipped by subset sums of ``flips``, in
     ``enumerate_classes`` order, from one preparation of K's edges."""
     exact, n = _exact(backend), m.vertex_count
-    masks = _class_masks(flips)
     om = m.twist_bits() if omega is None else omega
     gauge = _gauge(m, om) if om else None
     turn = (gauge[1] * n // 2 - sum(gauge[0])) % 4 if gauge else 0
-    route = _EdgeMatrix(n, _map_edges(m, K, om, gauge), exact, reduce(or_, flips, 0), turn)
-    return [_ClassMatrix(route, f, n, exact, route.scale) for f in masks]
+    route = _EdgeMatrix(n, _map_edges(m, K, om, gauge), exact, flips, turn)
+    return [_ClassMatrix(route, f, n, exact, route.scale) for f in _class_masks(flips)]
 
 
 class _EdgeMatrix:
     """The skew matrix of edges in parts, prepared for the Pfaffians of its
     sign patterns times i^turn and ``scale``: ``pfaffian(flips)`` negates the
-    weight of edge e for every bit e of ``flips``; some pattern negates each bit of ``seam``."""
+    weight of edge e for every bit e of ``flips``, a subset sum of the masks in ``seam``."""
 
-    def __init__(self, n: int, edges: Sequence[Parts], exact: bool, seam: int = 0,
+    def __init__(self, n: int, edges: Sequence[Parts], exact: bool, seam: Sequence[int] = (),
                  turn: int = 0) -> None:
         if n % 2:
             raise OddDimension(f"dimension {n} is odd")
-        ends = sorted({v for e, (a, b, _, _) in enumerate(edges) if seam >> e & 1 for v in (a, b)})
+        rank = {v: k for k in reversed(range(len(seam)))  # every seam end's lowest flip index
+                for e, bit in enumerate(bin(seam[k])[:1:-1]) if bit == "1" for v in edges[e][:2]}
         position, self.end, self.panel, self.step, self.stop = _rcm_order(
-            n, [(a, b) for a, b, _, _ in edges], ends)
+            n, [(a, b) for a, b, _, _ in edges], sorted(rank))
         self.sign = _perm_sign(position)
         self.exact, self.shared, self.turn = exact, {}, turn
         if exact:  # every part an integer over L
@@ -258,6 +258,15 @@ class _EdgeMatrix:
                 i, j, re, im = j, i, -re, -im
             self.slots.append((cells.setdefault((i, j), len(cells)), re, im))
         self.cells, self.memo = list(cells), {}  # memo: Pf by cell values
+        stop, ranks = self.stop, {position[v]: r for v, r in rank.items()}
+        order = sorted(range(stop, n), key=lambda i: -ranks[i])  # flip levels; stop is even
+        if self.step == 2:
+            order[::2], order[1::2] = [i for i in order if i % 2 == 0], [i for i in order if i % 2]
+        pair = [min(ranks[order[t]], ranks[order[t + 1]]) for t in range(0, n - stop, 2)]
+        self.bounds = [2 * u for u, r in enumerate(pair) if not u or r != pair[u - 1]] + [n - stop]
+        self.order, at = order, dict(zip(order, range(n)))  # at: the place in level order
+        self.seam = [(c, min(u, v), max(u, v), u > v) for c, (i, j) in enumerate(cells)
+                     if i >= stop for u, v in [(at[i], at[j])]]  # cell, row, column, transposed
         if exact:
             count = Counter(c for c, _, _ in self.slots)
             norms = [0] * n
@@ -324,28 +333,40 @@ class _EdgeMatrix:
     def _pf(self, values: list, zero, p: int, s: int, scale: float = 0.0):
         """Pf of the pattern with these cell values, mod p with i -> s if p."""
         n, stop, key = len(self.end), self.stop, (p, s, type(zero))
-        if stop < n and key not in self.shared:
+        if stop == n or key not in self.shared:
             a = self._upper(values, zero)
             a[stop:] = [[zero] * n for _ in range(stop, n)]  # cells of each pattern
             factor = _eliminate(a, list(self.end), stop, self.sign, p, scale, self.step,
                                 list(self.panel))
-            if factor:
-                self.shared[key] = factor, [row[stop:] for row in a[stop:]]
-            else:  # no interior pivot, or a float underflow: keep the order, unsplit
-                self.stop = stop = n
+            if stop == n:
+                return factor
+            if not factor:  # no interior pivot, or a float underflow: keep the order, unsplit
+                self.stop = n
                 for i, j in self.cells:
                     self.end[i] = max(self.end[i], j + 1)
-        if stop == n:
-            return _eliminate(self._upper(values, zero), list(self.end), n, self.sign,
-                              p, scale, self.step)
-        factor, block = self.shared[key]
-        block = [row[:] for row in block]
-        for (i, j), x in zip(self.cells, values):
-            if i >= stop:
-                row, j = block[i - stop], j - stop
+                return self._pf(values, zero, p, s, scale)
+            o = self.order  # the Schur complement on S in level order, times det(P)
+            block = [[zero] * (t + 1) + [a[k][l] if k < l else -a[l][k] % p if p else -a[l][k]
+                                         for l in o[t + 1:]] for t, k in enumerate(o)]
+            self.shared[key] = [(None, factor * _perm_sign([k - stop for k in o]), block)]
+        chain = self.shared[key]  # chain[d]: ((end, values), factor, block) before level d
+        for d, (lo, hi) in enumerate(zip(self.bounds, self.bounds[1:])):
+            cells = [x for x in self.seam if lo <= x[1] < hi]
+            own = hi, [-values[c] if transposed else values[c] for c, _, _, transposed in cells]
+            if d + 1 < len(chain) and chain[d + 1][0] == own:
+                continue
+            block = [row[:] for row in chain[d][2]]
+            for (_, i, j, _), x in zip(cells, own[1]):
+                row, j = block[i - lo], j - lo
                 row[j] = (row[j] + x) % p if p else row[j] + x
-        return _eliminate(block, [n - stop] * (n - stop), n - stop, factor, p, scale,
-                          self.step)
+            m, k = n - stop - lo, hi - lo
+            factor = _eliminate(block, [k] * m, k, chain[d][1], p, scale, self.step, [m] * m)
+            if k == m:
+                return factor
+            if not factor:  # no level pivot, or a float underflow: merge it into the next
+                del self.bounds[d + 1]
+                return self._pf(values, zero, p, s, scale)
+            chain[d + 1:] = [(own, factor, [row[k:] for row in block[k:]])]
 
     def _upper(self, values: list, zero) -> list:
         n = len(self.end)
@@ -391,8 +412,8 @@ def _eliminate(a: list, end: List[int], stop: int, factor, p: int = 0,
         else:
             mags = list(map(abs, rk[q:end[k]:step]))
             best = max(mags, default=0.0)
-            if best == 0.0:
-                return 0j
+            if best == 0.0 or split and best < PIVOT_THRESHOLD * scale:
+                return 0j  # no pivot; before a split's stop, none above the threshold
             if best < PIVOT_THRESHOLD * scale:
                 warnings.warn("pivot below conditioning threshold",
                               IllConditionedWarning)

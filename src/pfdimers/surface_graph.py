@@ -26,13 +26,13 @@ in the same pass; the other lift is never walked.
 
 Faces are traced once per map: ``m.faces`` runs ``trace_faces`` on first use
 and keeps the result, and every consumer (Euler characteristic, homology
-basis, Kasteleyn curvature, companion cycles) reads it there.  Orientability
-is kept the same way (``m.orientable``), without tracing faces, and
-``kept`` keeps the rest derived from the map alone: its BFS tree and odd
-join, and the partition routes' basis, K and class Pfaffians.
-``tree_side`` alone solves phi = delta(x) for vertex bits x; each caller
-picks a side, x or its complement.  A map
-made from another one (``flip_charts``, ``untwist``, ``relabel``,
+basis, Kasteleyn curvature, companion cycles) reads it there.  The twist
+mask and orientability are kept the same way (``m.twist_mask``,
+``m.orientable``, without tracing faces), and ``kept`` keeps the rest derived
+from the map alone: its BFS tree and odd join, and the partition routes'
+basis, K and class Pfaffians.  ``tree_side`` alone solves phi = delta(x) for
+vertex bits x; each caller picks a side, x or its complement.  A map made
+from another one (``flip_charts``, ``untwist``, ``relabel``,
 ``graphfile.load``) is a new object that starts with none of it.
 """
 
@@ -42,7 +42,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import (
     DisconnectedGraph,
@@ -53,8 +53,7 @@ from .errors import (
 Weight = Union[int, Fraction, float]
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     u: int
     v: int
     twist: int = 0
@@ -82,11 +81,12 @@ class CombinatorialMap:
         return self.half_vertex(h ^ 1)
 
     def twist_bits(self) -> int:
-        bits = 0
-        for e, edge in enumerate(self.edges):
-            if edge.twist:
-                bits |= 1 << e
-        return bits
+        return self.twist_mask
+
+    @cached_property
+    def twist_mask(self) -> int:
+        """The twist cochain as an edge mask; kept like ``faces``."""
+        return sum(1 << e for e, edge in enumerate(self.edges) if edge.twist)
 
     def is_loop(self, e: int) -> bool:
         return self.edges[e].u == self.edges[e].v

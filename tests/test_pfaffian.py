@@ -679,7 +679,7 @@ def _split_route(edges, seam, exact):
     from pfdimers.pfaffian import _EdgeMatrix
 
     n = 1 + max(max(a, b) for a, b, _, _ in edges)
-    route = _EdgeMatrix(n, edges, exact, seam)
+    route = _EdgeMatrix(n, edges, exact, [seam])
     assert route.stop < n
     patterns = [0] + [1 << e for e in range(len(edges)) if (seam >> e) & 1]
     got = [route.pfaffian(f) for f in patterns]
@@ -732,6 +732,136 @@ def test_split_block_entries_reduced_mod_p():
     assert route.stop == 2
     assert got == want
     assert sorted(x.re for x in got) == [-2 * a * b, 0]
+
+
+# ---------------------------------------------------------------------------
+# Flip levels: the seam's complement is eliminated a level at a time, the
+# ends of the last flip first, each level once per value of its cells
+# ---------------------------------------------------------------------------
+
+def _level_cases():
+    """(label, map, K, flips, omega) of split routes with two flips or more
+    on lattices with random rational weights: auto's practical route and
+    pin on tori, pin on a Klein bottle and on a torus with charts flipped."""
+    rng = random.Random(41)
+
+    def weighted(rows, surface):
+        return lattice(rows, rows, surface,
+                       weights=random_weights(rng, lattice(rows, rows, surface).map.edge_count))
+
+    cases = []
+    for surface, rows, auto in (("torus", 10, True), ("torus", 12, True),
+                                ("klein_hexagon", 12, False)):
+        inst = weighted(rows, surface)
+        m, om = inst.map, inst.map.twist_bits()
+        if auto:
+            cases.append((f"{surface} {rows} auto", m, construct_kasteleyn(m),
+                          [cv.cross for cv in inst.curves], None))
+        cases.append((f"{surface} {rows} pin", m, construct_kasteleyn(m, omega=om),
+                      list(inst.basis.dual_cochains), om))
+    m = flip_charts(weighted(10, "torus").map, [0, 5, 6, 17])
+    om = m.twist_bits()
+    cases.append(("chart-flipped torus 10 pin", m, construct_kasteleyn(m, omega=om),
+                  list(cycle_basis(m).dual_cochains), om))
+    return cases
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_flip_level_class_pfaffians_match_reference_builder(backend):
+    for label, m, K, flips, omega in _level_cases():
+        classes = _class_matrices(m, K, flips, backend, omega)
+        route = classes[0].route
+        assert len(flips) >= 2 and route.stop < m.vertex_count, label
+        got = [pfaffian(c) for c in classes]
+        assert len(route.bounds) > 2, label  # two levels or more, none merged
+        want = [pfaffian(build_adjacency(m, Kc, omega, backend))
+                for Kc in enumerate_classes(m, K, flips)]
+        if backend == "exact":
+            assert [g.scale(Fraction(1, route.scale)) for g in got] == want, label
+        else:
+            top = max(map(abs, want))
+            assert all(abs(g - w) <= 1e-12 * top for g, w in zip(got, want)), label
+
+
+def test_flip_levels_eliminate_once_per_flip_prefix(monkeypatch):
+    # exact torus 10x10 auto: two flips, so per residue the interior once,
+    # the first level once per value of the last flip and the last level per class
+    inst = lattice(10, 10, "torus")
+    n = inst.map.vertex_count
+    module = sys.modules["pfdimers.pfaffian"]
+    eliminate, runs = module._eliminate, Counter()
+
+    def spy(a, end, stop, factor, p=0, *rest):
+        shape = ("interior" if len(a) == n else "level") if stop < len(a) else \
+            ("unsplit" if len(a) == n else "last")
+        runs[p, shape] += 1
+        return eliminate(a, end, stop, factor, p, *rest)
+
+    monkeypatch.setattr(module, "_eliminate", spy)
+    partition(inst.map, "auto", curves=inst.curves, basis=inst.basis)
+    primes = {p for p, _ in runs}
+    assert primes and 0 not in primes
+    assert runs == Counter({(p, shape): count for p in primes
+                            for shape, count in (("interior", 1), ("level", 2), ("last", 4))})
+
+
+def test_flip_levels_cut_seam_writes(monkeypatch):
+    # with one level per seam, exact auto wrote 10432 entries on torus
+    # 10x10 and float auto 177242 on torus 20x20
+    assert _combine_writes(monkeypatch, lattice(10, 10, "torus"), "exact") <= 7700
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        assert _combine_writes(monkeypatch, lattice(20, 20, "torus"), "float") <= 150000
+
+
+@pytest.mark.parametrize("rows, cols", [(8, 7), (10, 9), (7, 8)])
+def test_a_float_level_takes_no_pivot_below_the_threshold(rows, cols):
+    # an odd side makes two torus classes vanish, and on 8x7 and 10x9 their
+    # first level is singular: exact merges it on a zero pivot, floats on a
+    # pivot of rounding noise, which taken left those class Pfaffians off by
+    # up to 8% of the largest
+    inst = lattice(rows, cols, "torus")
+    m, flips = inst.map, [cv.cross for cv in inst.curves]
+    K = construct_kasteleyn(m)
+    exact, floats = (_class_matrices(m, K, flips, backend) for backend in ("exact", "float"))
+    want = [pfaffian(c).to_complex() for c in exact]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        got = [pfaffian(c) for c in floats]
+    assert floats[0].route.bounds == exact[0].route.bounds
+    assert all(abs(g - w) <= 1e-12 * max(map(abs, want)) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("exact, join", [(True, "p"), (True, "none"), (False, "none")],
+                         ids=["exact weight p", "exact no join", "float no join"])
+def test_a_level_without_a_pivot_merges_into_the_next(moduli, exact, join):
+    # interior 0-3 (a triangle in it, so step 1); seam ends 4 and 5 meet only
+    # the seam and only flip 1, so they form the first level, and 6 and 7,
+    # ends of flip 0, the last.  The first level's pivot is its join (4, 5):
+    # c * p, 0 mod the route's first prime p although no class Pfaffian is,
+    # or no join at all, 0 in both arithmetics
+    p = _modulus(_CAP, 0)[0]
+    pairs = [(0, 1, 2), (1, 2, 3), (2, 3, 5), (3, 0, 7), (0, 2, 1), (6, 0, 4), (7, 1, 3),
+             (4, 6, 2), (5, 7, 5), (4, 7, 3), (6, 7, 9)]
+
+    def edges_of(c):
+        return [(a, b, w, 0) for a, b, w in pairs + [(4, 5, c * p)] * (join == "p")]
+
+    edges = edges_of(_at_the_cap(edges_of) if join == "p" else 1)
+    flip0 = 1 << 10
+    flip1 = 1 << 11 if join == "p" else 1 << 7 | 1 << 8
+    route = _EdgeMatrix(8, edges, exact, [flip0, flip1])
+    assert route.stop == 4 and route.bounds == [0, 2, 4]
+    patterns = [0, flip0, flip1, flip0 ^ flip1]
+    got = [route.pfaffian(f) for f in patterns]
+    assert route.bounds == [0, 4]  # merged
+    want = [_EdgeMatrix(8, edges, exact).pfaffian(f) for f in patterns]
+    assert all(want)
+    if exact:
+        assert got == want
+        assert moduli[0] == p or join == "none"
+    else:
+        assert all(abs(g - w) <= 1e-12 * max(map(abs, want)) for g, w in zip(got, want))
 
 
 # ---------------------------------------------------------------------------
@@ -1151,7 +1281,7 @@ def test_unbalanced_bipartite_patterns_take_step_one(monkeypatch):
     edges = [(a, b, 1 + (a * 7 + b * 3) % 5, 0) for a, b in grid]
     seam = sum(1 << e for e, (a, b, _, _) in enumerate(edges)
                if (a, b) in {(0, 1), (0, 4), (9, 10), (10, 11)})
-    route = _EdgeMatrix(12, edges, True, seam)
+    route = _EdgeMatrix(12, edges, True, [seam])
     assert route.stop == 12 and route.step == 2
     module = sys.modules["pfdimers.pfaffian"]
     eliminate, sizes = module._eliminate, []
@@ -1177,7 +1307,7 @@ def test_a_seam_of_its_own_component_takes_step_two_split(monkeypatch):
     grid += [(c, c + 4) for c in range(4)] + [(8, 9)]
     edges = [(a, b, 1 + (a * 5 + b * 3) % 7, 0) for a, b in grid]
     seam = 1 << len(grid) - 1
-    route = _EdgeMatrix(10, edges, True, seam)
+    route = _EdgeMatrix(10, edges, True, [seam])
     assert route.step == 2 and route.stop == 8
     got = [route.pfaffian(f) for f in (0, seam)]
     _unstrided(monkeypatch)

@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import random
+import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from conftest import kept_records
+
+from pfdimers.pfaffian import _EdgeMatrix
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -239,6 +244,35 @@ def test_random_agreement_names_a_route_whose_result_follows_the_call_order(monk
     assert script.main() == 1
     assert capsys.readouterr().out == (
         "ORDER CHANGES RESULT at trial 0 (torus lattice, 8 vertices, 16 edges): spin\n")
+
+
+def test_random_agreement_split_phase_runs_flip_levels(monkeypatch):
+    # its lattices take the split with two flips or more, unlike the trials' maps
+    script = _load_script("random_agreement")
+    routes, init = [], _EdgeMatrix.__init__
+
+    def kept(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        routes.append(self)
+
+    monkeypatch.setattr(_EdgeMatrix, "__init__", kept)
+    assert script.split_phase(random.Random("split 1"), 2) == 0
+    assert any(r.stop < len(r.end) and len(r.bounds) > 2 for r in routes)
+
+
+def test_random_agreement_names_a_split_lattice_where_routes_disagree(monkeypatch, capsys):
+    script = _load_script("random_agreement")
+    good = script.partition_orientable_spin
+
+    def off_on_floats(m, **kwargs):
+        # float spin off by a thousandth; the trials' maps are never this large
+        res = good(m, **kwargs)
+        return replace(res, value=res.value * 1.001) if kwargs["backend"] == "float" else res
+
+    monkeypatch.setattr(script, "partition_orientable_spin", off_on_floats)
+    assert script.split_phase(random.Random("split 1"), 4) == 1
+    assert re.fullmatch(r"SPLIT DISAGREEMENT at split lattice \d \(torus \d+x\d+\): "
+                        r"spin \(float\) = \S+, exact auto = \S+\n", capsys.readouterr().out)
 
 
 def test_random_agreement_fails_a_run_that_misses_a_prime_width(monkeypatch, capsys):

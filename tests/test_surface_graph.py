@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,14 @@ from pfdimers import (
 )
 from pfdimers.generators import random_map
 from pfdimers.homology import dot, edges_of
-from pfdimers.surface_graph import CombinatorialMap, Face, FaceSet, flip_charts, tree_side
+from pfdimers.surface_graph import (
+    CombinatorialMap,
+    Edge,
+    Face,
+    FaceSet,
+    flip_charts,
+    tree_side,
+)
 
 
 def test_single_edge_sphere():
@@ -179,6 +187,47 @@ def test_derived_maps_carry_their_own_faces():
         assert "faces" not in vars(derived)
         assert derived.faces is not source.faces
         assert derived.faces == trace_faces(derived)
+
+
+def test_twist_mask_computed_once_and_kept_on_the_map(monkeypatch):
+    prop = CombinatorialMap.__dict__["twist_mask"]
+    make, calls = prop.func, []
+    monkeypatch.setattr(prop, "func", lambda m: calls.append(m) or make(m))
+    torus = lattice(3, 4, "torus").map
+    klein = lattice(3, 4, "klein_hexagon").map
+    twisted = flip_charts(torus, [0, 5])
+    for m in (torus, klein, twisted):
+        assert "twist_mask" not in vars(m)
+        assert m.twist_bits() == m.twist_bits() == m.twist_mask == _twists(m)
+        assert "twist_mask" in vars(m)
+    assert calls == [torus, klein, twisted]
+    perm = list(range(klein.vertex_count))
+    random.Random(5).shuffle(perm)
+    for derived in (flip_charts(klein, [1, 2, 7]), untwist(twisted), relabel(klein, perm)):
+        assert "twist_mask" not in vars(derived)
+        assert derived.twist_bits() == _twists(derived)
+
+
+def _twists(m):
+    """The twist cochain as an edge mask, walked edge by edge."""
+    bits = 0
+    for e, edge in enumerate(m.edges):
+        if edge.twist:
+            bits |= 1 << e
+    return bits
+
+
+def test_edges_keep_their_fields_repr_and_equality():
+    edge = Edge(1, 2)
+    assert (edge.u, edge.v, edge.twist, edge.weight) == (1, 2, 0, 1)
+    assert repr(Edge(0, 3, 1, Fraction(2, 3))) == \
+        "Edge(u=0, v=3, twist=1, weight=Fraction(2, 3))"
+    assert edge == Edge(1, 2, 0, 1) and hash(edge) == hash(Edge(1, 2, 0, 1))
+    assert edge != Edge(1, 2, 1) and edge != Edge(2, 1)
+    with pytest.raises(AttributeError):
+        edge.u = 3
+    m = build_map(2, [[0], [1]], [(0, 1)], [1], [Fraction(1, 2)])
+    assert m.edges == (Edge(0, 1, 1, Fraction(1, 2)),)
 
 
 def test_only_the_map_traces_its_faces():
