@@ -17,12 +17,13 @@ complement on S, and only the cells in S differ between classes.  So the
 interior is eliminated once per route and arithmetic, and the complement in
 flip levels: an end of S ranks by the lowest flip among its edges, the last
 flip's ends go first, and each level but the last is even (balanced at step
-2), so that its rows hold cells of its flip and later ones only.  Classes
-come with the last flip slowest, so each level adds its cells to the block
-kept before it and eliminates its pivots once per value of those cells.  A
-missing pivot drops the split in the interior, keeping the order, and merges
-a level into the next.  Classes whose cell values repeat an earlier class's
-(parallel edges with a flipped one share a cell) share its elimination.
+2), so that its rows hold cells of its flip and later ones only.  Only split
+routes list levels, each with its seam cells.  Classes come with the last
+flip slowest, so each level adds its cells to the block kept before it and
+eliminates its pivots once per value of those cells.  A missing pivot drops
+the split in the interior, keeping the order, and merges a level into the
+next.  Classes whose cell values repeat an earlier class's (parallel edges
+with a flipped one share a cell) share its elimination.
 
 A route twisted by omega (weight times i on each omega edge) is gauged if
 omega(e) + c = x_u + x_v (mod 2) on every edge, for vertex bits x and c in
@@ -257,16 +258,19 @@ class _EdgeMatrix:
             if i > j:
                 i, j, re, im = j, i, -re, -im
             self.slots.append((cells.setdefault((i, j), len(cells)), re, im))
-        self.cells, self.memo = list(cells), {}  # memo: Pf by cell values
-        stop, ranks = self.stop, {position[v]: r for v, r in rank.items()}
-        order = sorted(range(stop, n), key=lambda i: -ranks[i])  # flip levels; stop is even
-        if self.step == 2:
-            order[::2], order[1::2] = [i for i in order if i % 2 == 0], [i for i in order if i % 2]
-        pair = [min(ranks[order[t]], ranks[order[t + 1]]) for t in range(0, n - stop, 2)]
-        self.bounds = [2 * u for u, r in enumerate(pair) if not u or r != pair[u - 1]] + [n - stop]
-        self.order, at = order, dict(zip(order, range(n)))  # at: the place in level order
-        self.seam = [(c, min(u, v), max(u, v), u > v) for c, (i, j) in enumerate(cells)
-                     if i >= stop for u, v in [(at[i], at[j])]]  # cell, row, column, transposed
+        self.cells, self.memo, self.levels, self.order = list(cells), {}, [], []
+        if self.stop < n:  # levels (lo, hi, seam cells of rows lo to hi) of the order o of S
+            stop, ranks = self.stop, {position[v]: r for v, r in rank.items()}
+            o = sorted(range(stop, n), key=lambda i: -ranks[i])  # stop is even
+            if self.step == 2:
+                o[::2], o[1::2] = [i for i in o if not i % 2], [i for i in o if i % 2]
+            pair = [min(ranks[o[t]], ranks[o[t + 1]]) for t in range(0, n - stop, 2)]
+            ends = [2 * u for u, r in enumerate(pair) if not u or r != pair[u - 1]] + [n - stop]
+            self.order, at = o, dict(zip(o, range(n)))  # at: the place in level order
+            seam = [(c, min(u, v), max(u, v), u > v) for c, (i, j) in enumerate(cells)
+                    if i >= stop for u, v in [(at[i], at[j])]]  # cell, row, column, transposed
+            self.levels = [(lo, hi, [x for x in seam if lo <= x[1] < hi])
+                           for lo, hi in zip(ends, ends[1:])]
         if exact:
             count = Counter(c for c, _, _ in self.slots)
             norms = [0] * n
@@ -334,14 +338,16 @@ class _EdgeMatrix:
         """Pf of the pattern with these cell values, mod p with i -> s if p."""
         n, stop, key = len(self.end), self.stop, (p, s, type(zero))
         if stop == n or key not in self.shared:
-            a = self._upper(values, zero)
-            a[stop:] = [[zero] * n for _ in range(stop, n)]  # cells of each pattern
+            a = [[zero] * n for _ in range(n)]
+            for (i, j), x in zip(self.cells, values):
+                if i < stop:  # the seam's cells are added level by level
+                    a[i][j] = x
             factor = _eliminate(a, list(self.end), stop, self.sign, p, scale, self.step,
                                 list(self.panel))
             if stop == n:
                 return factor
             if not factor:  # no interior pivot, or a float underflow: keep the order, unsplit
-                self.stop = n
+                self.stop, self.levels, self.order = n, [], []
                 for i, j in self.cells:
                     self.end[i] = max(self.end[i], j + 1)
                 return self._pf(values, zero, p, s, scale)
@@ -350,8 +356,7 @@ class _EdgeMatrix:
                                          for l in o[t + 1:]] for t, k in enumerate(o)]
             self.shared[key] = [(None, factor * _perm_sign([k - stop for k in o]), block)]
         chain = self.shared[key]  # chain[d]: ((end, values), factor, block) before level d
-        for d, (lo, hi) in enumerate(zip(self.bounds, self.bounds[1:])):
-            cells = [x for x in self.seam if lo <= x[1] < hi]
+        for d, (lo, hi, cells) in enumerate(self.levels):
             own = hi, [-values[c] if transposed else values[c] for c, _, _, transposed in cells]
             if d + 1 < len(chain) and chain[d + 1][0] == own:
                 continue
@@ -364,16 +369,9 @@ class _EdgeMatrix:
             if k == m:
                 return factor
             if not factor:  # no level pivot, or a float underflow: merge it into the next
-                del self.bounds[d + 1]
+                self.levels[d:d + 2] = [(lo, self.levels[d + 1][1], cells + self.levels[d + 1][2])]
                 return self._pf(values, zero, p, s, scale)
             chain[d + 1:] = [(own, factor, [row[k:] for row in block[k:]])]
-
-    def _upper(self, values: list, zero) -> list:
-        n = len(self.end)
-        a = [[zero] * n for _ in range(n)]
-        for (i, j), x in zip(self.cells, values):
-            a[i][j] = x
-        return a
 
 
 class _ClassMatrix(NamedTuple):

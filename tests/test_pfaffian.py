@@ -739,6 +739,11 @@ def test_split_block_entries_reduced_mod_p():
 # ends of the last flip first, each level once per value of its cells
 # ---------------------------------------------------------------------------
 
+def _level_ends(route):
+    """0 and the end of every flip level in level order."""
+    return [0] + [hi for _, hi, _ in route.levels]
+
+
 def _level_cases():
     """(label, map, K, flips, omega) of split routes with two flips or more
     on lattices with random rational weights: auto's practical route and
@@ -773,7 +778,7 @@ def test_flip_level_class_pfaffians_match_reference_builder(backend):
         route = classes[0].route
         assert len(flips) >= 2 and route.stop < m.vertex_count, label
         got = [pfaffian(c) for c in classes]
-        assert len(route.bounds) > 2, label  # two levels or more, none merged
+        assert len(_level_ends(route)) > 2, label  # two levels or more, none merged
         want = [pfaffian(build_adjacency(m, Kc, omega, backend))
                 for Kc in enumerate_classes(m, K, flips)]
         if backend == "exact":
@@ -828,7 +833,7 @@ def test_a_float_level_takes_no_pivot_below_the_threshold(rows, cols):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IllConditionedWarning)
         got = [pfaffian(c) for c in floats]
-    assert floats[0].route.bounds == exact[0].route.bounds
+    assert _level_ends(floats[0].route) == _level_ends(exact[0].route)
     assert all(abs(g - w) <= 1e-12 * max(map(abs, want)) for g, w in zip(got, want))
 
 
@@ -851,10 +856,10 @@ def test_a_level_without_a_pivot_merges_into_the_next(moduli, exact, join):
     flip0 = 1 << 10
     flip1 = 1 << 11 if join == "p" else 1 << 7 | 1 << 8
     route = _EdgeMatrix(8, edges, exact, [flip0, flip1])
-    assert route.stop == 4 and route.bounds == [0, 2, 4]
+    assert route.stop == 4 and _level_ends(route) == [0, 2, 4]
     patterns = [0, flip0, flip1, flip0 ^ flip1]
     got = [route.pfaffian(f) for f in patterns]
-    assert route.bounds == [0, 4]  # merged
+    assert _level_ends(route) == [0, 4]  # merged
     want = [_EdgeMatrix(8, edges, exact).pfaffian(f) for f in patterns]
     assert all(want)
     if exact:
@@ -862,6 +867,55 @@ def test_a_level_without_a_pivot_merges_into_the_next(moduli, exact, join):
         assert moduli[0] == p or join == "none"
     else:
         assert all(abs(g - w) <= 1e-12 * max(map(abs, want)) for g, w in zip(got, want))
+
+
+def _check_level_layout(route):
+    n, stop = len(route.end), route.stop
+    if stop == n:  # unsplit: no layout
+        assert route.levels == [] and route.order == []
+        return
+    o = route.order
+    assert sorted(o) == list(range(stop, n))
+    assert _level_ends(route) == [lo for lo, _, _ in route.levels] + [n - stop]
+    assert all(lo < hi for lo, hi, _ in route.levels)
+    for lo, hi, _ in route.levels[:-1]:
+        assert (hi - lo) % 2 == 0
+        if route.step == 2:  # the order alternates the colours, so do index parities
+            assert 2 * sum(i % 2 for i in o[lo:hi]) == hi - lo
+    placed = sorted(x for _, _, cells in route.levels for x in cells)
+    at = {k: t for t, k in enumerate(o)}
+    want = sorted((c, min(at[i], at[j]), max(at[i], at[j]), at[i] > at[j])
+                  for c, (i, j) in enumerate(route.cells) if i >= stop)
+    assert placed == want  # every seam cell once, row below column in level order
+    assert all(lo <= row < hi for lo, hi, cells in route.levels for _, row, _, _ in cells)
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_level_layout_only_on_split_routes_and_tiles_the_seam(monkeypatch, backend):
+    # checked at preparation and again after the route's merges
+    routes, prepared, init = [], [], _EdgeMatrix.__init__
+
+    def checked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        _check_level_layout(self)
+        routes.append(self)
+        prepared.append(len(self.levels))
+
+    monkeypatch.setattr(_EdgeMatrix, "__init__", checked)
+    rng = random.Random(42)
+    cases = [(inst.map, inst.curves or None, inst.basis)
+             for size in range(2, 13) for surface in ("torus", "klein_hexagon", "rp2")
+             if surface != "klein_hexagon" or size % 2 == 0
+             for inst in [lattice(size, size, surface)]]
+    cases += [(random_map(rng, 8, 5, twisted=k % 2 == 1), None, None) for k in range(300)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        for m, curves, basis in cases:
+            for method in ("auto", "pin"):
+                partition(m, method, curves=curves, basis=basis, backend=backend)
+    for route in routes:
+        _check_level_layout(route)
+    assert sum(map(bool, prepared)) >= 20 and sum(k > 1 for k in prepared) >= 5
 
 
 # ---------------------------------------------------------------------------

@@ -257,7 +257,8 @@ def test_random_agreement_split_phase_runs_flip_levels(monkeypatch):
 
     monkeypatch.setattr(_EdgeMatrix, "__init__", kept)
     assert script.split_phase(random.Random("split 1"), 2) == 0
-    assert any(r.stop < len(r.end) and len(r.bounds) > 2 for r in routes)
+    assert any(r.stop < len(r.end) and len([0] + [hi for _, hi, _ in r.levels]) > 2
+               for r in routes)
 
 
 def test_random_agreement_names_a_split_lattice_where_routes_disagree(monkeypatch, capsys):
